@@ -23,3 +23,12 @@ The package is organized as the paper's system is:
 """
 
 __version__ = "1.1.0"
+
+#: environment-variable values that mean "off" (compared stripped and
+#: lower-cased); every boolean ``REPRO_*`` flag parses through :func:`falsey`
+FALSEY = frozenset({"", "0", "false", "no", "off"})
+
+
+def falsey(value: str | None) -> bool:
+    """True when an environment value (``None`` = unset) means "off"."""
+    return (value or "").strip().lower() in FALSEY

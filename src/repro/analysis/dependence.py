@@ -313,17 +313,6 @@ _CACHE_LIMIT = 4096
 
 _graph_cache: "OrderedDict[tuple, tuple[DepEdge, ...]]" = OrderedDict()
 _cache_stats = DepCacheStats()
-_cache_enabled = True
-
-
-def set_dependence_cache_enabled(enabled: bool) -> None:
-    """Toggle memoization (the legacy/baseline path disables it)."""
-    global _cache_enabled
-    _cache_enabled = bool(enabled)
-
-
-def dependence_cache_enabled() -> bool:
-    return _cache_enabled
 
 
 def dependence_cache_stats() -> DepCacheStats:
@@ -349,10 +338,6 @@ def dependence_graph(
     already computed :func:`ops_fingerprint` (e.g. to key its own schedule
     cache) avoid recomputing it.
     """
-    if not _cache_enabled:
-        return build_dependence_graph(ops, relations=relations,
-                                      loop_carried=loop_carried,
-                                      exit_live=exit_live)
     if fingerprint is None:
         fingerprint = ops_fingerprint(ops)
     key = (fingerprint, loop_carried, exit_live_fingerprint(exit_live))

@@ -15,11 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.loopbuffer.overlay import (
-    ENV_RETARGET,
-    RETARGET_MODES,
-    retarget_choice,
-)
 from repro.pipeline import Compiled
 from repro.runner import metrics as _metrics_mod
 from repro.runner.cache import ArtifactCache, default_cache
@@ -49,9 +44,7 @@ HEADLINE_CAPACITY = 256
 _CACHE: ArtifactCache | None = None
 _METRICS = _metrics_mod.MetricsRecorder()
 _BASE_MEMO: dict[tuple[str, str], Compiled] = {}
-#: keyed by (name, pipeline, capacity, retarget-mode) so flipping
-#: REPRO_RETARGET mid-process never serves the other mode's memo entry
-_RUN_MEMO: dict[tuple[str, str, int | None, str], RunSummary] = {}
+_RUN_MEMO: dict[tuple[str, str, int | None], RunSummary] = {}
 
 
 def experiment_args(description: str | None = None,
@@ -62,22 +55,14 @@ def experiment_args(description: str | None = None,
     facade (and in pool workers) runs the per-pass semantic sanitizer;
     see :mod:`repro.analysis.lint`.  Note checked compiles use distinct
     cache keys, so the first such run recompiles everything.
-    ``--retarget`` exports ``REPRO_RETARGET`` the same way, selecting the
-    ``with_buffer`` implementation for the whole sweep (overlay default,
-    ``legacy`` for the deep-copy differential reference).
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--checked", action="store_true",
                         help="run the semantic sanitizer after every "
                              "compiler pass (also: REPRO_CHECKED=1)")
-    parser.add_argument("--retarget", choices=RETARGET_MODES, default=None,
-                        help="with_buffer implementation (also: "
-                             f"{ENV_RETARGET}=overlay|legacy)")
     args = parser.parse_args(argv)
     if args.checked:
         os.environ["REPRO_CHECKED"] = "1"
-    if args.retarget:
-        os.environ[ENV_RETARGET] = args.retarget
     return args
 
 
@@ -111,18 +96,16 @@ def compiled_base(name: str, pipeline: str) -> Compiled:
     return _BASE_MEMO[key]
 
 
-def run_at_capacity(name: str, pipeline: str, capacity: int | None,
-                    retarget: str | None = None) -> RunSummary:
+def run_at_capacity(name: str, pipeline: str,
+                    capacity: int | None) -> RunSummary:
     """Compile (cached), retarget at ``capacity``, simulate, summarize."""
-    mode = retarget_choice(retarget)
-    key = (name, pipeline, capacity, mode)
+    key = (name, pipeline, capacity)
     if key not in _RUN_MEMO:
         _RUN_MEMO[key] = run_cell(
             name, pipeline, capacity,
             cache=_cache(),
             base=_BASE_MEMO.get((name, pipeline)),
             metrics=_METRICS,
-            retarget=mode,
         )
     return _RUN_MEMO[key]
 
@@ -132,7 +115,6 @@ def prewarm(
     pipelines=("traditional", "aggressive"),
     capacities=(HEADLINE_CAPACITY,),
     workers: int | None = None,
-    retarget: str | None = None,
 ) -> list[RunSummary]:
     """Fan a (benchmark × pipeline × capacity) grid out over the runner.
 
@@ -141,15 +123,14 @@ def prewarm(
     for free — from the pool when cold, from disk when warm.  Cells
     already memoized are skipped.
     """
-    mode = retarget_choice(retarget)
     cells = [
         cell for cell in expand_grid(names, pipelines, capacities)
-        if (cell.name, cell.pipeline, cell.capacity, mode) not in _RUN_MEMO
+        if (cell.name, cell.pipeline, cell.capacity) not in _RUN_MEMO
     ]
     if not cells:
         return []
     summaries = run_grid(cells, workers=workers, cache=_cache(),
-                         metrics=_METRICS, retarget=mode)
+                         metrics=_METRICS)
     for cell, summary in zip(cells, summaries):
-        _RUN_MEMO[(cell.name, cell.pipeline, cell.capacity, mode)] = summary
+        _RUN_MEMO[(cell.name, cell.pipeline, cell.capacity)] = summary
     return summaries

@@ -48,19 +48,17 @@ def run(
     sizes: tuple[int, ...] = FIG7_SIZES,
     pipelines: tuple[str, ...] = ("traditional", "aggressive"),
     workers: int | None = None,
-    retarget: str | None = None,
 ) -> Fig7Result:
     names = names or benchmark_names()
     # fan the whole grid out through the disk-cached runner up front;
     # the per-cell lookups below then hit the in-process memo
-    prewarm(names, pipelines, sizes, workers=workers, retarget=retarget)
+    prewarm(names, pipelines, sizes, workers=workers)
     result = Fig7Result(sizes=tuple(sizes))
     for pipeline in pipelines:
         result.series[pipeline] = {}
         for name in names:
             fractions = [
-                run_at_capacity(name, pipeline, capacity,
-                                retarget=retarget).buffer_fraction
+                run_at_capacity(name, pipeline, capacity).buffer_fraction
                 for capacity in sizes
             ]
             result.series[pipeline][name] = fractions

@@ -59,22 +59,17 @@ class Fig8Result:
 
 def run(names: list[str] | None = None,
         capacity: int = HEADLINE_CAPACITY,
-        workers: int | None = None,
-        retarget: str | None = None) -> Fig8Result:
+        workers: int | None = None) -> Fig8Result:
     names = names or benchmark_names()
     # the three cells per benchmark fan out through the runner first
     prewarm(names, ("traditional", "aggressive"), (capacity,),
-            workers=workers, retarget=retarget)
-    prewarm(names, ("traditional",), (None,), workers=workers,
-            retarget=retarget)
+            workers=workers)
+    prewarm(names, ("traditional",), (None,), workers=workers)
     result = Fig8Result()
     for name in names:
-        trad = run_at_capacity(name, "traditional", capacity,
-                               retarget=retarget)
-        aggr = run_at_capacity(name, "aggressive", capacity,
-                               retarget=retarget)
-        trad_unbuffered = run_at_capacity(name, "traditional", None,
-                                          retarget=retarget)
+        trad = run_at_capacity(name, "traditional", capacity)
+        aggr = run_at_capacity(name, "aggressive", capacity)
+        trad_unbuffered = run_at_capacity(name, "traditional", None)
 
         baseline_energy = unbuffered_baseline(trad_unbuffered.ops_issued)
         trad_energy = FetchEnergy(trad.ops_from_memory, trad.ops_from_buffer,

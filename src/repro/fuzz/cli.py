@@ -91,8 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "for semantic agreement")
         p.add_argument("--retarget", action="store_true",
                        help="add configs that retarget a capacity-"
-                            "independent base through with_buffer under "
-                            "both the overlay and legacy implementations")
+                            "independent base through with_buffer")
         p.add_argument("--service", action="store_true",
                        help="add configs whose compiled half is routed "
                             "through an in-process repro.serve service, "

@@ -39,6 +39,9 @@ DEFAULT_MAX_STEPS = 2_000_000
 
 DEFAULT_CAPACITIES: tuple[int | None, ...] = (None, 16, 64)
 
+#: how a config's compiled half reaches its capacity (``Config.retarget``)
+RETARGETS = ("direct", "overlay")
+
 _COMPILERS = {
     "traditional": compile_traditional,
     "aggressive": compile_aggressive,
@@ -62,15 +65,20 @@ class Config:
     checked: bool = False
     engine: str = "fast"
     sched_oracle: bool = False
-    #: "direct" bakes the capacity into the pipeline call (historical
-    #: behaviour); "overlay"/"legacy" compile a capacity-independent base
-    #: and retarget it through ``with_buffer`` under that implementation
+    #: "direct" bakes the capacity into the pipeline call; "overlay"
+    #: compiles a capacity-independent base and retargets it through
+    #: ``with_buffer``
     retarget: str = "direct"
     #: route this config's compiled half through an in-process
     #: :class:`repro.serve.Service` instead of calling the pipeline
     #: directly, so the service's compile/retarget/simulate path is
     #: differentially checked against the interpreter
     service: bool = False
+
+    def __post_init__(self) -> None:
+        if self.retarget not in RETARGETS:
+            raise ValueError(f"unknown retarget {self.retarget!r} "
+                             f"(expected one of {RETARGETS})")
 
     @property
     def label(self) -> str:
@@ -142,14 +150,12 @@ def retarget_configs(
 ) -> tuple[Config, ...]:
     """Configs that retarget a capacity-independent base per capacity.
 
-    Each pipeline × capacity point appears twice — once under the
-    zero-copy overlay implementation of ``with_buffer`` and once under
-    the deep-copy legacy one — so the two retarget paths are
-    differentially checked against each other *and* the interpreter.
+    Each pipeline × capacity point compiles an unbuffered base and
+    retargets it through ``with_buffer``, so the retarget path is
+    differentially checked against the interpreter.
     """
-    return tuple(Config(pipeline, capacity, retarget=mode)
-                 for pipeline in pipelines for capacity in capacities
-                 for mode in ("overlay", "legacy"))
+    return tuple(Config(pipeline, capacity, retarget="overlay")
+                 for pipeline in pipelines for capacity in capacities)
 
 
 def service_configs(
@@ -247,14 +253,13 @@ def compiled_outcome(source: str, config: Config,
     try:
         if config.retarget != "direct":
             # compile a capacity-independent base, then retarget it the
-            # way the experiment harness does (overlay or legacy path)
+            # way the experiment harness does
             compiled = _COMPILERS[config.pipeline](
                 module, buffer_capacity=None,
                 max_steps=max_steps, checked=config.checked,
                 engine=config.engine)
             compiled = with_buffer(compiled, config.capacity,
-                                   checked=config.checked,
-                                   retarget=config.retarget)
+                                   checked=config.checked)
         else:
             compiled = _COMPILERS[config.pipeline](
                 module, buffer_capacity=config.capacity,
@@ -313,9 +318,7 @@ def _service_outcome(source: str, config: Config,
     response = _service().request(Request(
         kind="run", source=source, pipeline=config.pipeline,
         capacity=config.capacity, checked=config.checked,
-        engine=config.engine,
-        retarget=None if config.retarget == "direct" else config.retarget,
-        max_steps=max_steps))
+        engine=config.engine, max_steps=max_steps))
     if response.status == "ok":
         return ("value", (response.payload or {}).get("value"))
     if response.status == "trap":

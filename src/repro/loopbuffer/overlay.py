@@ -16,17 +16,17 @@ shared decode store (:mod:`repro.sim.engine`) decodes them once for an
 entire capacity sweep.
 
 List schedules are recomputed only for the copied blocks; every shared
-block reuses the base artifact's ``Schedule`` object, which is what the
-legacy full reschedule would have produced anyway (``schedule_block`` is
-content-deterministic, and the ``rec`` rewrite never changes liveness:
-``rec_cloop`` keeps its ``cloop_set``'s sources and ``rec_wloop`` has
-none).  The legacy deep-copy path remains selectable via
-``REPRO_RETARGET=legacy`` as the differential reference.
+block reuses the base artifact's ``Schedule`` object, which is what a
+full reschedule of a deep copy would produce anyway (``schedule_block``
+is content-deterministic, and the ``rec`` rewrite never changes
+liveness: ``rec_cloop`` keeps its ``cloop_set``'s sources and
+``rec_wloop`` has none).  ``tests/golden/retarget_grid.json`` pins the
+result per benchmark cell; it was generated with that deep-copy
+reschedule asserted identical.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.ir.block import BasicBlock
@@ -34,26 +34,9 @@ from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.loopbuffer.assign import assign_buffer
 
-#: environment variable selecting the retarget implementation
-ENV_RETARGET = "REPRO_RETARGET"
-
-RETARGET_MODES = ("overlay", "legacy")
-DEFAULT_RETARGET = "overlay"
-
 
 class RetargetError(ValueError):
     """Invalid retarget request (e.g. re-buffering a buffered artifact)."""
-
-
-def retarget_choice(mode: str | None = None) -> str:
-    """Resolve the retarget mode: explicit arg, else env, else overlay."""
-    if mode is None:
-        mode = os.environ.get(ENV_RETARGET, DEFAULT_RETARGET)
-    if mode not in RETARGET_MODES:
-        raise ValueError(
-            f"unknown retarget mode {mode!r} (expected one of {RETARGET_MODES})"
-        )
-    return mode
 
 
 @dataclass(frozen=True)
@@ -123,7 +106,7 @@ def retarget_overlay(compiled, capacity: int | None,
     ``Compiled``; duck-typed here to keep the dependency one-way).
     ``assign`` overrides the assignment entry point (the pipeline passes
     its own module-level reference so instrumentation patched there
-    applies to both retarget paths).  Returns ``(module, assignment,
+    applies).  Returns ``(module, assignment,
     schedules, overlay)`` for the caller to wrap in a new ``Compiled``.
     """
     if assign is None:

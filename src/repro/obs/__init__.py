@@ -27,6 +27,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 
+from repro import falsey
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Instant, NullTracer, Span, Tracer
 
@@ -103,15 +104,15 @@ def tracing_enabled() -> bool:
 def trace_dir_from_env(value: str | None = None) -> str | None:
     """Resolve ``REPRO_TRACE`` to a trace output directory, or ``None``.
 
-    Falsey values (unset, ``''``, ``0``, ``false``, ``no``) disable
+    Falsey values (unset, or one of :data:`repro.FALSEY`) disable
     tracing; bare truthy flags (``1``, ``true``, ``yes``, ``on``) use
     :data:`DEFAULT_TRACE_DIR`; anything else is taken as the directory.
     """
     if value is None:
         value = os.environ.get(ENV_TRACE, "")
-    value = value.strip()
-    if value.lower() in ("", "0", "false", "no"):
+    if falsey(value):
         return None
+    value = value.strip()
     if value.lower() in ("1", "true", "yes", "on"):
         return DEFAULT_TRACE_DIR
     return value

@@ -1,16 +1,16 @@
 """Continuous performance observability: one harness, one schema.
 
 Every performance number this repo protects — the fast-engine speedup
-(BENCH_sim.json), the memoized scheduler phase (BENCH_sched.json), the
-tracing overhead (BENCH_obs.json) — used to be measured by a bespoke
-script with its own JSON shape and no memory of previous runs.  This
-package unifies them:
+(BENCH_sim.json), the tracing overhead (BENCH_obs.json), the service
+(BENCH_serve.json) — used to be measured by a bespoke script with its
+own JSON shape and no memory of previous runs.  This package unifies
+them:
 
 * :mod:`~repro.obs.perf.harness` — a :class:`BenchSpec` registry and one
   result schema (:class:`BenchResult`: repeated samples, median + MAD,
   per-phase sample series, environment fingerprint, git SHA, config
   hash);
-* :mod:`~repro.obs.perf.benches` — the built-in specs the three
+* :mod:`~repro.obs.perf.benches` — the built-in specs the
   ``scripts/bench_*.py`` entry points are thin wrappers over;
 * :mod:`~repro.obs.perf.history` — an append-only JSONL time series
   keyed by (bench name, config hash), seeded at ``BENCH_history.jsonl``;

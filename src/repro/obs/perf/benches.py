@@ -1,27 +1,18 @@
 """The built-in benchmark specs behind ``scripts/bench_*.py`` and CI.
 
-Three protected fast paths, each measured as a *pair* of specs plus a
-derived machine-portable ratio:
+Each is measured as a *pair* of specs plus a derived machine-portable
+ratio:
 
 * ``sim.ref`` / ``sim.fast`` / ``sim.speedup`` — cold Figure 7 grid
   compute seconds per engine (the BENCH_sim.json study).  Both engines'
   run summaries must be byte-identical (``digest_group="sim"``).
-* ``sched.legacy`` / ``sched.opt`` / ``sched.speedup`` — scheduler-phase
-  seconds (``repro.sched.cache.STATS``) over the compile side of the
-  grid, legacy linear-probe vs. memoized/bitmask path, with canonical
-  schedules verified identical (``digest_group="sched"``).
-* ``sweep.legacy`` / ``sweep.overlay`` / ``sweep.speedup`` —
-  ``with_buffer`` seconds over a capacity sweep, deep-copy vs. zero-copy
-  overlay retarget, with the retargeted artifacts (assignment tables,
-  ``rec`` sites, canonical schedules) verified identical
-  (``digest_group="sweep"``).
 * ``obs.off`` / ``obs.on`` / ``obs.overhead`` — cold-grid wall seconds
   with tracing disabled vs. enabled; the ratio is the instrumentation
   overhead (lower is better, ceiling-budgeted).
 
-Every timing spec records per-phase series (compile/retarget/simulate or
-list/modulo), so a regression flagged by the gate arrives with the phase
-that caused it.  ``mode`` selects the grid: ``quick`` is the CI smoke
+Every timing spec records per-phase series (compile/retarget/simulate),
+so a regression flagged by the gate arrives with the phase that caused
+it.  ``mode`` selects the grid: ``quick`` is the CI smoke
 subset, ``full`` the complete Figure 7 study.
 """
 
@@ -29,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import tempfile
-import time
 from pathlib import Path
 
 from repro.obs.perf.harness import (
@@ -46,12 +36,9 @@ PIPELINES = ("traditional", "aggressive")
 #: CI smoke grids (kept tiny: the gate runs on every pull request)
 QUICK_SIM = {"benchmarks": ("adpcm_enc", "mpeg2_dec"),
              "capacities": (64, 256)}
-QUICK_SCHED = {"benchmarks": ("adpcm_enc", "g724_dec"),
-               "capacities": (64, 256)}
 QUICK_OBS = {"benchmarks": ("adpcm_enc", "mpeg2_dec"),
              "capacities": (256,)}
-QUICK_SWEEP = {"benchmarks": ("adpcm_enc", "mpeg2_dec"),
-               "capacities": (16, 64, 256, 1024)}
+
 
 def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
@@ -108,157 +95,6 @@ def _sim_sample(mode: str, engine: str) -> Sample:
 
 
 # ---------------------------------------------------------------------------
-# sched: legacy vs. memoized scheduler phase, compile side only
-
-
-def _canonical_schedules(compiled) -> tuple:
-    """Schedule content of a compiled artifact, identity-comparable."""
-    placements = {}
-    for fname, schedules in compiled.schedules.items():
-        for label, sched in schedules.items():
-            ops = {op.uid: op
-                   for bundle in sched.bundles for _, op in
-                   bundle.in_slot_order()}
-            placements[(fname, label)] = tuple(sorted(
-                (place.cycle, place.slot, repr(ops[uid]))
-                for uid, place in sched.placement.items()))
-    modulo = {}
-    for key, sched in compiled.modulo.items():
-        by_uid = {op.uid: op for op in sched.ops}
-        modulo[key] = (sched.ii, sched.mve_factor, tuple(sorted(
-            (repr(by_uid[uid]), t, sched.slots[uid])
-            for uid, t in sched.times.items())))
-    return (tuple(sorted(placements.items())),
-            tuple(sorted(modulo.items())))
-
-
-def _sched_config(mode: str, variant: str) -> dict:
-    config = _grid_config(QUICK_SCHED, mode)
-    config["capacities"] = [None] + list(config["capacities"])
-    return dict(config, scheduler=variant)
-
-
-def _sched_sample(mode: str, legacy: bool) -> Sample:
-    from repro.bench import all_benchmarks
-    from repro.pipeline import (
-        compile_aggressive,
-        compile_traditional,
-        with_buffer,
-    )
-    from repro.sched import cache as sched_cache
-
-    compilers = {"traditional": compile_traditional,
-                 "aggressive": compile_aggressive}
-    config = _sched_config(mode, "legacy" if legacy else "optimized")
-    benches = {b.name: b for b in all_benchmarks()}
-    sched_cache.clear_caches()
-    before = dict(sched_cache.STATS.seconds)
-    cells = []
-    t0 = time.perf_counter()
-    with sched_cache.legacy_mode(legacy):
-        for name in config["benchmarks"]:
-            bench = benches[name]
-            for pipeline in PIPELINES:
-                compiled = compilers[pipeline](
-                    bench.build(), entry=bench.entry, args=bench.args,
-                    buffer_capacity=None)
-                cells.append(((name, pipeline, None),
-                              _canonical_schedules(compiled)))
-                for capacity in config["capacities"]:
-                    if capacity is None:
-                        continue
-                    cells.append(((name, pipeline, capacity),
-                                  _canonical_schedules(
-                                      with_buffer(compiled, capacity))))
-    wall = time.perf_counter() - t0
-    seconds = sched_cache.STATS.seconds
-    phases = {
-        kind: seconds.get(kind, 0.0) - before.get(kind, 0.0)
-        for kind in ("list", "modulo")
-    }
-    return Sample(
-        value=sum(phases.values()),
-        phases=phases,
-        meta={"digest": _digest(cells), "cells": len(cells),
-              "compile_wall_s": round(wall, 3)},
-        check=cells,
-    )
-
-
-# ---------------------------------------------------------------------------
-# sweep: legacy deep-copy vs. zero-copy overlay with_buffer, retarget only
-
-
-def _canonical_retarget(compiled) -> tuple:
-    """Retarget-visible content of a compiled artifact.
-
-    Assignment table, every ``rec_*`` site in the rewritten module and
-    the canonical schedules — everything the two ``with_buffer``
-    implementations must agree on byte-for-byte.
-    """
-    from repro.ir.opcodes import Opcode
-
-    assigned = tuple(sorted(
-        (a.func, a.header, a.offset, a.length, a.counted)
-        for a in compiled.assignment.assigned)) if compiled.assignment else ()
-    unassigned = tuple(sorted(compiled.assignment.unassigned)) \
-        if compiled.assignment else ()
-    recs = []
-    for func in compiled.module.functions.values():
-        for block in func.blocks:
-            for index, op in enumerate(block.ops):
-                if op.opcode in (Opcode.REC_CLOOP, Opcode.REC_WLOOP):
-                    recs.append((func.name, block.label, index, repr(op)))
-    return (assigned, unassigned, tuple(sorted(recs)),
-            _canonical_schedules(compiled))
-
-
-def _sweep_config(mode: str, retarget: str) -> dict:
-    config = _grid_config(QUICK_SWEEP, mode)
-    return dict(config, retarget=retarget)
-
-
-def _sweep_sample(mode: str, retarget: str) -> Sample:
-    from repro.bench import all_benchmarks
-    from repro.pipeline import (
-        compile_aggressive,
-        compile_traditional,
-        with_buffer,
-    )
-    from repro.sched import cache as sched_cache
-
-    compilers = {"traditional": compile_traditional,
-                 "aggressive": compile_aggressive}
-    config = _sweep_config(mode, retarget)
-    benches = {b.name: b for b in all_benchmarks()}
-    sched_cache.clear_caches()
-    cells = []
-    compile_wall = 0.0
-    retarget_wall = 0.0
-    for name in config["benchmarks"]:
-        bench = benches[name]
-        for pipeline in PIPELINES:
-            t0 = time.perf_counter()
-            base = compilers[pipeline](
-                bench.build(), entry=bench.entry, args=bench.args,
-                buffer_capacity=None)
-            compile_wall += time.perf_counter() - t0
-            for capacity in config["capacities"]:
-                t0 = time.perf_counter()
-                retargeted = with_buffer(base, capacity, retarget=retarget)
-                retarget_wall += time.perf_counter() - t0
-                cells.append(((name, pipeline, capacity),
-                              _canonical_retarget(retargeted)))
-    return Sample(
-        value=retarget_wall,
-        phases={"retarget": retarget_wall},
-        meta={"digest": _digest(cells), "cells": len(cells),
-              "compile_wall_s": round(compile_wall, 3)},
-        check=cells,
-    )
-
-
-# ---------------------------------------------------------------------------
 # obs: tracing disabled vs. enabled, cold grid wall time
 
 
@@ -299,8 +135,8 @@ def _obs_sample(mode: str, trace: bool) -> Sample:
 
 
 #: the CI gate's default suite (every ratio pulls in its inputs)
-DEFAULT_SUITE = ("sim.speedup", "sched.speedup", "sweep.speedup",
-                 "obs.overhead", "serve.speedup", "serve.hitrate")
+DEFAULT_SUITE = ("sim.speedup", "obs.overhead", "serve.speedup",
+                 "serve.hitrate")
 
 
 def ensure_registered() -> None:
@@ -327,37 +163,6 @@ def ensure_registered() -> None:
         "sim.speedup", "sim.ref", "sim.fast",
         budgets={"quick": 1.0, "full": 2.0},
         help="fast-engine speedup (ref/fast compute seconds)"))
-
-    register(BenchSpec(
-        "sched.legacy", lambda mode: _sched_sample(mode, True),
-        lambda mode: _sched_config(mode, "legacy"),
-        digest_group="sched",
-        help="scheduler-phase seconds, legacy linear-probe path"))
-    register(BenchSpec(
-        "sched.opt", lambda mode: _sched_sample(mode, False),
-        lambda mode: _sched_config(mode, "optimized"),
-        digest_group="sched",
-        help="scheduler-phase seconds, memoized/bitmask path"))
-    register(RatioSpec(
-        "sched.speedup", "sched.legacy", "sched.opt",
-        budgets={"quick": 1.0, "full": 2.0},
-        help="scheduler speedup (legacy/optimized phase seconds)"))
-
-    register(BenchSpec(
-        "sweep.legacy", lambda mode: _sweep_sample(mode, "legacy"),
-        lambda mode: _sweep_config(mode, "legacy"),
-        digest_group="sweep",
-        help="with_buffer seconds over a capacity sweep, deep-copy path"))
-    register(BenchSpec(
-        "sweep.overlay", lambda mode: _sweep_sample(mode, "overlay"),
-        lambda mode: _sweep_config(mode, "overlay"),
-        digest_group="sweep",
-        help="with_buffer seconds over a capacity sweep, zero-copy "
-             "overlay path"))
-    register(RatioSpec(
-        "sweep.speedup", "sweep.legacy", "sweep.overlay",
-        budgets={"quick": 3.0, "full": 3.0},
-        help="retarget speedup (legacy/overlay with_buffer seconds)"))
 
     register(BenchSpec(
         "obs.off", lambda mode: _obs_sample(mode, False),

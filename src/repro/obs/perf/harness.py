@@ -1,7 +1,7 @@
 """The unified benchmark harness: specs, repeated samples, one schema.
 
-A :class:`BenchSpec` names a measurement (``sim.fast``, ``sched.opt``,
-``obs.on``...) and how to take *one* sample of it; :func:`run_bench`
+A :class:`BenchSpec` names a measurement (``sim.fast``, ``obs.on``,
+``serve.warm``...) and how to take *one* sample of it; :func:`run_bench`
 takes several and folds them into a :class:`BenchResult` — the single
 schema every benchmark in this repo reports in and the history store
 (:mod:`repro.obs.perf.history`) persists:
@@ -9,8 +9,8 @@ schema every benchmark in this repo reports in and the history store
 * ``samples`` — every raw observation (never just the best one);
 * ``median`` / ``mad`` — robust center and noise scale, the only two
   statistics the regression gate trusts;
-* ``phases`` — per-phase sample series (compile/retarget/simulate,
-  list/modulo...), so a flagged regression can be blamed on the phase
+* ``phases`` — per-phase sample series (compile/retarget/simulate...),
+  so a flagged regression can be blamed on the phase
   that caused it;
 * ``config`` + ``config_hash`` — what was measured (grid, mode,
   variant), the history key;

@@ -30,6 +30,7 @@ import copy
 import os
 from dataclasses import dataclass, field, replace
 
+from repro import falsey
 from repro.analysis.cfgview import CFGView
 from repro.analysis.lint import (
     Diagnostic,
@@ -50,7 +51,6 @@ from repro.loopbuffer.assign import AssignmentResult, assign_buffer
 from repro.loopbuffer.overlay import (
     CapacityOverlay,
     RetargetError,
-    retarget_choice,
     retarget_overlay,
 )
 from repro.looptrans.cloop import convert_counted_loops
@@ -91,8 +91,7 @@ class Compiled:
     stats: dict[str, object] = field(default_factory=dict)
     buffer_capacity: int | None = None
     #: set when this artifact is a zero-copy retarget of a shared base
-    #: (``with_buffer`` overlay mode); ``None`` for direct compiles and
-    #: legacy deep-copy retargets.
+    #: (``with_buffer``); ``None`` for direct compiles.
     overlay: CapacityOverlay | None = None
 
     @property
@@ -150,13 +149,12 @@ def checked_enabled(checked: bool | None = None) -> bool:
     """Resolve the effective checked-mode setting.
 
     An explicit ``checked`` argument wins; otherwise the ``REPRO_CHECKED``
-    environment variable enables it (any value except ``''``/``0``/
-    ``false``/``no``).
+    environment variable enables it (any value outside
+    :data:`repro.FALSEY`).
     """
     if checked is not None:
         return checked
-    flag = os.environ.get(ENV_CHECKED, "").strip().lower()
-    return flag not in ("", "0", "false", "no")
+    return not falsey(os.environ.get(ENV_CHECKED))
 
 
 class CheckedModeError(Exception):
@@ -561,8 +559,7 @@ def convert_counted_loops_all(module: Module):
 def with_buffer(compiled: Compiled, capacity: int | None,
                 overhead_aware: bool = True,
                 checked: bool | None = None,
-                tracer=None,
-                retarget: str | None = None) -> Compiled:
+                tracer=None) -> Compiled:
     """Re-target a compiled program at a different buffer capacity.
 
     Buffer assignment is capacity-dependent (offsets, which loops fit),
@@ -573,20 +570,13 @@ def with_buffer(compiled: Compiled, capacity: int | None,
     ``rec`` ops would silently stack directives.  The original
     ``Compiled`` is never mutated.
 
-    ``retarget`` selects the implementation (default per
-    ``REPRO_RETARGET``, else ``"overlay"``):
-
-    * ``"overlay"`` — zero-copy: only preheaders that gain ``rec``
-      directives are materialized (copy-on-write at block granularity)
-      and rescheduled; everything else, including ``capacity=None``
-      (which returns a pure view), shares the base artifact's objects.
-    * ``"legacy"`` — the historical whole-module deepcopy plus full
-      reschedule, kept as the differential reference.
-
-    Both paths produce byte-identical run summaries.  Checked mode lints
-    the re-targeted artifact across all phases before returning it.
+    The retarget is zero-copy (:mod:`repro.loopbuffer.overlay`): only
+    preheaders that gain ``rec`` directives are materialized
+    (copy-on-write at block granularity) and rescheduled; everything
+    else, including ``capacity=None`` (which returns a pure view),
+    shares the base artifact's objects.  Checked mode lints the
+    re-targeted artifact across all phases before returning it.
     """
-    mode = retarget_choice(retarget)
     if compiled.buffer_capacity is not None:
         raise RetargetError(
             f"cannot retarget an artifact already buffered at capacity "
@@ -595,19 +585,15 @@ def with_buffer(compiled: Compiled, capacity: int | None,
         )
     tracer = tracer if tracer is not None else get_tracer()
     with tracer.span("with_buffer", category="pipeline",
-                     capacity=capacity, retarget=mode):
-        if mode == "legacy":
-            result = _with_buffer_legacy(compiled, capacity, overhead_aware,
-                                         tracer)
-        else:
-            module, assignment, schedules, overlay = retarget_overlay(
-                compiled, capacity, overhead_aware=overhead_aware,
-                tracer=tracer, assign=assign_buffer)
-            result = Compiled(module, compiled.profile, schedules,
-                              dict(compiled.modulo), assignment,
-                              compiled.machine, compiled.entry,
-                              list(compiled.args), dict(compiled.stats),
-                              buffer_capacity=capacity, overlay=overlay)
+                     capacity=capacity):
+        module, assignment, schedules, overlay = retarget_overlay(
+            compiled, capacity, overhead_aware=overhead_aware,
+            tracer=tracer, assign=assign_buffer)
+        result = Compiled(module, compiled.profile, schedules,
+                          dict(compiled.modulo), assignment,
+                          compiled.machine, compiled.entry,
+                          list(compiled.args), dict(compiled.stats),
+                          buffer_capacity=capacity, overlay=overlay)
         if checked_enabled(checked):
             errors = errors_only(lint_compiled(result))
             if errors:
@@ -615,41 +601,6 @@ def with_buffer(compiled: Compiled, capacity: int | None,
                     "with_buffer",
                     [replace(d, passname="with_buffer") for d in errors])
         return result
-
-
-def _with_buffer_legacy(compiled: Compiled, capacity: int | None,
-                        overhead_aware: bool, tracer) -> Compiled:
-    """The deep-copy retarget path (``REPRO_RETARGET=legacy``)."""
-    module = copy.deepcopy(compiled.module)
-    # deepcopy preserves op uids and labels, so the existing profile
-    # stays valid — no re-profiling per buffer size.  The modulo
-    # schedules are likewise capacity-independent (they were computed
-    # before any buffer assignment, and both the simulator and the
-    # footprint calculation read only schedule-shape properties keyed
-    # by (function, label)), so a sweep reuses them instead of
-    # re-running modulo scheduling per size.
-    profile = compiled.profile
-
-    modulo = dict(compiled.modulo)
-    footprint = {key: sched.buffered_op_count
-                 for key, sched in modulo.items()}
-
-    assignment = None
-    if capacity:
-        assignment = assign_buffer(module, profile, capacity,
-                                   footprint=footprint,
-                                   overhead_aware=overhead_aware,
-                                   tracer=tracer)
-    with tracer.span("list_schedule"):
-        schedules = {
-            func.name: schedule_function(func, compiled.machine,
-                                         tracer=tracer)
-            for func in module.functions.values()
-        }
-    return Compiled(module, profile, schedules, modulo, assignment,
-                    compiled.machine, compiled.entry,
-                    list(compiled.args), dict(compiled.stats),
-                    buffer_capacity=capacity)
 
 
 def run_compiled(

@@ -21,12 +21,13 @@ Environment knobs (all optional):
 ``REPRO_CACHE_DIR``
     cache location (default ``.repro_cache`` under the current directory)
 ``REPRO_NO_CACHE``
-    any non-empty value disables the on-disk cache entirely
+    any value outside :data:`repro.FALSEY` (``0``, ``false``, ``no``,
+    ``off``, empty) disables the on-disk cache entirely
 ``REPRO_WORKERS``
     default process-pool width (``0``/``1`` → serial in-process)
 ``REPRO_TRACE``
     ``1`` records per-cell traces into ``.repro_trace``; any other
-    non-empty value is used as the trace directory (see :mod:`repro.obs`)
+    non-falsey value is used as the trace directory (see :mod:`repro.obs`)
 """
 
 from repro.runner.cache import ArtifactCache, CacheStats, cache_key, default_cache

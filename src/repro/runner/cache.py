@@ -27,8 +27,8 @@ from typing import Iterable
 import repro
 
 #: bump to invalidate every existing cache entry on format changes
-#: (2: ``Compiled`` gained the ``overlay`` field and run keys gained the
-#: retarget axis — pre-overlay base pickles and run entries are stale)
+#: (2: ``Compiled`` gained the ``overlay`` field — pre-overlay base
+#: pickles are stale)
 CACHE_FORMAT = 2
 
 #: default cache location, relative to the working directory (gitignored)
@@ -260,5 +260,5 @@ def default_cache(cache_dir: str | os.PathLike | None = None,
     if cache_dir is None:
         cache_dir = os.environ.get(ENV_CACHE_DIR) or DEFAULT_CACHE_DIR
     if enabled is None:
-        enabled = not os.environ.get(ENV_NO_CACHE)
+        enabled = repro.falsey(os.environ.get(ENV_NO_CACHE))
     return ArtifactCache(Path(cache_dir), enabled=enabled)

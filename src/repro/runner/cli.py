@@ -53,7 +53,6 @@ from repro.runner.cache import (
 from repro.runner.metrics import MetricsRecorder
 from repro.runner.parallel import PIPELINES, expand_grid, run_grid
 from repro.runner.summary import format_table
-from repro.loopbuffer.overlay import ENV_RETARGET, RETARGET_MODES
 from repro.sim.engine import ENGINES, ENV_ENGINE
 
 
@@ -104,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "into thunk lists, 'ref' is the reference "
                              "interpreter; both are bit-identical (default: "
                              f"{ENV_ENGINE} or 'fast')")
-    parser.add_argument("--retarget", choices=RETARGET_MODES, default=None,
-                        help="with_buffer implementation: 'overlay' shares "
-                             "the base module and materializes only rec'd "
-                             "preheaders, 'legacy' deep-copies the module "
-                             "per capacity; summaries are byte-identical "
-                             f"(default: {ENV_RETARGET} or 'overlay')")
     parser.add_argument("--trace", dest="trace_dir", nargs="?",
                         const=DEFAULT_TRACE_DIR,
                         default=trace_dir_from_env(), metavar="DIR",
@@ -244,8 +237,7 @@ def main(argv: list[str] | None = None) -> int:
                              metrics=metrics,
                              checked=args.checked or None,
                              trace=bool(args.trace_dir),
-                             engine=args.engine,
-                             retarget=args.retarget)
+                             engine=args.engine)
     except AssertionError as exc:
         print(f"CHECKSUM MISMATCH: {exc}", file=sys.stderr)
         return 1

@@ -36,7 +36,6 @@ from repro.pipeline import (
     run_compiled,
     with_buffer,
 )
-from repro.loopbuffer.overlay import retarget_choice
 from repro.runner.cache import ArtifactCache, cache_key, default_cache
 from repro.runner.metrics import CellMetrics, MetricsRecorder
 from repro.runner.summary import RunSummary
@@ -137,17 +136,11 @@ def base_key(name: str, pipeline: str, checked: bool | None = None,
 
 
 def run_key(name: str, pipeline: str, capacity: int | None,
-            checked: bool | None = None, engine: str | None = None,
-            retarget: str | None = None) -> str:
-    # ``retarget`` is part of the key for the same reason ``engine`` is:
-    # overlay and legacy summaries are verified byte-identical, but a
-    # differential sweep must never have one mode's artifacts satisfy the
-    # other's cells.
+            checked: bool | None = None, engine: str | None = None) -> str:
     bench = benchmark(name)
     flags = _base_flags(bench, checked_enabled(checked),
                         engine_choice(engine))
     flags["capacity"] = capacity
-    flags["retarget"] = retarget_choice(retarget)
     return cache_key(bench.source, pipeline, flags)
 
 
@@ -210,7 +203,6 @@ def _execute_cell(
     checked: bool = False,
     trace: bool = False,
     engine: str = "fast",
-    retarget: str = "overlay",
 ) -> tuple[RunSummary, CellMetrics, Compiled | None]:
     """Run one cell end to end; raises AssertionError on checksum mismatch.
 
@@ -222,8 +214,7 @@ def _execute_cell(
     so the stored one stays valid).
     """
     cm = CellMetrics(cell.name, cell.pipeline, cell.capacity)
-    key = run_key(cell.name, cell.pipeline, cell.capacity, checked, engine,
-                  retarget)
+    key = run_key(cell.name, cell.pipeline, cell.capacity, checked, engine)
     if cache is not None:
         cached = cache.load(key, "run")
         if isinstance(cached, RunSummary):
@@ -249,8 +240,7 @@ def _execute_cell(
     tracer = Tracer() if trace else None
     with obs_use(tracer) if trace else nullcontext():
         t0 = time.perf_counter()
-        compiled = with_buffer(base, cell.capacity, checked=checked,
-                               retarget=retarget)
+        compiled = with_buffer(base, cell.capacity, checked=checked)
         t1 = time.perf_counter()
         outcome = run_compiled(compiled, engine=engine)
     cm.stages["retarget"] = t1 - t0
@@ -318,13 +308,11 @@ def run_cell(
     checked: bool | None = None,
     trace: bool = False,
     engine: str | None = None,
-    retarget: str | None = None,
 ) -> RunSummary:
     """The single-cell entry point the experiments facade builds on."""
     summary, cm, _ = _execute_cell(Cell(name, pipeline, capacity), cache, base,
                                    checked_enabled(checked), trace,
-                                   engine_choice(engine),
-                                   retarget_choice(retarget))
+                                   engine_choice(engine))
     if metrics is not None:
         metrics.add_cell(cm)
         if cache is not None:
@@ -348,12 +336,10 @@ def _worker_base(name: str, pipeline: str, cache_dir: str,
 
 def _worker_cell(cell: Cell, base_blob: bytes | None, cache_dir: str,
                  cache_enabled: bool, checked: bool = False,
-                 trace: bool = False, engine: str = "fast",
-                 retarget: str = "overlay") -> bytes:
+                 trace: bool = False, engine: str = "fast") -> bytes:
     cache = ArtifactCache(cache_dir, enabled=cache_enabled)
     base = pickle.loads(base_blob) if base_blob is not None else None
-    summary, cm, _ = _execute_cell(cell, cache, base, checked, trace, engine,
-                                   retarget)
+    summary, cm, _ = _execute_cell(cell, cache, base, checked, trace, engine)
     cm.worker = f"pid{os.getpid()}"
     return pickle.dumps((summary, cm, cache.stats))
 
@@ -371,7 +357,6 @@ def run_grid(
     checked: bool | None = None,
     trace: bool = False,
     engine: str | None = None,
-    retarget: str | None = None,
 ) -> list[RunSummary]:
     """Execute every cell, returning summaries in input-cell order.
 
@@ -390,10 +375,7 @@ def run_grid(
     :mod:`repro.obs.export` for the exporters).  ``engine`` selects the
     simulator engine (``"ref"``/``"fast"``, default per ``REPRO_ENGINE``);
     it is part of every cache key, so sweeping both engines against one
-    cache directory keeps their artifacts separate.  ``retarget`` selects
-    the ``with_buffer`` implementation (``"overlay"``/``"legacy"``,
-    default per ``REPRO_RETARGET``) and is likewise part of every run
-    key.
+    cache directory keeps their artifacts separate.
     """
     if cache == "default":
         cache = default_cache()
@@ -403,16 +385,14 @@ def run_grid(
     cells = list(cells)
     checked = checked_enabled(checked)
     engine = engine_choice(engine)
-    retarget = retarget_choice(retarget)
 
     try:
         if workers <= 1 or len(cells) <= 1:
             results = _run_serial(cells, cache, metrics, checked=checked,
-                                  trace=trace, engine=engine,
-                                  retarget=retarget)
+                                  trace=trace, engine=engine)
         else:
             results = _run_pool(cells, workers, timeout, cache, metrics,
-                                checked, trace, engine, retarget)
+                                checked, trace, engine)
     finally:
         metrics.finish()
         if cache is not None:
@@ -424,10 +404,9 @@ def run_grid(
 def _run_serial(cells: Sequence[Cell], cache: ArtifactCache | None,
                 metrics: MetricsRecorder,
                 _execute=None, checked: bool = False,
-                trace: bool = False, engine: str = "fast",
-                retarget: str = "overlay") -> list[RunSummary]:
-    execute = _execute or partial(_execute_cell, trace=trace, engine=engine,
-                                  retarget=retarget)
+                trace: bool = False,
+                engine: str = "fast") -> list[RunSummary]:
+    execute = _execute or partial(_execute_cell, trace=trace, engine=engine)
     bases: dict[tuple[str, str], Compiled] = {}
     results: list[RunSummary] = []
     for cell in cells:
@@ -451,8 +430,8 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
               cache: ArtifactCache | None,
               metrics: MetricsRecorder,
               checked: bool = False,
-              trace: bool = False, engine: str = "fast",
-              retarget: str = "overlay") -> list[RunSummary]:
+              trace: bool = False,
+              engine: str = "fast") -> list[RunSummary]:
     cache_dir = str(cache.root) if cache is not None else ""
     cache_enabled = cache is not None and cache.enabled
     groups = list(dict.fromkeys(cell.group for cell in cells))
@@ -497,8 +476,7 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
         try:
             cell_futures = [
                 pool.submit(_worker_cell, cell, base_blobs[cell.group],
-                            cache_dir, cache_enabled, checked, trace, engine,
-                            retarget)
+                            cache_dir, cache_enabled, checked, trace, engine)
                 for cell in cells
             ]
         except BrokenExecutor:
@@ -506,7 +484,7 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
             for index, cell in enumerate(cells):
                 base = pickle.loads(base_blobs[cell.group])
                 summary, cm, _ = _execute_cell(cell, cache, base, checked,
-                                               trace, engine, retarget)
+                                               trace, engine)
                 _attach_base_trace(cell, cm)
                 metrics.add_cell(cm)
                 results[index] = summary
@@ -523,7 +501,7 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
                 # retry once in the parent, serially
                 base = pickle.loads(base_blobs[cell.group])
                 summary, cm, _ = _execute_cell(cell, cache, base, checked,
-                                               trace, engine, retarget)
+                                               trace, engine)
                 cm.attempts = 2
                 cm.retries = 1
                 stats = None

@@ -11,10 +11,9 @@ stored (index, cycle, slot) assignments onto the caller's operations,
 skipping dependence-graph construction and the scheduling search
 entirely, while producing a byte-identical schedule.
 
-``REPRO_SCHED_LEGACY=1`` (or :func:`set_legacy`) switches both schedulers
-back to the unmemoized linear-probe baseline; ``scripts/bench_sched.py``
-uses it to measure the optimized path against the original one with
-identical-schedule verification.
+The schedules these paths produce are pinned per benchmark cell in
+``tests/golden/retarget_grid.json``, which was generated with the
+original unmemoized linear-probe schedulers asserted identical.
 
 All scheduling time (cold builds *and* cache replays) is accumulated per
 phase in :data:`STATS`, so benchmarks can report scheduler-phase seconds
@@ -23,7 +22,6 @@ without tracing overhead.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -32,10 +30,7 @@ from dataclasses import dataclass, field
 from repro.analysis.dependence import (
     clear_dependence_cache,
     dependence_cache_stats,
-    set_dependence_cache_enabled,
 )
-
-ENV_LEGACY = "REPRO_SCHED_LEGACY"
 
 #: bounded LRU size for each placement cache
 CACHE_LIMIT = 4096
@@ -70,33 +65,6 @@ STATS = SchedCacheStats()
 
 _list_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 _modulo_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-_legacy = os.environ.get(ENV_LEGACY, "").strip().lower() not in (
-    "", "0", "false", "no")
-set_dependence_cache_enabled(not _legacy)
-
-
-def set_legacy(legacy: bool) -> None:
-    """Select the unmemoized linear-probe baseline (for benchmarking)."""
-    global _legacy
-    _legacy = bool(legacy)
-    set_dependence_cache_enabled(not _legacy)
-
-
-def legacy_enabled() -> bool:
-    return _legacy
-
-
-@contextmanager
-def legacy_mode(legacy: bool = True):
-    """Temporarily force the legacy (or optimized) scheduler path."""
-    previous = _legacy
-    set_legacy(legacy)
-    try:
-        yield
-    finally:
-        set_legacy(previous)
-
 
 def clear_caches() -> None:
     """Drop every memoized placement and dependence graph."""
@@ -135,8 +103,6 @@ def _store(cache: OrderedDict, key: tuple, value: tuple) -> None:
 
 def list_placements_get(key: tuple):
     """Stored ``((index, cycle, slot), ...)`` for a block, or ``None``."""
-    if _legacy:
-        return None
     value = _lookup(_list_cache, key)
     if value is None:
         STATS.list_misses += 1
@@ -146,8 +112,7 @@ def list_placements_get(key: tuple):
 
 
 def list_placements_put(key: tuple, placements: tuple) -> None:
-    if not _legacy:
-        _store(_list_cache, key, placements)
+    _store(_list_cache, key, placements)
 
 
 # -- modulo-schedule placements ----------------------------------------------
@@ -156,8 +121,6 @@ def list_placements_put(key: tuple, placements: tuple) -> None:
 def modulo_result_get(key: tuple):
     """Stored modulo outcome: ``("ok", ii, times, slots, mve)`` with
     times/slots as index-keyed tuples, or ``("fail", message)``."""
-    if _legacy:
-        return None
     value = _lookup(_modulo_cache, key)
     if value is None:
         STATS.modulo_misses += 1
@@ -167,5 +130,4 @@ def modulo_result_get(key: tuple):
 
 
 def modulo_result_put(key: tuple, value: tuple) -> None:
-    if not _legacy:
-        _store(_modulo_cache, key, value)
+    _store(_modulo_cache, key, value)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from repro.analysis.dependence import (
     DependenceGraph,
-    build_dependence_graph,
     dependence_graph,
     exit_live_fingerprint,
     ops_fingerprint,
@@ -79,30 +78,22 @@ def schedule_block(
     """
     ops = [op for op in block.ops if op.opcode != Opcode.NOP]
     with sched_cache.timed("list"):
-        legacy = sched_cache.legacy_enabled()
-        key = None
-        if not legacy:
-            fingerprint = ops_fingerprint(ops)
-            key = (fingerprint, machine, exit_live_fingerprint(exit_live))
-            placements = sched_cache.list_placements_get(key)
-            if placements is not None:
-                return _replay(ops, placements)
+        fingerprint = ops_fingerprint(ops)
+        key = (fingerprint, machine, exit_live_fingerprint(exit_live))
+        placements = sched_cache.list_placements_get(key)
+        if placements is not None:
+            return _replay(ops, placements)
         if relations is None:
             relations = PredicateRelations(block)
-        if legacy:
-            graph = build_dependence_graph(ops, relations=relations,
-                                           exit_live=exit_live)
-        else:
-            graph = dependence_graph(ops, relations=relations,
-                                     exit_live=exit_live,
-                                     fingerprint=fingerprint)
-        schedule = _schedule_ops(ops, graph, machine, block.label, legacy)
-        if key is not None:
-            sched_cache.list_placements_put(key, tuple(
-                (i, place.cycle, place.slot)
-                for i, op in enumerate(ops)
-                for place in (schedule.placement[op.uid],)
-            ))
+        graph = dependence_graph(ops, relations=relations,
+                                 exit_live=exit_live,
+                                 fingerprint=fingerprint)
+        schedule = _schedule_ops(ops, graph, machine, block.label)
+        sched_cache.list_placements_put(key, tuple(
+            (i, place.cycle, place.slot)
+            for i, op in enumerate(ops)
+            for place in (schedule.placement[op.uid],)
+        ))
         return schedule
 
 
@@ -114,13 +105,11 @@ def _replay(ops, placements) -> Schedule:
     return schedule
 
 
-def _schedule_ops(ops, graph, machine, label, legacy) -> Schedule:
+def _schedule_ops(ops, graph, machine, label) -> Schedule:
     """The critical-path list-scheduling loop.
 
-    ``legacy`` selects the original linear free-slot probe; the default
-    probes a per-cycle free-slot bitmask through the machine's pick
-    tables.  Both probe slots in identical (scarcest-capability-first)
-    order, so the resulting schedules are identical.
+    Free slots are probed through a per-cycle bitmask and the machine's
+    pick tables, in scarcest-capability-first order.
     """
     priority = _priorities(graph)
 
@@ -142,23 +131,14 @@ def _schedule_ops(ops, graph, machine, label, legacy) -> Schedule:
         # candidates whose earliest start has arrived
         candidates = [i for i in ready if earliest[i] <= cycle]
         candidates.sort(key=lambda i: (-priority[i], i))
-        occupied: set[int] = set()
         free = full_mask
 
         for i in candidates:
             op = ops[i]
-            if legacy:
-                slot = next(
-                    (s for s in machine.slots_for_op(op.opcode)
-                     if s not in occupied),
-                    None,
-                )
-            else:
-                slot = machine.pick_slot(op.opcode, free)
+            slot = machine.pick_slot(op.opcode, free)
             if slot is None:
                 continue
             schedule.place(op, cycle, slot)
-            occupied.add(slot)
             free &= ~(1 << slot)
             unscheduled.discard(i)
             ready.remove(i)

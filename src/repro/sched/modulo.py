@@ -22,7 +22,6 @@ from math import ceil
 
 from repro.analysis.dependence import (
     DependenceGraph,
-    build_dependence_graph,
     dependence_graph,
     ops_fingerprint,
 )
@@ -97,19 +96,12 @@ def recurrence_mii(graph: DependenceGraph) -> int:
     feasible when relaxation converges (no positive-weight cycle).
     Feasibility is monotone in II (raising II only lowers edge weights),
     so the smallest feasible II is found by doubling to an upper bound
-    and bisecting — the legacy path scans IIs one by one instead.
+    and bisecting.
     A graph with no loop-carried edge has no cycle at all: RecMII is 1
     without any relaxation.
     """
     if not any(edge.distance for edge in graph.edges):
         return 1
-    if sched_cache.legacy_enabled():
-        ii = 1
-        while ii < MAX_REC_MII:
-            if _feasible(graph, ii):
-                return ii
-            ii += 1
-        raise ModuloSchedulingFailed("recurrence MII exceeds search budget")
     if _feasible(graph, 1):
         return 1
     lo, hi = 1, 2  # lo is always infeasible, hi the candidate bound
@@ -173,22 +165,15 @@ def modulo_schedule(
 def _modulo_schedule(block, machine, max_ii, budget_factor, span=None):
     ops = [op for op in block.ops if op.opcode != Opcode.NOP]
     with sched_cache.timed("modulo"):
-        legacy = sched_cache.legacy_enabled()
-        key = None
-        if not legacy:
-            fingerprint = ops_fingerprint(ops)
-            key = (fingerprint, machine, max_ii, budget_factor)
-            cached = sched_cache.modulo_result_get(key)
-            if cached is not None:
-                return _modulo_from_cache(block, ops, cached, span)
+        fingerprint = ops_fingerprint(ops)
+        key = (fingerprint, machine, max_ii, budget_factor)
+        cached = sched_cache.modulo_result_get(key)
+        if cached is not None:
+            return _modulo_from_cache(block, ops, cached, span)
         relations = PredicateRelations(block)
-        if legacy:
-            graph = build_dependence_graph(ops, relations=relations,
-                                           loop_carried=True)
-        else:
-            graph = dependence_graph(ops, relations=relations,
-                                     loop_carried=True,
-                                     fingerprint=fingerprint)
+        graph = dependence_graph(ops, relations=relations,
+                                 loop_carried=True,
+                                 fingerprint=fingerprint)
         # both lower bounds are known before any candidate schedule is
         # attempted: the II search never starts below max(ResMII, RecMII)
         res_mii = resource_mii(ops, machine)
@@ -200,8 +185,7 @@ def _modulo_schedule(block, machine, max_ii, budget_factor, span=None):
 
         for ii in range(mii, max_ii + 1):
             result = _try_schedule(ops, graph, machine, ii,
-                                   budget_factor * len(ops) + 32,
-                                   legacy)
+                                   budget_factor * len(ops) + 32)
             if result is not None:
                 times, slots = result
                 sched = ModuloSchedule(
@@ -211,18 +195,16 @@ def _modulo_schedule(block, machine, max_ii, budget_factor, span=None):
                     ops=list(ops),
                 )
                 sched.mve_factor = required_mve_factor(ops, graph, times, ii)
-                if key is not None:
-                    sched_cache.modulo_result_put(key, (
-                        "ok", ii,
-                        tuple(times[i] for i in range(len(ops))),
-                        tuple(slots[i] for i in range(len(ops))),
-                        sched.mve_factor,
-                        (mii, res_mii, rec_mii),
-                    ))
+                sched_cache.modulo_result_put(key, (
+                    "ok", ii,
+                    tuple(times[i] for i in range(len(ops))),
+                    tuple(slots[i] for i in range(len(ops))),
+                    sched.mve_factor,
+                    (mii, res_mii, rec_mii),
+                ))
                 return sched
         message = f"no II <= {max_ii} for {block.label}"
-        if key is not None:
-            sched_cache.modulo_result_put(key, ("fail", f"no II <= {max_ii}"))
+        sched_cache.modulo_result_put(key, ("fail", f"no II <= {max_ii}"))
         raise ModuloSchedulingFailed(message)
 
 
@@ -245,13 +227,12 @@ def _modulo_from_cache(block, ops, cached, span):
     return sched
 
 
-def _try_schedule(ops, graph, machine, ii, budget, legacy=False):
+def _try_schedule(ops, graph, machine, ii, budget):
     """One IMS attempt at a fixed II; returns (times, slots) or None.
 
     The modulo reservation table is mirrored in per-modulo-cycle
     free-slot bitmasks so the placement probe is mask arithmetic instead
-    of a per-slot dict scan; ``legacy`` keeps the original linear probe
-    (the probe order — and hence the schedule — is identical).
+    of a per-slot dict scan.
     """
     n = len(ops)
     height = _heights(graph, ii)
@@ -280,11 +261,8 @@ def _try_schedule(ops, graph, machine, ii, budget, legacy=False):
 
         placed = False
         for t in range(lo, hi + 1):
-            if legacy:
-                slot = _free_slot_linear(ops[i], t % ii, mrt, machine)
-            else:
-                slot = machine.pick_slot(ops[i].opcode,
-                                         full_mask & ~mrt_mask[t % ii])
+            slot = machine.pick_slot(ops[i].opcode,
+                                     full_mask & ~mrt_mask[t % ii])
             if slot is not None:
                 _place(i, t, slot, times, slots, mrt, mrt_mask, ii)
                 placed = True
@@ -329,13 +307,6 @@ def _heights(graph, ii):
         if not changed:
             break
     return height
-
-
-def _free_slot_linear(op, mslot_time, mrt, machine):
-    for slot in machine.slots_for_op(op.opcode):
-        if (slot, mslot_time) not in mrt:
-            return slot
-    return None
 
 
 def _place(i, t, slot, times, slots, mrt, mrt_mask, ii):

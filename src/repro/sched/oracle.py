@@ -288,14 +288,9 @@ def oracle_schedule(
     ops = [op for op in block.ops if op.opcode != Opcode.NOP]
     with sched_cache.timed("oracle"):
         relations = PredicateRelations(block)
-        if sched_cache.legacy_enabled():
-            from repro.analysis.dependence import build_dependence_graph
-            graph = build_dependence_graph(ops, relations=relations,
-                                           loop_carried=True)
-        else:
-            graph = dependence_graph(ops, relations=relations,
-                                     loop_carried=True,
-                                     fingerprint=ops_fingerprint(ops))
+        graph = dependence_graph(ops, relations=relations,
+                                 loop_carried=True,
+                                 fingerprint=ops_fingerprint(ops))
         res_mii = resource_mii(ops, machine)
         try:
             rec_mii = recurrence_mii(graph)

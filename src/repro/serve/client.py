@@ -44,13 +44,13 @@ class _ConvenienceMixin:
     def run(self, benchmark: str | None = None, *,
             source: str | None = None, pipeline: str = "aggressive",
             capacity: int | None = None, checked: bool = False,
-            engine: str | None = None, retarget: str | None = None,
+            engine: str | None = None,
             max_steps: int | None = None,
             deadline_s: float | None = None) -> Response:
         return self.request(Request(
             kind="run", benchmark=benchmark, source=source,
             pipeline=pipeline, capacity=capacity, checked=checked,
-            engine=engine, retarget=retarget, max_steps=max_steps,
+            engine=engine, max_steps=max_steps,
             deadline_s=deadline_s))
 
     def compile(self, benchmark: str | None = None, *,

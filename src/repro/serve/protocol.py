@@ -65,7 +65,6 @@ class Request:
     capacity: int | None = None
     checked: bool = False
     engine: str | None = None
-    retarget: str | None = None
     #: simulation/profiling step budget (None = the pipeline default);
     #: the fuzz oracle pins this so runaway loops trap identically on
     #: both sides of its differential
@@ -110,8 +109,7 @@ class Request:
         """Full semantic identity: two requests with equal keys must
         produce equal payloads, so concurrent ones share one
         computation."""
-        return (self.kind,) + self.group + (
-            self.capacity, self.retarget or "")
+        return (self.kind,) + self.group + (self.capacity,)
 
     # -- wire form ---------------------------------------------------------
 

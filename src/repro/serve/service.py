@@ -67,8 +67,6 @@ from repro.serve.shards import DEFAULT_SHARDS, ShardedArtifactCache
 from repro.sim.engine import engine_choice
 from repro.sim.interp import SimError
 
-from repro.loopbuffer.overlay import retarget_choice
-
 
 @dataclass
 class ServiceConfig:
@@ -264,12 +262,11 @@ class Service:
         if request.benchmark is not None:
             return run_key(request.benchmark, request.pipeline,
                            request.capacity, request.checked,
-                           request.engine, request.retarget), "run"
+                           request.engine), "run"
         flags = {
             "capacity": request.capacity,
             "checked": request.checked,
             "engine": engine_choice(request.engine),
-            "retarget": retarget_choice(request.retarget),
             "max_steps": request.max_steps,
             "serve": "run",
         }
@@ -416,8 +413,7 @@ class Service:
         key, kind = self._run_key(request)
         try:
             retargeted = with_buffer(base, request.capacity,
-                                     checked=request.checked,
-                                     retarget=request.retarget)
+                                     checked=request.checked)
             kwargs = {"engine": engine_choice(request.engine)}
             if request.max_steps is not None:
                 kwargs["max_steps"] = request.max_steps

@@ -63,11 +63,15 @@ class TestConfig:
 
     def test_retarget_grid_shape(self):
         grid = retarget_configs()
-        # both with_buffer implementations per pipeline x capacity point
-        assert len(grid) == 2 * 2 * 2
-        assert {c.retarget for c in grid} == {"overlay", "legacy"}
+        # one overlay retarget per pipeline x capacity point
+        assert len(grid) == 2 * 2
+        assert {c.retarget for c in grid} == {"overlay"}
         assert all(c.capacity for c in grid)
         assert len(set(grid)) == len(grid)
+
+    def test_unknown_retarget_rejected(self):
+        with pytest.raises(ValueError, match="unknown retarget"):
+            Config("traditional", 64, retarget="legacy")
 
 
 class TestSchedOracleConfig:

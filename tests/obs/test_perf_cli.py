@@ -41,11 +41,11 @@ class TestList:
         assert main(["perf", "list", "--json"]) == 0
         specs = {s["name"]: s for s in
                  json.loads(capsys.readouterr().out)}
-        assert specs["sched.speedup"]["kind"] == "ratio"
-        assert specs["sched.speedup"]["direction"] == "higher"
+        assert specs["sim.speedup"]["kind"] == "ratio"
+        assert specs["sim.speedup"]["direction"] == "higher"
         # most specs gate at the per-unit default; serve.speedup carries
         # its own wider budget (cold/warm noise doesn't divide out)
-        assert specs["sched.speedup"]["gate_budget"] is None
+        assert specs["sim.speedup"]["gate_budget"] is None
         assert specs["serve.speedup"]["gate_budget"] == 0.5
 
 

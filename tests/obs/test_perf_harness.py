@@ -159,9 +159,8 @@ class TestBudgets:
 class TestBuiltins:
     def test_builtin_specs_registered(self):
         names = harness.bench_names()
-        for name in ("sim.ref", "sim.fast", "sim.speedup", "sched.legacy",
-                     "sched.opt", "sched.speedup", "obs.off", "obs.on",
-                     "obs.overhead"):
+        for name in ("sim.ref", "sim.fast", "sim.speedup", "obs.off",
+                     "obs.on", "obs.overhead"):
             assert name in names
 
     def test_unknown_bench_raises(self):

@@ -5,7 +5,9 @@ from repro.analysis.dependence import build_dependence_graph
 from repro.ir import BasicBlock, Imm, Opcode, Operation, ireg
 from repro.sched.machine import DEFAULT_MACHINE
 from repro.sched.modulo import (
+    MAX_REC_MII,
     ModuloSchedule,
+    _feasible,
     modulo_schedule,
     recurrence_mii,
     resource_mii,
@@ -173,11 +175,10 @@ class TestRecMIIBisection:
             yield build_dependence_graph(ops, loop_carried=True)
 
     def test_matches_legacy_scan_on_known_graphs(self):
-        from repro.sched import cache as sched_cache
-
         for graph in self._graphs():
-            with sched_cache.legacy_mode():
-                expected = recurrence_mii(graph)
+            # reference: the original one-by-one II scan
+            expected = next(ii for ii in range(1, MAX_REC_MII)
+                            if _feasible(graph, ii))
             assert recurrence_mii(graph) == expected
 
     def test_chained_load_recurrence_known_answer(self):

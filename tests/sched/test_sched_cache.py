@@ -1,4 +1,4 @@
-"""Scheduler memoization: content-keyed hits, legacy equivalence, stats."""
+"""Scheduler memoization: content-keyed hits, pinned schedules, stats."""
 
 import pytest
 
@@ -8,10 +8,14 @@ from repro.analysis.dependence import (
     dependence_graph,
     ops_fingerprint,
 )
+from repro.bench import benchmark
 from repro.ir import BasicBlock, Imm, Opcode, Operation, ireg
+from repro.pipeline import compile_aggressive, compile_traditional
 from repro.sched import cache as sched_cache
 from repro.sched.list_sched import schedule_block
 from repro.sched.modulo import modulo_schedule
+
+from tests.retarget_golden import GOLDEN, canonical_retarget, cell_key, digest
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +44,18 @@ def _loop_body():
         Operation(Opcode.BR_CLOOP, [], [],
                   attrs={"target": "loop", "lc": "l0"}),
     ]
+
+
+def _compile_matches_golden(name, pipeline):
+    """Compile an unbuffered base; its list and modulo schedules must
+    match the digest the linear-probe schedulers pinned for the cell."""
+    compiler = {"traditional": compile_traditional,
+                "aggressive": compile_aggressive}[pipeline]
+    bench = benchmark(name)
+    base = compiler(bench.build(), entry=bench.entry, args=bench.args,
+                    buffer_capacity=None)
+    assert (digest(canonical_retarget(base))
+            == GOLDEN["retarget"][cell_key(name, pipeline, None)])
 
 
 def _canonical(schedule, ops):
@@ -88,23 +104,12 @@ class TestListScheduleCache:
                        exit_live={4: {ireg(3)}})
         assert sched_cache.STATS.list_misses == misses + 1
 
-    def test_legacy_mode_skips_the_cache(self):
-        hits = sched_cache.STATS.list_hits
-        misses = sched_cache.STATS.list_misses
-        with sched_cache.legacy_mode():
-            schedule_block(BasicBlock("loop", _body()))
-            schedule_block(BasicBlock("loop", _body()))
-        assert sched_cache.STATS.list_hits == hits
-        assert sched_cache.STATS.list_misses == misses
-
     def test_legacy_and_optimized_schedules_identical(self):
-        for make in (_body, _loop_body):
-            ops_a, ops_b = make(), make()
-            with sched_cache.legacy_mode():
-                legacy = schedule_block(BasicBlock("loop", ops_a))
-            optimized = schedule_block(BasicBlock("loop", ops_b))
-            assert (_canonical(legacy, ops_a)
-                    == _canonical(optimized, ops_b))
+        # cold (empty caches), then warm: every block replays from cache
+        _compile_matches_golden("adpcm_enc", "traditional")
+        hits = sched_cache.STATS.list_hits
+        _compile_matches_golden("adpcm_enc", "traditional")
+        assert sched_cache.STATS.list_hits > hits
 
 
 class TestModuloCache:
@@ -128,15 +133,11 @@ class TestModuloCache:
         assert set(sched.times) == {op.uid for op in ops}
 
     def test_legacy_and_optimized_agree(self):
-        ops_a, ops_b = _loop_body(), _loop_body()
-        with sched_cache.legacy_mode():
-            legacy = modulo_schedule(BasicBlock("loop", ops_a))
-        optimized = modulo_schedule(BasicBlock("loop", ops_b))
-        assert legacy.ii == optimized.ii
-        assert ([legacy.times[op.uid] for op in ops_a]
-                == [optimized.times[op.uid] for op in ops_b])
-        assert ([legacy.slots[op.uid] for op in ops_a]
-                == [optimized.slots[op.uid] for op in ops_b])
+        # cold (empty caches), then warm: every loop replays from cache
+        _compile_matches_golden("adpcm_enc", "aggressive")
+        hits = sched_cache.STATS.modulo_hits
+        _compile_matches_golden("adpcm_enc", "aggressive")
+        assert sched_cache.STATS.modulo_hits > hits
 
 
 class TestDependenceCache:

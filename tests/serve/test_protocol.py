@@ -97,12 +97,16 @@ class TestIdentityKeys:
                                            capacity=64).coalesce_key()
         assert a.coalesce_key() != Request(kind="run", benchmark="a",
                                            capacity=128).coalesce_key()
-        assert a.coalesce_key() != Request(
-            kind="run", benchmark="a", capacity=64,
-            retarget="legacy").coalesce_key()
         assert a.coalesce_key() != Request(kind="compile",
                                            benchmark="a",
                                            capacity=64).coalesce_key()
+
+    def test_retarget_field_is_rejected(self):
+        # with_buffer has one implementation: the field left the protocol
+        with pytest.raises(ProtocolError,
+                           match=r"unknown request fields \['retarget'\]"):
+            decode_request(b'{"kind": "run", "benchmark": "a", '
+                           b'"retarget": "legacy", "v": 1}\n')
 
     def test_ids_never_affect_identity(self):
         a = Request(kind="run", benchmark="a", capacity=64, id="x")

@@ -1,19 +1,22 @@
-"""Capacity-differential harness: overlay vs. legacy ``with_buffer``.
+"""Capacity retarget harness: zero-copy ``with_buffer`` against pinned digests.
 
-The zero-copy overlay retarget (:mod:`repro.loopbuffer.overlay`) must be
-observationally indistinguishable from the historical whole-module
-deep-copy it replaced.  This suite proves it three ways:
+The zero-copy overlay retarget (:mod:`repro.loopbuffer.overlay`) must
+produce exactly what the whole-module deep-copy retarget it replaced
+produced.  ``tests/golden/retarget_grid.json`` pins that per cell (see
+:mod:`tests.retarget_golden`), and this suite checks it three ways:
 
 * **artifact-identical** — for every benchmark × pipeline pair, the
-  assignment table, every ``rec`` site, the canonical schedules and the
-  lint verdicts agree at small/headline/huge capacities (and across the
-  whole Figure 7 grid under ``-m slow``);
-* **run-identical** — pickled :class:`~repro.runner.summary.RunSummary`
-  bytes and per-loop buffer counters agree on real simulations, for the
-  benchmarks and for every fuzz-corpus reproducer;
+  assignment table, every ``rec`` site and the canonical schedules match
+  the pinned digest at every capacity of the Figure 7 sweep (and
+  ``None``), with error-free lint at the headline capacity;
+* **run-identical** — :class:`~repro.runner.summary.RunSummary` and
+  per-loop buffer counters match their pinned digests on real
+  simulations (the whole grid under ``-m slow``), and every fuzz-corpus
+  reproducer retargets to the same artifact and value as a direct
+  compile at that capacity;
 * **order-independent** — a hypothesis property sweeps random capacity
   subsets in random order through one shared base and checks each
-  retarget against a fresh single-capacity reference, with the base
+  retarget against a direct compile at that capacity, with the base
   module's pickle bytes unchanged throughout.
 
 Plus the overlay-specific contracts: ``capacity=None`` is a pure view,
@@ -29,15 +32,9 @@ import pickle
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis.lint import lint_compiled
+from repro.analysis.lint import errors_only, lint_compiled
 from repro.bench import all_benchmarks, benchmark_names
-from repro.loopbuffer.overlay import (
-    ENV_RETARGET,
-    RETARGET_MODES,
-    RetargetError,
-    retarget_choice,
-)
-from repro.obs.perf.benches import _canonical_retarget
+from repro.loopbuffer.overlay import RetargetError
 from repro.pipeline import (
     compile_aggressive,
     compile_traditional,
@@ -47,6 +44,14 @@ from repro.pipeline import (
 from repro.runner.parallel import run_cell
 
 from tests.conftest import nightly_examples
+from tests.retarget_golden import (
+    GOLDEN,
+    GRID_CAPACITIES,
+    canonical_retarget,
+    cell_key,
+    digest,
+    loop_table,
+)
 from tests.strategies import capacity_sweeps
 
 PIPELINES = ("traditional", "aggressive")
@@ -54,8 +59,6 @@ PAIRS = [(name, pipeline)
          for name in benchmark_names() for pipeline in PIPELINES]
 #: the tier-1 capacity subgrid: nothing fits / headline / everything fits
 TIER1_CAPACITIES = (16, 256, 2048)
-#: the full Figure 7 sweep (kept in sync with experiments.common)
-FIG7_SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048)
 
 _COMPILERS = {"traditional": compile_traditional,
               "aggressive": compile_aggressive}
@@ -75,18 +78,6 @@ def base_for(name: str, pipeline: str):
     return _BASES[key]
 
 
-def _lint_verdicts(compiled) -> tuple[str, ...]:
-    return tuple(sorted(d.format() for d in lint_compiled(compiled)))
-
-
-def _loop_table(compiled) -> tuple:
-    """Per-loop fetch counters plus buffer-model stats, canonicalized."""
-    outcome = run_compiled(compiled, engine="fast")
-    buffer_stats = (outcome.buffer.stats.as_tuple()
-                    if outcome.buffer is not None else None)
-    return (outcome.counters.loop_table(), buffer_stats)
-
-
 # ---------------------------------------------------------------------------
 # artifact-identical: every benchmark × pipeline pair
 
@@ -96,15 +87,15 @@ def _loop_table(compiled) -> tuple:
 def test_artifacts_byte_identical(name, pipeline):
     base = base_for(name, pipeline)
     base_bytes = pickle.dumps(base.module)
-    for capacity in TIER1_CAPACITIES:
-        legacy = with_buffer(base, capacity, retarget="legacy")
-        overlay = with_buffer(base, capacity, retarget="overlay")
-        assert _canonical_retarget(overlay) == _canonical_retarget(legacy), \
-            f"{name}/{pipeline}@{capacity}: retarget artifacts diverge"
-        assert overlay.buffer_capacity == legacy.buffer_capacity == capacity
-    # lint verdicts agree at the headline capacity
-    assert (_lint_verdicts(with_buffer(base, 256, retarget="overlay"))
-            == _lint_verdicts(with_buffer(base, 256, retarget="legacy")))
+    for capacity in GRID_CAPACITIES:
+        key = cell_key(name, pipeline, capacity)
+        overlay = with_buffer(base, capacity)
+        assert (digest(canonical_retarget(overlay))
+                == GOLDEN["retarget"][key]), \
+            f"{key}: retarget artifacts differ from the pinned digest"
+        assert overlay.buffer_capacity == capacity
+    # the headline artifact lints free of errors
+    assert errors_only(lint_compiled(with_buffer(base, 256))) == []
     # the shared base was never mutated by any of the retargets
     assert pickle.dumps(base.module) == base_bytes
 
@@ -122,39 +113,34 @@ SIM_SUBSET = (("adpcm_enc", "traditional"), ("adpcm_enc", "aggressive"),
 def test_run_summaries_byte_identical(name, pipeline):
     base = base_for(name, pipeline)
     for capacity in (16, 256):
-        legacy, overlay = (
-            run_cell(name, pipeline, capacity, base=base, retarget=mode)
-            for mode in ("legacy", "overlay"))
-        assert pickle.dumps(overlay) == pickle.dumps(legacy), \
-            f"{name}/{pipeline}@{capacity}: run summaries diverge"
+        key = cell_key(name, pipeline, capacity)
+        summary = run_cell(name, pipeline, capacity, base=base)
+        assert digest(summary) == GOLDEN["runs"][key], \
+            f"{key}: run summary differs from the pinned digest"
 
 
 def test_per_loop_counters_identical():
     base = base_for("adpcm_enc", "traditional")
     for capacity in TIER1_CAPACITIES:
-        legacy = _loop_table(with_buffer(base, capacity, retarget="legacy"))
-        overlay = _loop_table(with_buffer(base, capacity, retarget="overlay"))
-        assert overlay == legacy
+        key = cell_key("adpcm_enc", "traditional", capacity)
+        assert (digest(loop_table(with_buffer(base, capacity)))
+                == GOLDEN["loops"][key])
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name,pipeline", PAIRS,
                          ids=[f"{n}-{p}" for n, p in PAIRS])
 def test_full_grid_differential(name, pipeline):
-    """The complete Figure 7 sweep, byte-identical per cell (nightly)."""
+    """The complete Figure 7 sweep plus ``None``, per cell (nightly)."""
     base = base_for(name, pipeline)
-    for capacity in FIG7_SIZES:
-        legacy = run_cell(name, pipeline, capacity, base=base,
-                          retarget="legacy")
-        overlay = run_cell(name, pipeline, capacity, base=base,
-                           retarget="overlay")
-        assert pickle.dumps(overlay) == pickle.dumps(legacy), \
-            f"{name}/{pipeline}@{capacity}: run summaries diverge"
-        lt_legacy = _loop_table(with_buffer(base, capacity,
-                                            retarget="legacy"))
-        lt_overlay = _loop_table(with_buffer(base, capacity,
-                                             retarget="overlay"))
-        assert lt_overlay == lt_legacy
+    for capacity in GRID_CAPACITIES:
+        key = cell_key(name, pipeline, capacity)
+        summary = run_cell(name, pipeline, capacity, base=base)
+        assert digest(summary) == GOLDEN["runs"][key], \
+            f"{key}: run summary differs from the pinned digest"
+        assert (digest(loop_table(with_buffer(base, capacity)))
+                == GOLDEN["loops"][key]), \
+            f"{key}: per-loop counters differ from the pinned digest"
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +168,16 @@ def test_corpus_differential(entry_id, source):
         except SimError:
             continue  # reproducer traps at compile-time profiling
         for capacity in (16, 64):
-            legacy = with_buffer(base, capacity, retarget="legacy")
-            overlay = with_buffer(base, capacity, retarget="overlay")
-            assert (_canonical_retarget(overlay)
-                    == _canonical_retarget(legacy)), \
+            # a direct compile at the capacity assigns the buffer over the
+            # whole module and list-schedules every block
+            direct = compiler(compile_source(source),
+                              buffer_capacity=capacity)
+            overlay = with_buffer(base, capacity)
+            assert (canonical_retarget(overlay)
+                    == canonical_retarget(direct)), \
                 f"{entry_id}/{pipeline}@{capacity}: artifacts diverge"
             try:
-                expected = run_compiled(legacy).result.value
+                expected = run_compiled(direct).result.value
             except SimError:
                 with pytest.raises(SimError):
                     run_compiled(overlay)
@@ -208,8 +197,9 @@ def _property_base():
     if not _PROPERTY_STATE:
         from tests.helpers import build_nested_loop
 
-        base = compile_traditional(build_nested_loop(12, 12),
-                                   buffer_capacity=None)
+        module = build_nested_loop(12, 12)
+        base = compile_traditional(module, buffer_capacity=None)
+        _PROPERTY_STATE["module"] = module
         _PROPERTY_STATE["base"] = base
         _PROPERTY_STATE["bytes"] = pickle.dumps(base.module)
         _PROPERTY_STATE["reference"] = {}
@@ -224,10 +214,10 @@ def test_overlay_sweep_order_independent(caps):
     reference: dict = state["reference"]
     for capacity in caps:
         if capacity not in reference:
-            reference[capacity] = _canonical_retarget(
-                with_buffer(base, capacity, retarget="legacy"))
-        overlay = with_buffer(base, capacity, retarget="overlay")
-        assert _canonical_retarget(overlay) == reference[capacity]
+            reference[capacity] = canonical_retarget(compile_traditional(
+                state["module"], buffer_capacity=capacity))
+        overlay = with_buffer(base, capacity)
+        assert canonical_retarget(overlay) == reference[capacity]
     # no retarget order may ever write through to the shared base
     assert pickle.dumps(base.module) == state["bytes"]
 
@@ -238,18 +228,18 @@ def test_overlay_sweep_order_independent(caps):
 
 def test_capacity_none_returns_view():
     base = base_for("adpcm_enc", "traditional")
-    view = with_buffer(base, None, retarget="overlay")
+    view = with_buffer(base, None)
     assert view.module is base.module
     assert view.assignment is None
     assert view.overlay is not None
     assert view.overlay.materialized == ()
     # capacity=0 is falsy: also a pure view
-    assert with_buffer(base, 0, retarget="overlay").module is base.module
+    assert with_buffer(base, 0).module is base.module
 
 
 def test_overlay_materializes_only_recd_preheaders():
     base = base_for("mpeg2_dec", "traditional")
-    compiled = with_buffer(base, 256, retarget="overlay")
+    compiled = with_buffer(base, 256)
     assert compiled.overlay is not None
     materialized = set(compiled.overlay.materialized)
     assert materialized, "expected at least one rec'd preheader at 256"
@@ -274,28 +264,6 @@ def test_retarget_already_buffered_raises():
         with_buffer(direct, 128)
 
 
-def test_retarget_choice_resolution(monkeypatch):
-    monkeypatch.delenv(ENV_RETARGET, raising=False)
-    assert retarget_choice() == "overlay"
-    assert retarget_choice("legacy") == "legacy"
-    monkeypatch.setenv(ENV_RETARGET, "legacy")
-    assert retarget_choice() == "legacy"
-    assert retarget_choice("overlay") == "overlay"
-    with pytest.raises(ValueError):
-        retarget_choice("deepcopy")
-    monkeypatch.setenv(ENV_RETARGET, "bogus")
-    with pytest.raises(ValueError):
-        retarget_choice()
-
-
-def test_legacy_env_selects_deepcopy_path(monkeypatch):
-    monkeypatch.setenv(ENV_RETARGET, "legacy")
-    base = base_for("adpcm_enc", "traditional")
-    compiled = with_buffer(base, 256)
-    assert compiled.overlay is None
-    assert compiled.module is not base.module
-
-
 def test_shared_decode_across_capacity_sweep():
     from repro.sim.engine import SHARED_DECODE_STATS, reset_shared_decode
 
@@ -304,24 +272,9 @@ def test_shared_decode_across_capacity_sweep():
     SHARED_DECODE_STATS.reset()
     values = set()
     for capacity in (16, 64, 256):
-        compiled = with_buffer(base, capacity, retarget="overlay")
+        compiled = with_buffer(base, capacity)
         values.add(run_compiled(compiled, engine="fast").result.value)
     assert len(values) == 1, "capacity must never change the checksum"
     stats = SHARED_DECODE_STATS.snapshot()
     assert stats["block_hits"] > 0, \
         "overlay sweep never reused a shared block decode"
-
-
-# ---------------------------------------------------------------------------
-# observability wiring
-
-
-def test_sweep_benches_registered():
-    from repro.obs.perf import harness
-    from repro.obs.perf.benches import DEFAULT_SUITE, ensure_registered
-
-    ensure_registered()
-    assert "sweep.speedup" in DEFAULT_SUITE
-    for name in ("sweep.legacy", "sweep.overlay", "sweep.speedup"):
-        assert name in harness._REGISTRY
-    assert set(RETARGET_MODES) == {"overlay", "legacy"}
