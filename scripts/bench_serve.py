@@ -3,7 +3,7 @@
 Thin wrapper over the unified benchmark harness (:mod:`repro.obs.perf`).
 The measurements live in :mod:`repro.serve.benches`: the serve grid
 driven concurrently (8 client threads) at an in-process
-:class:`~repro.serve.service.Service` with a fresh sharded cache —
+:class:`~repro.serve.service.Service` with a fresh artifact cache —
 
 * ``serve.cold`` / ``serve.warm`` — per-request p50 service-side wall
   seconds on the first pass vs. the repeated (fully cache-warm) pass,
@@ -32,7 +32,7 @@ from repro.obs.perf.suite import run_suite_script  # noqa: E402
 
 DESCRIPTION = (
     "Service load benchmark: the serve grid driven at an in-process "
-    "Service (2 workers, sharded cache, 8 concurrent clients).  "
+    "Service (2 workers, fresh artifact cache, 8 concurrent clients).  "
     "serve.cold/serve.warm are p50 service-side request seconds on the "
     "first vs. repeated pass; serve.speedup is their ratio (>= 10x), "
     "serve.hitrate the repeat-pass run-cache hit rate (>= 0.9) and "

@@ -23,9 +23,8 @@ from typing import Iterable, Sequence
 
 from repro.frontend import compile_source
 from repro.pipeline import (
+    COMPILERS,
     CheckedModeError,
-    compile_aggressive,
-    compile_traditional,
     run_compiled,
     with_buffer,
 )
@@ -41,12 +40,6 @@ DEFAULT_CAPACITIES: tuple[int | None, ...] = (None, 16, 64)
 
 #: how a config's compiled half reaches its capacity (``Config.retarget``)
 RETARGETS = ("direct", "overlay")
-
-_COMPILERS = {
-    "traditional": compile_traditional,
-    "aggressive": compile_aggressive,
-}
-
 
 @dataclass(frozen=True, order=True)
 class Config:
@@ -254,14 +247,14 @@ def compiled_outcome(source: str, config: Config,
         if config.retarget != "direct":
             # compile a capacity-independent base, then retarget it the
             # way the experiment harness does
-            compiled = _COMPILERS[config.pipeline](
+            compiled = COMPILERS[config.pipeline](
                 module, buffer_capacity=None,
                 max_steps=max_steps, checked=config.checked,
                 engine=config.engine)
             compiled = with_buffer(compiled, config.capacity,
                                    checked=config.checked)
         else:
-            compiled = _COMPILERS[config.pipeline](
+            compiled = COMPILERS[config.pipeline](
                 module, buffer_capacity=config.capacity,
                 max_steps=max_steps, checked=config.checked,
                 engine=config.engine)
@@ -315,10 +308,10 @@ def _service_outcome(source: str, config: Config,
         compile_source(source)
     except Exception as exc:
         return ("frontend-error", f"{type(exc).__name__}: {exc}")
-    response = _service().request(Request(
+    response = _service().submit(Request(
         kind="run", source=source, pipeline=config.pipeline,
         capacity=config.capacity, checked=config.checked,
-        engine=config.engine, max_steps=max_steps))
+        engine=config.engine, max_steps=max_steps)).result()
     if response.status == "ok":
         return ("value", (response.payload or {}).get("value"))
     if response.status == "trap":

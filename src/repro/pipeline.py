@@ -549,6 +549,14 @@ def _compile_aggressive_body(
                     max_steps, stats, checker, engine)
 
 
+#: pipeline name -> its compiler; the runner, the service and the fuzz
+#: oracle all dispatch through this one table
+COMPILERS = {
+    "traditional": compile_traditional,
+    "aggressive": compile_aggressive,
+}
+
+
 def convert_counted_loops_all(module: Module):
     return {
         func.name: convert_counted_loops(func)

@@ -10,7 +10,9 @@ cache can only cost a recompute.
 
 Writes are atomic (``os.replace`` of a same-directory temp file), which
 also makes concurrent writers from a process pool safe: both produce the
-same content-addressed bytes and the last rename wins.
+same content-addressed bytes and the last rename wins.  One instance may
+be shared between threads (the service's workers do): its stats ledger
+is updated under a lock, and the file operations need none.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import pickle
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -36,6 +39,10 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_NO_CACHE = "REPRO_NO_CACHE"
+
+#: with a ``max_bytes`` bound, sweep the cache every N stores (a scan per
+#: store would make every write O(entries))
+GC_EVERY_STORES = 32
 
 
 def cache_key(source: str, pipeline: str, flags: dict | None = None,
@@ -79,15 +86,24 @@ class ArtifactCache:
     ``"base"`` (a capacity-independent :class:`~repro.pipeline.Compiled`),
     ``"run"`` (a :class:`~repro.runner.summary.RunSummary`) and
     ``"trace"`` (a tracer payload dict recorded beside either, so warm
-    cells replay their traces).
+    cells replay their traces).  ``max_bytes`` bounds the whole cache:
+    every :data:`GC_EVERY_STORES` stores, :func:`gc_lru` evicts the least
+    recently used entries past it (``None``: unbounded).
     """
 
     root: Path
     enabled: bool = True
     stats: CacheStats = field(default_factory=CacheStats)
+    max_bytes: int | None = None
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
+        self._lock = threading.Lock()
+        self._stores = 0
+
+    def _count(self, counter: str, n: int = 1) -> None:
+        with self._lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + n)
 
     def path_for(self, key: str, kind: str) -> Path:
         return self.root / key[:2] / f"{key}.{kind}.pkl"
@@ -100,13 +116,13 @@ class ArtifactCache:
         costing a read.
         """
         if not self.enabled:
-            self.stats.misses += 1
+            self._count("misses")
             return None
         path = self.path_for(key, kind)
         try:
             blob = path.read_bytes()
         except OSError:
-            self.stats.misses += 1
+            self._count("misses")
             return None
         try:
             envelope = pickle.loads(blob)
@@ -118,12 +134,13 @@ class ArtifactCache:
         except Exception:
             # bad entry: evict, never crash
             self.evict(key, kind)
-            self.stats.misses += 1
+            self._count("misses")
             return None
-        self.stats.hits += 1
+        self._count("hits")
         try:
             # refresh mtime so it doubles as an access stamp: the LRU gc
-            # (gc_lru, the serve shards, `runner cache gc`) evicts by it
+            # (gc_lru, the ``max_bytes`` bound, `runner cache gc`) evicts
+            # by it
             os.utime(path)
         except OSError:
             pass
@@ -149,15 +166,25 @@ class ArtifactCache:
             except OSError:
                 pass
             raise
-        self.stats.stores += 1
+        with self._lock:
+            self.stats.stores += 1
+            self._stores += 1
+            sweep = (self.max_bytes is not None
+                     and self._stores % GC_EVERY_STORES == 0)
+        if sweep:
+            # outside the lock: the scan is O(entries) and loads/stores
+            # must not wait on it; a racing writer at worst loses a
+            # freshly stored entry, which costs a recompute
+            evicted, _kept = gc_lru(self.root, self.max_bytes)
+            self._count("evictions", len(evicted))
         return path
 
     def evict(self, key: str, kind: str) -> None:
         try:
             self.path_for(key, kind).unlink()
-            self.stats.evictions += 1
         except OSError:
-            pass
+            return
+        self._count("evictions")
 
 
 # --------------------------------------------------------------------------
@@ -167,7 +194,7 @@ class ArtifactCache:
 # .pkl), so they work on any cache directory regardless of which process
 # wrote it.  ``load`` refreshes an entry's mtime on every hit, making mtime
 # an access-recency proxy; ``gc_lru`` evicts oldest-accessed-first.  The
-# sharded service cache (:mod:`repro.serve.shards`) and the ``python -m
+# ``max_bytes`` bound of :class:`ArtifactCache` and the ``python -m
 # repro.runner cache`` subcommand both build on these.
 
 
@@ -186,8 +213,8 @@ def iter_entries(root: str | os.PathLike,
                  prefixes: Iterable[str] | None = None) -> list[CacheEntry]:
     """Every parseable entry under ``root``, unsorted.
 
-    ``prefixes`` restricts the scan to those two-hex-digit key prefixes
-    (the per-shard domains).  Temp files from in-flight atomic writes
+    ``prefixes`` restricts the scan to those two-hex-digit key prefixes.
+    Temp files from in-flight atomic writes
     (``<name>.pkl.XXXX``) and anything else that doesn't parse as
     ``<key>.<kind>.pkl`` are skipped, not errors.
     """
@@ -228,7 +255,6 @@ def usage_by_kind(entries: Iterable[CacheEntry]) -> dict[str, dict[str, int]]:
 
 
 def gc_lru(root: str | os.PathLike, max_bytes: int,
-           prefixes: Iterable[str] | None = None,
            dry_run: bool = False) -> tuple[list[CacheEntry], int]:
     """Evict least-recently-used entries until the total fits ``max_bytes``.
 
@@ -238,7 +264,7 @@ def gc_lru(root: str | os.PathLike, max_bytes: int,
     A concurrent writer can race the scan; a file that vanishes under us
     counts as already evicted.
     """
-    entries = sorted(iter_entries(root, prefixes), key=lambda e: e.mtime)
+    entries = sorted(iter_entries(root), key=lambda e: e.mtime)
     total = sum(e.bytes for e in entries)
     evicted: list[CacheEntry] = []
     for entry in entries:

@@ -124,14 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _size(value: str) -> int:
-    """Byte count with an optional k/m/g suffix (binary multiples)."""
-    value = value.strip().lower()
-    factor = 1
-    for suffix, mult in (("k", 1 << 10), ("m", 1 << 20), ("g", 1 << 30)):
-        if value.endswith(suffix):
-            value, factor = value[:-1], mult
-            break
-    return int(float(value) * factor)
+    """Byte count with an optional k/m/g suffix (binary multiples); the
+    type of every cache-size option, here and in ``repro.serve``.  A
+    negative bound would make the LRU gc evict everything."""
+    text = value.strip().lower()
+    scale = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}.get(text[-1:], 1)
+    size = int(float(text[:-1] if scale != 1 else text) * scale)
+    if size < 0:
+        raise argparse.ArgumentTypeError(
+            f"size must not be negative, got {value!r}")
+    return size
 
 
 def build_cache_parser() -> argparse.ArgumentParser:

@@ -26,13 +26,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
 
-from repro.bench import benchmark
+from repro.bench import Benchmark, benchmark
 from repro.obs import MetricsRegistry, Tracer, use as obs_use
 from repro.pipeline import (
+    COMPILERS as _COMPILERS,
     Compiled,
     checked_enabled,
-    compile_aggressive,
-    compile_traditional,
     run_compiled,
     with_buffer,
 )
@@ -44,11 +43,6 @@ from repro.sim.engine import engine_choice
 ENV_WORKERS = "REPRO_WORKERS"
 
 PIPELINES = ("traditional", "aggressive")
-
-_COMPILERS = {
-    "traditional": compile_traditional,
-    "aggressive": compile_aggressive,
-}
 
 
 @dataclass(frozen=True, order=True)
@@ -63,6 +57,34 @@ class Cell:
     def group(self) -> tuple[str, str]:
         """The (benchmark, pipeline) pair sharing one compiled base."""
         return (self.name, self.pipeline)
+
+
+@dataclass(frozen=True)
+class Source:
+    """An inline MKC program run as ``entry(*args)``: a Table 1
+    :class:`~repro.bench.Benchmark` without an oracle checksum, wherever
+    the runner takes a *program*.  ``name`` labels its run summaries."""
+
+    name: str
+    source: str
+    entry: str = "main"
+    args: tuple[int, ...] = ()
+
+    def build(self):
+        from repro.frontend import compile_source
+
+        return compile_source(self.source)
+
+    def expected(self) -> None:
+        return None
+
+
+#: what a base compiles from: a benchmark (or its name) or inline source
+Program = Benchmark | Source | str
+
+
+def _program(program: Program) -> Benchmark | Source:
+    return benchmark(program) if isinstance(program, str) else program
 
 
 def expand_grid(
@@ -108,7 +130,8 @@ def _machine_fingerprint(machine) -> str:
             f"ob={machine.operation_bits}")
 
 
-def _base_flags(bench, checked: bool = False, engine: str = "fast") -> dict:
+def _base_flags(program: Benchmark | Source, checked: bool = False,
+                engine: str = "fast", max_steps: int | None = None) -> dict:
     from repro.sched.machine import DEFAULT_MACHINE
 
     # ``checked`` is part of the key: a checked compile carries different
@@ -116,32 +139,37 @@ def _base_flags(bench, checked: bool = False, engine: str = "fast") -> dict:
     # the unchecked cache entry.  ``engine`` is part of the key too: the
     # engines are verified equivalent, but a differential sweep (bench_sim,
     # the fuzz oracle) must never have one engine's artifacts satisfy the
-    # other's cells.
-    return {
-        "entry": bench.entry,
-        "args": list(bench.args),
+    # other's cells.  A step budget decides where profiling and simulation
+    # trap, so a non-default one is keyed as well.
+    flags = {
+        "entry": program.entry,
+        "args": list(program.args),
         "machine": _machine_fingerprint(DEFAULT_MACHINE),
         "buffer_capacity": None,
         "checked": checked,
         "engine": engine,
     }
+    if max_steps is not None:
+        flags["max_steps"] = max_steps
+    return flags
 
 
-def base_key(name: str, pipeline: str, checked: bool | None = None,
-             engine: str | None = None) -> str:
-    bench = benchmark(name)
-    return cache_key(bench.source, pipeline,
-                     _base_flags(bench, checked_enabled(checked),
-                                 engine_choice(engine)))
+def base_key(program: Program, pipeline: str, checked: bool | None = None,
+             engine: str | None = None, max_steps: int | None = None) -> str:
+    program = _program(program)
+    return cache_key(program.source, pipeline,
+                     _base_flags(program, checked_enabled(checked),
+                                 engine_choice(engine), max_steps))
 
 
-def run_key(name: str, pipeline: str, capacity: int | None,
-            checked: bool | None = None, engine: str | None = None) -> str:
-    bench = benchmark(name)
-    flags = _base_flags(bench, checked_enabled(checked),
-                        engine_choice(engine))
+def run_key(program: Program, pipeline: str, capacity: int | None,
+            checked: bool | None = None, engine: str | None = None,
+            max_steps: int | None = None) -> str:
+    program = _program(program)
+    flags = _base_flags(program, checked_enabled(checked),
+                        engine_choice(engine), max_steps)
     flags["capacity"] = capacity
-    return cache_key(bench.source, pipeline, flags)
+    return cache_key(program.source, pipeline, flags)
 
 
 # --------------------------------------------------------------------------
@@ -160,8 +188,9 @@ def compile_base(name: str, pipeline: str,
 
 
 def _compile_base_timed(
-    name: str, pipeline: str, cache: ArtifactCache | None,
+    program: Program, pipeline: str, cache: ArtifactCache | None,
     checked: bool = False, trace: bool = False, engine: str = "fast",
+    max_steps: int | None = None,
 ) -> tuple[Compiled, float, bool, dict | None]:
     """Returns ``(compiled, seconds, cache_hit, trace_payload)``.
 
@@ -171,7 +200,8 @@ def _compile_base_timed(
     """
     if pipeline not in _COMPILERS:
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    key = base_key(name, pipeline, checked, engine)
+    program = _program(program)
+    key = base_key(program, pipeline, checked, engine, max_steps)
     if cache is not None:
         cached = cache.load(key, "base")
         if cached is not None:
@@ -180,13 +210,13 @@ def _compile_base_timed(
             payload = cache.load(key, "trace")
             if payload is not None:
                 return cached, 0.0, True, payload
-    bench = benchmark(name)
+    budget = {} if max_steps is None else {"max_steps": max_steps}
     tracer = Tracer() if trace else None
     t0 = time.perf_counter()
     with obs_use(tracer) if trace else nullcontext():
-        compiled = _COMPILERS[pipeline](bench.build(), entry=bench.entry,
-                                        args=bench.args, buffer_capacity=None,
-                                        checked=checked, engine=engine)
+        compiled = _COMPILERS[pipeline](
+            program.build(), entry=program.entry, args=list(program.args),
+            buffer_capacity=None, checked=checked, engine=engine, **budget)
     seconds = time.perf_counter() - t0
     payload = tracer.to_payload() if trace else None
     if cache is not None:
@@ -194,6 +224,51 @@ def _compile_base_timed(
         if trace:
             cache.store(key, "trace", payload)
     return compiled, seconds, False, payload
+
+
+def run_base(
+    program: Program, pipeline: str, base: Compiled, capacity: int | None,
+    checked: bool = False, engine: str = "fast",
+    max_steps: int | None = None, stages: dict | None = None,
+) -> tuple[RunSummary, int]:
+    """Retarget ``base`` at ``capacity``, simulate it and summarize the run.
+
+    Returns ``(summary, value)``, ``value`` being what the program
+    returned.  Raises :class:`AssertionError` when a benchmark's value
+    misses its oracle checksum; pipeline and simulator errors
+    (:class:`~repro.pipeline.CheckedModeError`, traps) propagate.
+    ``stages``, when given, receives the retarget and simulate seconds.
+    """
+    program = _program(program)
+    budget = {} if max_steps is None else {"max_steps": max_steps}
+    t0 = time.perf_counter()
+    compiled = with_buffer(base, capacity, checked=checked)
+    t1 = time.perf_counter()
+    outcome = run_compiled(compiled, engine=engine, **budget)
+    if stages is not None:
+        stages["retarget"] = t1 - t0
+        stages["simulate"] = time.perf_counter() - t1
+    value = outcome.result.value
+    expected = program.expected()
+    if expected is not None and value != expected:
+        raise AssertionError(
+            f"{program.name}/{pipeline}@{capacity}: checksum "
+            f"{value} != expected {expected}"
+        )
+    counters = outcome.counters
+    summary = RunSummary(
+        name=program.name,
+        pipeline=pipeline,
+        capacity=capacity,
+        cycles=counters.cycles,
+        bundles=counters.bundles,
+        ops_issued=counters.ops_issued,
+        ops_from_buffer=counters.ops_from_buffer,
+        ops_from_memory=counters.ops_from_memory,
+        static_ops=compiled.static_ops,
+        branch_bubbles=counters.branch_bubbles,
+    )
+    return summary, value
 
 
 def _execute_cell(
@@ -214,7 +289,8 @@ def _execute_cell(
     so the stored one stays valid).
     """
     cm = CellMetrics(cell.name, cell.pipeline, cell.capacity)
-    key = run_key(cell.name, cell.pipeline, cell.capacity, checked, engine)
+    program = benchmark(cell.name)
+    key = run_key(program, cell.pipeline, cell.capacity, checked, engine)
     if cache is not None:
         cached = cache.load(key, "run")
         if isinstance(cached, RunSummary):
@@ -231,7 +307,7 @@ def _execute_cell(
     compile_payload = None
     if base is None:
         base, seconds, hit, compile_payload = _compile_base_timed(
-            cell.name, cell.pipeline, cache, checked, trace, engine)
+            program, cell.pipeline, cache, checked, trace, engine)
         cm.stages["compile"] = seconds
         cm.base_cache_hit = hit
     else:
@@ -239,36 +315,14 @@ def _execute_cell(
 
     tracer = Tracer() if trace else None
     with obs_use(tracer) if trace else nullcontext():
-        t0 = time.perf_counter()
-        compiled = with_buffer(base, cell.capacity, checked=checked)
-        t1 = time.perf_counter()
-        outcome = run_compiled(compiled, engine=engine)
-    cm.stages["retarget"] = t1 - t0
-    cm.stages["simulate"] = time.perf_counter() - t1
+        summary, _value = run_base(program, cell.pipeline, base,
+                                   cell.capacity, checked, engine,
+                                   stages=cm.stages)
     if trace:
         run_payload = tracer.to_payload()
         cm.trace = _cell_trace(cell, compile_payload, run_payload,
                                replayed=False)
         cm.obs = _fold_obs(compile_payload, run_payload)
-
-    expected = benchmark(cell.name).expected()
-    if outcome.result.value != expected:
-        raise AssertionError(
-            f"{cell.name}/{cell.pipeline}@{cell.capacity}: checksum "
-            f"{outcome.result.value} != expected {expected}"
-        )
-    summary = RunSummary(
-        name=cell.name,
-        pipeline=cell.pipeline,
-        capacity=cell.capacity,
-        cycles=outcome.counters.cycles,
-        bundles=outcome.counters.bundles,
-        ops_issued=outcome.counters.ops_issued,
-        ops_from_buffer=outcome.counters.ops_from_buffer,
-        ops_from_memory=outcome.counters.ops_from_memory,
-        static_ops=compiled.static_ops,
-        branch_bubbles=outcome.counters.branch_bubbles,
-    )
     if cache is not None:
         cache.store(key, "run", summary)
         if trace:

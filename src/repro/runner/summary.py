@@ -8,7 +8,7 @@ re-exports both names, so existing imports keep working.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,15 @@ class RunSummary:
         if self.ops_issued == 0:
             return 0.0
         return self.ops_from_buffer / self.ops_issued
+
+
+def summary_to_dict(summary: RunSummary) -> dict:
+    """The JSON-able form of a summary (the service's wire payload)."""
+    return asdict(summary)
+
+
+def summary_from_dict(data: dict) -> RunSummary:
+    return RunSummary(**data)
 
 
 def format_table(headers: list[str], rows: list[list], title: str = "",

@@ -5,15 +5,12 @@ The runner (:mod:`repro.runner`) executes a *grid* — a batch of
 wraps the same cell execution in a long-lived service so the warmth the
 grid builds up (compiled bases, the fast engine's shared decode store,
 the content-addressed artifact cache) survives between requests and is
-shared by thousands of concurrent callers:
+shared by thousands of concurrent callers.  Cells, cache keys and the
+cache itself stay the runner's, so the service and the batch runner
+warm each other; this package adds only what a long-lived service needs:
 
 - :mod:`repro.serve.protocol` — the request/response schema and its
   JSON-lines wire form (``compile``/``run``/``stats``/``ping``).
-- :mod:`repro.serve.shards` — :class:`ShardedArtifactCache`: the runner
-  cache's key space partitioned into N shards with per-shard locks and a
-  size-bounded LRU gc, layout-compatible with
-  :class:`~repro.runner.cache.ArtifactCache` so the service and the
-  batch runner warm each other.
 - :mod:`repro.serve.pool` — warm worker pool with consistent-hash
   key-affinity routing (``(benchmark, pipeline)`` → worker), bounded
   per-worker queues and same-base request batching.
@@ -26,7 +23,7 @@ shared by thousands of concurrent callers:
   :class:`SocketClient` wire client and a concurrent workload driver.
 - :mod:`repro.serve.benches` — registered ``serve.*`` saturation/load
   benchmarks (requests/s, p50/p95/p99 cold vs. warm, hit rate), gated
-  in CI beside ``sim.*``/``sweep.*``.
+  in CI beside ``sim.*``.
 
 Start one from the shell with ``python -m repro.serve serve --unix
 /tmp/repro.sock`` and drive it with ``python -m repro.serve workload``
@@ -36,7 +33,6 @@ Start one from the shell with ``python -m repro.serve serve --unix
 from repro.serve.client import Client, ServiceError, SocketClient
 from repro.serve.protocol import Request, Response
 from repro.serve.service import Service, ServiceConfig
-from repro.serve.shards import ShardedArtifactCache
 
 __all__ = [
     "Client",
@@ -45,6 +41,5 @@ __all__ = [
     "Service",
     "ServiceConfig",
     "ServiceError",
-    "ShardedArtifactCache",
     "SocketClient",
 ]

@@ -1,6 +1,6 @@
 """``serve.*`` saturation/load benchmarks for the service front end.
 
-Registered into the same harness as ``sim.*``/``sched.*``/``sweep.*``
+Registered into the same harness as ``sim.*``
 (:mod:`repro.obs.perf`), so ``perf record``, the CI perf-gate and the
 nightly history all treat the service like any other protected fast
 path.  Four specs plus a ratio:
@@ -36,6 +36,7 @@ from repro.obs.perf.harness import (
     Sample,
     register,
 )
+from repro.serve.cli import percentile
 
 #: CI smoke grid (quick mode); full mode serves the whole Figure 7 grid
 QUICK_SERVE = {"benchmarks": ("adpcm_enc", "mpeg2_dec"),
@@ -50,12 +51,6 @@ SERVICE_WORKERS = 2
 
 def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
-
-
-def _percentile(samples: list[float], q: float) -> float:
-    from repro.serve.cli import percentile
-
-    return percentile(samples, q)
 
 
 def _serve_config(mode: str, temperature: str) -> dict:
@@ -108,9 +103,9 @@ def _latency_sample(responses: list, config: dict,
     if extra_meta:
         meta.update(extra_meta)
     return Sample(
-        value=_percentile(latencies, 50),
-        phases={"p95": _percentile(latencies, 95),
-                "p99": _percentile(latencies, 99)},
+        value=percentile(latencies, 50),
+        phases={"p95": percentile(latencies, 95),
+                "p99": percentile(latencies, 99)},
         meta=meta,
         check=summaries,
     )
@@ -134,41 +129,40 @@ def _cold_sample(mode: str) -> Sample:
             return _latency_sample(responses, config)
 
 
-def _warm_sample(mode: str) -> Sample:
-    config = _serve_config(mode, "warm")
-    with tempfile.TemporaryDirectory(prefix="repro-serve-warm-") as tmp:
+def _repeat_pass(config: dict) -> tuple[list, int, int]:
+    """Drive the workload at a fresh service twice; returns the second
+    pass's responses, run-cache hits and request count."""
+    with tempfile.TemporaryDirectory(prefix="repro-serve-repeat-") as tmp:
         with _fresh_service(tmp) as service:
             requests = _requests(config)
             _drive(service, requests)  # warm the cache
-            before = service.stats.run_cache_hits
+            hits, total = service.stats.run_cache_hits, service.stats.requests
             responses = _drive(service, requests)
-            hits = service.stats.run_cache_hits - before
-            if hits < len(requests):
-                raise BenchError(
-                    f"serve.warm: only {hits}/{len(requests)} repeated "
-                    "requests came from the run cache")
-            return _latency_sample(responses, config)
+            return (responses, service.stats.run_cache_hits - hits,
+                    service.stats.requests - total)
+
+
+def _warm_sample(mode: str) -> Sample:
+    config = _serve_config(mode, "warm")
+    responses, hits, _total = _repeat_pass(config)
+    if hits < len(responses):
+        raise BenchError(
+            f"serve.warm: only {hits}/{len(responses)} repeated "
+            "requests came from the run cache")
+    return _latency_sample(responses, config)
 
 
 def _hitrate_sample(mode: str) -> Sample:
     """Hit rate over a *repeat* workload: everything the service already
     answered must come from the cache."""
     config = _serve_config(mode, "repeat")
-    with tempfile.TemporaryDirectory(prefix="repro-serve-hit-") as tmp:
-        with _fresh_service(tmp) as service:
-            requests = _requests(config)
-            _drive(service, requests)
-            before_hits = service.stats.run_cache_hits
-            before_reqs = service.stats.requests
-            responses = _drive(service, requests)
-            hits = service.stats.run_cache_hits - before_hits
-            total = service.stats.requests - before_reqs
-            sample = _latency_sample(
-                responses, config,
-                extra_meta={"hits": hits, "repeat_requests": total})
-            sample.value = hits / total if total else 0.0
-            sample.phases = {}
-            return sample
+    responses, hits, total = _repeat_pass(config)
+    sample = _latency_sample(
+        responses, config,
+        extra_meta={"hits": hits, "repeat_requests": total})
+    sample.value = hits / total if total else 0.0
+    sample.phases = {}
+    return sample
 
 
 def _throughput_sample(mode: str) -> Sample:

@@ -19,17 +19,12 @@ import json
 import signal
 import sys
 
+from repro.runner.cli import _size
+from repro.serve.pool import DEFAULT_BATCH_LIMIT, DEFAULT_QUEUE_DEPTH
 from repro.serve.protocol import Request
 
 DEFAULT_BENCHMARKS = ("adpcm_enc", "adpcm_dec", "mpeg2_dec")
 DEFAULT_CAPACITIES = (None, 16, 64, 256)
-
-
-def _size(text: str) -> int:
-    """``64m``/``2g``-style byte sizes (mirrors the runner cache CLI)."""
-    text = text.strip().lower()
-    scale = {"k": 1024, "m": 1024**2, "g": 1024**3}.get(text[-1:], 1)
-    return int(float(text[:-1] if scale != 1 else text) * scale)
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -51,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run the JSON-lines service")
     _transport(serve)
     serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument("--shards", type=int, default=None,
-                       help="cache shard count (default 16)")
     serve.add_argument("--cache-dir", default=None,
                        help="artifact cache directory (default: the "
                             "runner's)")
@@ -61,9 +54,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-cache-bytes", type=_size, default=None,
                        metavar="SIZE",
                        help="LRU-bound the cache (suffixes k/m/g)")
-    serve.add_argument("--queue-depth", type=int, default=None,
+    serve.add_argument("--queue-depth", type=int,
+                       default=DEFAULT_QUEUE_DEPTH,
                        help="per-worker queue bound before shedding")
-    serve.add_argument("--batch-limit", type=int, default=None,
+    serve.add_argument("--batch-limit", type=int,
+                       default=DEFAULT_BATCH_LIMIT,
                        help="max computations taken per worker batch")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
@@ -107,26 +102,19 @@ def serve_main(args) -> int:
 
     from repro.serve.service import Service, ServiceConfig, serve_forever
 
-    config = ServiceConfig(workers=args.workers)
+    config = ServiceConfig(
+        workers=args.workers, queue_depth=args.queue_depth,
+        batch_limit=args.batch_limit, max_cache_bytes=args.max_cache_bytes,
+        deadline_s=args.deadline)
     if args.no_cache:
         config.cache_dir = None
     elif args.cache_dir is not None:
         config.cache_dir = args.cache_dir
-    if args.shards is not None:
-        config.shards = args.shards
-    if args.max_cache_bytes is not None:
-        config.max_cache_bytes = args.max_cache_bytes
-    if args.queue_depth is not None:
-        config.queue_depth = args.queue_depth
-    if args.batch_limit is not None:
-        config.batch_limit = args.batch_limit
-    if args.deadline is not None:
-        config.deadline_s = args.deadline
 
     service = Service(config)
     where = args.unix or f"{args.host}:{args.port}"
     print(f"serving on {where} "
-          f"(workers={config.workers}, shards={config.shards}, "
+          f"(workers={config.workers}, "
           f"cache={config.cache_dir or 'off'})", file=sys.stderr)
 
     async def main() -> None:

@@ -37,7 +37,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
-from repro.runner.summary import RunSummary
+from repro.runner.summary import RunSummary, summary_from_dict, summary_to_dict  # noqa: F401
 
 #: bump on incompatible wire changes; both sides check it
 PROTOCOL_VERSION = 1
@@ -83,6 +83,10 @@ class Request:
                 raise ProtocolError(
                     f"{self.kind} request needs exactly one of "
                     "benchmark/source")
+        if self.max_steps is not None and (
+                type(self.max_steps) is not int or self.max_steps < 1):
+            raise ProtocolError(
+                f"max_steps must be a positive int, got {self.max_steps!r}")
 
     # -- routing/identity keys --------------------------------------------
 
@@ -103,7 +107,7 @@ class Request:
         group to one worker so its base memo and decode store stay
         hot."""
         return (self.program_id, self.pipeline, self.checked,
-                self.engine or "", self.max_steps or 0)
+                self.engine or "", self.max_steps)
 
     def coalesce_key(self) -> tuple:
         """Full semantic identity: two requests with equal keys must
@@ -153,14 +157,6 @@ class Response:
         if self.meta:
             data["meta"] = self.meta
         return data
-
-
-def summary_to_dict(summary: RunSummary) -> dict:
-    return asdict(summary)
-
-
-def summary_from_dict(data: dict) -> RunSummary:
-    return RunSummary(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Request lifecycle (``submit`` returns a ``concurrent.futures.Future``
 resolving to a :class:`~repro.serve.protocol.Response`):
 
 1. **Front-door cache probe.**  A ``run`` request whose summary is
-   already in the sharded content-addressed cache answers immediately —
-   no queue, no worker.  Named-benchmark keys are *the runner's own*
-   (:func:`repro.runner.parallel.run_key`), so a grid the batch runner
-   executed yesterday serves warm today and vice versa.
+   already in the content-addressed cache answers immediately — no
+   queue, no worker.  The cache is the runner's
+   :class:`~repro.runner.cache.ArtifactCache` and every key is the
+   runner's own (:func:`repro.runner.parallel.run_key`), so a grid the
+   batch runner executed yesterday serves warm today and vice versa.
 2. **Coalescing.**  Concurrent requests with equal semantic identity
    (:meth:`Request.coalesce_key`) collapse into one
    :class:`~repro.serve.pool.Computation`; every waiter gets its own
@@ -19,8 +20,10 @@ resolving to a :class:`~repro.serve.protocol.Response`):
    answers ``timeout`` without computing.
 4. **Batched execution.**  The worker takes every queued computation of
    the group in one batch, obtains the compiled base once (its warm
-   memo → the cache → a cold compile) and retargets/simulates each
-   capacity against that single base — one overlay sweep for the lot.
+   memo → the runner's cache-or-compile path) and runs each capacity
+   against that single base through the runner's cell executor
+   (:func:`repro.runner.parallel.run_base`), mapping its exceptions to
+   response statuses — one overlay sweep for the lot.
 
 Every request lands in the obs metrics histograms
 (``serve_request_latency_s`` labeled by kind and temperature) and opens
@@ -42,15 +45,17 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.bench import benchmark
 from repro.obs import Counter, Histogram, MetricsRegistry, get_tracer
-from repro.pipeline import CheckedModeError, run_compiled, with_buffer
-from repro.runner.cache import DEFAULT_CACHE_DIR, cache_key
+from repro.pipeline import CheckedModeError
+from repro.runner.cache import DEFAULT_CACHE_DIR, ArtifactCache
 from repro.runner.parallel import (
-    _COMPILERS,
+    Source,
     _compile_base_timed,
+    run_base,
     run_key,
 )
-from repro.runner.summary import RunSummary
+from repro.runner.summary import RunSummary, summary_to_dict
 from repro.serve.pool import (
     DEFAULT_BATCH_LIMIT,
     DEFAULT_QUEUE_DEPTH,
@@ -58,12 +63,7 @@ from repro.serve.pool import (
     QueueFull,
     WorkerPool,
 )
-from repro.serve.protocol import (
-    Request,
-    Response,
-    summary_to_dict,
-)
-from repro.serve.shards import DEFAULT_SHARDS, ShardedArtifactCache
+from repro.serve.protocol import Request, Response
 from repro.sim.engine import engine_choice
 from repro.sim.interp import SimError
 
@@ -75,9 +75,8 @@ class ServiceConfig:
     workers: int = 2
     queue_depth: int = DEFAULT_QUEUE_DEPTH
     batch_limit: int = DEFAULT_BATCH_LIMIT
-    shards: int = DEFAULT_SHARDS
     cache_dir: str | None = DEFAULT_CACHE_DIR
-    #: total cache size bound (bytes) enforced by the per-shard LRU gc
+    #: total cache size bound (bytes) enforced by the cache's LRU gc
     max_cache_bytes: int | None = None
     #: default per-request deadline when the request doesn't carry one
     deadline_s: float | None = None
@@ -115,11 +114,10 @@ class Service:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        self.cache: ShardedArtifactCache | None = None
+        self.cache: ArtifactCache | None = None
         if self.config.cache_dir:
-            self.cache = ShardedArtifactCache(
-                Path(self.config.cache_dir), shards=self.config.shards,
-                max_bytes=self.config.max_cache_bytes)
+            self.cache = ArtifactCache(Path(self.config.cache_dir),
+                                       max_bytes=self.config.max_cache_bytes)
         self.stats = ServiceStats()
         self.metrics = MetricsRegistry()
         self.latency: Histogram = self.metrics.histogram(
@@ -228,11 +226,6 @@ class Service:
         comp.future.add_done_callback(_deliver)
         return out
 
-    def request(self, request: Request, timeout: float | None = None
-                ) -> Response:
-        """Synchronous convenience over :meth:`submit`."""
-        return self.submit(request).result(timeout=timeout)
-
     def _finish(self, out, request: Request, t0: float,
                 response: Response) -> None:
         latency = time.perf_counter() - t0
@@ -246,10 +239,7 @@ class Service:
         bucket = {"ok": "ok", "trap": "traps", "checked-failure": "errors",
                   "overloaded": "overloaded", "timeout": "timeouts",
                   "error": "errors"}[response.status]
-        if response.status == "ok":
-            self.stats.ok += 1
-        else:
-            setattr(self.stats, bucket, getattr(self.stats, bucket) + 1)
+        setattr(self.stats, bucket, getattr(self.stats, bucket) + 1)
         if response.meta.get("served") == "run-cache":
             self.stats.run_cache_hits += 1
         if not out.done():
@@ -257,33 +247,37 @@ class Service:
 
     # -- cache keys --------------------------------------------------------
 
-    def _run_key(self, request: Request) -> tuple[str, str]:
-        """(key, kind) for a run result in the content-addressed cache."""
+    @staticmethod
+    def _program(request: Request):
+        """The runner's identity for the request's program."""
         if request.benchmark is not None:
-            return run_key(request.benchmark, request.pipeline,
-                           request.capacity, request.checked,
-                           request.engine), "run"
-        flags = {
-            "capacity": request.capacity,
-            "checked": request.checked,
-            "engine": engine_choice(request.engine),
-            "max_steps": request.max_steps,
-            "serve": "run",
-        }
-        return cache_key(request.source or "", request.pipeline,
-                         flags), "serve"
+            return benchmark(request.benchmark)
+        return Source(request.program_id, request.source or "")
+
+    def _run_key(self, request: Request, program=None) -> tuple[str, str]:
+        """(key, kind) for a run result in the content-addressed cache.
+
+        A benchmark's summary is stored exactly as the runner stores it
+        (kind ``run``); an inline source's verdict — ok, trap or checked
+        failure, with its value — as kind ``serve``.
+        """
+        key = run_key(program or self._program(request), request.pipeline,
+                      request.capacity, request.checked, request.engine,
+                      request.max_steps)
+        return key, "run" if request.benchmark is not None else "serve"
 
     def _probe(self, request: Request) -> Response | None:
         if self.cache is None or request.kind != "run":
             return None
-        key, kind = self._run_key(request)
+        program = self._program(request)
+        key, kind = self._run_key(request, program)
         cached = self.cache.load(key, kind)
         if kind == "run" and isinstance(cached, RunSummary):
-            from repro.bench import benchmark
-
+            # stored only after the checksum matched, so the value is
+            # the benchmark's expected one
             return Response(status="ok", payload={
                 "summary": summary_to_dict(cached),
-                "value": benchmark(request.benchmark).expected(),
+                "value": program.expected(),
             })
         if kind == "serve" and isinstance(cached, dict) \
                 and "status" in cached:
@@ -325,8 +319,8 @@ class Service:
                         if comp.request.kind == "run":
                             # a trap during profiling is as deterministic
                             # as one at run time — cache the verdict
-                            key, kind = self._run_key(comp.request)
-                            self._store_verdict(key, kind, response)
+                            self._store_verdict(*self._run_key(comp.request),
+                                                response)
                     elif comp.request.kind == "compile":
                         response = Response(status="ok", payload={
                             "warm": base_how != "compiled"})
@@ -363,16 +357,14 @@ class Service:
             self.stats.base_memo_hits += 1
             return memo[group], "memo", None
         try:
-            base, hit = self._compile_base(request)
-        except CheckedModeError as exc:
-            return None, "compiled", ("checked-failure", str(exc))
-        except SimError as exc:
-            # profiling executes the program; a trap here mirrors a trap
-            # at run time and is a *result* for the caller
-            return None, "compiled", ("trap", type(exc).__name__)
+            base, _seconds, hit, _trace = _compile_base_timed(
+                self._program(request), request.pipeline, self.cache,
+                request.checked, engine=engine_choice(request.engine),
+                max_steps=request.max_steps)
         except Exception as exc:
-            return None, "compiled", (
-                "error", f"compile: {type(exc).__name__}: {exc}")
+            # profiling executes the program: a trap here mirrors one at
+            # run time
+            return None, "compiled", _failure(exc, "compile")
         if hit:
             self.stats.base_cache_hits += 1
         else:
@@ -382,87 +374,35 @@ class Service:
             memo.popitem(last=False)
         return base, "cache" if hit else "compiled", None
 
-    def _compile_base(self, request: Request):
-        """Compiled capacity-independent base; ``(compiled, cache_hit)``."""
-        engine = engine_choice(request.engine)
-        if request.benchmark is not None:
-            compiled, _seconds, hit, _trace = _compile_base_timed(
-                request.benchmark, request.pipeline, self.cache,
-                request.checked, engine=engine)
-            return compiled, hit
-        from repro.frontend import compile_source
-
-        flags = dict(_base_flags_inline(request), engine=engine)
-        key = cache_key(request.source or "", request.pipeline, flags)
-        if self.cache is not None:
-            cached = self.cache.load(key, "base")
-            if cached is not None:
-                return cached, True
-        module = compile_source(request.source or "")
-        kwargs = {"buffer_capacity": None, "checked": request.checked,
-                  "engine": engine}
-        if request.max_steps is not None:
-            kwargs["max_steps"] = request.max_steps
-        compiled = _COMPILERS[request.pipeline](module, **kwargs)
-        if self.cache is not None:
-            self.cache.store(key, "base", compiled)
-        return compiled, False
-
     def _run_one(self, request: Request, base) -> Response:
         """Retarget + simulate one request against a shared base."""
-        key, kind = self._run_key(request)
+        program = self._program(request)
+        key, kind = self._run_key(request, program)
         try:
-            retargeted = with_buffer(base, request.capacity,
-                                     checked=request.checked)
-            kwargs = {"engine": engine_choice(request.engine)}
-            if request.max_steps is not None:
-                kwargs["max_steps"] = request.max_steps
-            outcome = run_compiled(retargeted, **kwargs)
-        except CheckedModeError as exc:
-            return self._store_verdict(key, kind, Response(
-                status="checked-failure", error=str(exc)))
-        except SimError as exc:
-            return self._store_verdict(key, kind, Response(
-                status="trap", error=type(exc).__name__))
+            summary, value = run_base(
+                program, request.pipeline, base, request.capacity,
+                request.checked, engine_choice(request.engine),
+                request.max_steps)
+        except AssertionError as exc:
+            return Response(status="error", error=f"checksum-mismatch: {exc}")
         except Exception as exc:
-            return Response(status="error",
-                            error=f"simulate: {type(exc).__name__}: {exc}")
-        summary = RunSummary(
-            name=request.benchmark or request.program_id,
-            pipeline=request.pipeline,
-            capacity=request.capacity,
-            cycles=outcome.counters.cycles,
-            bundles=outcome.counters.bundles,
-            ops_issued=outcome.counters.ops_issued,
-            ops_from_buffer=outcome.counters.ops_from_buffer,
-            ops_from_memory=outcome.counters.ops_from_memory,
-            static_ops=retargeted.static_ops,
-            branch_bubbles=outcome.counters.branch_bubbles,
-        )
-        if request.benchmark is not None:
-            from repro.bench import benchmark
-
-            expected = benchmark(request.benchmark).expected()
-            if outcome.result.value != expected:
-                return Response(status="error", error=(
-                    f"checksum-mismatch: {outcome.result.value} != "
-                    f"expected {expected}"))
-        payload = {"summary": summary_to_dict(summary),
-                   "value": outcome.result.value}
-        response = Response(status="ok", payload=payload)
-        if self.cache is not None:
-            if kind == "run":
-                # the runner's own key/kind: the batch runner and the
-                # service stay byte-compatible and warm each other
-                self.cache.store(key, "run", summary)
-            else:
-                self._store_verdict(key, kind, response)
-        return response
+            status, error = _failure(exc, "simulate")
+            response = Response(status=status, error=error)
+            if status == "error":
+                return response
+            return self._store_verdict(key, kind, response)
+        if self.cache is not None and kind == "run":
+            # the runner's own key/kind: the batch runner and the
+            # service stay byte-compatible and warm each other
+            self.cache.store(key, "run", summary)
+        return self._store_verdict(key, kind, Response(status="ok", payload={
+            "summary": summary_to_dict(summary), "value": value}))
 
     def _store_verdict(self, key: str, kind: str,
                        response: Response) -> Response:
-        """Cache a trap/checked verdict (inline sources only): those are
-        deterministic results, as cacheable as a summary."""
+        """Cache an inline source's verdict (kind ``serve``; a no-op for
+        benchmarks): ok, trap and checked failure are all deterministic
+        results, as cacheable as a summary."""
         if self.cache is not None and kind == "serve":
             self.cache.store(key, kind, {
                 "status": response.status,
@@ -484,7 +424,6 @@ class Service:
         }
         if self.cache is not None:
             data["cache"] = self.cache.stats.as_dict()
-            data["cache_shards"] = self.cache.shard_report()
         return data
 
     def hit_rate(self) -> float:
@@ -494,21 +433,15 @@ class Service:
         return self.stats.run_cache_hits / self.stats.requests
 
 
-def _base_flags_inline(request: Request) -> dict:
-    """Mirror of the runner's ``_base_flags`` for inline sources."""
-    from repro.sched.machine import DEFAULT_MACHINE
-
-    from repro.runner.parallel import _machine_fingerprint
-
-    return {
-        "entry": "main",
-        "args": [],
-        "machine": _machine_fingerprint(DEFAULT_MACHINE),
-        "buffer_capacity": None,
-        "checked": request.checked,
-        "max_steps": request.max_steps,
-        "serve": "base",
-    }
+def _failure(exc: Exception, stage: str) -> tuple[str, str]:
+    """``(status, error)`` answering an exception out of the runner's
+    compile or simulate step.  A trap or checked-mode failure is a
+    deterministic *result* for the caller; anything else is an error."""
+    if isinstance(exc, CheckedModeError):
+        return "checked-failure", str(exc)
+    if isinstance(exc, SimError):
+        return "trap", type(exc).__name__
+    return "error", f"{stage}: {type(exc).__name__}: {exc}"
 
 
 # ---------------------------------------------------------------------------

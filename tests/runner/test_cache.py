@@ -1,6 +1,8 @@
 """Unit tests for the content-addressed artifact cache."""
 
 import pickle
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -25,6 +27,9 @@ class Payload:
 
     def __init__(self, value):
         self.value = value
+
+    def __eq__(self, other):
+        return isinstance(other, Payload) and other.value == self.value
 
 
 class TestCacheKey:
@@ -199,7 +204,7 @@ class TestDefaultCache:
 
 class TestMaintenance:
     """The scan/usage/LRU-gc helpers behind ``runner cache`` and the
-    service's sharded gc."""
+    cache's ``max_bytes`` bound."""
 
     def _fill(self, cache, n=6, kind="base"):
         keys = []
@@ -290,6 +295,186 @@ class TestMaintenance:
         assert [e.key for e in evicted][0] == b
 
 
+def _keys(n, salt=""):
+    return [cache_key(f"program {salt}{i}", "aggressive", {})
+            for i in range(n)]
+
+
+def _process_writer(root, key, rounds, tag):
+    """Hammer one key from a separate process; returns values written."""
+    cache = ArtifactCache(root)
+    written = []
+    for i in range(rounds):
+        value = tag * 1000 + i
+        cache.store(key, "base", Payload(value))
+        written.append(value)
+    return written
+
+
+def _run_threads(target, args_list):
+    threads = [threading.Thread(target=target, args=args)
+               for args in args_list]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+
+class TestConcurrentAccess:
+    """One cache shared by threads and processes, as the service's
+    workers share it: atomic renames mean readers never see torn
+    payloads and the last rename wins; the stats ledger stays exact."""
+
+    def test_thread_hammer_one_key_no_torn_reads(self, tmp_path):
+        """Concurrent stores + loads on one key: every load returns a
+        complete payload some writer stored, never a partial one."""
+        cache = ArtifactCache(tmp_path)
+        key = cache_key("contended", "aggressive", {})
+        rounds, writers = 30, 4
+        valid = {tag * 1000 + i for tag in range(writers)
+                 for i in range(rounds)}
+        seen, errors = [], []
+
+        def write(tag):
+            try:
+                for i in range(rounds):
+                    cache.store(key, "base", Payload(tag * 1000 + i))
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        def read():
+            try:
+                for _ in range(rounds * 2):
+                    got = cache.load(key, "base")
+                    if got is not None:
+                        seen.append(got.value)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(tag,))
+                   for tag in range(writers)]
+        threads += [threading.Thread(target=read) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert seen, "readers never observed a stored value"
+        assert set(seen) <= valid
+
+    def test_process_and_thread_writers_last_rename_wins(self, tmp_path):
+        """Thread + process writers on one key: the final value is the
+        last completed rename, and it is a complete payload."""
+        key = cache_key("cross-process", "aggressive", {})
+        cache = ArtifactCache(tmp_path)
+        rounds = 20
+
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(_process_writer, str(tmp_path), key,
+                                   rounds, tag) for tag in (1, 2)]
+            for i in range(rounds):
+                cache.store(key, "base", Payload(3000 + i))
+            written = {v for f in futures for v in f.result()}
+        written |= {3000 + i for i in range(rounds)}
+
+        final = cache.load(key, "base")
+        assert final is not None
+        assert final.value in written
+        # exactly one file on disk for the key, no leftover temp files
+        sub = tmp_path / key[:2]
+        names = sorted(p.name for p in sub.iterdir())
+        assert names == [f"{key}.base.pkl"]
+
+    def test_many_keys_many_threads(self, tmp_path):
+        """Writers spraying distinct keys from several threads: all land."""
+        cache = ArtifactCache(tmp_path)
+        keys = _keys(64)
+
+        def write(start):
+            for i in range(start, len(keys), 4):
+                cache.store(keys[i], "run", Payload(i))
+
+        _run_threads(write, [(s,) for s in range(4)])
+        for i, key in enumerate(keys):
+            assert cache.load(key, "run") == Payload(i)
+
+    def test_stats_ledger_exact_under_threads(self, tmp_path):
+        """Every store, hit and miss from concurrent threads is counted
+        exactly once."""
+        cache = ArtifactCache(tmp_path)
+        threads, per_thread = 8, 25
+
+        def work(tag):
+            for key in _keys(per_thread, salt=f"t{tag}-"):
+                cache.store(key, "run", Payload(tag))
+                assert cache.load(key, "run") == Payload(tag)
+                assert cache.load(key, "base") is None
+
+        _run_threads(work, [(t,) for t in range(threads)])
+        total = threads * per_thread
+        assert cache.stats.as_dict() == {
+            "hits": total, "misses": total, "stores": total,
+            "evictions": 0}
+
+
+class TestSizeBound:
+    """``max_bytes``: every GC_EVERY_STORES stores, an LRU sweep over
+    the whole root brings the cache back under the bound."""
+
+    def _fill(self, cache, n, kind="base"):
+        keys = _keys(n, salt="gc")
+        for i, key in enumerate(keys):
+            cache.store(key, kind, Payload(i))
+        return keys
+
+    def test_store_triggered_gc(self, tmp_path, monkeypatch):
+        from repro.runner import cache as cache_mod
+        from repro.runner.cache import iter_entries
+
+        monkeypatch.setattr(cache_mod, "GC_EVERY_STORES", 2)
+        cache = ArtifactCache(tmp_path, max_bytes=1)
+        self._fill(cache, 8)
+        assert cache.stats.evictions == 8
+        assert iter_entries(tmp_path) == []
+
+    def test_store_gc_honours_max_bytes(self, tmp_path, monkeypatch):
+        """The sweep keeps the most recently used entries that fit."""
+        from repro.runner import cache as cache_mod
+        from repro.runner.cache import iter_entries
+
+        monkeypatch.setattr(cache_mod, "GC_EVERY_STORES", 4)
+        probe = ArtifactCache(tmp_path / "probe")
+        per_entry = probe.store(_keys(1)[0], "base", Payload(0)) \
+            .stat().st_size
+        bound = 3 * per_entry
+        cache = ArtifactCache(tmp_path / "bounded", max_bytes=bound)
+        for round_ in range(4):
+            self._fill(cache, 4 * (round_ + 1))
+            entries = iter_entries(cache.root)
+            assert sum(e.bytes for e in entries) <= bound
+            assert entries, "the sweep evicted everything"
+
+    def test_no_bound_never_collects(self, tmp_path, monkeypatch):
+        from repro.runner import cache as cache_mod
+        from repro.runner.cache import iter_entries
+
+        monkeypatch.setattr(cache_mod, "GC_EVERY_STORES", 1)
+        cache = ArtifactCache(tmp_path)
+        self._fill(cache, 8)
+        assert cache.stats.evictions == 0
+        assert len(iter_entries(tmp_path)) == 8
+
+    def test_bound_is_checked_only_every_n_stores(self, tmp_path):
+        from repro.runner.cache import GC_EVERY_STORES, iter_entries
+
+        cache = ArtifactCache(tmp_path, max_bytes=1)
+        self._fill(cache, GC_EVERY_STORES - 1)
+        assert len(iter_entries(tmp_path)) == GC_EVERY_STORES - 1
+        cache.store(cache_key("one more", "aggressive", {}), "base",
+                    Payload(-1))
+        assert iter_entries(tmp_path) == []
+
+
 class TestCacheCli:
     """``python -m repro.runner cache stats|gc``."""
 
@@ -337,9 +522,36 @@ class TestCacheCli:
         assert len(iter_entries(tmp_path / "c")) == 2
 
     def test_size_suffixes(self):
+        import argparse
+
         from repro.runner.cli import _size
 
         assert _size("1024") == 1024
         assert _size("4k") == 4096
         assert _size("2m") == 2 * 1024 * 1024
         assert _size("1.5g") == int(1.5 * (1 << 30))
+        assert _size("0") == 0
+        # a negative bound would make the LRU gc evict everything
+        for text in ("-1", "-1m", "-0.5k"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _size(text)
+
+    def test_negative_sizes_rejected_by_both_clis(self, tmp_path, capsys):
+        from repro.runner.cli import main
+        from repro.serve.cli import build_parser
+
+        self._seed(tmp_path / "c", 2)
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "--cache-dir", str(tmp_path / "c"),
+                  "gc", "--max-bytes=-1m"])
+        assert exc.value.code == 2
+        assert "must not be negative" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["serve", "--unix", "x.sock", "--max-cache-bytes=-1m"])
+        assert exc.value.code == 2
+        assert "must not be negative" in capsys.readouterr().err
+        # nothing was evicted by the rejected command
+        from repro.runner.cache import iter_entries
+
+        assert len(iter_entries(tmp_path / "c")) == 2

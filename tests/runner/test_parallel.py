@@ -15,10 +15,13 @@ from repro.runner.metrics import MetricsRecorder
 from repro.runner.parallel import (
     ENV_WORKERS,
     Cell,
+    Source,
+    _compile_base_timed,
     _run_serial,
     base_key,
     expand_grid,
     resolve_workers,
+    run_base,
     run_cell,
     run_grid,
     run_key,
@@ -59,6 +62,51 @@ class TestGrid:
         cell = GRID[0]
         assert run_key(cell.name, cell.pipeline, cell.capacity) \
             != base_key(cell.name, cell.pipeline)
+
+
+class TestInlineSource:
+    """Inline sources go through the same keys, base path and cell
+    executor as the Table 1 benchmarks."""
+
+    SOURCE = Source("src:sum8", """\
+int main() {
+    int acc = 0;
+    for (int i = 0; i < 8; i++) { acc = acc + i; }
+    return acc;
+}
+""")
+
+    def test_compile_and_run_through_the_runner(self, cache):
+        base, _seconds, hit, _trace = _compile_base_timed(
+            self.SOURCE, "aggressive", cache)
+        assert not hit
+        again, _seconds, hit, _trace = _compile_base_timed(
+            self.SOURCE, "aggressive", cache)
+        assert hit and again.static_ops == base.static_ops
+        stages = {}
+        summary, value = run_base(self.SOURCE, "aggressive", base, 16,
+                                  stages=stages)
+        assert value == 28
+        assert (summary.name, summary.pipeline, summary.capacity) == \
+            ("src:sum8", "aggressive", 16)
+        assert set(stages) == {"retarget", "simulate"}
+
+    def test_step_budget_is_keyed(self):
+        keys = {run_key(self.SOURCE, "aggressive", 16, max_steps=steps)
+                for steps in (None, 1000, 2000)}
+        assert len(keys) == 3
+        assert base_key(self.SOURCE, "aggressive") != \
+            base_key(self.SOURCE, "aggressive", max_steps=1000)
+
+    def test_checksum_mismatch_raises(self, cache, monkeypatch):
+        from dataclasses import replace
+
+        from repro.bench import benchmark
+
+        wrong = replace(benchmark("adpcm_enc"), reference=lambda: -1)
+        base, *_ = _compile_base_timed(wrong, "traditional", cache)
+        with pytest.raises(AssertionError, match="checksum"):
+            run_base(wrong, "traditional", base, 64)
 
 
 class TestSerialVsParallel:

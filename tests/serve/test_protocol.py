@@ -74,6 +74,15 @@ class TestValidation:
     def test_ping_needs_nothing(self):
         Request(kind="ping").validate()
 
+    def test_step_budget_must_be_a_positive_int(self):
+        # the value arrives from the socket as arbitrary JSON
+        for bad in (0, -5, 1.5, True, "100"):
+            with pytest.raises(ProtocolError, match="max_steps"):
+                Request(kind="run", benchmark="a",
+                        max_steps=bad).validate()
+        Request(kind="run", benchmark="a", max_steps=1).validate()
+        Request(kind="run", benchmark="a", max_steps=None).validate()
+
 
 class TestIdentityKeys:
     def test_group_covers_base_identity(self):
@@ -90,6 +99,9 @@ class TestIdentityKeys:
                                      engine="ref").group
         assert base.group != Request(kind="run", benchmark="a",
                                      max_steps=10).group
+        # keyed on the budget as given: no budget is not a zero budget
+        assert base.group != Request(kind="run", benchmark="a",
+                                     capacity=64, max_steps=0).group
 
     def test_coalesce_key_is_full_identity(self):
         a = Request(kind="run", benchmark="a", capacity=64)

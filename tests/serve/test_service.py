@@ -75,6 +75,24 @@ class TestRunnerIdentity:
                 assert response.meta["served"] == "run-cache"
                 assert response.summary() == expected
 
+    def test_checksum_mismatch_is_an_error(self, tmp_path, monkeypatch):
+        """The runner's checksum check answers ``error`` through the
+        service, and the wrong result is never cached."""
+        from dataclasses import replace
+
+        from repro.bench import benchmark
+        from repro.runner.cache import iter_entries
+        from repro.serve import service as service_mod
+
+        monkeypatch.setattr(service_mod, "benchmark", lambda name: replace(
+            benchmark(name), reference=lambda: -1))
+        with Service(ServiceConfig(
+                workers=1, cache_dir=str(tmp_path))) as service:
+            response = Client(service).run("adpcm_enc", capacity=16)
+        assert response.status == "error"
+        assert response.error.startswith("checksum-mismatch: ")
+        assert {e.kind for e in iter_entries(tmp_path)} == {"base"}
+
 
 class TestCoalescingAndBatching:
     def test_identical_concurrent_requests_coalesce(self):
@@ -347,6 +365,37 @@ class TestInlineSource:
             assert again.status == "trap"
             assert again.meta["served"] == "run-cache"
             assert again.error == first.error
+
+    def test_step_budgets_never_coalesce(self):
+        """A ``max_steps=0`` request once shared a coalesce key with an
+        otherwise identical default-budget one: submitted together it
+        rode along on that computation and answered ``ok`` instead of
+        failing on its own budget."""
+        with Service(ServiceConfig(workers=1, cache_dir=None)) as service:
+            client = Client(service)
+            default = client.submit(Request(kind="run", source=OK_SOURCE,
+                                            capacity=16))
+            zero = client.submit(Request(kind="run", source=OK_SOURCE,
+                                         capacity=16, max_steps=0))
+            ok, rejected = default.result(timeout=120), \
+                zero.result(timeout=120)
+        assert ok.ok and ok.payload["value"] == 28
+        assert rejected.status == "error"
+        assert "max_steps" in rejected.error
+        assert not rejected.meta.get("coalesced")
+        assert service.stats.coalesced == 0
+
+    def test_cache_bound_is_enforced(self, tmp_path, monkeypatch):
+        from repro.runner import cache as cache_mod
+        from repro.runner.cache import iter_entries
+
+        monkeypatch.setattr(cache_mod, "GC_EVERY_STORES", 1)
+        with Service(ServiceConfig(workers=1, cache_dir=str(tmp_path),
+                                   max_cache_bytes=1)) as service:
+            response = Client(service).run(source=OK_SOURCE, capacity=16)
+        assert response.ok
+        assert service.cache.stats.evictions > 0
+        assert iter_entries(tmp_path) == []
 
     def test_summary_raises_service_error_on_trap(self):
         with Service(ServiceConfig(workers=1, cache_dir=None)) as service:

@@ -1,24 +1,18 @@
-"""Sharded-cache tests: partitioning, concurrency, corruption, gc.
+"""The service's cache directory: one layout with the runner, and
+corrupt entries evicted and recomputed rather than raised.
 
-The hammer tests mix thread and process writers against one cache root
-to prove what the atomic-rename design promises: readers never see torn
-payloads, the last rename wins, and corrupt files are evicted rather
-than raised.
+The service holds a plain :class:`~repro.runner.cache.ArtifactCache`
+(bounded by ``max_cache_bytes``), so these cases check the cache as the
+service sees it: through ``Service.cache`` and through requests.
 """
 
-import os
 import pickle
-import threading
-from concurrent.futures import ProcessPoolExecutor
-
-import pytest
 
 from repro.runner.cache import CACHE_FORMAT, ArtifactCache, cache_key
-from repro.serve.shards import (
-    DEFAULT_SHARDS,
-    ShardedArtifactCache,
-    shard_index,
-)
+from repro.serve import Client, Service, ServiceConfig
+
+#: a bound large enough never to collect in these tests
+MAX_BYTES = 64 << 20
 
 
 class Payload:
@@ -31,219 +25,64 @@ class Payload:
         return isinstance(other, Payload) and other.value == self.value
 
 
-def _keys(n, salt=""):
-    return [cache_key(f"program {salt}{i}", "aggressive", {}) for i
-            in range(n)]
+def _service(root):
+    return Service(ServiceConfig(workers=1, cache_dir=str(root),
+                                 max_cache_bytes=MAX_BYTES))
+
+
+def _run(service):
+    return Client(service).run("adpcm_enc", pipeline="aggressive",
+                               capacity=64)
+
+
+def _only_run_entry(root):
+    entries = sorted(root.glob("*/*.run.pkl"))
+    assert len(entries) == 1
+    return entries[0]
 
 
 class TestPartitioning:
-    def test_shard_index_spans_all_shards(self):
-        owners = {shard_index(k, DEFAULT_SHARDS) for k in _keys(512)}
-        assert owners == set(range(DEFAULT_SHARDS))
-
-    def test_prefix_domains_partition_the_key_space(self, tmp_path):
-        cache = ShardedArtifactCache(tmp_path, shards=16)
-        all_prefixes = [p for shard in cache._shards
-                        for p in shard.prefixes]
-        assert sorted(all_prefixes) == [f"{i:02x}" for i in range(256)]
-        for shard_no, shard in enumerate(cache._shards):
-            for prefix in shard.prefixes:
-                assert int(prefix, 16) % 16 == shard_no
-
     def test_layout_compatible_with_plain_cache(self, tmp_path):
         """The runner and the service share one directory and warm
         each other."""
         plain = ArtifactCache(tmp_path)
-        sharded = ShardedArtifactCache(tmp_path, shards=8)
-        key = cache_key("shared program", "aggressive", {})
-        plain.store(key, "base", Payload(1))
-        assert sharded.load(key, "base") == Payload(1)
-        other = cache_key("other program", "aggressive", {})
-        sharded.store(other, "run", Payload(2))
-        assert plain.load(other, "run") == Payload(2)
-
-    def test_shard_count_bounds(self, tmp_path):
-        with pytest.raises(ValueError):
-            ShardedArtifactCache(tmp_path, shards=0)
-        with pytest.raises(ValueError):
-            ShardedArtifactCache(tmp_path, shards=257)
-        ShardedArtifactCache(tmp_path, shards=1)
-        ShardedArtifactCache(tmp_path, shards=256)
-
-    def test_stats_aggregate_across_shards(self, tmp_path):
-        cache = ShardedArtifactCache(tmp_path, shards=4)
-        keys = _keys(8)
-        for i, key in enumerate(keys):
-            cache.store(key, "base", Payload(i))
-        for key in keys:
-            assert cache.load(key, "base") is not None
-        assert cache.load(cache_key("missing", "aggressive", {}),
-                          "base") is None
-        stats = cache.stats
-        assert stats.stores == 8
-        assert stats.hits == 8
-        assert stats.misses == 1
-        report = cache.shard_report()
-        assert sum(row["stores"] for row in report) == 8
-
-
-def _process_writer(root, key, rounds, tag):
-    """Hammer one key from a separate process; returns values written."""
-    cache = ArtifactCache(root)
-    written = []
-    for i in range(rounds):
-        value = tag * 1000 + i
-        cache.store(key, "base", Payload(value))
-        written.append(value)
-    return written
-
-
-class TestConcurrentWriters:
-    def test_thread_hammer_one_key_no_torn_reads(self, tmp_path):
-        """Concurrent stores + loads on one key: every load returns a
-        complete payload some writer stored, never a partial one."""
-        cache = ShardedArtifactCache(tmp_path, shards=4)
-        key = cache_key("contended", "aggressive", {})
-        rounds, writers = 30, 4
-        valid = {tag * 1000 + i for tag in range(writers)
-                 for i in range(rounds)}
-        seen, errors = [], []
-
-        def write(tag):
-            try:
-                for i in range(rounds):
-                    cache.store(key, "base", Payload(tag * 1000 + i))
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        def read():
-            try:
-                for _ in range(rounds * 2):
-                    got = cache.load(key, "base")
-                    if got is not None:
-                        seen.append(got.value)
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        threads = [threading.Thread(target=write, args=(tag,))
-                   for tag in range(writers)]
-        threads += [threading.Thread(target=read) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert seen, "readers never observed a stored value"
-        assert set(seen) <= valid
-
-    def test_process_and_thread_writers_last_rename_wins(self, tmp_path):
-        """Thread + process writers on one key: the final value is the
-        last completed rename, and it is a complete payload."""
-        key = cache_key("cross-process", "aggressive", {})
-        cache = ShardedArtifactCache(tmp_path, shards=2)
-        rounds = 20
-
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(_process_writer, str(tmp_path), key,
-                                   rounds, tag) for tag in (1, 2)]
-            for i in range(rounds):
-                cache.store(key, "base", Payload(3000 + i))
-            written = {v for f in futures for v in f.result()}
-        written |= {3000 + i for i in range(rounds)}
-
-        final = cache.load(key, "base")
-        assert final is not None
-        assert final.value in written
-        # exactly one file on disk for the key, no leftover temp files
-        sub = tmp_path / key[:2]
-        names = sorted(p.name for p in sub.iterdir())
-        assert names == [f"{key}.base.pkl"]
-
-    def test_many_keys_across_shards(self, tmp_path):
-        """Writers spraying distinct keys across every shard: all land."""
-        cache = ShardedArtifactCache(tmp_path, shards=16)
-        keys = _keys(64)
-
-        def write(start):
-            for i in range(start, len(keys), 4):
-                cache.store(keys[i], "run", Payload(i))
-
-        threads = [threading.Thread(target=write, args=(s,))
-                   for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for i, key in enumerate(keys):
-            assert cache.load(key, "run") == Payload(i)
+        with _service(tmp_path) as service:
+            key = cache_key("shared program", "aggressive", {})
+            plain.store(key, "base", Payload(1))
+            assert service.cache.load(key, "base") == Payload(1)
+            other = cache_key("other program", "aggressive", {})
+            service.cache.store(other, "run", Payload(2))
+            assert plain.load(other, "run") == Payload(2)
+        assert (tmp_path / key[:2] / f"{key}.base.pkl").exists()
+        assert (tmp_path / other[:2] / f"{other}.run.pkl").exists()
 
 
 class TestCorruption:
     def test_corrupt_envelope_evicted_not_raised(self, tmp_path):
-        cache = ShardedArtifactCache(tmp_path, shards=4)
-        key = cache_key("to corrupt", "aggressive", {})
-        cache.store(key, "base", Payload(1))
-        path = tmp_path / key[:2] / f"{key}.base.pkl"
+        with _service(tmp_path) as service:
+            cold = _run(service)
+        assert cold.status == "ok"
+        path = _only_run_entry(tmp_path)
         path.write_bytes(b"garbage, not a pickle")
-        assert cache.load(key, "base") is None
-        assert not path.exists()
+        with _service(tmp_path) as service:
+            again = _run(service)
+            assert service.cache.stats.evictions == 1
+        assert again.status == "ok"
+        assert again.meta["served"] != "run-cache"
+        assert again.summary() == cold.summary()
+        # the recomputed summary replaced the evicted file
+        with _service(tmp_path) as service:
+            warm = _run(service)
+        assert warm.meta["served"] == "run-cache"
+        assert warm.summary() == cold.summary()
 
     def test_wrong_format_envelope_evicted(self, tmp_path):
-        cache = ShardedArtifactCache(tmp_path, shards=4)
-        key = cache_key("stale format", "aggressive", {})
-        path = tmp_path / key[:2] / f"{key}.base.pkl"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(pickle.dumps({"format": CACHE_FORMAT + 1,
-                                       "key": key,
-                                       "payload": Payload(1)}))
-        assert cache.load(key, "base") is None
-        assert not path.exists()
-
-
-class TestSizeBounding:
-    def _fill(self, cache, n, kind="base"):
-        keys = _keys(n, salt="gc")
-        for i, key in enumerate(keys):
-            cache.store(key, kind, Payload(i))
-        return keys
-
-    def test_forced_gc_enforces_total_bound(self, tmp_path):
-        from repro.runner.cache import iter_entries
-
-        cache = ShardedArtifactCache(tmp_path, shards=4, max_bytes=1)
-        self._fill(cache, 16)
-        evicted = cache.gc()
-        assert evicted > 0
-        assert iter_entries(tmp_path) == []
-
-    def test_gc_without_bound_is_noop(self, tmp_path):
-        from repro.runner.cache import iter_entries
-
-        cache = ShardedArtifactCache(tmp_path, shards=4)
-        self._fill(cache, 8)
-        assert cache.gc() == 0
-        assert len(iter_entries(tmp_path)) == 8
-
-    def test_store_triggered_gc(self, tmp_path, monkeypatch):
-        """Every GC_EVERY_STORES stores a shard sweeps itself."""
-        from repro.serve import shards as shards_mod
-
-        monkeypatch.setattr(shards_mod, "GC_EVERY_STORES", 2)
-        cache = ShardedArtifactCache(tmp_path, shards=1, max_bytes=1)
-        self._fill(cache, 8)
-        assert cache._shards[0].gc_runs > 0
-        assert cache.stats.evictions > 0
-
-    def test_gc_only_touches_own_prefixes(self, tmp_path):
-        """One shard's sweep never evicts another shard's entries."""
-        from repro.runner.cache import iter_entries
-
-        cache = ShardedArtifactCache(tmp_path, shards=4, max_bytes=1)
-        keys = self._fill(cache, 32)
-        victim = cache._shards[0]
-        with victim.lock:
-            cache._gc_shard(victim)
-        left = {e.key for e in iter_entries(tmp_path)}
-        gone = set(keys) - left
-        assert gone, "the sweep evicted nothing"
-        assert all(k[:2] in victim.prefixes for k in gone)
+        with _service(tmp_path) as service:
+            key = cache_key("stale format", "aggressive", {})
+            path = tmp_path / key[:2] / f"{key}.base.pkl"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(pickle.dumps({"format": CACHE_FORMAT + 1,
+                                           "key": key,
+                                           "payload": Payload(1)}))
+            assert service.cache.load(key, "base") is None
+            assert not path.exists()
