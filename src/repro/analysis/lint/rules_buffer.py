@@ -3,8 +3,9 @@
 The Table 3 contract between the compiler and the buffer hardware:
 assigned segments fit the buffer, every assignment is realized by exactly
 one ``rec_cloop``/``rec_wloop`` in the IR (and vice versa), recording
-operations agree with the loop-back branch they pair with, and segment
-lengths equal the footprint the scheduler computed (kernel ops × MVE).
+operations agree with the loop-back branch they pair with and carry no
+guard, and segment lengths equal the footprint the scheduler computed
+(kernel ops × MVE).
 """
 
 from __future__ import annotations
@@ -128,6 +129,18 @@ def check_buffer_pairing(target: LintTarget, make) -> None:
                 make(f"{op!r} executes a loop the assignment never "
                      f"recorded", function=func.name, block=block.label,
                      index=index)
+
+
+@rule("buffer-rec-unguarded", Severity.ERROR, "buffer")
+def check_buffer_rec_unguarded(target: LintTarget, make) -> None:
+    """A rec operation carries a guard (the VLIW issues rec before any
+    guard check, and pass-trace replay assumes it executes unconditionally
+    wherever its block does)."""
+    for func, block, index, op in _buffer_ops(target, _REC_OPS):
+        if op.guard is not None:
+            make(f"{op!r} is guarded by {op.guard}; rec operations must "
+                 f"execute unconditionally", function=func.name,
+                 block=block.label, index=index)
 
 
 @rule("buffer-overlap", Severity.WARNING, "buffer")

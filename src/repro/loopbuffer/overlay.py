@@ -13,7 +13,12 @@ The clones are real IR objects, so lint, the reference simulators, and
 the fast engine all work on an overlay unchanged — and because untouched
 ``BasicBlock`` objects are shared across capacities, the fast engine's
 shared decode store (:mod:`repro.sim.engine`) decodes them once for an
-entire capacity sweep.
+entire capacity sweep.  Each clone records its base function
+(``_decode_origin``), which is also how pass-trace replay
+(:mod:`repro.sim.replay`) finds the base block a materialized preheader
+was copied from and checks that only ``rec`` edits separate them: the
+rewrite never changes which blocks execute, so one recorded run of the
+base stands in for simulating every capacity.
 
 List schedules are recomputed only for the copied blocks; every shared
 block reuses the base artifact's ``Schedule`` object, which is what a

@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 import os
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro import falsey
 from repro.analysis.cfgview import CFGView
@@ -75,6 +76,9 @@ from repro.sim.interp import profile_module
 from repro.sim.power import FetchEnergy
 from repro.sim.vliw import simulate
 
+if TYPE_CHECKING:
+    from repro.sim.replay import PassTrace
+
 
 @dataclass
 class Compiled:
@@ -93,6 +97,12 @@ class Compiled:
     #: set when this artifact is a zero-copy retarget of a shared base
     #: (``with_buffer``); ``None`` for direct compiles.
     overlay: CapacityOverlay | None = None
+    #: the unbuffered base's recorded pass trace (fast-engine compiles
+    #: with ``buffer_capacity=None``; ``with_buffer`` carries it over), so
+    #: ``run_compiled`` replays instead of re-executing; ``None`` for
+    #: buffered or ``ref``-engine compiles and artifacts cached before
+    #: traces existed
+    pass_trace: PassTrace | None = None
 
     @property
     def static_ops(self) -> int:
@@ -332,8 +342,11 @@ def _backend(
     engine: str,
 ) -> Compiled:
     verify_module(module)
-    profile, _ = profile_module(module, entry, args, max_steps=max_steps,
-                                engine=engine)
+    # an unbuffered base is what every capacity overlay shares: its final
+    # profiling run doubles as the pass trace they all replay
+    profile, run = profile_module(module, entry, args, max_steps=max_steps,
+                                  engine=engine,
+                                  record=buffer_capacity is None)
     tracer = checker.tracer
 
     # modulo-schedule simple loops; their MVE-expanded kernels are the
@@ -390,7 +403,8 @@ def _backend(
     stats["modulo_loops"] = len(modulo)
     return Compiled(module, profile, schedules, modulo, assignment,
                     machine, entry, list(args), stats,
-                    buffer_capacity=buffer_capacity)
+                    buffer_capacity=buffer_capacity,
+                    pass_trace=run.pass_trace)
 
 
 def compile_traditional(
@@ -601,7 +615,8 @@ def with_buffer(compiled: Compiled, capacity: int | None,
                           dict(compiled.modulo), assignment,
                           compiled.machine, compiled.entry,
                           list(compiled.args), dict(compiled.stats),
-                          buffer_capacity=capacity, overlay=overlay)
+                          buffer_capacity=capacity, overlay=overlay,
+                          pass_trace=compiled.pass_trace)
         if checked_enabled(checked):
             errors = errors_only(lint_compiled(result))
             if errors:
@@ -609,6 +624,36 @@ def with_buffer(compiled: Compiled, capacity: int | None,
                     "with_buffer",
                     [replace(d, passname="with_buffer") for d in errors])
         return result
+
+
+#: the scalar ``SimCounters`` fields checked mode compares
+_COUNTER_FIELDS = ("cycles", "bundles", "ops_issued", "ops_from_buffer",
+                   "ops_from_memory", "branch_bubbles")
+
+
+def _check_replay(result, counters, buffer, full) -> None:
+    """Checked mode: a replay must match the full simulation exactly."""
+    full_result, full_counters, full_buffer = full
+    pairs = [("value", result.value, full_result.value),
+             ("steps", result.steps, full_result.steps)]
+    pairs += [(name, getattr(counters, name), getattr(full_counters, name))
+              for name in _COUNTER_FIELDS]
+    for name in ("per_block", "per_loop"):
+        mine, theirs = getattr(counters, name), getattr(full_counters, name)
+        keys = sorted(key for key in mine.keys() | theirs.keys()
+                      if mine.get(key) != theirs.get(key))
+        pairs += [(f"{name}[{key}]", mine.get(key), theirs.get(key))
+                  for key in keys]
+    pairs.append(("buffer stats",
+                  buffer.stats if buffer is not None else None,
+                  full_buffer.stats if full_buffer is not None else None))
+    diags = [
+        Diagnostic("replay", Severity.ERROR,
+                   f"replayed {name} {replayed!r} != simulated {simulated!r}")
+        for name, replayed, simulated in pairs if replayed != simulated
+    ]
+    if diags:
+        raise CheckedModeError("replay", diags)
 
 
 def run_compiled(
@@ -625,25 +670,31 @@ def run_compiled(
     only meaningful for programs compiled with ``buffer_capacity=None``.
     ``engine`` selects the simulator engine (``"ref"``/``"fast"``, default
     per ``REPRO_ENGINE``); the counters are identical either way.
+
+    An artifact carrying its base's pass trace is replayed rather than
+    re-executed (:mod:`repro.sim.replay`).  A checked artifact
+    (``stats["checked"]``) is then simulated in full as well, and any
+    difference raises :class:`CheckedModeError` for pass ``"replay"``.
     """
     if buffer_capacity == "compiled":
         buffer_capacity = compiled.buffer_capacity
     engine = engine_choice(engine)
     tracer = tracer if tracer is not None else get_tracer()
+    sim_args = (compiled.module, compiled.schedules, compiled.modulo,
+                compiled.machine, buffer_capacity, compiled.entry,
+                compiled.args)
     with tracer.span("simulate", category="sim",
                      capacity=buffer_capacity, engine=engine) as span:
         result, counters, buffer = simulate(
-            compiled.module,
-            compiled.schedules,
-            compiled.modulo,
-            compiled.machine,
-            buffer_capacity,
-            compiled.entry,
-            compiled.args,
-            max_steps=max_steps,
-            tracer=tracer,
-            engine=engine,
-        )
+            *sim_args, max_steps=max_steps, tracer=tracer, engine=engine,
+            trace=compiled.pass_trace)
+        if compiled.stats.get("checked") and compiled.pass_trace is not None:
+            from repro.sim.replay import ReplayedRun
+
+            if isinstance(result, ReplayedRun):
+                _check_replay(result, counters, buffer, simulate(
+                    *sim_args, max_steps=max_steps, tracer=tracer,
+                    engine=engine))
         span.annotate(
             cycles=counters.cycles,
             ops_issued=counters.ops_issued,

@@ -33,6 +33,10 @@ This module mirrors the loop-buffer idea at the host level:
   branches) are accumulated in flat per-block arrays and folded into the
   :class:`~repro.analysis.profile.Profile` once at the end of the run —
   every count is identical to the reference interpreter's.
+* On request (``record=True``) the functional engine also records the
+  run's block passes, run-length encoded, as the
+  :class:`~repro.sim.replay.PassTrace` that lets the VLIW replay a
+  capacity sweep instead of re-executing it per capacity.
 
 Architectural behaviour is bit-identical to the reference engine: same
 values, same traps (including the exact op at which ``StepLimitExceeded``
@@ -99,9 +103,13 @@ def engine_choice(engine: str | None = None) -> str:
 
 
 def make_interpreter(module, profile=None, max_steps: int = 200_000_000,
-                     engine: str | None = None) -> Interpreter:
+                     engine: str | None = None,
+                     record: bool = False) -> Interpreter:
+    """A functional interpreter; ``record`` (fast engine only) records the
+    run's pass trace (:mod:`repro.sim.replay`)."""
     if engine_choice(engine) == "fast":
-        return FastInterpreter(module, profile=profile, max_steps=max_steps)
+        return FastInterpreter(module, profile=profile, max_steps=max_steps,
+                               record=record)
     return Interpreter(module, profile=profile, max_steps=max_steps)
 
 
@@ -317,13 +325,15 @@ def _shared_function(func) -> _SharedFunction:
 
 
 class _FastFrame:
-    __slots__ = ("func", "fprog", "regs", "lc")
+    __slots__ = ("func", "fprog", "regs", "lc", "calls")
 
     def __init__(self, func, fprog, regs, lc):
         self.func = func
         self.fprog = fprog
         self.regs = regs
         self.lc = lc
+        #: calls this frame has made (the pass recorder's call bubbles)
+        self.calls = 0
 
 
 class BlockProgram:
@@ -978,6 +988,7 @@ class TraceCache:
             return step
 
         def step(frame):
+            frame.calls += 1
             regs = frame.regs
             result = sim._call(sim.module.function(callee_name),
                                [g(regs) for g in getters])
@@ -1059,35 +1070,53 @@ class _FastCallMixin:
 
 class FastInterpreter(_FastCallMixin, Interpreter):
     """Predecoded functional interpreter; bit-identical to the reference
-    (values, traps, profile counts), selectable via ``REPRO_ENGINE=fast``."""
+    (values, traps, profile counts), selectable via ``REPRO_ENGINE=fast``.
+
+    With ``record`` set, a :class:`~repro.sim.replay.PassRecorder` notes
+    every block pass in VLIW accounting order (a caller's pass after its
+    callees') and the result carries the finished
+    :class:`~repro.sim.replay.PassTrace`; a trapping run yields none.
+    """
 
     engine = "fast"
 
     def __init__(self, module, profile=None,
-                 max_steps: int = 200_000_000) -> None:
+                 max_steps: int = 200_000_000, record: bool = False) -> None:
         super().__init__(module, profile=profile, max_steps=max_steps)
         self.cache = TraceCache(self, vliw=False)
+        self.recorder = None
+        if record:
+            from repro.sim.replay import PassRecorder
+
+            self.recorder = PassRecorder()
 
     def run(self, entry: str, args: list[int] | None = None) -> RunResult:
         func = self.module.function(entry)
+        args = list(args or [])
         try:
-            value = self._call(func, list(args or []))
+            value = self._call(func, args)
         finally:
             if self.profile is not None:
                 self.cache.finalize_profile(self.profile)
+        trace = (self.recorder.finish(entry, args, value, self.steps)
+                 if self.recorder is not None else None)
         return RunResult(value, self.steps, self.memory, self.loader,
-                         self.profile)
+                         self.profile, trace)
 
-    def _run_frame(self, frame: _FastFrame):
+    def _run_frame(self, frame: _FastFrame):  # noqa: C901
         fprog = frame.fprog
         prog = fprog.block_program(fprog.entry_label)
         profiling = self.profile is not None
+        recorder = self.recorder
         max_steps = self.max_steps
         while True:
             if len(prog.block.ops) != prog.n:
                 prog = fprog.redecode(prog.label)
             if profiling:
                 prog.passes += 1
+            if recorder is not None:
+                iterating = recorder.looping is prog
+                calls = frame.calls
             transfer = None
             i = 0
             if self.steps + prog.n > max_steps:
@@ -1109,6 +1138,9 @@ class FastInterpreter(_FastCallMixin, Interpreter):
                 self.steps += i
             if profiling and i:
                 prog.prefix_counts[i - 1] += 1
+            if recorder is not None:
+                recorder.record(fprog.name, prog, i, transfer, iterating,
+                                frame.calls - calls)
             if transfer is None:
                 nxt = prog.next_label
                 if nxt is None:

@@ -47,6 +47,8 @@ class RunResult:
     memory: Memory
     loader: Loader
     profile: Profile | None = None
+    #: the run's :class:`~repro.sim.replay.PassTrace` when it was recorded
+    pass_trace: object | None = None
 
 
 @dataclass
@@ -259,17 +261,21 @@ def run_module(
     profile: Profile | None = None,
     max_steps: int = 200_000_000,
     engine: str | None = None,
+    record: bool = False,
 ) -> RunResult:
     """Convenience wrapper: interpret ``module`` from ``entry``.
 
     ``engine`` selects the execution engine (``"ref"`` — this module's
     reference interpreter — or ``"fast"``, the predecoded engine in
     :mod:`repro.sim.engine`); default per ``REPRO_ENGINE``, else fast.
+    ``record`` asks the fast engine for the run's pass trace
+    (``RunResult.pass_trace``, see :mod:`repro.sim.replay`); the
+    reference engine records none.
     """
     from repro.sim.engine import make_interpreter
 
     interp = make_interpreter(module, profile=profile, max_steps=max_steps,
-                              engine=engine)
+                              engine=engine, record=record)
     return interp.run(entry, args)
 
 
@@ -279,11 +285,13 @@ def profile_module(
     args: list[int] | None = None,
     max_steps: int = 200_000_000,
     engine: str | None = None,
+    record: bool = False,
 ) -> tuple[Profile, RunResult]:
-    """Run once with profiling enabled; returns the profile and the result."""
+    """Run once with profiling enabled; returns the profile and the result
+    (carrying the pass trace when ``record`` is set, see :func:`run_module`)."""
     profile = Profile()
     result = run_module(module, entry, args, profile=profile,
-                        max_steps=max_steps, engine=engine)
+                        max_steps=max_steps, engine=engine, record=record)
     return profile, result
 
 

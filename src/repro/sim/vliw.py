@@ -20,6 +20,11 @@ the static schedules, exactly the quantities the paper's evaluation uses:
   ``br_cloop``) loop back and fall out for free; buffered while-loops
   loop back for free but pay one bubble at exit; everything else pays on
   every taken transfer.
+
+None of these charges changes which blocks execute, so :func:`simulate`
+given a base's pass trace (``Compiled.pass_trace``) replays it instead
+of re-executing the program (:mod:`repro.sim.replay`): the same
+counters from one functional run per base rather than one per capacity.
 """
 
 from __future__ import annotations
@@ -308,14 +313,36 @@ def simulate(
     max_steps: int = 200_000_000,
     tracer=None,
     engine: str | None = None,
+    trace=None,
 ):
     """Run a scheduled module; returns (RunResult, SimCounters, LoopBuffer).
 
     ``engine`` picks the reference simulator (``"ref"``) or the predecoded
     fast path (``"fast"``, :mod:`repro.sim.engine`); both produce
     bit-identical counters.  Default per ``REPRO_ENGINE``, else fast.
+
+    ``trace`` is the :class:`~repro.sim.replay.PassTrace` of the
+    unbuffered base this module retargets (``Compiled.pass_trace``).
+    Given one, the fast engine *replays* it instead of re-executing the
+    program (:mod:`repro.sim.replay`): same counters, buffer stats, value
+    and step count, with ``memory``/``loader`` recomputed on demand.
+    Replay is skipped — and the module simulated in full — on the
+    ``ref`` engine, under an enabled obs tracer, and wherever
+    :func:`repro.sim.replay.replay` declines.
     """
-    from repro.sim.engine import make_vliw_simulator
+    from repro.sim.engine import engine_choice, make_vliw_simulator
+
+    if trace is not None and engine_choice(engine) == "fast":
+        if tracer is None:
+            from repro.obs import get_tracer
+            tracer = get_tracer()
+        if not tracer.enabled:
+            from repro.sim.replay import replay
+
+            replayed = replay(trace, module, schedules, modulo, machine,
+                              buffer_capacity, entry, args, max_steps)
+            if replayed is not None:
+                return replayed
 
     buffer = LoopBuffer(buffer_capacity) if buffer_capacity else None
     sim = make_vliw_simulator(module, schedules, modulo, machine, buffer,

@@ -109,6 +109,16 @@ def test_buffer_pairing_exec_of_unrecorded_loop():
     assert any("never recorded" in d.message for d in diags)
 
 
+def test_buffer_rec_unguarded():
+    module, func, assignment = _buffered_counting_loop()
+    assert _run(_target(module, assignment), "buffer-rec-unguarded") == []
+    func.block("entry").ops[-1].guard = func.new_pred()
+    diags = _run(_target(module, assignment), "buffer-rec-unguarded")
+    assert [d.rule for d in diags] == ["buffer-rec-unguarded"]
+    assert diags[0].severity is Severity.ERROR
+    assert "unconditionally" in diags[0].message
+
+
 def test_buffer_overlap():
     module, _func, assignment = _buffered_counting_loop()
     assignment.assigned.append(

@@ -4,6 +4,25 @@ from __future__ import annotations
 
 from repro.ir import Function, IRBuilder, Imm, Module, ireg
 
+#: compiled unbuffered bases, one per (benchmark, pipeline), shared by
+#: every test module that sweeps capacities over them
+_BASES: dict[tuple[str, str], object] = {}
+
+
+def compiled_base(name: str, pipeline: str):
+    """The benchmark's ``buffer_capacity=None`` base, compiled once per
+    test process (fast engine, so it carries its pass trace)."""
+    from repro.bench import benchmark
+    from repro.pipeline import COMPILERS
+
+    key = (name, pipeline)
+    if key not in _BASES:
+        bench = benchmark(name)
+        _BASES[key] = COMPILERS[pipeline](
+            bench.build(), entry=bench.entry, args=bench.args,
+            buffer_capacity=None, engine="fast")
+    return _BASES[key]
+
 
 def single_block_function(name: str = "main", nparams: int = 0) -> tuple[Function, IRBuilder]:
     """A function with one entry block and a builder positioned in it."""

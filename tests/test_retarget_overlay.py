@@ -27,6 +27,7 @@ shared decode store actually shares block decodes across a sweep.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -44,6 +45,7 @@ from repro.pipeline import (
 from repro.runner.parallel import run_cell
 
 from tests.conftest import nightly_examples
+from tests.helpers import compiled_base
 from tests.retarget_golden import (
     GOLDEN,
     GRID_CAPACITIES,
@@ -63,19 +65,8 @@ TIER1_CAPACITIES = (16, 256, 2048)
 _COMPILERS = {"traditional": compile_traditional,
               "aggressive": compile_aggressive}
 
-#: compiled unbuffered bases, one per (benchmark, pipeline) — built on
-#: demand and shared by every test in this module
-_BASES: dict[tuple[str, str], object] = {}
-
-
-def base_for(name: str, pipeline: str):
-    key = (name, pipeline)
-    if key not in _BASES:
-        bench = {b.name: b for b in all_benchmarks()}[name]
-        _BASES[key] = _COMPILERS[pipeline](
-            bench.build(), entry=bench.entry, args=bench.args,
-            buffer_capacity=None)
-    return _BASES[key]
+#: compiled unbuffered bases, built on demand and shared process-wide
+base_for = compiled_base
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +258,10 @@ def test_retarget_already_buffered_raises():
 def test_shared_decode_across_capacity_sweep():
     from repro.sim.engine import SHARED_DECODE_STATS, reset_shared_decode
 
-    base = base_for("adpcm_enc", "traditional")
+    # without a pass trace (e.g. a base cached before traces existed)
+    # every capacity is simulated in full, through the shared decodes
+    base = dataclasses.replace(base_for("adpcm_enc", "traditional"),
+                               pass_trace=None)
     reset_shared_decode()
     SHARED_DECODE_STATS.reset()
     values = set()
