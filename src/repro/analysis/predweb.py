@@ -263,11 +263,12 @@ class PredicateWeb:
                     is_exact = False
 
             exact[dest_idx] = is_exact and op.opcode == Opcode.PRED_DEF
-            if exact[dest_idx] and guarded:
-                # value is guard & (condition-ish): site ⊆ each guard site
-                for gs in guard_sites:
-                    if gs != UNDEF:
-                        facts.add(("s", sid, gs))
+            defined_guard = guard_sites - _UNDEF_SITES
+            if exact[dest_idx] and len(defined_guard) == 1:
+                # value is guard & (condition-ish): site ⊆ the guard site.
+                # A guard web merged from several sites only bounds it by
+                # their union, which no single subset fact states.
+                facts.add(("s", sid, next(iter(defined_guard))))
 
         # complementary pair: two exact dests of one define with opposite
         # polarity hold g&c and g&!c — never both true

@@ -30,6 +30,7 @@ from repro.pipeline import (
 )
 from repro.runner.cache import ArtifactCache, cache_key
 from repro.runner.parallel import resolve_workers
+from repro.sched.cache import CHECK_STATS
 from repro.sim.interp import SimError, run_module
 
 #: step budget per interpretation/simulation — generated programs are tiny,
@@ -407,7 +408,11 @@ def _fuzz_key(source: str, configs: Sequence[Config], max_steps: int,
 
 def _worker_check(source: str, configs: tuple[Config, ...], max_steps: int,
                   fault: str | None) -> bytes:
-    return pickle.dumps(check_program(source, configs, max_steps, fault))
+    """The pickled report plus the check-memo counts it cost the worker,
+    which :func:`check_many` folds into the parent's ``CHECK_STATS``."""
+    before = CHECK_STATS.counts()
+    report = check_program(source, configs, max_steps, fault)
+    return pickle.dumps((report, CHECK_STATS.since(before)))
 
 
 def check_many(
@@ -470,7 +475,8 @@ def check_many(
         }
         for index, future in futures.items():
             try:
-                report = pickle.loads(future.result())
+                report, counts = pickle.loads(future.result())
+                CHECK_STATS.add(counts)
             except Exception:
                 # worker death / pickle hiccup: redo serially in the parent
                 report = check_program(sources[index], configs, max_steps,

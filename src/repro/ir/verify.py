@@ -8,6 +8,8 @@ which is what makes the aggressive transforms in :mod:`repro.looptrans` and
 
 from __future__ import annotations
 
+from typing import Collection
+
 from .function import Function
 from .module import Module
 from .opcodes import Opcode
@@ -132,6 +134,11 @@ def _reachable_labels(func: Function) -> set[str]:
     return seen
 
 
-def verify_module(module: Module, allow_unreachable: bool = False) -> None:
+def verify_module(module: Module, allow_unreachable: bool = False,
+                  functions: Collection[str] | None = None) -> None:
+    """Verify every function, in module order; ``functions`` narrows the
+    sweep to the named ones (callee and global names are still checked
+    against the whole module)."""
     for func in module.functions.values():
-        verify_function(func, module, allow_unreachable=allow_unreachable)
+        if functions is None or func.name in functions:
+            verify_function(func, module, allow_unreachable=allow_unreachable)

@@ -27,6 +27,7 @@ IR — or a schedule, or the buffer assignment — in an illegal state.
 from __future__ import annotations
 
 import copy
+import hashlib
 import os
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -39,6 +40,7 @@ from repro.analysis.lint import (
     Severity,
     all_rules,
     errors_only,
+    get_rule,
     lint_compiled,
     lint_module,
     run_rules,
@@ -69,6 +71,12 @@ from repro.predication.hyperblock import (
 )
 from repro.predication.promotion import promote_function
 from repro.sched.list_sched import schedule_function
+from repro.sched.cache import (
+    CHECK_STATS,
+    CheckEntry,
+    check_context,
+    check_entry,
+)
 from repro.sched.machine import DEFAULT_MACHINE, MachineDescription
 from repro.sched.modulo import ModuloSchedulingFailed, modulo_schedule
 from repro.sim.engine import engine_choice
@@ -224,6 +232,27 @@ def _result_span_attrs(result) -> dict:
     return attrs
 
 
+def _function_digest(context: bytes, func) -> bytes:
+    """Digest of ``context`` plus everything ``verify_function`` and the
+    ``ir``-phase lint rules read of ``func``: name, parameters, frame
+    base, and each block's label, hyperblock flag and operations (opcode,
+    guard, dests, srcs and every attribute -- all an op holds but its
+    uid).  One ``repr`` of the flat field list renders them all."""
+    fields = [func.name, func.params, func.frame_base]
+    add = fields.append
+    for block in func.blocks:
+        add(block.label)
+        add(block.hyperblock)
+        for op in block.ops:
+            add(op.opcode._value_)
+            add(op.guard)
+            add(op.dests)
+            add(op.srcs)
+            add(op.attrs)
+    return hashlib.blake2b(context + repr(fields).encode(),
+                           digest_size=16).digest()
+
+
 class _PassChecker:
     """Runs the sanitizer after every pass, attributing violations, and —
     when a tracer is active — wraps each pass in a span recording its wall
@@ -275,17 +304,68 @@ class _PassChecker:
             self._check_ir(name, scope)
 
     def _check_ir(self, name: str, scope: str | None) -> None:
+        self._raise_errors(name, self._ir_diagnostics(scope))
+
+    def _ir_diagnostics(self, scope: str | None) -> list[Diagnostic]:
+        """Verify the module and lint ``scope`` (every function when
+        ``None``): the verify diagnostic first, then the lint diagnostics
+        rule-major, function-minor.  Each function's results come from
+        the process-level check memo when its content was checked
+        before; misses still run through ``verify_module`` and
+        ``lint_module``."""
+        module = self.module
+        rules = tuple(get_rule(rule_id) for rule_id in self._ir_rules)
+        context = (f"{check_context((self.machine, rules))}\0"
+                   f"{' '.join(module.functions)}\0"
+                   f"{' '.join(module.globals)}\0").encode()
+        entries: dict[str, CheckEntry] = {}
+
+        def entry_of(func) -> CheckEntry:
+            entry = entries.get(func.name)
+            if entry is None:
+                entry = entries[func.name] = check_entry(
+                    _function_digest(context, func))
+            return entry
+
+        stats = CHECK_STATS
         diags: list[Diagnostic] = []
-        try:
-            verify_module(self.module, allow_unreachable=True)
-        except VerificationError as exc:
-            diags.append(Diagnostic("verify", Severity.ERROR, str(exc),
-                                    function=scope))
-        diags.extend(lint_module(
-            self.module, self.machine,
-            functions=(scope,) if scope is not None else None,
-            rule_ids=self._ir_rules))
-        self._raise_errors(name, diags)
+        for func in module.functions.values():
+            entry = entry_of(func)
+            if entry.verify is None:
+                stats.misses += 1
+                try:
+                    verify_module(module, allow_unreachable=True,
+                                  functions=(func.name,))
+                    entry.verify = ()
+                except VerificationError as exc:
+                    entry.verify = (str(exc),)
+            else:
+                stats.hits += 1
+            if entry.verify:
+                # like verify_module, stop at the first failing function
+                diags.append(Diagnostic("verify", Severity.ERROR,
+                                        entry.verify[0], function=scope))
+                break
+
+        selected = [func for func in module.functions.values()
+                    if scope is None or func.name == scope]
+        for func in selected:
+            entry = entry_of(func)
+            if entry.lint is None:
+                stats.misses += 1
+                by_rule: dict[str, list[Diagnostic]] = {}
+                for diag in lint_module(module, self.machine,
+                                        functions=(func.name,),
+                                        rule_ids=self._ir_rules):
+                    by_rule.setdefault(diag.rule, []).append(diag)
+                entry.lint = {rule_id: tuple(found)
+                              for rule_id, found in by_rule.items()}
+            else:
+                stats.hits += 1
+        for rule_id in self._ir_rules:
+            for func in selected:
+                diags.extend(entries[func.name].lint.get(rule_id, ()))
+        return diags
 
     def check_target(self, name: str, target: LintTarget,
                      phases: tuple[str, ...]) -> None:

@@ -18,10 +18,17 @@ original unmemoized linear-probe schedulers asserted identical.
 All scheduling time (cold builds *and* cache replays) is accumulated per
 phase in :data:`STATS`, so benchmarks can report scheduler-phase seconds
 without tracing overhead.
+
+The same process-level home holds checked mode's per-function check memo
+(:func:`check_entry`): :class:`repro.pipeline._PassChecker` keys each
+function's verify and IR-lint results by a digest of its content, so an
+unchanged function is checked once per process.  :func:`clear_caches`
+drops it with the placements.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -63,14 +70,60 @@ class SchedCacheStats:
 
 STATS = SchedCacheStats()
 
+
+@dataclass
+class CheckMemoStats:
+    """Checked mode's check memo: a hit or a miss per function verify or
+    IR lint a check needed, an eviction per entry the LRU bound dropped."""
+
+    hits: int = 0
+    misses: int = 0
+    evictions: int = 0
+
+    def counts(self) -> tuple[int, int, int]:
+        return self.hits, self.misses, self.evictions
+
+    def since(self, before: tuple[int, int, int]) -> tuple[int, int, int]:
+        """The counts added since ``before`` (an earlier :meth:`counts`)."""
+        return tuple(now - then for now, then in zip(self.counts(), before))
+
+    def add(self, counts: tuple[int, int, int]) -> None:
+        """Fold in another process's (hits, misses, evictions)."""
+        self.hits += counts[0]
+        self.misses += counts[1]
+        self.evictions += counts[2]
+
+    def as_dict(self) -> dict:
+        looked = self.hits + self.misses
+        return {"hits": self.hits, "misses": self.misses,
+                "evictions": self.evictions,
+                "hit_frac": round(self.hits / looked, 4) if looked else 0.0}
+
+
+CHECK_STATS = CheckMemoStats()
+
+#: bounded LRU size of the check memo (entries are 16-byte digests
+#: mapped to a function's verify message and lint diagnostics)
+CHECK_LIMIT = 4096
+
 _list_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 _modulo_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
+_check_memo: "OrderedDict[bytes, CheckEntry]" = OrderedDict()
+#: (machine, rules) -> small id folded into check digests.  Kept across
+#: clear_caches(): a reissued id could alias a checker still running.
+_check_contexts: dict[tuple, int] = {}
+_check_lock = threading.Lock()
+
 
 def clear_caches() -> None:
-    """Drop every memoized placement and dependence graph."""
+    """Drop every memoized placement, dependence graph and check result,
+    and zero the check memo's counters."""
     _list_cache.clear()
     _modulo_cache.clear()
     clear_dependence_cache()
+    with _check_lock:
+        _check_memo.clear()
+        CHECK_STATS.hits = CHECK_STATS.misses = CHECK_STATS.evictions = 0
 
 
 @contextmanager
@@ -131,3 +184,40 @@ def modulo_result_get(key: tuple):
 
 def modulo_result_put(key: tuple, value: tuple) -> None:
     _store(_modulo_cache, key, value)
+
+
+# -- checked-mode check results ----------------------------------------------
+
+
+class CheckEntry:
+    """One function's memoized check results; ``None`` until computed.
+
+    ``verify`` is ``()`` for a clean function or ``(message,)``; ``lint``
+    maps a rule id to the diagnostics that rule reported.
+    """
+
+    __slots__ = ("verify", "lint")
+
+    def __init__(self) -> None:
+        self.verify: tuple | None = None
+        self.lint: dict | None = None
+
+
+def check_context(context: tuple) -> int:
+    """A small id for a hashable check context, stable for the process."""
+    with _check_lock:
+        return _check_contexts.setdefault(context, len(_check_contexts))
+
+
+def check_entry(digest: bytes) -> CheckEntry:
+    """The memo entry for ``digest``, created empty on first use."""
+    with _check_lock:
+        entry = _check_memo.get(digest)
+        if entry is not None:
+            _check_memo.move_to_end(digest)
+            return entry
+        entry = _check_memo[digest] = CheckEntry()
+        if len(_check_memo) > CHECK_LIMIT:
+            _check_memo.popitem(last=False)
+            CHECK_STATS.evictions += 1
+        return entry

@@ -140,6 +140,29 @@ class TestGlobalFacts:
         assert web.at("arm", 1).disjoint(p, q)      # after it
         assert not web.at("join", 0).disjoint(p, q)
 
+    def test_guard_merged_from_two_sites_bounds_no_single_site(self):
+        # (p) p = ut(x < 1) at the join, where p is either a known-zero
+        # pred_set or the arm's live define: the new value is a subset of
+        # their union only, so the zero of the pred_set must not spread
+        func = Function("main", [])
+        b = IRBuilder(func)
+        entry = func.add_block("entry")
+        arm = func.add_block("arm")
+        join = func.add_block("join")
+        p = func.new_pred()
+        b.at(entry)
+        x = b.movi(0)
+        b.pred_set(p, 0)
+        b.br("lt", x, Imm(0), "join")
+        b.at(arm)
+        b.pred_def("lt", x, Imm(1), [p], ["ut"])
+        b.at(join)
+        b.pred_def("lt", x, Imm(1), [p], ["ut"], guard=p)
+        b.ret(x)
+        point = PredicateWeb(func).at("join", 1)
+        sites = point.sites(p)
+        assert not point.disjoint_sites(sites, sites)  # x = 0 leaves p = 1
+
     def test_redefinition_starts_new_web(self):
         # facts about the first web of p must not survive its replacement
         func, b, entry, body = _two_block_function()
