@@ -18,7 +18,8 @@ Figure 5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.frontend import compile_source
@@ -40,10 +41,28 @@ class Benchmark:
         return compile_source(self.source, name=self.name)
 
     def expected(self) -> int:
-        return self.reference()
+        """The reference checksum, computed once per ``reference``
+        function object (a benchmark with a replaced reference misses)."""
+        reference = self.reference
+        value = _EXPECTED.get(reference)
+        if value is None:
+            value = _EXPECTED[reference] = reference()
+        return value
 
 
 _REGISTRY: dict[str, Callable[[], Benchmark]] = {}
+#: name -> its factory's Benchmark, built once per process; every lookup
+#: hands out a copy sharing its source and ``reference``
+_INSTANCES: dict[str, Benchmark] = {}
+#: reference function -> the checksum it returned
+_EXPECTED: "weakref.WeakKeyDictionary[Callable[[], int], int]" = (
+    weakref.WeakKeyDictionary())
+
+
+def clear_benchmark_memo() -> None:
+    """Forget every built benchmark and reference checksum."""
+    _INSTANCES.clear()
+    _EXPECTED.clear()
 
 
 def register(name: str):
@@ -55,7 +74,10 @@ def register(name: str):
 
 def benchmark(name: str) -> Benchmark:
     _load_all()
-    return _REGISTRY[name]()
+    built = _INSTANCES.get(name)
+    if built is None:
+        built = _INSTANCES.setdefault(name, _REGISTRY[name]())
+    return replace(built, args=list(built.args))
 
 
 def benchmark_names() -> list[str]:

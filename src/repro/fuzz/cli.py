@@ -45,7 +45,7 @@ from repro.fuzz.oracle import (
 )
 from repro.fuzz.reduce import DEFAULT_BUDGET, divergence_predicate, minimize
 from repro.runner.cache import default_cache
-from repro.sched.cache import CHECK_STATS, CheckMemoStats
+from repro.sched.cache import CHECK_STATS, FRONTEND_STATS, MemoStats
 
 
 def _csv(value: str) -> list[str]:
@@ -169,12 +169,15 @@ def _cmd_run(args) -> int:
                 for seed in range(args.start, args.start + args.seeds)]
 
     t0 = time.perf_counter()
-    memo_before = CHECK_STATS.counts()
+    checks_before = CHECK_STATS.counts()
+    frontends_before = FRONTEND_STATS.counts()
     reports = check_many(programs, configs, workers=args.workers,
                          cache=cache, max_steps=args.max_steps,
                          fault=args.inject_fault)
     wall = time.perf_counter() - t0
-    check_memo = CheckMemoStats(*CHECK_STATS.since(memo_before)).as_dict()
+    check_memo = MemoStats(*CHECK_STATS.since(checks_before)).as_dict()
+    frontend_memo = MemoStats(
+        *FRONTEND_STATS.since(frontends_before)).as_dict()
 
     failures = [(program, report)
                 for program, report in zip(programs, reports)
@@ -209,6 +212,7 @@ def _cmd_run(args) -> int:
             "reproducers": [e.id for e in saved],
             "wall_time_s": round(wall, 3),
             "check_memo": check_memo,
+            "frontend_memo": frontend_memo,
         }, indent=2) + "\n")
 
     if not args.quiet:
@@ -221,6 +225,7 @@ def _cmd_run(args) -> int:
             "configs": [c.label for c in configs],
             "wall_time_s": round(wall, 3),
             "check_memo": check_memo,
+            "frontend_memo": frontend_memo,
         })
         if args.json_path == "-":
             print(payload)

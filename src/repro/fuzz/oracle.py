@@ -30,7 +30,7 @@ from repro.pipeline import (
 )
 from repro.runner.cache import ArtifactCache, cache_key
 from repro.runner.parallel import resolve_workers
-from repro.sched.cache import CHECK_STATS
+from repro.sched.cache import CHECK_STATS, FRONTEND_STATS
 from repro.sim.interp import SimError, run_module
 
 #: step budget per interpretation/simulation — generated programs are tiny,
@@ -408,11 +408,13 @@ def _fuzz_key(source: str, configs: Sequence[Config], max_steps: int,
 
 def _worker_check(source: str, configs: tuple[Config, ...], max_steps: int,
                   fault: str | None) -> bytes:
-    """The pickled report plus the check-memo counts it cost the worker,
-    which :func:`check_many` folds into the parent's ``CHECK_STATS``."""
-    before = CHECK_STATS.counts()
+    """The pickled report plus the check-memo and frontend-memo counts it
+    cost the worker, which :func:`check_many` folds into the parent's
+    ``CHECK_STATS`` and ``FRONTEND_STATS``."""
+    checks, frontends = CHECK_STATS.counts(), FRONTEND_STATS.counts()
     report = check_program(source, configs, max_steps, fault)
-    return pickle.dumps((report, CHECK_STATS.since(before)))
+    return pickle.dumps((report, CHECK_STATS.since(checks),
+                         FRONTEND_STATS.since(frontends)))
 
 
 def check_many(
@@ -475,8 +477,9 @@ def check_many(
         }
         for index, future in futures.items():
             try:
-                report, counts = pickle.loads(future.result())
-                CHECK_STATS.add(counts)
+                report, checks, frontends = pickle.loads(future.result())
+                CHECK_STATS.add(checks)
+                FRONTEND_STATS.add(frontends)
             except Exception:
                 # worker death / pickle hiccup: redo serially in the parent
                 report = check_program(sources[index], configs, max_steps,

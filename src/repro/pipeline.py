@@ -13,10 +13,13 @@
     branch combining, predicate promotion, height reduction and
     predication-based partial dead-code removal.
 
-Both share the backend: re-profiling, modulo scheduling of simple loops
-(with MVE footprints), buffer assignment (which rewrites ``cloop_set``
-into ``rec_cloop`` / inserts ``rec_wloop``), then list scheduling of every
-block for the cycle simulator.
+Both start from one frontend -- cleanup, profile, inline, cleanup,
+profile -- which runs once per program and settings per process
+(:func:`_frontend`, DESIGN.md §5e).  Both share the backend:
+re-profiling, modulo scheduling of simple loops (with MVE footprints),
+buffer assignment (which rewrites ``cloop_set`` into ``rec_cloop`` /
+inserts ``rec_wloop``), then list scheduling of every block for the
+cycle simulator.
 
 **Checked mode** (``checked=True``, or the ``REPRO_CHECKED`` environment
 variable) runs the :mod:`repro.analysis.lint` sanitizer after every pass
@@ -29,6 +32,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -76,6 +80,8 @@ from repro.sched.cache import (
     CheckEntry,
     check_context,
     check_entry,
+    frontend_get,
+    frontend_put,
 )
 from repro.sched.machine import DEFAULT_MACHINE, MachineDescription
 from repro.sched.modulo import ModuloSchedulingFailed, modulo_schedule
@@ -253,6 +259,40 @@ def _function_digest(context: bytes, func) -> bytes:
                            digest_size=16).digest()
 
 
+def _module_digest(module: Module, uids: bool = False) -> bytes:
+    """Digest of a module's content: its name, each global's name, size
+    and full ``init`` data, and each function's :func:`_function_digest`
+    plus the frame size and register and label counters the passes
+    allocate from.  ``uids`` adds every op's uid, which profiles key on.
+
+    Printed IR cannot stand in for this: the printer shows only the first
+    elements of each global initializer."""
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(repr((module.name, [
+        (data.name, data.size, data.init)
+        for data in module.globals.values()])).encode())
+    for func in module.functions.values():
+        digest.update(_function_digest(b"", func))
+        extra = [func.frame_words, func._next_reg, func._next_label]
+        if uids:
+            extra.append([op.uid for block in func.blocks
+                          for op in block.ops])
+        digest.update(repr(extra).encode())
+    return digest.digest()
+
+
+def _per_pass_rules() -> tuple[str, ...]:
+    """Rule ids checked mode runs after every pass."""
+    return tuple(r.rule_id for r in all_rules()
+                 if r.phase == "ir" and r.rule_id not in _PER_PASS_SKIP)
+
+
+def _ir_check_context(machine: MachineDescription,
+                      rule_ids: tuple[str, ...]) -> int:
+    """The check memo's interned id of (machine, per-pass rules)."""
+    return check_context((machine, tuple(get_rule(r) for r in rule_ids)))
+
+
 class _PassChecker:
     """Runs the sanitizer after every pass, attributing violations, and —
     when a tracer is active — wraps each pass in a span recording its wall
@@ -268,9 +308,7 @@ class _PassChecker:
         self.machine = machine
         self.enabled = enabled
         self.tracer = tracer if tracer is not None else get_tracer()
-        self._ir_rules = tuple(
-            r.rule_id for r in all_rules()
-            if r.phase == "ir" and r.rule_id not in _PER_PASS_SKIP)
+        self._ir_rules = _per_pass_rules()
 
     def run(self, name: str, fn, *args, scope: str | None = None, **kwargs):
         """Run one pass, then lint the IR it touched (``scope`` narrows the
@@ -314,8 +352,7 @@ class _PassChecker:
         before; misses still run through ``verify_module`` and
         ``lint_module``."""
         module = self.module
-        rules = tuple(get_rule(rule_id) for rule_id in self._ir_rules)
-        context = (f"{check_context((self.machine, rules))}\0"
+        context = (f"{_ir_check_context(self.machine, self._ir_rules)}\0"
                    f"{' '.join(module.functions)}\0"
                    f"{' '.join(module.globals)}\0").encode()
         entries: dict[str, CheckEntry] = {}
@@ -395,18 +432,67 @@ def _scalar_cleanup(module: Module, checker: _PassChecker) -> None:
         checker.run("simplify_cfg", simplify_cfg, func, scope=func.name)
 
 
+def _frontend_key(module: Module, entry: str, args: list[int],
+                  inline_budget: float, max_steps: int,
+                  machine: MachineDescription, checked: bool,
+                  engine: str) -> tuple:
+    """What a frontend run depends on: the input's content, the run's
+    settings, the checks it ran when checked, and the pass functions
+    themselves, so a patched or fault-injected pass never reuses what the
+    stock passes produced."""
+    checks = (_ir_check_context(machine, _per_pass_rules())
+              if checked else None)
+    passes = (simplify_cfg, optimize_function, eliminate_dead_code,
+              inline_module, profile_module, verify_module)
+    return (_module_digest(module), entry, tuple(args), inline_budget,
+            max_steps, engine, checked, checks, passes)
+
+
+def _frontend(module: Module, entry: str, args: list[int],
+              inline_budget: float, max_steps: int,
+              machine: MachineDescription, checked: bool, engine: str,
+              tracer) -> tuple[Module, Profile]:
+    """The frontend both pipelines share: cleanup, profile, inline,
+    cleanup, profile.
+
+    Returns a private deep copy of the cleaned, inlined module (deepcopy
+    keeps op uids, so the profile's keys hold) and the profile, which is
+    shared and must only be read.  One run per program and settings per
+    process is memoised; a run that raises stores nothing.  ``module``
+    itself is never mutated.
+    """
+    key = _frontend_key(module, entry, args, inline_budget, max_steps,
+                        machine, checked, engine)
+    with (tracer.span("frontend", category="pipeline") if tracer.enabled
+          else nullcontext()) as span:
+        stored = frontend_get(key)
+        if span is not None:
+            span.annotate(memo="miss" if stored is None else "hit")
+        if stored is None:
+            work = copy.deepcopy(module)
+            checker = _PassChecker(work, machine, checked, tracer)
+            stored = (work, _common_frontend(work, entry, args, inline_budget,
+                                             max_steps, checker, engine))
+            frontend_put(key, stored)
+    work, profile = stored
+    return copy.deepcopy(work), profile
+
+
 def _common_frontend(module: Module, entry: str, args: list[int],
                      inline_budget: float, max_steps: int,
                      checker: _PassChecker, engine: str) -> Profile:
     _scalar_cleanup(module, checker)
     profile, _ = profile_module(module, entry, args, max_steps=max_steps,
                                 engine=engine)
+    before = _module_digest(module, uids=True)
     checker.run("inline_module", inline_module, module, profile,
                 expansion_limit=inline_budget)
     _scalar_cleanup(module, checker)
     verify_module(module)
-    profile, _ = profile_module(module, entry, args, max_steps=max_steps,
-                                engine=engine)
+    if _module_digest(module, uids=True) != before:
+        # inlining or cleanup changed the program: profile what it became
+        profile, _ = profile_module(module, entry, args,
+                                    max_steps=max_steps, engine=engine)
     return profile
 
 
@@ -505,18 +591,19 @@ def compile_traditional(
     ``"fast"``; default per ``REPRO_ENGINE``) — both produce identical
     profiles, hence identical compiled artifacts.
     """
-    module = copy.deepcopy(module)
     args = list(args or [])
     engine = engine_choice(engine)
     enabled = checked_enabled(checked)
+    tracer = tracer if tracer is not None else get_tracer()
     stats: dict[str, object] = {"pipeline": "traditional"}
     if enabled:
         stats["checked"] = True
-    checker = _PassChecker(module, machine, enabled, tracer)
-    with checker.tracer.span("compile_traditional", category="pipeline",
-                             entry=entry):
-        _common_frontend(module, entry, args, inline_budget, max_steps,
-                         checker, engine)
+    with tracer.span("compile_traditional", category="pipeline",
+                     entry=entry):
+        module, _profile = _frontend(module, entry, args, inline_budget,
+                                     max_steps, machine, enabled, engine,
+                                     tracer)
+        checker = _PassChecker(module, machine, enabled, tracer)
         stats["cloops"] = checker.run("convert_counted_loops",
                                       convert_counted_loops_all, module)
         _scalar_cleanup(module, checker)
@@ -542,29 +629,32 @@ def compile_aggressive(
     engine: str | None = None,
 ) -> Compiled:
     """The paper's aggressive pipeline (hyperblock + loop transforms)."""
-    module = copy.deepcopy(module)
     args = list(args or [])
     engine = engine_choice(engine)
     enabled = checked_enabled(checked)
+    tracer = tracer if tracer is not None else get_tracer()
     stats: dict[str, object] = {"pipeline": "aggressive"}
     if enabled:
         stats["checked"] = True
-    checker = _PassChecker(module, machine, enabled, tracer)
-    with checker.tracer.span("compile_aggressive", category="pipeline",
-                             entry=entry):
+    with tracer.span("compile_aggressive", category="pipeline",
+                     entry=entry):
+        module, profile = _frontend(module, entry, args, inline_budget,
+                                    max_steps, machine, enabled, engine,
+                                    tracer)
+        checker = _PassChecker(module, machine, enabled, tracer)
         return _compile_aggressive_body(
-            module, entry, args, machine, buffer_capacity, inline_budget,
+            module, profile, entry, args, machine, buffer_capacity,
             max_steps, hammocks, collapse, peel, promote, combine, stats,
             checker, engine)
 
 
 def _compile_aggressive_body(
     module: Module,
+    profile: Profile,
     entry: str,
     args: list[int],
     machine: MachineDescription,
     buffer_capacity: int | None,
-    inline_budget: float,
     max_steps: int,
     hammocks: bool,
     collapse: bool,
@@ -575,9 +665,6 @@ def _compile_aggressive_body(
     checker: _PassChecker,
     engine: str,
 ) -> Compiled:
-    profile = _common_frontend(module, entry, args, inline_budget, max_steps,
-                               checker, engine)
-
     peel_stats, collapse_stats, form_stats = [], [], []
     for func in module.functions.values():
         scope = func.name

@@ -7,12 +7,12 @@ simulate, check the checksum against the pure-Python oracle and summarize.
 
 :func:`run_grid` maps a list of cells over a
 :class:`~concurrent.futures.ProcessPoolExecutor` in two phases — first the
-distinct compiled bases (one task per (benchmark, pipeline) group, so a
-capacity sweep never compiles the same program twice), then the per-cell
-retarget+simulate tasks.  Results always come back in input-cell order,
-whatever the completion order; a cell that times out or fails with
-anything other than a checksum mismatch is retried once in the parent
-process before the failure is allowed to propagate.
+distinct compiled bases (each (benchmark, pipeline) group compiled
+once, so a capacity sweep never compiles the same program twice), then
+the per-cell retarget+simulate tasks.  Results always come back in
+input-cell order, whatever the completion order; a cell that times out
+or fails with anything other than a checksum mismatch is retried once in
+the parent process before the failure is allowed to propagate.
 """
 
 from __future__ import annotations
@@ -379,13 +379,24 @@ def run_cell(
 # pool workers (module-level so they pickle under every start method)
 
 
-def _worker_base(name: str, pipeline: str, cache_dir: str,
-                 cache_enabled: bool, checked: bool = False,
-                 trace: bool = False, engine: str = "fast") -> bytes:
+def _worker_bases(name: str, pipelines: Sequence[str], cache_dir: str,
+                  cache_enabled: bool, checked: bool = False,
+                  trace: bool = False, engine: str = "fast") -> bytes:
+    """Compile one benchmark's bases in order, in one worker, so the
+    later pipelines reuse the first one's frontend from the worker's
+    memo.  A compile failing with anything but a checksum mismatch is
+    returned as ``None``, for the parent to retry."""
     cache = ArtifactCache(cache_dir, enabled=cache_enabled)
-    compiled, seconds, hit, payload = _compile_base_timed(
-        name, pipeline, cache, checked, trace, engine)
-    return pickle.dumps((compiled, seconds, hit, payload, cache.stats))
+    bases = []
+    for pipeline in pipelines:
+        try:
+            bases.append(_compile_base_timed(name, pipeline, cache, checked,
+                                             trace, engine))
+        except AssertionError:
+            raise
+        except Exception:
+            bases.append(None)
+    return pickle.dumps((bases, cache.stats))
 
 
 def _worker_cell(cell: Cell, base_blob: bytes | None, cache_dir: str,
@@ -415,9 +426,10 @@ def run_grid(
     """Execute every cell, returning summaries in input-cell order.
 
     ``workers`` ``<= 1`` (or a one-cell grid) runs serially in-process.
-    Otherwise compiled bases fan out first (one task per distinct
-    (benchmark, pipeline) group), then the per-cell simulations, each with
-    ``timeout`` seconds to produce a result once collection reaches it.
+    Otherwise compiled bases fan out first (see :func:`_base_tasks`),
+    then the per-cell simulations.  ``timeout`` is per compile and per
+    cell: a task has ``timeout`` seconds for each of them to produce its
+    result once collection reaches it.
     Timeouts and transient errors are retried once in the parent; checksum
     mismatches (``AssertionError``) fail immediately — they are
     deterministic.  ``checked`` turns on the pipeline's checked mode (a
@@ -480,6 +492,26 @@ def _run_serial(cells: Sequence[Cell], cache: ArtifactCache | None,
     return results
 
 
+def _base_tasks(cells: Sequence[Cell],
+                workers: int) -> list[tuple[str, list[str]]]:
+    """Phase 1's tasks: a benchmark and the pipelines one task compiles
+    for it, in order, each benchmark and pipeline in first-seen order.
+
+    With at least ``workers`` benchmarks, one task per benchmark, so its
+    pipelines share one worker's frontend memo (DESIGN.md §5e) and every
+    worker still has a benchmark to compile.  With fewer, one task per
+    (benchmark, pipeline) group, so the pipelines compile side by side
+    instead of one after the other.
+    """
+    groups = list(dict.fromkeys(cell.group for cell in cells))
+    if len({name for name, _ in groups}) < workers:
+        return [(name, [pipeline]) for name, pipeline in groups]
+    tasks: dict[str, list[str]] = {}
+    for name, pipeline in groups:
+        tasks.setdefault(name, []).append(pipeline)
+    return list(tasks.items())
+
+
 def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
               cache: ArtifactCache | None,
               metrics: MetricsRecorder,
@@ -488,7 +520,6 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
               engine: str = "fast") -> list[RunSummary]:
     cache_dir = str(cache.root) if cache is not None else ""
     cache_enabled = cache is not None and cache.enabled
-    groups = list(dict.fromkeys(cell.group for cell in cells))
     results: list[RunSummary | None] = [None] * len(cells)
     # every pool cell receives its group's base, so compile spans are
     # recorded once per group here and attached to its first traced cell
@@ -502,27 +533,33 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
 
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        # phase 1: one compile task per distinct (benchmark, pipeline)
-        base_futures = {
-            group: pool.submit(_worker_base, group[0], group[1],
-                               cache_dir, cache_enabled, checked, trace,
-                               engine)
-            for group in groups
-        }
+        # phase 1: compile every distinct (benchmark, pipeline) group
+        tasks = _base_tasks(cells, workers)
+        base_futures = [
+            (name, pipelines,
+             pool.submit(_worker_bases, name, pipelines, cache_dir,
+                         cache_enabled, checked, trace, engine))
+            for name, pipelines in tasks
+        ]
         base_blobs: dict[tuple[str, str], bytes] = {}
-        for group, future in base_futures.items():
+        for name, pipelines, future in base_futures:
+            budget = None if timeout is None else timeout * len(pipelines)
             try:
-                compiled, _seconds, _hit, payload, stats = pickle.loads(
-                    future.result(timeout=timeout))
+                bases, stats = pickle.loads(future.result(timeout=budget))
             except AssertionError:
                 raise
             except Exception:
-                # timeout / worker death: retry the compile in the parent
-                compiled, _seconds, _hit, payload = _compile_base_timed(
-                    group[0], group[1], cache, checked, trace, engine)
-                stats = None
-            base_blobs[group] = pickle.dumps(compiled)
-            base_traces[group] = payload
+                # timeout / worker death: nothing came back; the
+                # parent's retries hit the cache for any base it stored
+                bases, stats = [None] * len(pipelines), None
+            for pipeline, base in zip(pipelines, bases):
+                if base is None:
+                    # retry in the parent what the worker did not return
+                    base = _compile_base_timed(name, pipeline, cache,
+                                               checked, trace, engine)
+                compiled, _seconds, _hit, payload = base
+                base_blobs[(name, pipeline)] = pickle.dumps(compiled)
+                base_traces[(name, pipeline)] = payload
             if stats is not None:
                 metrics.merge_cache_stats(stats)
 

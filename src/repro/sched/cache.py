@@ -22,8 +22,12 @@ without tracing overhead.
 The same process-level home holds checked mode's per-function check memo
 (:func:`check_entry`): :class:`repro.pipeline._PassChecker` keys each
 function's verify and IR-lint results by a digest of its content, so an
-unchanged function is checked once per process.  :func:`clear_caches`
-drops it with the placements.
+unchanged function is checked once per process.  It also holds the
+pipelines' frontend memo (:func:`frontend_get` / :func:`frontend_put`):
+the cleaned, inlined module and its profile, keyed by the input program
+and the frontend's settings, so both pipelines of one program share one
+frontend run (DESIGN.md §5e).  :func:`clear_caches` drops both with the
+placements.
 """
 
 from __future__ import annotations
@@ -72,9 +76,12 @@ STATS = SchedCacheStats()
 
 
 @dataclass
-class CheckMemoStats:
-    """Checked mode's check memo: a hit or a miss per function verify or
-    IR lint a check needed, an eviction per entry the LRU bound dropped."""
+class MemoStats:
+    """A process-level memo's hits, misses and LRU evictions.
+
+    For the check memo, a hit or a miss is counted per function verify
+    or IR lint a check needed; for the frontend memo, per frontend a
+    compile needed."""
 
     hits: int = 0
     misses: int = 0
@@ -86,6 +93,9 @@ class CheckMemoStats:
     def since(self, before: tuple[int, int, int]) -> tuple[int, int, int]:
         """The counts added since ``before`` (an earlier :meth:`counts`)."""
         return tuple(now - then for now, then in zip(self.counts(), before))
+
+    def reset(self) -> None:
+        self.hits = self.misses = self.evictions = 0
 
     def add(self, counts: tuple[int, int, int]) -> None:
         """Fold in another process's (hits, misses, evictions)."""
@@ -100,7 +110,8 @@ class CheckMemoStats:
                 "hit_frac": round(self.hits / looked, 4) if looked else 0.0}
 
 
-CHECK_STATS = CheckMemoStats()
+CHECK_STATS = MemoStats()
+FRONTEND_STATS = MemoStats()
 
 #: bounded LRU size of the check memo (entries are 16-byte digests
 #: mapped to a function's verify message and lint diagnostics)
@@ -114,16 +125,29 @@ _check_memo: "OrderedDict[bytes, CheckEntry]" = OrderedDict()
 _check_contexts: dict[tuple, int] = {}
 _check_lock = threading.Lock()
 
+#: bounded LRU size of the frontend memo (each entry holds one program's
+#: cleaned, inlined module and its profile)
+FRONTEND_LIMIT = 32
+
+_frontend_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
+_frontend_lock = threading.Lock()
+
 
 def clear_caches() -> None:
-    """Drop every memoized placement, dependence graph and check result,
-    and zero the check memo's counters."""
+    """Drop every memoized placement, dependence graph, check result,
+    frontend and benchmark checksum, and zero the memos' counters."""
+    from repro.bench.suite import clear_benchmark_memo
+
     _list_cache.clear()
     _modulo_cache.clear()
     clear_dependence_cache()
     with _check_lock:
         _check_memo.clear()
-        CHECK_STATS.hits = CHECK_STATS.misses = CHECK_STATS.evictions = 0
+        CHECK_STATS.reset()
+    with _frontend_lock:
+        _frontend_memo.clear()
+        FRONTEND_STATS.reset()
+    clear_benchmark_memo()
 
 
 @contextmanager
@@ -221,3 +245,30 @@ def check_entry(digest: bytes) -> CheckEntry:
             _check_memo.popitem(last=False)
             CHECK_STATS.evictions += 1
         return entry
+
+
+# -- the pipelines' shared frontend ------------------------------------------
+
+
+def frontend_get(key: tuple):
+    """The stored ``(module, profile)`` frontend for ``key``, or ``None``.
+
+    Callers must not mutate either: they deep-copy the module and only
+    read the profile."""
+    with _frontend_lock:
+        value = _frontend_memo.get(key)
+        if value is None:
+            FRONTEND_STATS.misses += 1
+            return None
+        _frontend_memo.move_to_end(key)
+        FRONTEND_STATS.hits += 1
+        return value
+
+
+def frontend_put(key: tuple, value: tuple) -> None:
+    with _frontend_lock:
+        _frontend_memo[key] = value
+        _frontend_memo.move_to_end(key)
+        while len(_frontend_memo) > FRONTEND_LIMIT:
+            _frontend_memo.popitem(last=False)
+            FRONTEND_STATS.evictions += 1

@@ -7,6 +7,7 @@ from repro import obs
 from repro.bench import benchmark
 from repro.obs import NULL_TRACER, NullTracer, Tracer
 from repro.pipeline import compile_aggressive, compile_traditional, run_compiled
+from repro.sched.cache import clear_caches
 from repro.sim.vliw import LoopFetchStats, SimCounters
 
 
@@ -82,6 +83,23 @@ class TestSpanCoverage:
         # pass spans carry IR-shape deltas
         peel = next(s for s in tracer.spans if s.name == "peel_short_loops")
         assert {"ops", "blocks", "hyperblocks", "d_ops"} <= set(peel.attrs)
+
+    def test_frontend_memo_hit_has_no_pass_spans(self):
+        clear_caches()
+        first, second = Tracer(), Tracer()
+        _compile_and_run(tracer=first, pipeline=compile_traditional)
+        _compile_and_run(tracer=second)
+        spans = {}
+        for tracer in (first, second):
+            (frontend,) = [s for s in tracer.spans if s.name == "frontend"]
+            inside = [s for s in tracer.spans
+                      if s.depth > frontend.depth
+                      and frontend.ts_us <= s.ts_us
+                      <= frontend.ts_us + frontend.dur_us]
+            spans[frontend.attrs["memo"]] = {s.name for s in inside}
+        assert set(spans) == {"miss", "hit"}
+        assert {"inline_module", "simplify_cfg"} <= spans["miss"]
+        assert spans["hit"] == set()
 
     def test_traditional_pipeline_root_span(self):
         tracer = Tracer()

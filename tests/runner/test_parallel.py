@@ -7,8 +7,11 @@ tests inject failing executors instead of simulating real crashes.
 """
 
 import os
+import time
 
 import pytest
+
+import repro.runner.parallel as parallel
 
 from repro.runner.cache import ArtifactCache
 from repro.runner.metrics import MetricsRecorder
@@ -16,8 +19,10 @@ from repro.runner.parallel import (
     ENV_WORKERS,
     Cell,
     Source,
+    _base_tasks,
     _compile_base_timed,
     _run_serial,
+    _worker_bases,
     base_key,
     expand_grid,
     resolve_workers,
@@ -151,6 +156,89 @@ class TestSerialVsParallel:
         assert again == cold
         assert metrics.cache.evictions > 0
         assert metrics.run_cache_hits == 0
+
+
+class TestPoolAffinity:
+    """Phase 1 sends all of a benchmark's pipelines to one worker, whose
+    frontend memo then runs the shared frontend once, when there are at
+    least as many benchmarks as workers."""
+
+    def test_one_task_per_benchmark_in_order(self):
+        cells = [Cell("b", "aggressive", 16), Cell("a", "traditional", 16),
+                 Cell("b", "traditional", 16), Cell("b", "aggressive", 64),
+                 Cell("a", "aggressive", None)]
+        assert _base_tasks(cells, 2) == [("b", ["aggressive", "traditional"]),
+                                         ("a", ["traditional", "aggressive"])]
+        assert _base_tasks(GRID, 2) == [(name, ["traditional", "aggressive"])
+                                        for name in NAMES]
+
+    def test_fewer_benchmarks_than_workers_one_task_per_group(self):
+        cells = expand_grid(["a"], ("traditional", "aggressive"), (16, 64))
+        assert _base_tasks(cells, 2) == [("a", ["traditional"]),
+                                         ("a", ["aggressive"])]
+        assert _base_tasks(GRID, 3) == [(name, [pipeline]) for name, pipeline
+                                        in dict.fromkeys(cell.group
+                                                         for cell in GRID)]
+
+    def test_worker_compiles_a_benchmark_with_one_frontend(self, cache):
+        import pickle
+
+        from repro.sched.cache import FRONTEND_STATS, clear_caches
+
+        clear_caches()
+        bases, stats = pickle.loads(_worker_bases(
+            "adpcm_enc", ["traditional", "aggressive"], str(cache.root),
+            True))
+        assert [base.stats["pipeline"] for base, *_ in bases] \
+            == ["traditional", "aggressive"]
+        assert FRONTEND_STATS.counts() == (1, 1, 0)
+        assert stats.stores == 2
+        clear_caches()
+
+
+class TestPoolTaskFailures:
+    """A phase-1 task compiling several pipelines keeps the per-compile
+    timeout, and the parent retries only what the worker did not return.
+    The patched compile reaches the pool workers because they fork after
+    the patch."""
+
+    @pytest.fixture
+    def compile_calls(self, monkeypatch):
+        import multiprocessing
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("patched compiles reach workers only under fork")
+        ready = {cell.group: _compile_base_timed(*cell.group, None)
+                 for cell in GRID}
+        parent = os.getpid()
+        calls = {"parent": [], "delay": 0.0, "fail": None}
+
+        def fake(program, pipeline, *_args, **_kwargs):
+            name = getattr(program, "name", program)
+            if os.getpid() == parent:
+                calls["parent"].append((name, pipeline))
+            elif (name, pipeline) == calls["fail"]:
+                raise RuntimeError("worker compile failed")
+            time.sleep(calls["delay"])
+            return ready[name, pipeline]
+
+        monkeypatch.setattr(parallel, "_compile_base_timed", fake)
+        calls["serial"] = run_grid(GRID, workers=1, cache=None)
+        calls["parent"].clear()
+        return calls
+
+    def test_timeout_is_per_compile(self, compile_calls):
+        # each compile fits the timeout; a benchmark's two do not
+        compile_calls["delay"] = 1.5
+        results = run_grid(GRID, workers=2, timeout=2.0, cache=None)
+        assert compile_calls["parent"] == []
+        assert results == compile_calls["serial"]
+
+    def test_parent_retries_only_the_failed_compile(self, compile_calls):
+        compile_calls["fail"] = ("adpcm_dec", "aggressive")
+        results = run_grid(GRID, workers=2, cache=None)
+        assert compile_calls["parent"] == [("adpcm_dec", "aggressive")]
+        assert results == compile_calls["serial"]
 
 
 class TestRunCell:
