@@ -5,6 +5,13 @@ inlining, loop-transform legality/benefit tests, and loop-buffer assignment
 all consume block/edge/branch frequencies.  A :class:`Profile` is produced
 by running the functional interpreter (:mod:`repro.sim.interp`) on a
 training input, exactly as IMPACT profiles benchmarks before recompiling.
+
+A run that traps leaves its profile *incomplete*: the engines tally in
+different units (the reference per op, the fast engine per pass or per
+fused run of self-loop passes), so the counts a trap leaves behind differ
+between them.  Both engines set :attr:`Profile.incomplete`, and every
+query method then raises :class:`IncompleteProfileError`.  Code that reads
+the count dicts directly is not checked and must test the flag itself.
 """
 
 from __future__ import annotations
@@ -13,9 +20,17 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 
+class IncompleteProfileError(RuntimeError):
+    """A query on the profile of a run that trapped."""
+
+
 @dataclass
 class Profile:
-    """Dynamic execution counts keyed by function name."""
+    """Dynamic execution counts keyed by function name.
+
+    After a trapping run (``incomplete``) the query methods raise;
+    reading the count dicts directly bypasses that check.
+    """
 
     #: (func, block_label) -> times the block was entered
     blocks: dict[tuple[str, str], int] = field(default_factory=lambda: defaultdict(int))
@@ -29,6 +44,8 @@ class Profile:
     calls: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     #: total operations encountered (dynamic op count, NOPs excluded)
     total_ops: int = 0
+    #: set when the profiled run trapped; the counts are then unspecified
+    incomplete: bool = False
 
     # -- recording ------------------------------------------------------------
 
@@ -50,16 +67,25 @@ class Profile:
 
     # -- queries ---------------------------------------------------------------
 
+    def _check_complete(self) -> None:
+        if self.incomplete:
+            raise IncompleteProfileError(
+                "the profiled run trapped; its counts are unspecified")
+
     def block_count(self, func: str, label: str) -> int:
+        self._check_complete()
         return self.blocks.get((func, label), 0)
 
     def edge_count(self, func: str, src: str, dst: str) -> int:
+        self._check_complete()
         return self.edges.get((func, src, dst), 0)
 
     def op_count(self, func: str, uid: int) -> int:
+        self._check_complete()
         return self.ops.get((func, uid), 0)
 
     def taken_count(self, func: str, uid: int) -> int:
+        self._check_complete()
         return self.taken.get((func, uid), 0)
 
     def taken_ratio(self, func: str, uid: int) -> float:
@@ -70,15 +96,18 @@ class Profile:
         return self.taken_count(func, uid) / seen
 
     def call_count(self, func: str) -> int:
+        self._check_complete()
         return self.calls.get(func, 0)
 
     def function_weight(self, func: str) -> int:
         """Dynamic ops attributable to ``func`` (its own blocks only)."""
+        self._check_complete()
         return sum(
             count for (name, _uid), count in self.ops.items() if name == func
         )
 
     def hottest_blocks(self, func: str, limit: int = 10) -> list[tuple[str, int]]:
+        self._check_complete()
         items = [
             (label, count)
             for (name, label), count in self.blocks.items()

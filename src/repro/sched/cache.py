@@ -135,8 +135,10 @@ _frontend_lock = threading.Lock()
 
 def clear_caches() -> None:
     """Drop every memoized placement, dependence graph, check result,
-    frontend and benchmark checksum, and zero the memos' counters."""
+    frontend, benchmark checksum and compiled interpreter block, and zero
+    the memos' counters."""
     from repro.bench.suite import clear_benchmark_memo
+    from repro.sim.engine import clear_block_code
 
     _list_cache.clear()
     _modulo_cache.clear()
@@ -148,6 +150,7 @@ def clear_caches() -> None:
         _frontend_memo.clear()
         FRONTEND_STATS.reset()
     clear_benchmark_memo()
+    clear_block_code()
 
 
 @contextmanager

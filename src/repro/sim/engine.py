@@ -12,6 +12,16 @@ This module mirrors the loop-buffer idea at the host level:
   **op thunks** — closures binding the opcode handler, operand accessors
   (register slot index or folded constant) and the guard check at decode
   time.  Executing a pass is then one call per op.
+* On the functional engine, a block that reaches its
+  :data:`TIER_UP_PASSES`-th pass is **compiled** into one generated
+  Python function (:class:`_BlockCodegen`): registers as ``r[slot]``,
+  integer constants as literals, ``wrap32`` inlined as its range check,
+  and a thunk call for any op the generator does not emit.  A block
+  that jumps back to itself from its last op and makes no call iterates
+  inside that function, and the caller folds the completed self-passes
+  into the profile, ``steps`` and the pass recorder in one step.  Code
+  objects live in a bounded, lock-guarded LRU keyed by a digest of the
+  generated source (DESIGN.md §5f).
 * Registers live in a flat per-frame ``list`` indexed by a per-function
   slot assignment (:class:`FunctionProgram`), replacing the ``VReg``-keyed
   dict of the reference frame.
@@ -41,12 +51,18 @@ This module mirrors the loop-buffer idea at the host level:
 Architectural behaviour is bit-identical to the reference engine: same
 values, same traps (including the exact op at which ``StepLimitExceeded``
 fires), same ``SimCounters``/``LoopFetchStats`` and obs instants for the
-VLIW.  Two documented exceptions: after a *trap*, the partially-recorded
-profile and ``steps`` of the trapping pass are unspecified (the reference
-records op-by-op, the fast engine per pass — every consumer discards the
-profile of a trapping run), and in-run IR mutation must not introduce new
-virtual registers (use :meth:`TraceCache.invalidate` and a fresh run for
-structural edits).
+VLIW.  Two exceptions, both enforced:
+
+* after a *trap*, ``steps`` and the profile are unspecified (the
+  reference records op by op, the fast engine per pass or per fused run
+  of self-passes, so a trap can drop several completed passes); both
+  engines mark the profile ``incomplete`` and its query methods raise;
+* in-run IR mutation must not introduce new virtual registers: the
+  functional slot map is frozen once a function is first decoded, and a
+  redecode that meets an unknown register raises :class:`SimError`
+  naming it (use :meth:`TraceCache.invalidate` and a fresh run for
+  structural edits).  A fused loop sees an edit to its own block only
+  at its next entry.
 
 Engine selection: ``REPRO_ENGINE=ref|fast`` (default ``fast``), or the
 explicit ``engine=`` argument threaded through ``run_module`` /
@@ -55,8 +71,11 @@ explicit ``engine=`` argument threaded through ``run_module`` /
 
 from __future__ import annotations
 
+import hashlib
 import os
+import threading
 import weakref
+from collections import OrderedDict
 
 from repro.ir.opcodes import Opcode
 from repro.ir.preddef import pred_update
@@ -68,7 +87,14 @@ from repro.sim.interp import (
     SimError,
     StepLimitExceeded,
 )
-from repro.sim.values import cdiv, crem, saturate, to_unsigned, wrap32
+from repro.sim.values import (
+    INT_MAX,
+    cdiv,
+    crem,
+    saturate,
+    to_unsigned,
+    wrap32,
+)
 from repro.sim.vliw import VLIWSimulator
 
 __all__ = [
@@ -341,6 +367,9 @@ class BlockProgram:
 
     __slots__ = (
         "label", "block", "n", "thunks", "next_label",
+        # compiled blocks (functional engine): the decoded ops, the
+        # generated function once compiled, passes left until compiling
+        "ops", "run", "heat",
         # deferred profiling (functional engine)
         "passes", "prefix_counts", "taken_counts", "edge_counts",
         "uid_at", "is_cond",
@@ -356,7 +385,7 @@ class FunctionProgram:
 
     __slots__ = ("cache", "func", "name", "entry_label", "param_slots",
                  "frame_base_slot", "nslots", "calls", "progs", "_slots",
-                 "_shared")
+                 "_shared", "_frozen")
 
     def __init__(self, cache: "TraceCache", func) -> None:
         self.cache = cache
@@ -371,19 +400,20 @@ class FunctionProgram:
             # overlay clone, only its materialized preheaders — whose
             # rec rewrite introduces no new registers — are walked)
             shared = _shared_function(func)
-            self._shared = shared
             self._slots = shared.slots
         else:
             # the functional engine decodes mid-pipeline IR that passes
             # mutate between profile runs; it never shares decode state
-            self._shared = None
+            shared = None
             self._slots = {}
+        self._shared = shared
+        self._frozen = False
         slot = self.slot
         for param in func.params:
             slot(param)
         if func.frame_base is not None:
             slot(func.frame_base)
-        seen = self._shared.seen if self._shared is not None else None
+        seen = shared.seen if shared is not None else None
         for block in func.blocks:
             if seen is not None:
                 ids = tuple(map(id, block.ops))
@@ -400,6 +430,9 @@ class FunctionProgram:
             if seen is not None:
                 seen[block] = ids
         self.nslots = len(self._slots)
+        # functional register files are sized here and compiled blocks
+        # bake in slot indices, so the functional layout is final
+        self._frozen = shared is None
         self.param_slots = tuple(self._slots[p] for p in func.params)
         self.frame_base_slot = (self._slots[func.frame_base]
                                 if func.frame_base is not None else None)
@@ -409,6 +442,11 @@ class FunctionProgram:
         slots = self._slots
         index = slots.get(reg)
         if index is None:
+            if self._frozen:
+                raise SimError(
+                    f"{self.name}: register {reg!r} was not in the function "
+                    "when it was first decoded; in-run IR edits must not "
+                    "add registers (invalidate the cache and run afresh)")
             index = slots[reg] = len(slots)
         return index
 
@@ -648,6 +686,11 @@ class TraceCache:
         prog.prefix_counts = [0] * prog.n
         prog.taken_counts = [0] * prog.n
         prog.edge_counts = {}
+        if not self.vliw:
+            prog.ops = tuple(ops)
+            prog.run = None
+            # an empty block never counts down to compiling
+            prog.heat = TIER_UP_PASSES if ops else -1
         prog.uid_at = [None if op.opcode is Opcode.NOP else op.uid
                        for op in ops]
         prog.is_cond = [op.is_conditional_branch for op in ops]
@@ -1020,6 +1063,407 @@ def _binary_step(fn, dest, ac, av, bc, bv):
 
 
 # --------------------------------------------------------------------------
+# compiled blocks (functional engine)
+
+
+#: a block is compiled on its this-many'th pass and runs thunks before
+#: that, so the many blocks of a short-lived program that execute only a
+#: few times never pay for code generation (DESIGN.md §5f)
+TIER_UP_PASSES = 8
+
+#: bound of the process-wide code cache (LRU, in distinct block sources)
+BLOCK_CODE_LIMIT = 512
+
+#: block source digest -> compiled code object, least recently used first
+_block_code: "OrderedDict[bytes, object]" = OrderedDict()
+_block_code_lock = threading.Lock()
+
+
+def clear_block_code() -> None:
+    """Drop every cached compiled block (``clear_caches`` calls this)."""
+    with _block_code_lock:
+        _block_code.clear()
+
+
+def _block_code_object(source: str):
+    """The code object of ``source``, compiled once per process.
+
+    Keyed by a digest rather than the text, so the cache holds no source.
+    """
+    key = hashlib.blake2b(source.encode(), digest_size=16).digest()
+    with _block_code_lock:
+        code = _block_code.get(key)
+        if code is not None:
+            _block_code.move_to_end(key)
+            return code
+    code = compile(source, f"<block {key.hex()[:12]}>", "exec")
+    with _block_code_lock:
+        _block_code[key] = code
+        _block_code.move_to_end(key)
+        while len(_block_code) > BLOCK_CODE_LIMIT:
+            _block_code.popitem(last=False)
+    return code
+
+
+class _NotEmitted(Exception):
+    """An op the block compiler leaves to its thunk."""
+
+
+_INT32 = "-2147483648 <= v <= 2147483647"
+
+#: comparison tests as expressions over sources ``a`` and ``b``
+_CMP_EXPR = {
+    "eq": "{a} == {b}",
+    "ne": "{a} != {b}",
+    "lt": "{a} < {b}",
+    "le": "{a} <= {b}",
+    "gt": "{a} > {b}",
+    "ge": "{a} >= {b}",
+    "ltu": "({a} & 4294967295) < ({b} & 4294967295)",
+    "geu": "({a} & 4294967295) >= ({b} & 4294967295)",
+}
+
+#: ops whose result goes through ``wrap32``
+_WRAPPED_EXPR = {
+    Opcode.ADD: "{a} + {b}",
+    Opcode.SUB: "{a} - {b}",
+    Opcode.AND: "{a} & {b}",
+    Opcode.OR: "{a} | {b}",
+    Opcode.XOR: "{a} ^ {b}",
+    Opcode.SHL: "{a} << ({b} & 31)",
+    Opcode.SHR: "({a} & 4294967295) >> ({b} & 31)",
+    Opcode.SAR: "{a} >> ({b} & 31)",
+    Opcode.MUL: "{a} * {b}",
+    Opcode.MULH: "({a} * {b}) >> 32",
+    Opcode.NEG: "-{a}",
+    Opcode.NOT: "~{a}",
+    Opcode.ABS: "abs({a})",
+    Opcode.FTOI: "int({a})",
+}
+
+#: ops whose result is stored as computed (``min``/``max`` spelled out
+#: with the builtins' tie rule: the first operand wins)
+_PLAIN_EXPR = {
+    Opcode.MIN: "{b} if {b} < {a} else {a}",
+    Opcode.MAX: "{b} if {b} > {a} else {a}",
+    Opcode.SAT: "_sat({a}, {b})",
+    Opcode.DIV: "_div({a}, {b})",
+    Opcode.REM: "_rem({a}, {b})",
+    Opcode.FADD: "float({a}) + float({b})",
+    Opcode.FSUB: "float({a}) - float({b})",
+    Opcode.FMUL: "float({a}) * float({b})",
+    Opcode.FDIV: "_fdiv({a}, {b})",
+    Opcode.ITOF: "float({a})",
+    Opcode.FMOV: "float({a})",
+    Opcode.CLIP: "max({b}, min({c}, {a}))",
+    Opcode.SELECT: "{b} if {a} else {c}",
+}
+
+_SATURATED_EXPR = {Opcode.SADD: "{a} + {b}", Opcode.SSUB: "{a} - {b}"}
+
+_LOOP_BRANCHES = frozenset({Opcode.JUMP, Opcode.BR, Opcode.BR_WLOOP,
+                            Opcode.BR_CLOOP})
+
+_BLOCK_GLOBALS = {"_w": wrap32, "_mov": _mov, "_sat": saturate,
+                  "_div": _div, "_rem": _rem, "_fdiv": _fdiv}
+
+
+def _literal(value) -> str:
+    """An exact integer literal, or :class:`_NotEmitted`."""
+    if value.__class__ is not int:
+        raise _NotEmitted
+    return f"({value})" if value < 0 else str(value)
+
+
+class _BlockCodegen:
+    """Generates the Python function that runs one functional block.
+
+    The function is ``_block(frame, limit) -> (reps, attempted,
+    transfer)``: ``reps`` passes that each ran every op and jumped back
+    to the block from its last op, then one final pass that attempted
+    ``attempted`` ops and left by ``transfer`` (``None``: fallthrough).
+    Only a block whose terminator targets its own label and which makes
+    no call iterates inside the function (``reps > 0``), and it starts
+    at most ``limit`` passes.  Each op is spelled out with its thunk's
+    exact semantics; an op the generator does not emit runs its thunk.
+    """
+
+    def __init__(self, cache: TraceCache, fprog: FunctionProgram,
+                 prog: BlockProgram) -> None:
+        self.loader = cache.sim.loader
+        self.memory = cache.sim.memory
+        self.st_value = cache.sim._st_value
+        self.fprog = fprog
+        self.prog = prog
+        self.globals = dict(_BLOCK_GLOBALS)
+        ops = prog.ops
+        last = ops[-1]
+        self.fuse = (last.opcode in _LOOP_BRANCHES
+                     and last.target == prog.label
+                     and not any(op.opcode is Opcode.CALL for op in ops)
+                     and self._emits(last))
+        #: the completed self-passes at an exit
+        self.reps = "k" if self.fuse else "0"
+
+    def source(self) -> str:
+        prog = self.prog
+        lines = ["def _block(frame, limit):", "    r = frame.regs",
+                 "    lc = frame.lc"]
+        indent = "    "
+        if self.fuse:
+            lines += ["    k = 0", "    while True:"]
+            indent = "        "
+        body: list[str] = []
+        group = None  # guard slot of the open ``if``
+        written: set[int] = set()  # slots the open ``if``'s ops write
+        for i, op in enumerate(prog.ops):
+            gslot, op_lines = self._op_lines(i, op)
+            if not op_lines:
+                continue
+            if gslot is None:
+                group = None
+                body += op_lines
+                continue
+            # consecutive ops under one guard share one test, until one
+            # of them writes the guard
+            if gslot != group or gslot in written:
+                body.append(f"if r[{gslot}]:")
+                group, written = gslot, set()
+            body += ["    " + line for line in op_lines]
+            written.update(self.fprog.slot(dest) for dest in op.dests)
+        body.append(f"return {self.reps}, {prog.n}, None")
+        lines += [indent + line for line in body]
+        return "\n".join(lines) + "\n"
+
+    def build(self):
+        """The block's function, bound to this interpreter's state."""
+        code = _block_code_object(self.source())
+        namespace = self.globals
+        exec(code, namespace)
+        return namespace["_block"]
+
+    # -- operands ------------------------------------------------------------
+
+    def _src(self, src) -> str:
+        if isinstance(src, VReg):
+            return f"r[{self.fprog.slot(src)}]"
+        value = self._value(src)
+        if value is None:
+            raise _NotEmitted  # float immediates and anything unresolvable
+        return _literal(value)
+
+    def _value(self, src) -> int | None:
+        """The integer a literal operand stands for, else ``None``."""
+        if isinstance(src, Imm):
+            value = src.value
+        elif isinstance(src, GlobalRef):
+            try:
+                value = self.loader.global_addr(src.name)
+            except Exception:  # the thunk raises it when run
+                return None
+        else:
+            return None
+        return value if value.__class__ is int else None
+
+    def _emits(self, op) -> bool:
+        try:
+            for src in op.srcs:
+                self._src(src)
+        except _NotEmitted:
+            return False
+        return True
+
+    def _bind(self, name: str, value) -> str:
+        self.globals[name] = value
+        return name
+
+    # -- ops -----------------------------------------------------------------
+
+    def _op_lines(self, i: int, op) -> tuple[int | None, list[str]]:
+        """``(guard slot, lines)``: the lines run only when the guard
+        (``None``: no guard, or one the lines test themselves) is set."""
+        try:
+            lines = self._emit(i, op)
+        except _NotEmitted:
+            # the thunk tests the op's guard itself
+            thunk = self._bind(f"_t{i}", self.prog.thunks[i])
+            return None, [f"t = {thunk}(frame)", "if t is not None:",
+                          f"    return {self.reps}, {i + 1}, t"]
+        if op.guard is None or op.opcode is Opcode.PRED_DEF:
+            return None, lines
+        return self.fprog.slot(op.guard), lines
+
+    def _transfer(self, i: int, op) -> list[str]:
+        """Lines that leave the pass by ``op``'s jump."""
+        transfer = self._bind(f"_j{i}", ("jump", op.target))
+        if self.fuse and i == self.prog.n - 1:
+            return ["k += 1", "if k < limit:", "    continue",
+                    f"return k - 1, {i + 1}, {transfer}"]
+        return [f"return {self.reps}, {i + 1}, {transfer}"]
+
+    def _lc_id(self, op) -> str:
+        lc_id = op.attrs["lc"]
+        if lc_id.__class__ is str:
+            return repr(lc_id)
+        return _literal(lc_id)
+
+    def _emit(self, i: int, op) -> list[str]:  # noqa: C901
+        code = op.opcode
+        srcs = [self._src(src) for src in op.srcs]
+        names = dict(zip("abc", srcs))
+        values = [self._value(src) for src in op.srcs]
+
+        if code is Opcode.NOP:
+            return []
+        if values and code in _FOLDABLE:
+            value = _fold(op, values)
+            if value is not None:
+                return [f"r[{self.fprog.slot(op.dests[0])}] = "
+                        f"{_literal(value)}"]
+        if code is Opcode.AND and any(value is not None
+                                      and 0 <= value <= INT_MAX
+                                      for value in values):
+            # masking with an in-range non-negative literal stays in range
+            dest = self.fprog.slot(op.dests[0])
+            return [f"r[{dest}] = {names['a']} & {names['b']}"]
+        expr = _WRAPPED_EXPR.get(code)
+        if expr is not None:
+            dest = self.fprog.slot(op.dests[0])
+            return [f"v = {expr.format(**names)}",
+                    f"r[{dest}] = v if v.__class__ is int and {_INT32} "
+                    "else _w(v)"]
+        expr = _PLAIN_EXPR.get(code)
+        if expr is not None:
+            dest = self.fprog.slot(op.dests[0])
+            return [f"r[{dest}] = {expr.format(**names)}"]
+        expr = _SATURATED_EXPR.get(code)
+        if expr is not None:
+            dest = self.fprog.slot(op.dests[0])
+            return [f"v = {expr.format(**names)}",
+                    f"r[{dest}] = -32768 if v < -32768 else "
+                    "32767 if v > 32767 else v"]
+        if code is Opcode.MOV:
+            dest = self.fprog.slot(op.dests[0])
+            return [f"v = {names['a']}",
+                    f"r[{dest}] = v if v.__class__ is int and {_INT32} "
+                    "else _mov(v)"]
+        if code in (Opcode.CMP, Opcode.FCMP):
+            dest = self.fprog.slot(op.dests[0])
+            test = _CMP_EXPR[op.attrs["cmp"]].format(**names)
+            return [f"r[{dest}] = 1 if {test} else 0"]
+        if code is Opcode.PRED_SET:
+            dest = self.fprog.slot(op.dests[0])
+            return [f"r[{dest}] = 1 if {names['a']} else 0"]
+
+        # control
+        if code is Opcode.JUMP:
+            return self._transfer(i, op)
+        if code in (Opcode.BR, Opcode.BR_WLOOP):
+            test = _CMP_EXPR[op.attrs["cmp"]].format(**names)
+            return [f"if {test}:"] + ["    " + line
+                                      for line in self._transfer(i, op)]
+        if code is Opcode.CLOOP_SET:
+            return [f"lc[{self._lc_id(op)}] = int({names['a']})"]
+        if code is Opcode.BR_CLOOP:
+            lc_id = self._lc_id(op)
+            return [f"c = lc.get({lc_id}, 0) - 1", f"lc[{lc_id}] = c",
+                    "if c > 0:"] + ["    " + line
+                                    for line in self._transfer(i, op)]
+        if code in (Opcode.REC_CLOOP, Opcode.REC_WLOOP, Opcode.EXEC_CLOOP,
+                    Opcode.EXEC_WLOOP):
+            # functionally they (re)load the loop counter (_lc_reload_step)
+            if not op.srcs or "lc" not in op.attrs:
+                return []
+            return [f"lc[{self._lc_id(op)}] = int({names['a']})"]
+        if code is Opcode.RET:
+            value = names["a"] if srcs else "None"
+            return [f"return {self.reps}, {i + 1}, ('ret', {value})"]
+
+        # memory: through Memory.read/write, so its counters stay exact
+        if code is Opcode.LD:
+            dest = self.fprog.slot(op.dests[0])
+            read = self._bind("_rd", self.memory.read)
+            return [f"r[{dest}] = {read}({self._addr(op, srcs)})"]
+        if code is Opcode.ST:
+            write = self._bind("_wr", self.memory.write)
+            store = self._bind("_st", self.st_value)
+            return [f"v = {srcs[2]}",
+                    f"{write}({self._addr(op, srcs)}, v if v.__class__ is "
+                    f"int and {_INT32} else {store}(v))"]
+
+        if code is Opcode.PRED_DEF:
+            return self._pred_def(op, names, values)
+        raise _NotEmitted  # calls and anything unknown
+
+    @staticmethod
+    def _addr(op, srcs: list[str]) -> str:
+        parts = [f"int({src})" if isinstance(operand, VReg) else src
+                 for operand, src in zip(op.srcs[:2], srcs)
+                 if src != "0"]  # ``int(x) + 0`` is ``int(x)``
+        return " + ".join(parts) or "0"
+
+    def _pred_def(self, op, names: dict[str, str],
+                  values: list[int | None]) -> list[str]:
+        """Table 2 folded per (guard, condition), as the thunk does."""
+        slot = self.fprog.slot
+        table = [
+            [f"r[{slot(dest)}] = {update}"
+             for dest, ptype in zip(op.dests, op.attrs["ptypes"])
+             if (update := pred_update(ptype, gc >> 1, gc & 1)) is not None]
+            or ["pass"]
+            for gc in range(4)
+        ]
+        test = _CMP_EXPR[op.attrs["cmp"]].format(**names)
+        const = (None if None in values
+                 else _CMP[op.attrs["cmp"]](*values))
+
+        def pick(on_true: list[str], on_false: list[str]) -> list[str]:
+            if const is not None:  # a literal condition picks at once
+                return on_true if const else on_false
+            return (["if c:"] + ["    " + line for line in on_true]
+                    + ["else:"] + ["    " + line for line in on_false])
+
+        lines = [f"c = {test}"] if const is None else []
+        if op.guard is None:
+            return lines + pick(table[3], table[2])
+        gslot = slot(op.guard)
+        return (lines + [f"if r[{gslot}]:"]
+                + ["    " + line for line in pick(table[3], table[2])]
+                + ["else:"]
+                + ["    " + line for line in pick(table[1], table[0])])
+
+
+#: single-result ops that are pure functions of their operands
+_FOLDABLE = (frozenset(_UNARY) | frozenset(_BINARY) | frozenset(_TERNARY)
+             | {Opcode.CMP, Opcode.FCMP, Opcode.PRED_SET})
+
+
+def _fold(op, values: list[int | None]) -> int | None:
+    """The integer an op over literal operands always computes, or
+    ``None`` (an operand is not literal, the result is not an integer,
+    or the op raises, which must then happen when it runs)."""
+    if None in values:
+        return None
+    code = op.opcode
+    if code is Opcode.PRED_SET:
+        return 1 if values[0] else 0
+    if code in (Opcode.CMP, Opcode.FCMP):
+        fn = _CMP[op.attrs["cmp"]]
+    else:
+        fn = _UNARY.get(code) or _BINARY.get(code) or _TERNARY[code]
+    try:
+        value = fn(*values)
+    except Exception:  # it must raise when the op runs
+        return None
+    return value if value.__class__ is int else None
+
+
+def _compile_block(cache: TraceCache, fprog: FunctionProgram,
+                   prog: BlockProgram):
+    return _BlockCodegen(cache, fprog, prog).build()
+
+
+# --------------------------------------------------------------------------
 # fast engines
 
 
@@ -1095,6 +1539,10 @@ class FastInterpreter(_FastCallMixin, Interpreter):
         args = list(args or [])
         try:
             value = self._call(func, args)
+        except BaseException:
+            if self.profile is not None:
+                self.profile.incomplete = True
+            raise
         finally:
             if self.profile is not None:
                 self.cache.finalize_profile(self.profile)
@@ -1117,25 +1565,45 @@ class FastInterpreter(_FastCallMixin, Interpreter):
             if recorder is not None:
                 iterating = recorder.looping is prog
                 calls = frame.calls
-            transfer = None
-            i = 0
-            if self.steps + prog.n > max_steps:
-                for step in prog.thunks:
-                    self.steps += 1
-                    if self.steps > max_steps:
-                        raise StepLimitExceeded(
-                            f"exceeded {max_steps} steps")
-                    i += 1
-                    transfer = step(frame)
-                    if transfer is not None:
-                        break
-            else:
-                for step in prog.thunks:
-                    i += 1
-                    transfer = step(frame)
-                    if transfer is not None:
-                        break
+            n = prog.n
+            run = prog.run
+            if run is None:
+                prog.heat -= 1
+                if not prog.heat:
+                    run = prog.run = _compile_block(self.cache, fprog, prog)
+            if run is not None and self.steps + n <= max_steps:
+                # a fused self-loop never starts a pass past the budget;
+                # the per-op tail below runs the pass that crosses it
+                reps, i, transfer = run(frame, (max_steps - self.steps) // n)
+                if reps:
+                    self.steps += reps * n
+                    if profiling:
+                        _fold_self_passes(prog, reps)
+                    if recorder is not None:
+                        recorder.record_repeat(fprog.name, prog, reps,
+                                               iterating)
+                        iterating = True
                 self.steps += i
+            else:
+                transfer = None
+                i = 0
+                if self.steps + n > max_steps:
+                    for step in prog.thunks:
+                        self.steps += 1
+                        if self.steps > max_steps:
+                            raise StepLimitExceeded(
+                                f"exceeded {max_steps} steps")
+                        i += 1
+                        transfer = step(frame)
+                        if transfer is not None:
+                            break
+                else:
+                    for step in prog.thunks:
+                        i += 1
+                        transfer = step(frame)
+                        if transfer is not None:
+                            break
+                    self.steps += i
             if profiling and i:
                 prog.prefix_counts[i - 1] += 1
             if recorder is not None:
@@ -1162,6 +1630,18 @@ class FastInterpreter(_FastCallMixin, Interpreter):
                 edges = prog.edge_counts
                 edges[label] = edges.get(label, 0) + 1
             prog = fprog.block_program(label)
+
+
+def _fold_self_passes(prog: BlockProgram, reps: int) -> None:
+    """Profile ``reps`` passes over ``prog`` that each ran every op and
+    jumped back to it from the last one, as ``reps`` passes would."""
+    last = prog.n - 1
+    prog.passes += reps
+    prog.prefix_counts[last] += reps
+    if prog.is_cond[last]:
+        prog.taken_counts[last] += reps
+    edges = prog.edge_counts
+    edges[prog.label] = edges.get(prog.label, 0) + reps
 
 
 class FastVLIWSimulator(_FastCallMixin, VLIWSimulator):

@@ -78,7 +78,12 @@ class Interpreter:
 
     def run(self, entry: str, args: list[int] | None = None) -> RunResult:
         func = self.module.function(entry)
-        value = self._call(func, list(args or []))
+        try:
+            value = self._call(func, list(args or []))
+        except BaseException:
+            if self.profile is not None:
+                self.profile.incomplete = True
+            raise
         return RunResult(value, self.steps, self.memory, self.loader, self.profile)
 
     # -- execution ---------------------------------------------------------------

@@ -112,19 +112,32 @@ class PassRecorder:
                iterating: bool, calls: int) -> None:
         """Note one finished pass over ``prog`` (of function ``fname``)."""
         taken = transfer is not None
-        key = (prog, attempted, taken, iterating, calls)
+        self._note(fname, (prog, attempted, taken, iterating, calls), 1)
+        self.looping = (prog if taken and transfer[0] == "jump"
+                        and transfer[1] == prog.label else None)
+
+    def record_repeat(self, fname: str, prog, count: int,
+                      iterating: bool) -> None:
+        """Note ``count`` finished passes over ``prog`` that each ran
+        every op, made no call and jumped back to ``prog`` from its last
+        op: the same trace as ``count`` :meth:`record` calls, the first
+        ``iterating`` as given and the rest iterating."""
+        self._note(fname, (prog, prog.n, True, iterating, 0), 1)
+        if count > 1:
+            self._note(fname, (prog, prog.n, True, True, 0), count - 1)
+        self.looping = prog
+
+    def _note(self, fname: str, key: tuple, count: int) -> None:
         kid = self.kind_ids.get(key)
         if kid is None:
             kid = self.kind_ids[key] = len(self.kind_ids)
-            self.names.setdefault(prog, fname)
+            self.names.setdefault(key[0], fname)
         if kid == self.last:
-            self.reps[-1] += 1
+            self.reps[-1] += count
         else:
             self.seq.append(kid)
-            self.reps.append(1)
+            self.reps.append(count)
             self.last = kid
-        self.looping = (prog if taken and transfer[0] == "jump"
-                        and transfer[1] == prog.label else None)
 
     def finish(self, entry: str, args, value, steps: int) -> PassTrace:
         block_ids: dict[object, int] = {}
