@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.pipeline import Compiled
+from repro.pipeline import Compiled, RunConfig
 from repro.runner import metrics as _metrics_mod
 from repro.runner.cache import ArtifactCache, default_cache
 from repro.runner.parallel import compile_base, expand_grid, run_cell, run_grid
@@ -40,11 +40,13 @@ FIG7_SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048)
 #: the headline configuration (Sections 1 and 7)
 HEADLINE_CAPACITY = 256
 
-#: process-wide runner state shared by every experiment module
+#: process-wide runner state shared by every experiment module; the memos
+#: key on the run settings too, so flipping ``REPRO_CHECKED`` mid-process
+#: never serves an unchecked result
 _CACHE: ArtifactCache | None = None
 _METRICS = _metrics_mod.MetricsRecorder()
-_BASE_MEMO: dict[tuple[str, str], Compiled] = {}
-_RUN_MEMO: dict[tuple[str, str, int | None], RunSummary] = {}
+_BASE_MEMO: dict[tuple[str, str, RunConfig], Compiled] = {}
+_RUN_MEMO: dict[tuple[str, str, int | None, RunConfig], RunSummary] = {}
 
 
 def experiment_args(description: str | None = None,
@@ -90,22 +92,26 @@ def reset(cache: ArtifactCache | None = None) -> None:
 def compiled_base(name: str, pipeline: str) -> Compiled:
     """Compile a benchmark once per pipeline, without buffer assignment
     (``with_buffer`` retargets it per capacity)."""
-    key = (name, pipeline)
+    settings = RunConfig.resolve()
+    key = (name, pipeline, settings)
     if key not in _BASE_MEMO:
-        _BASE_MEMO[key] = compile_base(name, pipeline, cache=_cache())
+        _BASE_MEMO[key] = compile_base(name, pipeline, _cache(),
+                                       settings.checked, settings.engine)
     return _BASE_MEMO[key]
 
 
 def run_at_capacity(name: str, pipeline: str,
                     capacity: int | None) -> RunSummary:
     """Compile (cached), retarget at ``capacity``, simulate, summarize."""
-    key = (name, pipeline, capacity)
+    settings = RunConfig.resolve()
+    key = (name, pipeline, capacity, settings)
     if key not in _RUN_MEMO:
         _RUN_MEMO[key] = run_cell(
             name, pipeline, capacity,
             cache=_cache(),
-            base=_BASE_MEMO.get((name, pipeline)),
+            base=_BASE_MEMO.get((name, pipeline, settings)),
             metrics=_METRICS,
+            checked=settings.checked, engine=settings.engine,
         )
     return _RUN_MEMO[key]
 
@@ -123,14 +129,18 @@ def prewarm(
     for free — from the pool when cold, from disk when warm.  Cells
     already memoized are skipped.
     """
+    settings = RunConfig.resolve()
     cells = [
         cell for cell in expand_grid(names, pipelines, capacities)
-        if (cell.name, cell.pipeline, cell.capacity) not in _RUN_MEMO
+        if (cell.name, cell.pipeline, cell.capacity, settings)
+        not in _RUN_MEMO
     ]
     if not cells:
         return []
     summaries = run_grid(cells, workers=workers, cache=_cache(),
-                         metrics=_METRICS)
+                         metrics=_METRICS, checked=settings.checked,
+                         engine=settings.engine)
     for cell, summary in zip(cells, summaries):
-        _RUN_MEMO[(cell.name, cell.pipeline, cell.capacity)] = summary
+        _RUN_MEMO[(cell.name, cell.pipeline, cell.capacity,
+                   settings)] = summary
     return summaries

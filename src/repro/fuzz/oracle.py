@@ -25,6 +25,7 @@ from repro.frontend import compile_source
 from repro.pipeline import (
     COMPILERS,
     CheckedModeError,
+    RunConfig,
     run_compiled,
     with_buffer,
 )
@@ -73,6 +74,10 @@ class Config:
         if self.retarget not in RETARGETS:
             raise ValueError(f"unknown retarget {self.retarget!r} "
                              f"(expected one of {RETARGETS})")
+
+    def run(self, max_steps: int) -> RunConfig:
+        """The run settings this config compiles and simulates under."""
+        return RunConfig.resolve(self.checked, self.engine, max_steps)
 
     @property
     def label(self) -> str:
@@ -238,27 +243,24 @@ def compiled_outcome(source: str, config: Config,
     reported as ``("trap", cls)`` so a program that traps identically in
     reference and compiled form is *not* a divergence.
     """
+    settings = config.run(max_steps)
     if config.service:
-        return _service_outcome(source, config, max_steps)
+        return _service_outcome(source, config, settings)
     try:
         module = compile_source(source)
     except Exception as exc:
         return ("frontend-error", f"{type(exc).__name__}: {exc}")
+    direct = config.retarget == "direct"
     try:
-        if config.retarget != "direct":
-            # compile a capacity-independent base, then retarget it the
-            # way the experiment harness does
-            compiled = COMPILERS[config.pipeline](
-                module, buffer_capacity=None,
-                max_steps=max_steps, checked=config.checked,
-                engine=config.engine)
+        compiled = COMPILERS[config.pipeline](
+            module, buffer_capacity=config.capacity if direct else None,
+            checked=settings.checked, engine=settings.engine,
+            max_steps=settings.max_steps)
+        if not direct:
+            # retarget the capacity-independent base the way the
+            # experiment harness does
             compiled = with_buffer(compiled, config.capacity,
-                                   checked=config.checked)
-        else:
-            compiled = COMPILERS[config.pipeline](
-                module, buffer_capacity=config.capacity,
-                max_steps=max_steps, checked=config.checked,
-                engine=config.engine)
+                                   checked=settings.checked)
     except CheckedModeError as exc:
         return ("checked-failure",
                 f"{exc.pass_name}: {exc.diagnostics[0].format()}"
@@ -272,8 +274,8 @@ def compiled_outcome(source: str, config: Config,
         if error is not None:
             return error
     try:
-        outcome = run_compiled(compiled, max_steps=max_steps,
-                               engine=config.engine)
+        outcome = run_compiled(compiled, max_steps=settings.max_steps,
+                               engine=settings.engine)
     except SimError as exc:
         return ("trap", type(exc).__name__)
     except CheckedModeError as exc:
@@ -299,7 +301,7 @@ def _service() -> "object":
 
 
 def _service_outcome(source: str, config: Config,
-                     max_steps: int) -> Outcome:
+                     settings: RunConfig) -> Outcome:
     """The compiled half of the differential, via the service."""
     from repro.serve.protocol import Request
 
@@ -311,8 +313,8 @@ def _service_outcome(source: str, config: Config,
         return ("frontend-error", f"{type(exc).__name__}: {exc}")
     response = _service().submit(Request(
         kind="run", source=source, pipeline=config.pipeline,
-        capacity=config.capacity, checked=config.checked,
-        engine=config.engine, max_steps=max_steps)).result()
+        capacity=config.capacity, checked=settings.checked,
+        engine=settings.engine, max_steps=settings.max_steps)).result()
     if response.status == "ok":
         return ("value", (response.payload or {}).get("value"))
     if response.status == "trap":

@@ -67,31 +67,39 @@ def _sim_config(mode: str, engine: str) -> dict:
     return dict(_grid_config(QUICK_SIM, mode), engine=engine, workers=1)
 
 
-def _sim_sample(mode: str, engine: str) -> Sample:
+def _cold_grid_sample(config: dict, bench: str, wall: bool,
+                      **settings) -> Sample:
+    """Run ``config``'s grid into an empty cache with the run ``settings``
+    ``run_grid`` takes; the value is the grid's wall seconds when
+    ``wall``, else its compute seconds."""
     from repro.runner.cache import ArtifactCache
     from repro.runner.metrics import MetricsRecorder
     from repro.runner.parallel import expand_grid, run_grid
 
-    config = _sim_config(mode, engine)
     cells = expand_grid(config["benchmarks"], PIPELINES,
                         config["capacities"])
-    with tempfile.TemporaryDirectory(prefix="repro-perf-sim-") as tmp:
+    with tempfile.TemporaryDirectory(prefix=f"repro-perf-{bench}-") as tmp:
         cache = ArtifactCache(Path(tmp) / "cache")
         metrics = MetricsRecorder()
         summaries = run_grid(cells, workers=1, cache=cache,
-                             metrics=metrics, engine=engine)
+                             metrics=metrics, **settings)
     if metrics.run_cache_hits:
-        raise BenchError("sim bench: cold run hit the cache")
+        raise BenchError(f"{bench} bench: cold run hit the cache")
     phases = {
         stage: sum(c.stages.get(stage, 0.0) for c in metrics.cells)
         for stage in ("compile", "retarget", "simulate")
     }
     return Sample(
-        value=sum(phases.values()),
+        value=metrics.wall_time_s if wall else sum(phases.values()),
         phases=phases,
         meta={"digest": _digest(summaries), "cells": len(cells)},
         check=summaries,
     )
+
+
+def _sim_sample(mode: str, engine: str) -> Sample:
+    return _cold_grid_sample(_sim_config(mode, engine), "sim", wall=False,
+                             engine=engine)
 
 
 # ---------------------------------------------------------------------------
@@ -104,30 +112,8 @@ def _obs_config(mode: str, tracing: str) -> dict:
 
 
 def _obs_sample(mode: str, trace: bool) -> Sample:
-    from repro.runner.cache import ArtifactCache
-    from repro.runner.metrics import MetricsRecorder
-    from repro.runner.parallel import expand_grid, run_grid
-
-    config = _obs_config(mode, "on" if trace else "off")
-    cells = expand_grid(config["benchmarks"], PIPELINES,
-                        config["capacities"])
-    with tempfile.TemporaryDirectory(prefix="repro-perf-obs-") as tmp:
-        cache = ArtifactCache(Path(tmp) / "cache")
-        metrics = MetricsRecorder()
-        summaries = run_grid(cells, workers=1, cache=cache,
-                             metrics=metrics, engine="fast", trace=trace)
-    if metrics.run_cache_hits:
-        raise BenchError("obs bench: cold run hit the cache")
-    phases = {
-        stage: sum(c.stages.get(stage, 0.0) for c in metrics.cells)
-        for stage in ("compile", "retarget", "simulate")
-    }
-    return Sample(
-        value=metrics.wall_time_s,
-        phases=phases,
-        meta={"digest": _digest(summaries), "cells": len(cells)},
-        check=summaries,
-    )
+    return _cold_grid_sample(_obs_config(mode, "on" if trace else "off"),
+                             "obs", wall=True, engine="fast", trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ from repro.sched.cache import (
 )
 from repro.sched.machine import DEFAULT_MACHINE, MachineDescription
 from repro.sched.modulo import ModuloSchedulingFailed, modulo_schedule
-from repro.sim.engine import engine_choice
+from repro.sim.engine import DEFAULT_ENGINE, engine_choice
 from repro.sim.interp import profile_module
 from repro.sim.power import FetchEnergy
 from repro.sim.vliw import simulate
@@ -169,16 +169,46 @@ ENV_CHECKED = "REPRO_CHECKED"
 _PER_PASS_SKIP = frozenset({"unreachable-block"})
 
 
-def checked_enabled(checked: bool | None = None) -> bool:
-    """Resolve the effective checked-mode setting.
-
-    An explicit ``checked`` argument wins; otherwise the ``REPRO_CHECKED``
-    environment variable enables it (any value outside
-    :data:`repro.FALSEY`).
+@dataclass(frozen=True)
+class RunConfig:
+    """How a compile or run executes: checked mode, simulator engine,
+    step budget (``None``: each layer's default) and whether the runner
+    records a trace.  Entry points :meth:`resolve` it once and pass it
+    down; ``RunConfig()`` is unchecked, fast, default budget, untraced.
     """
-    if checked is not None:
-        return checked
-    return not falsey(os.environ.get(ENV_CHECKED))
+
+    checked: bool = False
+    engine: str = DEFAULT_ENGINE
+    max_steps: int | None = None
+    trace: bool = False
+
+    @classmethod
+    def resolve(cls, checked: bool | None = None, engine: str | None = None,
+                max_steps: int | None = None,
+                trace: bool = False) -> "RunConfig":
+        """Arguments win over ``REPRO_CHECKED`` and ``REPRO_ENGINE``;
+        :class:`ValueError` on a bad engine, checked flag or budget."""
+        if checked is None:
+            checked = not falsey(os.environ.get(ENV_CHECKED))
+        elif type(checked) is not bool:
+            raise ValueError(f"checked must be a bool, got {checked!r}")
+        if max_steps is not None and (type(max_steps) is not int
+                                      or max_steps < 1):
+            raise ValueError(
+                f"max_steps must be a positive int, got {max_steps!r}")
+        return cls(checked, engine_choice(engine), max_steps, bool(trace))
+
+    def key_flags(self) -> dict:
+        """The cache-key fragment; ``trace`` only observes, so it is not
+        keyed."""
+        flags = {"checked": self.checked, "engine": self.engine}
+        if self.max_steps is not None:
+            flags["max_steps"] = self.max_steps
+        return flags
+
+    def budget(self) -> dict:
+        """``max_steps`` as a keyword, unless the default is meant."""
+        return {} if self.max_steps is None else {"max_steps": self.max_steps}
 
 
 class CheckedModeError(Exception):
@@ -303,10 +333,10 @@ class _PassChecker:
     """
 
     def __init__(self, module: Module, machine: MachineDescription,
-                 enabled: bool, tracer=None):
+                 settings: RunConfig, tracer=None):
         self.module = module
         self.machine = machine
-        self.enabled = enabled
+        self.enabled = settings.checked
         self.tracer = tracer if tracer is not None else get_tracer()
         self._ir_rules = _per_pass_rules()
 
@@ -331,18 +361,15 @@ class _PassChecker:
             self.check_ir(name, scope=scope)
         return result
 
-    def check_ir(self, name: str, scope: str | None = None) -> None:
-        if not self.enabled:
-            return
+    def _check_span(self, name: str, **attrs):
         tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span(f"check:{name}", category="check", scope=scope):
-                self._check_ir(name, scope)
-        else:
-            self._check_ir(name, scope)
+        return (tracer.span(f"check:{name}", category="check", **attrs)
+                if tracer.enabled else nullcontext())
 
-    def _check_ir(self, name: str, scope: str | None) -> None:
-        self._raise_errors(name, self._ir_diagnostics(scope))
+    def check_ir(self, name: str, scope: str | None = None) -> None:
+        if self.enabled:
+            with self._check_span(name, scope=scope):
+                self._raise_errors(name, self._ir_diagnostics(scope))
 
     def _ir_diagnostics(self, scope: str | None) -> list[Diagnostic]:
         """Verify the module and lint ``scope`` (every function when
@@ -406,14 +433,9 @@ class _PassChecker:
 
     def check_target(self, name: str, target: LintTarget,
                      phases: tuple[str, ...]) -> None:
-        if not self.enabled:
-            return
-        tracer = self.tracer
-        if tracer.enabled:
-            with tracer.span(f"check:{name}", category="check"):
+        if self.enabled:
+            with self._check_span(name):
                 self._raise_errors(name, run_rules(target, phases=phases))
-        else:
-            self._raise_errors(name, run_rules(target, phases=phases))
 
     def _raise_errors(self, name: str, diags: list[Diagnostic]) -> None:
         errors = errors_only(diags)
@@ -433,25 +455,23 @@ def _scalar_cleanup(module: Module, checker: _PassChecker) -> None:
 
 
 def _frontend_key(module: Module, entry: str, args: list[int],
-                  inline_budget: float, max_steps: int,
-                  machine: MachineDescription, checked: bool,
-                  engine: str) -> tuple:
+                  inline_budget: float, machine: MachineDescription,
+                  settings: RunConfig) -> tuple:
     """What a frontend run depends on: the input's content, the run's
     settings, the checks it ran when checked, and the pass functions
     themselves, so a patched or fault-injected pass never reuses what the
     stock passes produced."""
     checks = (_ir_check_context(machine, _per_pass_rules())
-              if checked else None)
+              if settings.checked else None)
     passes = (simplify_cfg, optimize_function, eliminate_dead_code,
               inline_module, profile_module, verify_module)
     return (_module_digest(module), entry, tuple(args), inline_budget,
-            max_steps, engine, checked, checks, passes)
+            settings, checks, passes)
 
 
 def _frontend(module: Module, entry: str, args: list[int],
-              inline_budget: float, max_steps: int,
-              machine: MachineDescription, checked: bool, engine: str,
-              tracer) -> tuple[Module, Profile]:
+              inline_budget: float, machine: MachineDescription,
+              settings: RunConfig, tracer) -> tuple[Module, Profile]:
     """The frontend both pipelines share: cleanup, profile, inline,
     cleanup, profile.
 
@@ -461,8 +481,8 @@ def _frontend(module: Module, entry: str, args: list[int],
     process is memoised; a run that raises stores nothing.  ``module``
     itself is never mutated.
     """
-    key = _frontend_key(module, entry, args, inline_budget, max_steps,
-                        machine, checked, engine)
+    key = _frontend_key(module, entry, args, inline_budget, machine,
+                        settings)
     with (tracer.span("frontend", category="pipeline") if tracer.enabled
           else nullcontext()) as span:
         stored = frontend_get(key)
@@ -470,20 +490,21 @@ def _frontend(module: Module, entry: str, args: list[int],
             span.annotate(memo="miss" if stored is None else "hit")
         if stored is None:
             work = copy.deepcopy(module)
-            checker = _PassChecker(work, machine, checked, tracer)
+            checker = _PassChecker(work, machine, settings, tracer)
             stored = (work, _common_frontend(work, entry, args, inline_budget,
-                                             max_steps, checker, engine))
+                                             checker, settings))
             frontend_put(key, stored)
     work, profile = stored
     return copy.deepcopy(work), profile
 
 
 def _common_frontend(module: Module, entry: str, args: list[int],
-                     inline_budget: float, max_steps: int,
-                     checker: _PassChecker, engine: str) -> Profile:
+                     inline_budget: float, checker: _PassChecker,
+                     settings: RunConfig) -> Profile:
     _scalar_cleanup(module, checker)
-    profile, _ = profile_module(module, entry, args, max_steps=max_steps,
-                                engine=engine)
+    profile, _ = profile_module(module, entry, args,
+                                max_steps=settings.max_steps,
+                                engine=settings.engine)
     before = _module_digest(module, uids=True)
     checker.run("inline_module", inline_module, module, profile,
                 expansion_limit=inline_budget)
@@ -492,7 +513,8 @@ def _common_frontend(module: Module, entry: str, args: list[int],
     if _module_digest(module, uids=True) != before:
         # inlining or cleanup changed the program: profile what it became
         profile, _ = profile_module(module, entry, args,
-                                    max_steps=max_steps, engine=engine)
+                                    max_steps=settings.max_steps,
+                                    engine=settings.engine)
     return profile
 
 
@@ -502,16 +524,16 @@ def _backend(
     args: list[int],
     machine: MachineDescription,
     buffer_capacity: int | None,
-    max_steps: int,
     stats: dict,
     checker: _PassChecker,
-    engine: str,
+    settings: RunConfig,
 ) -> Compiled:
     verify_module(module)
     # an unbuffered base is what every capacity overlay shares: its final
     # profiling run doubles as the pass trace they all replay
-    profile, run = profile_module(module, entry, args, max_steps=max_steps,
-                                  engine=engine,
+    profile, run = profile_module(module, entry, args,
+                                  max_steps=settings.max_steps,
+                                  engine=settings.engine,
                                   record=buffer_capacity is None)
     tracer = checker.tracer
 
@@ -592,23 +614,21 @@ def compile_traditional(
     profiles, hence identical compiled artifacts.
     """
     args = list(args or [])
-    engine = engine_choice(engine)
-    enabled = checked_enabled(checked)
+    settings = RunConfig.resolve(checked, engine, max_steps)
     tracer = tracer if tracer is not None else get_tracer()
     stats: dict[str, object] = {"pipeline": "traditional"}
-    if enabled:
+    if settings.checked:
         stats["checked"] = True
     with tracer.span("compile_traditional", category="pipeline",
                      entry=entry):
         module, _profile = _frontend(module, entry, args, inline_budget,
-                                     max_steps, machine, enabled, engine,
-                                     tracer)
-        checker = _PassChecker(module, machine, enabled, tracer)
+                                     machine, settings, tracer)
+        checker = _PassChecker(module, machine, settings, tracer)
         stats["cloops"] = checker.run("convert_counted_loops",
                                       convert_counted_loops_all, module)
         _scalar_cleanup(module, checker)
         return _backend(module, entry, args, machine, buffer_capacity,
-                        max_steps, stats, checker, engine)
+                        stats, checker, settings)
 
 
 def compile_aggressive(
@@ -630,22 +650,20 @@ def compile_aggressive(
 ) -> Compiled:
     """The paper's aggressive pipeline (hyperblock + loop transforms)."""
     args = list(args or [])
-    engine = engine_choice(engine)
-    enabled = checked_enabled(checked)
+    settings = RunConfig.resolve(checked, engine, max_steps)
     tracer = tracer if tracer is not None else get_tracer()
     stats: dict[str, object] = {"pipeline": "aggressive"}
-    if enabled:
+    if settings.checked:
         stats["checked"] = True
     with tracer.span("compile_aggressive", category="pipeline",
                      entry=entry):
         module, profile = _frontend(module, entry, args, inline_budget,
-                                    max_steps, machine, enabled, engine,
-                                    tracer)
-        checker = _PassChecker(module, machine, enabled, tracer)
+                                    machine, settings, tracer)
+        checker = _PassChecker(module, machine, settings, tracer)
         return _compile_aggressive_body(
             module, profile, entry, args, machine, buffer_capacity,
-            max_steps, hammocks, collapse, peel, promote, combine, stats,
-            checker, engine)
+            hammocks, collapse, peel, promote, combine, stats, checker,
+            settings)
 
 
 def _compile_aggressive_body(
@@ -655,7 +673,6 @@ def _compile_aggressive_body(
     args: list[int],
     machine: MachineDescription,
     buffer_capacity: int | None,
-    max_steps: int,
     hammocks: bool,
     collapse: bool,
     peel: bool,
@@ -663,7 +680,7 @@ def _compile_aggressive_body(
     combine: bool,
     stats: dict,
     checker: _PassChecker,
-    engine: str,
+    settings: RunConfig,
 ) -> Compiled:
     peel_stats, collapse_stats, form_stats = [], [], []
     for func in module.functions.values():
@@ -693,8 +710,9 @@ def _compile_aggressive_body(
                         form_hammock_hyperblocks, func, profile, scope=scope)
     verify_module(module)
 
-    profile, _ = profile_module(module, entry, args, max_steps=max_steps,
-                                engine=engine)
+    profile, _ = profile_module(module, entry, args,
+                                max_steps=settings.max_steps,
+                                engine=settings.engine)
     combine_stats = []
     promote_stats = []
     for func in module.functions.values():
@@ -727,7 +745,7 @@ def _compile_aggressive_body(
         checker.run("eliminate_dead_code", eliminate_dead_code, func,
                     scope=func.name)
     return _backend(module, entry, args, machine, buffer_capacity,
-                    max_steps, stats, checker, engine)
+                    stats, checker, settings)
 
 
 #: pipeline name -> its compiler; the runner, the service and the fuzz
@@ -784,7 +802,7 @@ def with_buffer(compiled: Compiled, capacity: int | None,
                           list(compiled.args), dict(compiled.stats),
                           buffer_capacity=capacity, overlay=overlay,
                           pass_trace=compiled.pass_trace)
-        if checked_enabled(checked):
+        if RunConfig.resolve(checked=checked).checked:
             errors = errors_only(lint_compiled(result))
             if errors:
                 raise CheckedModeError(
@@ -845,23 +863,23 @@ def run_compiled(
     """
     if buffer_capacity == "compiled":
         buffer_capacity = compiled.buffer_capacity
-    engine = engine_choice(engine)
+    settings = RunConfig.resolve(engine=engine, max_steps=max_steps)
     tracer = tracer if tracer is not None else get_tracer()
     sim_args = (compiled.module, compiled.schedules, compiled.modulo,
                 compiled.machine, buffer_capacity, compiled.entry,
                 compiled.args)
-    with tracer.span("simulate", category="sim",
-                     capacity=buffer_capacity, engine=engine) as span:
+    with tracer.span("simulate", category="sim", capacity=buffer_capacity,
+                     engine=settings.engine) as span:
         result, counters, buffer = simulate(
-            *sim_args, max_steps=max_steps, tracer=tracer, engine=engine,
-            trace=compiled.pass_trace)
+            *sim_args, max_steps=settings.max_steps, tracer=tracer,
+            engine=settings.engine, trace=compiled.pass_trace)
         if compiled.stats.get("checked") and compiled.pass_trace is not None:
             from repro.sim.replay import ReplayedRun
 
             if isinstance(result, ReplayedRun):
                 _check_replay(result, counters, buffer, simulate(
-                    *sim_args, max_steps=max_steps, tracer=tracer,
-                    engine=engine))
+                    *sim_args, max_steps=settings.max_steps, tracer=tracer,
+                    engine=settings.engine))
         span.annotate(
             cycles=counters.cycles,
             ops_issued=counters.ops_issued,

@@ -23,7 +23,6 @@ import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 from repro.bench import Benchmark, benchmark
@@ -31,14 +30,13 @@ from repro.obs import MetricsRegistry, Tracer, use as obs_use
 from repro.pipeline import (
     COMPILERS as _COMPILERS,
     Compiled,
-    checked_enabled,
+    RunConfig,
     run_compiled,
     with_buffer,
 )
 from repro.runner.cache import ArtifactCache, cache_key, default_cache
 from repro.runner.metrics import CellMetrics, MetricsRecorder
 from repro.runner.summary import RunSummary
-from repro.sim.engine import engine_choice
 
 ENV_WORKERS = "REPRO_WORKERS"
 
@@ -130,46 +128,35 @@ def _machine_fingerprint(machine) -> str:
             f"ob={machine.operation_bits}")
 
 
-def _base_flags(program: Benchmark | Source, checked: bool = False,
-                engine: str = "fast", max_steps: int | None = None) -> dict:
+def _base_flags(program: Benchmark | Source, settings: RunConfig) -> dict:
     from repro.sched.machine import DEFAULT_MACHINE
 
-    # ``checked`` is part of the key: a checked compile carries different
-    # stats (and may raise), so it must never be served from — or poison —
-    # the unchecked cache entry.  ``engine`` is part of the key too: the
-    # engines are verified equivalent, but a differential sweep (bench_sim,
-    # the fuzz oracle) must never have one engine's artifacts satisfy the
-    # other's cells.  A step budget decides where profiling and simulation
-    # trap, so a non-default one is keyed as well.
-    flags = {
+    # the run settings are part of the key: a checked compile carries
+    # different stats (and may raise), so it must never be served from —
+    # or poison — the unchecked entry; the engines are verified
+    # equivalent, but a differential sweep (bench_sim, the fuzz oracle)
+    # must never have one engine's artifacts satisfy the other's cells;
+    # and a step budget decides where profiling and simulation trap
+    return {
         "entry": program.entry,
         "args": list(program.args),
         "machine": _machine_fingerprint(DEFAULT_MACHINE),
         "buffer_capacity": None,
-        "checked": checked,
-        "engine": engine,
+        **settings.key_flags(),
     }
-    if max_steps is not None:
-        flags["max_steps"] = max_steps
-    return flags
 
 
-def base_key(program: Program, pipeline: str, checked: bool | None = None,
-             engine: str | None = None, max_steps: int | None = None) -> str:
+def base_key(program: Program, pipeline: str,
+             settings: RunConfig = RunConfig()) -> str:
     program = _program(program)
-    return cache_key(program.source, pipeline,
-                     _base_flags(program, checked_enabled(checked),
-                                 engine_choice(engine), max_steps))
+    return cache_key(program.source, pipeline, _base_flags(program, settings))
 
 
 def run_key(program: Program, pipeline: str, capacity: int | None,
-            checked: bool | None = None, engine: str | None = None,
-            max_steps: int | None = None) -> str:
+            settings: RunConfig = RunConfig()) -> str:
     program = _program(program)
-    flags = _base_flags(program, checked_enabled(checked),
-                        engine_choice(engine), max_steps)
-    flags["capacity"] = capacity
-    return cache_key(program.source, pipeline, flags)
+    return cache_key(program.source, pipeline,
+                     {**_base_flags(program, settings), "capacity": capacity})
 
 
 # --------------------------------------------------------------------------
@@ -182,54 +169,51 @@ def compile_base(name: str, pipeline: str,
                  engine: str | None = None) -> Compiled:
     """Compiled-but-unassigned base for a (benchmark, pipeline) group."""
     compiled, _seconds, _hit, _trace = _compile_base_timed(
-        name, pipeline, cache, checked_enabled(checked),
-        engine=engine_choice(engine))
+        name, pipeline, cache, RunConfig.resolve(checked, engine))
     return compiled
 
 
 def _compile_base_timed(
     program: Program, pipeline: str, cache: ArtifactCache | None,
-    checked: bool = False, trace: bool = False, engine: str = "fast",
-    max_steps: int | None = None,
+    settings: RunConfig = RunConfig(),
 ) -> tuple[Compiled, float, bool, dict | None]:
     """Returns ``(compiled, seconds, cache_hit, trace_payload)``.
 
-    With ``trace`` on, a cache hit replays the trace stored beside the
-    base artifact; a hit with no stored trace recompiles (deterministic,
-    so the base is unchanged) to record one.
+    With ``settings.trace`` on, a cache hit replays the trace stored
+    beside the base artifact; a hit with no stored trace recompiles
+    (deterministic, so the base is unchanged) to record one.
     """
     if pipeline not in _COMPILERS:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     program = _program(program)
-    key = base_key(program, pipeline, checked, engine, max_steps)
+    key = base_key(program, pipeline, settings)
     if cache is not None:
         cached = cache.load(key, "base")
         if cached is not None:
-            if not trace:
+            if not settings.trace:
                 return cached, 0.0, True, None
             payload = cache.load(key, "trace")
             if payload is not None:
                 return cached, 0.0, True, payload
-    budget = {} if max_steps is None else {"max_steps": max_steps}
-    tracer = Tracer() if trace else None
+    tracer = Tracer() if settings.trace else None
     t0 = time.perf_counter()
-    with obs_use(tracer) if trace else nullcontext():
+    with obs_use(tracer) if settings.trace else nullcontext():
         compiled = _COMPILERS[pipeline](
             program.build(), entry=program.entry, args=list(program.args),
-            buffer_capacity=None, checked=checked, engine=engine, **budget)
+            buffer_capacity=None, checked=settings.checked,
+            engine=settings.engine, **settings.budget())
     seconds = time.perf_counter() - t0
-    payload = tracer.to_payload() if trace else None
+    payload = tracer.to_payload() if settings.trace else None
     if cache is not None:
         cache.store(key, "base", compiled)
-        if trace:
+        if settings.trace:
             cache.store(key, "trace", payload)
     return compiled, seconds, False, payload
 
 
 def run_base(
     program: Program, pipeline: str, base: Compiled, capacity: int | None,
-    checked: bool = False, engine: str = "fast",
-    max_steps: int | None = None, stages: dict | None = None,
+    settings: RunConfig = RunConfig(), stages: dict | None = None,
 ) -> tuple[RunSummary, int]:
     """Retarget ``base`` at ``capacity``, simulate it and summarize the run.
 
@@ -240,11 +224,11 @@ def run_base(
     ``stages``, when given, receives the retarget and simulate seconds.
     """
     program = _program(program)
-    budget = {} if max_steps is None else {"max_steps": max_steps}
     t0 = time.perf_counter()
-    compiled = with_buffer(base, capacity, checked=checked)
+    compiled = with_buffer(base, capacity, checked=settings.checked)
     t1 = time.perf_counter()
-    outcome = run_compiled(compiled, engine=engine, **budget)
+    outcome = run_compiled(compiled, engine=settings.engine,
+                           **settings.budget())
     if stages is not None:
         stages["retarget"] = t1 - t0
         stages["simulate"] = time.perf_counter() - t1
@@ -275,26 +259,25 @@ def _execute_cell(
     cell: Cell,
     cache: ArtifactCache | None,
     base: Compiled | None = None,
-    checked: bool = False,
-    trace: bool = False,
-    engine: str = "fast",
+    settings: RunConfig = RunConfig(),
 ) -> tuple[RunSummary, CellMetrics, Compiled | None]:
     """Run one cell end to end; raises AssertionError on checksum mismatch.
 
     Returns the compiled base actually used (``None`` on a run-cache hit)
-    so callers sweeping several capacities can reuse it.  With ``trace``
-    on, the cell's trace payload rides on ``CellMetrics.trace``; a warm
-    cell replays the trace stored beside its run summary, and a warm cell
-    without one falls through to re-simulate (summaries are deterministic,
-    so the stored one stays valid).
+    so callers sweeping several capacities can reuse it.  With
+    ``settings.trace`` on, the cell's trace payload rides on
+    ``CellMetrics.trace``; a warm cell replays the trace stored beside
+    its run summary, and a warm cell without one falls through to
+    re-simulate (summaries are deterministic, so the stored one stays
+    valid).
     """
     cm = CellMetrics(cell.name, cell.pipeline, cell.capacity)
     program = benchmark(cell.name)
-    key = run_key(program, cell.pipeline, cell.capacity, checked, engine)
+    key = run_key(program, cell.pipeline, cell.capacity, settings)
     if cache is not None:
         cached = cache.load(key, "run")
         if isinstance(cached, RunSummary):
-            if not trace:
+            if not settings.trace:
                 cm.run_cache_hit = True
                 return cached, cm, None
             stored = cache.load(key, "trace")
@@ -307,25 +290,24 @@ def _execute_cell(
     compile_payload = None
     if base is None:
         base, seconds, hit, compile_payload = _compile_base_timed(
-            program, cell.pipeline, cache, checked, trace, engine)
+            program, cell.pipeline, cache, settings)
         cm.stages["compile"] = seconds
         cm.base_cache_hit = hit
     else:
         cm.base_cache_hit = True
 
-    tracer = Tracer() if trace else None
-    with obs_use(tracer) if trace else nullcontext():
+    tracer = Tracer() if settings.trace else None
+    with obs_use(tracer) if settings.trace else nullcontext():
         summary, _value = run_base(program, cell.pipeline, base,
-                                   cell.capacity, checked, engine,
-                                   stages=cm.stages)
-    if trace:
+                                   cell.capacity, settings, cm.stages)
+    if settings.trace:
         run_payload = tracer.to_payload()
         cm.trace = _cell_trace(cell, compile_payload, run_payload,
                                replayed=False)
         cm.obs = _fold_obs(compile_payload, run_payload)
     if cache is not None:
         cache.store(key, "run", summary)
-        if trace:
+        if settings.trace:
             cache.store(key, "trace", run_payload)
     return summary, cm, base
 
@@ -365,8 +347,8 @@ def run_cell(
 ) -> RunSummary:
     """The single-cell entry point the experiments facade builds on."""
     summary, cm, _ = _execute_cell(Cell(name, pipeline, capacity), cache, base,
-                                   checked_enabled(checked), trace,
-                                   engine_choice(engine))
+                                   RunConfig.resolve(checked, engine,
+                                                     trace=trace))
     if metrics is not None:
         metrics.add_cell(cm)
         if cache is not None:
@@ -380,8 +362,8 @@ def run_cell(
 
 
 def _worker_bases(name: str, pipelines: Sequence[str], cache_dir: str,
-                  cache_enabled: bool, checked: bool = False,
-                  trace: bool = False, engine: str = "fast") -> bytes:
+                  cache_enabled: bool,
+                  settings: RunConfig = RunConfig()) -> bytes:
     """Compile one benchmark's bases in order, in one worker, so the
     later pipelines reuse the first one's frontend from the worker's
     memo.  A compile failing with anything but a checksum mismatch is
@@ -390,8 +372,8 @@ def _worker_bases(name: str, pipelines: Sequence[str], cache_dir: str,
     bases = []
     for pipeline in pipelines:
         try:
-            bases.append(_compile_base_timed(name, pipeline, cache, checked,
-                                             trace, engine))
+            bases.append(_compile_base_timed(name, pipeline, cache,
+                                             settings))
         except AssertionError:
             raise
         except Exception:
@@ -400,11 +382,11 @@ def _worker_bases(name: str, pipelines: Sequence[str], cache_dir: str,
 
 
 def _worker_cell(cell: Cell, base_blob: bytes | None, cache_dir: str,
-                 cache_enabled: bool, checked: bool = False,
-                 trace: bool = False, engine: str = "fast") -> bytes:
+                 cache_enabled: bool,
+                 settings: RunConfig = RunConfig()) -> bytes:
     cache = ArtifactCache(cache_dir, enabled=cache_enabled)
     base = pickle.loads(base_blob) if base_blob is not None else None
-    summary, cm, _ = _execute_cell(cell, cache, base, checked, trace, engine)
+    summary, cm, _ = _execute_cell(cell, cache, base, settings)
     cm.worker = f"pid{os.getpid()}"
     return pickle.dumps((summary, cm, cache.stats))
 
@@ -449,16 +431,14 @@ def run_grid(
     workers = resolve_workers(workers)
     metrics.workers = max(1, workers)
     cells = list(cells)
-    checked = checked_enabled(checked)
-    engine = engine_choice(engine)
+    settings = RunConfig.resolve(checked, engine, trace=trace)
 
     try:
         if workers <= 1 or len(cells) <= 1:
-            results = _run_serial(cells, cache, metrics, checked=checked,
-                                  trace=trace, engine=engine)
+            results = _run_serial(cells, cache, metrics, settings=settings)
         else:
             results = _run_pool(cells, workers, timeout, cache, metrics,
-                                checked, trace, engine)
+                                settings)
     finally:
         metrics.finish()
         if cache is not None:
@@ -468,21 +448,19 @@ def run_grid(
 
 
 def _run_serial(cells: Sequence[Cell], cache: ArtifactCache | None,
-                metrics: MetricsRecorder,
-                _execute=None, checked: bool = False,
-                trace: bool = False,
-                engine: str = "fast") -> list[RunSummary]:
-    execute = _execute or partial(_execute_cell, trace=trace, engine=engine)
+                metrics: MetricsRecorder, _execute=None,
+                settings: RunConfig = RunConfig()) -> list[RunSummary]:
+    execute = _execute or _execute_cell
     bases: dict[tuple[str, str], Compiled] = {}
     results: list[RunSummary] = []
     for cell in cells:
         base = bases.get(cell.group)
         try:
-            summary, cm, used = execute(cell, cache, base, checked)
+            summary, cm, used = execute(cell, cache, base, settings)
         except AssertionError:
             raise
         except Exception:
-            summary, cm, used = execute(cell, cache, base, checked)  # retry
+            summary, cm, used = execute(cell, cache, base, settings)  # retry
             cm.attempts = 2
             cm.retries = 1
         metrics.add_cell(cm)
@@ -515,9 +493,7 @@ def _base_tasks(cells: Sequence[Cell],
 def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
               cache: ArtifactCache | None,
               metrics: MetricsRecorder,
-              checked: bool = False,
-              trace: bool = False,
-              engine: str = "fast") -> list[RunSummary]:
+              settings: RunConfig = RunConfig()) -> list[RunSummary]:
     cache_dir = str(cache.root) if cache is not None else ""
     cache_enabled = cache is not None and cache.enabled
     results: list[RunSummary | None] = [None] * len(cells)
@@ -538,7 +514,7 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
         base_futures = [
             (name, pipelines,
              pool.submit(_worker_bases, name, pipelines, cache_dir,
-                         cache_enabled, checked, trace, engine))
+                         cache_enabled, settings))
             for name, pipelines in tasks
         ]
         base_blobs: dict[tuple[str, str], bytes] = {}
@@ -556,7 +532,7 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
                 if base is None:
                     # retry in the parent what the worker did not return
                     base = _compile_base_timed(name, pipeline, cache,
-                                               checked, trace, engine)
+                                               settings)
                 compiled, _seconds, _hit, payload = base
                 base_blobs[(name, pipeline)] = pickle.dumps(compiled)
                 base_traces[(name, pipeline)] = payload
@@ -567,15 +543,14 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
         try:
             cell_futures = [
                 pool.submit(_worker_cell, cell, base_blobs[cell.group],
-                            cache_dir, cache_enabled, checked, trace, engine)
+                            cache_dir, cache_enabled, settings)
                 for cell in cells
             ]
         except BrokenExecutor:
             # the pool died between phases: finish serially
             for index, cell in enumerate(cells):
                 base = pickle.loads(base_blobs[cell.group])
-                summary, cm, _ = _execute_cell(cell, cache, base, checked,
-                                               trace, engine)
+                summary, cm, _ = _execute_cell(cell, cache, base, settings)
                 _attach_base_trace(cell, cm)
                 metrics.add_cell(cm)
                 results[index] = summary
@@ -591,8 +566,7 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
                 # transient (worker death, timeout, pickle hiccup):
                 # retry once in the parent, serially
                 base = pickle.loads(base_blobs[cell.group])
-                summary, cm, _ = _execute_cell(cell, cache, base, checked,
-                                               trace, engine)
+                summary, cm, _ = _execute_cell(cell, cache, base, settings)
                 cm.attempts = 2
                 cm.retries = 1
                 stats = None

@@ -41,26 +41,17 @@ class ServiceError(RuntimeError):
 class _ConvenienceMixin:
     """Shared request builders over a ``request(Request) -> Response``."""
 
-    def run(self, benchmark: str | None = None, *,
-            source: str | None = None, pipeline: str = "aggressive",
-            capacity: int | None = None, checked: bool = False,
-            engine: str | None = None,
-            max_steps: int | None = None,
-            deadline_s: float | None = None) -> Response:
-        return self.request(Request(
-            kind="run", benchmark=benchmark, source=source,
-            pipeline=pipeline, capacity=capacity, checked=checked,
-            engine=engine, max_steps=max_steps,
-            deadline_s=deadline_s))
+    def run(self, benchmark: str | None = None, **fields) -> Response:
+        """A ``run`` request; ``fields`` are its other :class:`Request`
+        fields (``source``, ``pipeline``, ``capacity``, the run settings,
+        ``deadline_s``)."""
+        return self.request(Request(kind="run", benchmark=benchmark,
+                                    **fields))
 
-    def compile(self, benchmark: str | None = None, *,
-                source: str | None = None, pipeline: str = "aggressive",
-                checked: bool = False, engine: str | None = None,
-                max_steps: int | None = None) -> Response:
-        return self.request(Request(
-            kind="compile", benchmark=benchmark, source=source,
-            pipeline=pipeline, checked=checked, engine=engine,
-            max_steps=max_steps))
+    def compile(self, benchmark: str | None = None, **fields) -> Response:
+        """A ``compile`` request, with fields as for :meth:`run`."""
+        return self.request(Request(kind="compile", benchmark=benchmark,
+                                    **fields))
 
     def ping(self) -> Response:
         return self.request(Request(kind="ping"))

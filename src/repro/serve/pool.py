@@ -79,6 +79,8 @@ class Computation:
     key: tuple
     group: tuple
     request: object
+    #: the request's resolved run settings (a ``RunConfig``)
+    settings: object = None
     future: Future = field(default_factory=Future)
     enqueued_at: float = field(default_factory=time.perf_counter)
     deadline_at: float | None = None

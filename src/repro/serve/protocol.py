@@ -37,6 +37,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+from repro.pipeline import RunConfig
 from repro.runner.summary import RunSummary, summary_from_dict, summary_to_dict  # noqa: F401
 
 #: bump on incompatible wire changes; both sides check it
@@ -75,7 +76,9 @@ class Request:
     #: caller-chosen correlation id, echoed verbatim on the response
     id: str | None = None
 
-    def validate(self) -> None:
+    def validate(self) -> RunConfig:
+        """Check the request and return its run settings, resolved
+        against the environment."""
         if self.kind not in REQUEST_KINDS:
             raise ProtocolError(f"unknown request kind {self.kind!r}")
         if self.kind in ("run", "compile"):
@@ -83,10 +86,11 @@ class Request:
                 raise ProtocolError(
                     f"{self.kind} request needs exactly one of "
                     "benchmark/source")
-        if self.max_steps is not None and (
-                type(self.max_steps) is not int or self.max_steps < 1):
-            raise ProtocolError(
-                f"max_steps must be a positive int, got {self.max_steps!r}")
+        try:
+            return RunConfig.resolve(self.checked, self.engine,
+                                     self.max_steps)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
 
     # -- routing/identity keys --------------------------------------------
 

@@ -42,12 +42,12 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.bench import benchmark
 from repro.obs import Counter, Histogram, MetricsRegistry, get_tracer
-from repro.pipeline import CheckedModeError
+from repro.pipeline import CheckedModeError, RunConfig
 from repro.runner.cache import DEFAULT_CACHE_DIR, ArtifactCache
 from repro.runner.parallel import (
     Source,
@@ -64,7 +64,6 @@ from repro.serve.pool import (
     WorkerPool,
 )
 from repro.serve.protocol import Request, Response
-from repro.sim.engine import engine_choice
 from repro.sim.interp import SimError
 
 
@@ -155,7 +154,7 @@ class Service:
         out: Future = Future()
         self.stats.requests += 1
         try:
-            request.validate()
+            settings = request.validate()
         except Exception as exc:
             self._finish(out, request, t0, Response(
                 status="error", error=f"bad request: {exc}"))
@@ -171,14 +170,17 @@ class Service:
             return out
 
         # 1. front-door cache probe: a warm request never queues
-        hit = self._probe(request)
+        hit = self._probe(request, settings)
         if hit is not None:
             hit.meta.update(temperature="warm", served="run-cache")
             self._finish(out, request, t0, hit)
             return out
 
-        # 2. coalesce with an identical in-flight computation
-        key = request.coalesce_key()
+        # 2. coalesce with an identical in-flight computation, keyed on
+        # the resolved settings: a default left unset equals one spelled out
+        resolved = replace(request, checked=settings.checked,
+                           engine=settings.engine)
+        key = resolved.coalesce_key()
         deadline = request.deadline_s
         if deadline is None:
             deadline = self.config.deadline_s
@@ -187,7 +189,8 @@ class Service:
             coalesced = comp is not None
             if comp is None:
                 comp = Computation(
-                    key=key, group=request.group, request=request,
+                    key=key, group=resolved.group, request=resolved,
+                    settings=settings,
                     deadline_at=(time.perf_counter() + deadline
                                  if deadline is not None else None))
                 # register before dispatch so a concurrent identical
@@ -254,7 +257,8 @@ class Service:
             return benchmark(request.benchmark)
         return Source(request.program_id, request.source or "")
 
-    def _run_key(self, request: Request, program=None) -> tuple[str, str]:
+    def _run_key(self, request: Request, settings: RunConfig,
+                 program=None) -> tuple[str, str]:
         """(key, kind) for a run result in the content-addressed cache.
 
         A benchmark's summary is stored exactly as the runner stores it
@@ -262,15 +266,15 @@ class Service:
         failure, with its value — as kind ``serve``.
         """
         key = run_key(program or self._program(request), request.pipeline,
-                      request.capacity, request.checked, request.engine,
-                      request.max_steps)
+                      request.capacity, settings)
         return key, "run" if request.benchmark is not None else "serve"
 
-    def _probe(self, request: Request) -> Response | None:
+    def _probe(self, request: Request,
+               settings: RunConfig) -> Response | None:
         if self.cache is None or request.kind != "run":
             return None
         program = self._program(request)
-        key, kind = self._run_key(request, program)
+        key, kind = self._run_key(request, settings, program)
         cached = self.cache.load(key, kind)
         if kind == "run" and isinstance(cached, RunSummary):
             # stored only after the checksum matched, so the value is
@@ -303,12 +307,12 @@ class Service:
                     live.append(comp)
             if not live:
                 return
-            group = live[0].group
+            head = live[0]
             with tracer.span("serve_batch", category="serve",
-                             worker=worker, group=repr(group),
+                             worker=worker, group=repr(head.group),
                              size=len(live)):
                 base, base_how, failure = self._base_for(
-                    worker, live[0].request)
+                    worker, head.request, head.settings)
                 for comp in live:
                     self.stats.computations += 1
                     if len(live) > 1:
@@ -319,13 +323,14 @@ class Service:
                         if comp.request.kind == "run":
                             # a trap during profiling is as deterministic
                             # as one at run time — cache the verdict
-                            self._store_verdict(*self._run_key(comp.request),
-                                                response)
+                            self._store_verdict(*self._run_key(
+                                comp.request, comp.settings), response)
                     elif comp.request.kind == "compile":
                         response = Response(status="ok", payload={
                             "warm": base_how != "compiled"})
                     else:
-                        response = self._run_one(comp.request, base)
+                        response = self._run_one(comp.request, base,
+                                                 comp.settings)
                     response.meta.update(
                         worker=worker, served="computed", base=base_how,
                         batched=len(live) > 1, batch_size=len(live))
@@ -343,7 +348,8 @@ class Service:
         if not comp.future.done():
             comp.future.set_result(response)
 
-    def _base_for(self, worker: int, request: Request):
+    def _base_for(self, worker: int, request: Request,
+                  settings: RunConfig):
         """``(base, how, failure)`` — the compiled base for a group.
 
         ``failure`` is ``(status, error)`` when compilation itself
@@ -359,8 +365,7 @@ class Service:
         try:
             base, _seconds, hit, _trace = _compile_base_timed(
                 self._program(request), request.pipeline, self.cache,
-                request.checked, engine=engine_choice(request.engine),
-                max_steps=request.max_steps)
+                settings)
         except Exception as exc:
             # profiling executes the program: a trap here mirrors one at
             # run time
@@ -374,15 +379,14 @@ class Service:
             memo.popitem(last=False)
         return base, "cache" if hit else "compiled", None
 
-    def _run_one(self, request: Request, base) -> Response:
+    def _run_one(self, request: Request, base,
+                 settings: RunConfig) -> Response:
         """Retarget + simulate one request against a shared base."""
         program = self._program(request)
-        key, kind = self._run_key(request, program)
+        key, kind = self._run_key(request, settings, program)
         try:
-            summary, value = run_base(
-                program, request.pipeline, base, request.capacity,
-                request.checked, engine_choice(request.engine),
-                request.max_steps)
+            summary, value = run_base(program, request.pipeline, base,
+                                      request.capacity, settings)
         except AssertionError as exc:
             return Response(status="error", error=f"checksum-mismatch: {exc}")
         except Exception as exc:

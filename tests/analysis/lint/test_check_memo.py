@@ -19,7 +19,7 @@ from repro.fuzz.gen import generate
 from repro.fuzz.oracle import check_program, default_configs
 from repro.ir import Function, Imm, IRBuilder, Module, ireg, preg
 from repro.ir.verify import VerificationError, verify_module
-from repro.pipeline import CheckedModeError, _PassChecker
+from repro.pipeline import CheckedModeError, RunConfig, _PassChecker
 from repro.sched.cache import CHECK_STATS, clear_caches
 from repro.sched.machine import DEFAULT_MACHINE
 
@@ -118,7 +118,7 @@ def test_memo_matches_reference_on_fuzz_corpus(differential):
 
 
 def _checker(module: Module) -> _PassChecker:
-    return _PassChecker(module, DEFAULT_MACHINE, enabled=True)
+    return _PassChecker(module, DEFAULT_MACHINE, RunConfig(checked=True))
 
 
 def _outcome(check):

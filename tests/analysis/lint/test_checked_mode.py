@@ -6,7 +6,7 @@ import repro.pipeline as pipeline_mod
 from repro.ir import Opcode, Operation, ireg
 from repro.pipeline import (
     CheckedModeError,
-    checked_enabled,
+    RunConfig,
     compile_aggressive,
     compile_traditional,
     with_buffer,
@@ -17,13 +17,14 @@ from tests.helpers import build_counting_loop, build_nested_loop
 
 def test_checked_enabled_resolution(monkeypatch):
     monkeypatch.delenv("REPRO_CHECKED", raising=False)
-    assert checked_enabled(None) is False
-    assert checked_enabled(True) is True
+    assert RunConfig.resolve(checked=None).checked is False
+    assert RunConfig.resolve(checked=True).checked is True
     monkeypatch.setenv("REPRO_CHECKED", "1")
-    assert checked_enabled(None) is True
-    assert checked_enabled(False) is False  # explicit argument wins
+    assert RunConfig.resolve(checked=None).checked is True
+    # explicit argument wins
+    assert RunConfig.resolve(checked=False).checked is False
     monkeypatch.setenv("REPRO_CHECKED", "0")
-    assert checked_enabled(None) is False
+    assert RunConfig.resolve(checked=None).checked is False
 
 
 def test_clean_compiles_pass_checked_mode():

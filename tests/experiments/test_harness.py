@@ -81,6 +81,29 @@ class TestRunnerFacade:
         assert b == a
         assert common.runner_metrics().run_cache_hits == 1
 
+    def test_memos_key_on_run_settings(self, monkeypatch):
+        from repro.pipeline import RunConfig
+        from repro.runner.parallel import base_key
+
+        monkeypatch.delenv("REPRO_CHECKED", raising=False)
+        plain = common.run_at_capacity("adpcm_enc", "traditional", 64)
+        monkeypatch.setenv("REPRO_CHECKED", "1")
+        checked = common.run_at_capacity("adpcm_enc", "traditional", 64)
+        # a checked compile ran instead of the unchecked memo answering
+        assert checked is not plain
+        assert checked == plain
+        stored = common._cache().load(
+            base_key("adpcm_enc", "traditional", RunConfig(checked=True)),
+            "base")
+        assert stored is not None and stored.stats["checked"] is True
+        assert common.compiled_base("adpcm_enc",
+                                    "traditional").stats["checked"] is True
+        monkeypatch.delenv("REPRO_CHECKED")
+        assert common.run_at_capacity("adpcm_enc", "traditional", 64) \
+            is plain
+        assert "checked" not in common.compiled_base(
+            "adpcm_enc", "traditional").stats
+
     def test_compiled_base_memoizes(self):
         base = common.compiled_base("adpcm_enc", "traditional")
         assert common.compiled_base("adpcm_enc", "traditional") is base

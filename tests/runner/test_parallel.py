@@ -13,6 +13,7 @@ import pytest
 
 import repro.runner.parallel as parallel
 
+from repro.pipeline import RunConfig
 from repro.runner.cache import ArtifactCache
 from repro.runner.metrics import MetricsRecorder
 from repro.runner.parallel import (
@@ -97,11 +98,12 @@ int main() {
         assert set(stages) == {"retarget", "simulate"}
 
     def test_step_budget_is_keyed(self):
-        keys = {run_key(self.SOURCE, "aggressive", 16, max_steps=steps)
+        keys = {run_key(self.SOURCE, "aggressive", 16,
+                        RunConfig(max_steps=steps))
                 for steps in (None, 1000, 2000)}
         assert len(keys) == 3
         assert base_key(self.SOURCE, "aggressive") != \
-            base_key(self.SOURCE, "aggressive", max_steps=1000)
+            base_key(self.SOURCE, "aggressive", RunConfig(max_steps=1000))
 
     def test_checksum_mismatch_raises(self, cache, monkeypatch):
         from dataclasses import replace

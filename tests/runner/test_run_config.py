@@ -1,0 +1,100 @@
+"""One ``RunConfig``: resolution from arguments and the environment, and
+the cache keys it feeds."""
+
+import pickle
+
+import pytest
+
+from repro.pipeline import RunConfig
+from repro.runner.parallel import base_key, run_key
+
+#: ``(RunConfig.resolve kwargs, base_key, run_key)`` of
+#: adpcm_dec/traditional at capacity 64, captured before the run settings
+#: became one value: matching them keeps existing on-disk caches warm and
+#: the runner and the service sharing entries
+PINNED = {
+    "default": (
+        {},
+        "3b5344325edcdfbcafc705e47faba8fa04fc9312d6f6cce5fe42a187bb1ffbc1",
+        "b1ac415f4b71de8260342440318e30d4eb93ecc55b805948d17771ceb06d3674"),
+    "checked": (
+        {"checked": True},
+        "9d76ed07a30823f0ed76d6a77b64403764252902e463c9282307ac9467b3aeab",
+        "1493b641a4a7f196145b39ee3395760117cda3174f504564e392707e775d2a08"),
+    "ref": (
+        {"engine": "ref"},
+        "bf6bc60f1d2f543df83c54ce86a5ec839eb7eb78b3863f72f3e9f184129860f4",
+        "c422d923dab21f240b0dce6c47dc5dfe5da0f77748ff18d170ef373b26969898"),
+    "max_steps": (
+        {"max_steps": 1000},
+        "92267a634c495118834062c663977de8051b262826902f835e7f9425177f4046",
+        "02aa8f83d70c3cfd0899121af61c4549f86cc31590a7fc335c8cb267dc51a7e1"),
+}
+
+
+@pytest.fixture(autouse=True)
+def _clean_env(monkeypatch):
+    monkeypatch.delenv("REPRO_CHECKED", raising=False)
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+
+
+class TestResolve:
+    def test_defaults(self):
+        assert RunConfig.resolve() == RunConfig() == RunConfig(
+            checked=False, engine="fast", max_steps=None, trace=False)
+
+    def test_environment_then_argument(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECKED", "1")
+        monkeypatch.setenv("REPRO_ENGINE", "ref")
+        assert RunConfig.resolve() == RunConfig(checked=True, engine="ref")
+        assert RunConfig.resolve(checked=False, engine="fast") == RunConfig()
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"engine": "bogus"}, "unknown engine"),
+        ({"checked": "yes"}, "checked"),
+        ({"checked": 1}, "checked"),
+        ({"max_steps": 0}, "max_steps"),
+        ({"max_steps": -5}, "max_steps"),
+        ({"max_steps": 1.5}, "max_steps"),
+        ({"max_steps": True}, "max_steps"),
+    ])
+    def test_rejects_bad_settings(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            RunConfig.resolve(**kwargs)
+
+    def test_frozen_hashable_picklable(self):
+        settings = RunConfig.resolve(checked=True, max_steps=7, trace=True)
+        assert pickle.loads(pickle.dumps(settings)) == settings
+        assert len({settings, RunConfig.resolve(checked=True, max_steps=7,
+                                                trace=True)}) == 1
+        with pytest.raises(AttributeError):
+            settings.checked = False
+
+    def test_key_flags(self):
+        assert RunConfig().key_flags() == {"checked": False,
+                                           "engine": "fast"}
+        assert RunConfig(max_steps=9, trace=True).key_flags() == {
+            "checked": False, "engine": "fast", "max_steps": 9}
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("label", sorted(PINNED))
+    def test_keys_match_pinned_digests(self, label):
+        kwargs, base, run = PINNED[label]
+        settings = RunConfig.resolve(**kwargs)
+        assert base_key("adpcm_dec", "traditional", settings) == base
+        assert run_key("adpcm_dec", "traditional", 64, settings) == run
+
+    def test_trace_is_never_keyed(self):
+        _kwargs, base, run = PINNED["default"]
+        traced = RunConfig.resolve(trace=True)
+        assert base_key("adpcm_dec", "traditional", traced) == base
+        assert run_key("adpcm_dec", "traditional", 64, traced) == run
+
+    def test_environment_engine_keys_like_the_argument(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "ref")
+        _kwargs, base, run = PINNED["ref"]
+        settings = RunConfig.resolve()
+        assert settings == RunConfig.resolve(engine="ref")
+        assert base_key("adpcm_dec", "traditional", settings) == base
+        assert run_key("adpcm_dec", "traditional", 64, settings) == run

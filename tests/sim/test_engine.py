@@ -237,15 +237,18 @@ class TestCorpusReproducers:
 
 class TestRunnerIntegration:
     def test_engine_is_part_of_cache_keys(self):
+        from repro.pipeline import RunConfig
         from repro.runner.parallel import base_key, run_key
 
         keys = {
-            base_key("adpcm_dec", "traditional", engine="ref"),
-            base_key("adpcm_dec", "traditional", engine="fast"),
-            base_key("adpcm_dec", "traditional", checked=True, engine="fast"),
-            run_key("adpcm_dec", "traditional", 64, engine="ref"),
-            run_key("adpcm_dec", "traditional", 64, engine="fast"),
-            run_key("adpcm_dec", "traditional", 128, engine="fast"),
+            base_key("adpcm_dec", "traditional", RunConfig(engine="ref")),
+            base_key("adpcm_dec", "traditional", RunConfig(engine="fast")),
+            base_key("adpcm_dec", "traditional",
+                     RunConfig(checked=True, engine="fast")),
+            run_key("adpcm_dec", "traditional", 64, RunConfig(engine="ref")),
+            run_key("adpcm_dec", "traditional", 64, RunConfig(engine="fast")),
+            run_key("adpcm_dec", "traditional", 128,
+                    RunConfig(engine="fast")),
         }
         assert len(keys) == 6
 
