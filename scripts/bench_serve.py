@@ -32,7 +32,8 @@ from repro.obs.perf.suite import run_suite_script  # noqa: E402
 
 DESCRIPTION = (
     "Service load benchmark: the serve grid driven at an in-process "
-    "Service (2 workers, fresh artifact cache, 8 concurrent clients).  "
+    "Service (one executor thread, fresh artifact cache, 8 concurrent "
+    "clients).  "
     "serve.cold/serve.warm are p50 service-side request seconds on the "
     "first vs. repeated pass; serve.speedup is their ratio (>= 10x), "
     "serve.hitrate the repeat-pass run-cache hit rate (>= 0.9) and "

@@ -287,7 +287,7 @@ def compiled_outcome(source: str, config: Config,
 
 #: lazily-created in-process service shared by every ``service=True``
 #: config in this process; no disk cache (check_many already caches
-#: whole reports), warmth comes from the workers' base memos
+#: whole reports), warmth comes from the service's base memo
 _SERVICE = None
 
 
@@ -296,7 +296,7 @@ def _service() -> "object":
     if _SERVICE is None:
         from repro.serve.service import Service, ServiceConfig
 
-        _SERVICE = Service(ServiceConfig(workers=2, cache_dir=None))
+        _SERVICE = Service(ServiceConfig(cache_dir=None))
     return _SERVICE
 
 

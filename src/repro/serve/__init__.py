@@ -11,9 +11,9 @@ warm each other; this package adds only what a long-lived service needs:
 
 - :mod:`repro.serve.protocol` — the request/response schema and its
   JSON-lines wire form (``compile``/``run``/``stats``/``ping``).
-- :mod:`repro.serve.pool` — warm worker pool with consistent-hash
-  key-affinity routing (``(benchmark, pipeline)`` → worker), bounded
-  per-worker queues and same-base request batching.
+- :mod:`repro.serve.pool` — the one executor thread: a bounded queue
+  (backpressure) drained in same-group batches that share one compiled
+  base.
 - :mod:`repro.serve.service` — the :class:`Service` itself: request
   coalescing (concurrent identical requests collapse into one
   computation), backpressure (``overloaded`` responses), per-request

@@ -6,7 +6,7 @@ nightly history all treat the service like any other protected fast
 path.  Four specs plus a ratio:
 
 * ``serve.cold`` — per-request p50 wall seconds for the serve grid
-  driven concurrently at a *fresh* service (empty cache, cold workers);
+  driven concurrently at a *fresh* service (empty cache, cold memo);
   p95/p99 ride along as phases.
 * ``serve.warm`` — the same workload repeated against the now-warm
   service: every request must come straight from the run cache.
@@ -64,6 +64,8 @@ def _serve_config(mode: str, temperature: str) -> dict:
         capacities = list(FULL_CAPACITIES)
     else:
         raise BenchError(f"unknown mode {mode!r} (quick|full)")
+    # hashed into the bench's config_hash: ``workers`` is kept as part
+    # of that history key so BENCH_serve.json's records keep matching
     return {"benchmarks": names, "pipelines": list(PIPELINES),
             "capacities": capacities, "temperature": temperature,
             "workers": SERVICE_WORKERS, "concurrency": CONCURRENCY}
@@ -114,8 +116,7 @@ def _latency_sample(responses: list, config: dict,
 def _fresh_service(tmp: str):
     from repro.serve.service import Service, ServiceConfig
 
-    return Service(ServiceConfig(workers=SERVICE_WORKERS,
-                                 cache_dir=tmp))
+    return Service(ServiceConfig(cache_dir=tmp))
 
 
 def _cold_sample(mode: str) -> Sample:
@@ -201,7 +202,7 @@ def ensure_registered() -> None:
         "serve.cold", _cold_sample,
         lambda mode: _serve_config(mode, "cold"),
         digest_group="serve",
-        help="service p50 request seconds, fresh cache and cold workers"))
+        help="service p50 request seconds, fresh cache and cold memo"))
     register(BenchSpec(
         "serve.warm", _warm_sample,
         lambda mode: _serve_config(mode, "warm"),

@@ -4,7 +4,7 @@ Examples::
 
     # serve on a unix socket with a 256 MiB cache bound
     python -m repro.serve serve --unix /tmp/repro.sock \
-        --workers 4 --max-cache-bytes 256m
+        --max-cache-bytes 256m
 
     # drive a mixed workload at it and assert it behaved (CI smoke)
     python -m repro.serve workload --unix /tmp/repro.sock \
@@ -20,7 +20,7 @@ import signal
 import sys
 
 from repro.runner.cli import _size
-from repro.serve.pool import DEFAULT_BATCH_LIMIT, DEFAULT_QUEUE_DEPTH
+from repro.serve.pool import DEFAULT_QUEUE_DEPTH
 from repro.serve.protocol import Request
 
 DEFAULT_BENCHMARKS = ("adpcm_enc", "adpcm_dec", "mpeg2_dec")
@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="run the JSON-lines service")
     _transport(serve)
-    serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--cache-dir", default=None,
                        help="artifact cache directory (default: the "
                             "runner's)")
@@ -56,10 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="LRU-bound the cache (suffixes k/m/g)")
     serve.add_argument("--queue-depth", type=int,
                        default=DEFAULT_QUEUE_DEPTH,
-                       help="per-worker queue bound before shedding")
-    serve.add_argument("--batch-limit", type=int,
-                       default=DEFAULT_BATCH_LIMIT,
-                       help="max computations taken per worker batch")
+                       help="queued computations before shedding "
+                            "with 'overloaded'")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="default per-request deadline")
@@ -103,8 +100,7 @@ def serve_main(args) -> int:
     from repro.serve.service import Service, ServiceConfig, serve_forever
 
     config = ServiceConfig(
-        workers=args.workers, queue_depth=args.queue_depth,
-        batch_limit=args.batch_limit, max_cache_bytes=args.max_cache_bytes,
+        queue_depth=args.queue_depth, max_cache_bytes=args.max_cache_bytes,
         deadline_s=args.deadline)
     if args.no_cache:
         config.cache_dir = None
@@ -113,9 +109,8 @@ def serve_main(args) -> int:
 
     service = Service(config)
     where = args.unix or f"{args.host}:{args.port}"
-    print(f"serving on {where} "
-          f"(workers={config.workers}, "
-          f"cache={config.cache_dir or 'off'})", file=sys.stderr)
+    print(f"serving on {where} (cache={config.cache_dir or 'off'})",
+          file=sys.stderr)
 
     async def main() -> None:
         loop = asyncio.get_running_loop()

@@ -23,12 +23,12 @@ Request kinds:
 
 Responses carry ``status``: ``ok``, ``trap`` (the program trapped — a
 *result*, not a failure), ``checked-failure`` (checked-mode sanitizer
-violation), ``overloaded`` (backpressure: the owning worker's queue was
+violation), ``overloaded`` (backpressure: the executor's queue was
 full), ``timeout`` (the request's deadline expired before execution) or
 ``error`` (anything else, with ``error`` naming it).  ``meta`` says how
-the request was served: which worker, whether it hit the run cache or
-the worker's warm base memo, whether it was coalesced into or batched
-with other in-flight requests, and the wall latency.
+the request was served: whether it hit the run cache or the warm base
+memo, whether it was coalesced into or batched with other in-flight
+requests, and the wall latency.
 """
 
 from __future__ import annotations
@@ -106,10 +106,9 @@ class Request:
 
     @property
     def group(self) -> tuple:
-        """The affinity key: everything that determines the compiled
-        base this request needs.  Consistent-hash routing sends one
-        group to one worker so its base memo and decode store stay
-        hot."""
+        """Everything that determines the compiled base this request
+        needs: the base memo's key, and the executor batches queued
+        requests of one group against one base."""
         return (self.program_id, self.pipeline, self.checked,
                 self.engine or "", self.max_steps)
 
@@ -136,8 +135,8 @@ class Response:
     id: str | None = None
     payload: dict | None = None
     error: str | None = None
-    #: how the request was served: worker, temperature, coalesced/batched
-    #: flags, wall latency seconds
+    #: how the request was served: temperature, coalesced/batched flags,
+    #: wall latency seconds
     meta: dict = field(default_factory=dict)
 
     @property

@@ -5,7 +5,7 @@ resolving to a :class:`~repro.serve.protocol.Response`):
 
 1. **Front-door cache probe.**  A ``run`` request whose summary is
    already in the content-addressed cache answers immediately — no
-   queue, no worker.  The cache is the runner's
+   queue, no computation.  The cache is the runner's
    :class:`~repro.runner.cache.ArtifactCache` and every key is the
    runner's own (:func:`repro.runner.parallel.run_key`), so a grid the
    batch runner executed yesterday serves warm today and vice versa.
@@ -13,14 +13,14 @@ resolving to a :class:`~repro.serve.protocol.Response`):
    (:meth:`Request.coalesce_key`) collapse into one
    :class:`~repro.serve.pool.Computation`; every waiter gets its own
    response (with ``meta.coalesced`` set) off the shared result.
-3. **Affinity dispatch.**  The computation routes to the worker that
-   owns its ``(benchmark, pipeline)`` group on the consistent-hash
-   ring.  A full worker queue sheds the request with an ``overloaded``
-   response instead of queueing unboundedly; an expired deadline
-   answers ``timeout`` without computing.
-4. **Batched execution.**  The worker takes every queued computation of
-   the group in one batch, obtains the compiled base once (its warm
-   memo → the runner's cache-or-compile path) and runs each capacity
+3. **Dispatch.**  The computation joins the one executor thread's
+   bounded queue (:class:`~repro.serve.pool.Executor`).  A full queue
+   sheds the request with an ``overloaded`` response instead of
+   queueing unboundedly; an expired deadline answers ``timeout``
+   without computing.
+4. **Batched execution.**  The executor takes every queued computation
+   of the group in one batch, obtains the compiled base once (the warm
+   base memo → the runner's cache-or-compile path) and runs each capacity
    against that single base through the runner's cell executor
    (:func:`repro.runner.parallel.run_base`), mapping its exceptions to
    response statuses — one overlay sweep for the lot.
@@ -57,35 +57,49 @@ from repro.runner.parallel import (
 )
 from repro.runner.summary import RunSummary, summary_to_dict
 from repro.serve.pool import (
-    DEFAULT_BATCH_LIMIT,
     DEFAULT_QUEUE_DEPTH,
     Computation,
+    Executor,
     QueueFull,
-    WorkerPool,
 )
 from repro.serve.protocol import Request, Response
 from repro.sim.interp import SimError
+
+
+#: compiled bases kept warm (LRU beyond that)
+BASE_MEMO_SIZE = 32
 
 
 @dataclass
 class ServiceConfig:
     """Knobs for one service instance."""
 
-    workers: int = 2
+    #: queued computations before ``submit`` sheds with ``overloaded``
     queue_depth: int = DEFAULT_QUEUE_DEPTH
-    batch_limit: int = DEFAULT_BATCH_LIMIT
     cache_dir: str | None = DEFAULT_CACHE_DIR
     #: total cache size bound (bytes) enforced by the cache's LRU gc
     max_cache_bytes: int | None = None
     #: default per-request deadline when the request doesn't carry one
     deadline_s: float | None = None
-    #: compiled bases kept warm per worker (LRU beyond that)
-    base_memo_size: int = 32
+    #: inert: the service runs one executor thread whatever this says
+    #: (DESIGN.md §5h).  Still accepted, and must be >= 1, only because
+    #: the perf harness's serve-mixed workload passes ``workers=2``; it
+    #: goes when that workload stops passing it.
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("need at least one worker")
 
 
 @dataclass
 class ServiceStats:
-    """Service-level counters (cache traffic lives on the cache)."""
+    """Service-level counters (cache traffic lives on the cache).
+
+    Every bump happens under the service's lock.  ``requests`` counts
+    answered requests, each in exactly one status bucket, so ``requests
+    == ok + traps + errors + overloaded + timeouts`` in every snapshot.
+    """
 
     requests: int = 0
     ok: int = 0
@@ -126,20 +140,15 @@ class Service:
             "serve_requests_total", "requests by kind and status")
         self._lock = threading.Lock()
         self._pending: dict[tuple, Computation] = {}
-        self._memos: list[OrderedDict] = [
-            OrderedDict() for _ in range(self.config.workers)]
-        self.pool = WorkerPool(
-            self.config.workers, self._execute_batch,
-            queue_depth=self.config.queue_depth,
-            batch_limit=self.config.batch_limit)
-        self._closed = False
+        #: group -> compiled base; only the executor thread touches it
+        self._memo: OrderedDict = OrderedDict()
+        self.executor = Executor(self._execute_batch,
+                                 queue_depth=self.config.queue_depth)
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self.pool.close()
+        self.executor.close()
 
     def __enter__(self) -> "Service":
         return self
@@ -152,7 +161,6 @@ class Service:
     def submit(self, request: Request) -> "Future[Response]":
         t0 = time.perf_counter()
         out: Future = Future()
-        self.stats.requests += 1
         try:
             settings = request.validate()
         except Exception as exc:
@@ -197,12 +205,11 @@ class Service:
                 # request can never miss the pending entry
                 self._pending[key] = comp
             else:
-                comp.waiters += 1
                 self.stats.coalesced += 1
         if not coalesced:
-            # 3. affinity dispatch with backpressure
+            # 3. dispatch with backpressure
             try:
-                self.pool.submit(comp)
+                self.executor.submit(comp)
             except QueueFull as exc:
                 with self._lock:
                     self._pending.pop(key, None)
@@ -211,7 +218,7 @@ class Service:
                 if not comp.future.done():
                     comp.future.set_result(Response(
                         status="overloaded", error=str(exc),
-                        meta={"queue_depths": self.pool.queue_depths()}))
+                        meta={"queue_depth": self.executor.depth}))
 
         def _deliver(fut) -> None:
             exc = fut.exception()
@@ -235,16 +242,19 @@ class Service:
         response.id = request.id
         response.meta.setdefault("temperature", "cold")
         response.meta["latency_s"] = round(latency, 6)
-        temperature = response.meta["temperature"]
-        self.latency.observe(latency, kind=request.kind,
-                             temperature=temperature)
-        self.requests_total.inc(kind=request.kind, status=response.status)
         bucket = {"ok": "ok", "trap": "traps", "checked-failure": "errors",
                   "overloaded": "overloaded", "timeout": "timeouts",
                   "error": "errors"}[response.status]
-        setattr(self.stats, bucket, getattr(self.stats, bucket) + 1)
-        if response.meta.get("served") == "run-cache":
-            self.stats.run_cache_hits += 1
+        # client threads and the executor thread both answer requests
+        with self._lock:
+            self.latency.observe(latency, kind=request.kind,
+                                 temperature=response.meta["temperature"])
+            self.requests_total.inc(kind=request.kind,
+                                    status=response.status)
+            self.stats.requests += 1
+            setattr(self.stats, bucket, getattr(self.stats, bucket) + 1)
+            if response.meta.get("served") == "run-cache":
+                self.stats.run_cache_hits += 1
         if not out.done():
             out.set_result(response)
 
@@ -290,33 +300,34 @@ class Service:
                             error=cached.get("error"))
         return None
 
-    # -- execution (worker threads) ----------------------------------------
+    def _count(self, **deltas: int) -> None:
+        with self._lock:
+            for name, delta in deltas.items():
+                setattr(self.stats, name, getattr(self.stats, name) + delta)
 
-    def _execute_batch(self, worker: int, batch: list[Computation]) -> None:
+    # -- execution (the executor thread) -----------------------------------
+
+    def _execute_batch(self, batch: list[Computation]) -> None:
         tracer = get_tracer()
         live: list[Computation] = []
         try:
             for comp in batch:
                 if comp.expired:
-                    self.stats.computations += 1
+                    self._count(computations=1)
                     self._resolve(comp, Response(
                         status="timeout",
-                        error="deadline expired before execution",
-                        meta={"worker": worker}))
+                        error="deadline expired before execution"))
                 else:
                     live.append(comp)
             if not live:
                 return
             head = live[0]
             with tracer.span("serve_batch", category="serve",
-                             worker=worker, group=repr(head.group),
-                             size=len(live)):
-                base, base_how, failure = self._base_for(
-                    worker, head.request, head.settings)
+                             group=repr(head.group), size=len(live)):
+                base, base_how, failure = self._base_for(head.request,
+                                                         head.settings)
                 for comp in live:
-                    self.stats.computations += 1
-                    if len(live) > 1:
-                        self.stats.batched += 1
+                    self._count(computations=1, batched=int(len(live) > 1))
                     if failure is not None:
                         response = Response(status=failure[0],
                                             error=failure[1])
@@ -332,7 +343,7 @@ class Service:
                         response = self._run_one(comp.request, base,
                                                  comp.settings)
                     response.meta.update(
-                        worker=worker, served="computed", base=base_how,
+                        served="computed", base=base_how,
                         batched=len(live) > 1, batch_size=len(live))
                     self._resolve(comp, response)
         except BaseException as exc:
@@ -348,19 +359,18 @@ class Service:
         if not comp.future.done():
             comp.future.set_result(response)
 
-    def _base_for(self, worker: int, request: Request,
-                  settings: RunConfig):
+    def _base_for(self, request: Request, settings: RunConfig):
         """``(base, how, failure)`` — the compiled base for a group.
 
         ``failure`` is ``(status, error)`` when compilation itself
         trapped/crashed (inline sources can do that); the batch then
         answers every member with it.
         """
-        memo = self._memos[worker]
+        memo = self._memo
         group = request.group
         if group in memo:
             memo.move_to_end(group)
-            self.stats.base_memo_hits += 1
+            self._count(base_memo_hits=1)
             return memo[group], "memo", None
         try:
             base, _seconds, hit, _trace = _compile_base_timed(
@@ -370,12 +380,9 @@ class Service:
             # profiling executes the program: a trap here mirrors one at
             # run time
             return None, "compiled", _failure(exc, "compile")
-        if hit:
-            self.stats.base_cache_hits += 1
-        else:
-            self.stats.base_compiles += 1
+        self._count(**{"base_cache_hits" if hit else "base_compiles": 1})
         memo[group] = base
-        while len(memo) > self.config.base_memo_size:
+        while len(memo) > BASE_MEMO_SIZE:
             memo.popitem(last=False)
         return base, "cache" if hit else "compiled", None
 
@@ -419,22 +426,21 @@ class Service:
 
     def snapshot(self) -> dict:
         """The ``stats`` response payload."""
+        with self._lock:
+            stats = self.stats.as_dict()
+            pending = len(self._pending)
         data = {
-            "stats": self.stats.as_dict(),
-            "workers": [s.as_dict() for s in self.pool.stats],
-            "queue_depths": self.pool.queue_depths(),
-            "pending": len(self._pending),
-            "hit_rate": self.hit_rate(),
+            "stats": stats,
+            "queue_depth": self.executor.depth,
+            "executor": self.executor.stats(),
+            "pending": pending,
+            # fraction of requests served straight from the run cache
+            "hit_rate": (stats["run_cache_hits"] / stats["requests"]
+                         if stats["requests"] else 0.0),
         }
         if self.cache is not None:
             data["cache"] = self.cache.stats.as_dict()
         return data
-
-    def hit_rate(self) -> float:
-        """Fraction of requests served straight from the run cache."""
-        if not self.stats.requests:
-            return 0.0
-        return self.stats.run_cache_hits / self.stats.requests
 
 
 def _failure(exc: Exception, stage: str) -> tuple[str, str]:

@@ -1,7 +1,9 @@
 """Service behaviour: identity with the runner, coalescing, batching,
-backpressure, deadlines, affinity and the socket front end."""
+backpressure, deadlines, the one executor thread, lossless counters and
+the socket front end."""
 
 import asyncio
+import sys
 import threading
 import time
 
@@ -11,7 +13,7 @@ from repro.runner.cache import ArtifactCache
 from repro.runner.parallel import Cell, run_grid
 from repro.serve import Client, Request, Service, ServiceConfig
 from repro.serve.client import ServiceError, SocketClient, drive
-from repro.serve.pool import Computation, HashRing, QueueFull, WorkerPool
+from repro.serve.pool import Computation, Executor, QueueFull
 from repro.serve.service import serve_forever
 
 #: the quick Figure 7 grid (matches the perf harness's QUICK_SIM)
@@ -145,24 +147,23 @@ class TestCoalescingAndBatching:
 
 
 class _BlockedService:
-    """A service whose single worker is parked until ``release()``."""
+    """A service whose executor thread is parked until ``release()``."""
 
     def __init__(self, **config):
-        self.service = Service(ServiceConfig(workers=1, cache_dir=None,
-                                             **config))
+        self.service = Service(ServiceConfig(cache_dir=None, **config))
         self.gate = threading.Event()
         self.entered = threading.Event()
-        inner = self.service.pool._execute_batch
+        inner = self.service.executor._execute_batch
 
-        def blocked(worker, batch):
+        def blocked(batch):
             self.entered.set()
             self.gate.wait(30)
-            inner(worker, batch)
+            inner(batch)
 
-        self.service.pool._execute_batch = blocked
+        self.service.executor._execute_batch = blocked
 
     def park(self, client):
-        """Occupy the worker with one request; returns its future."""
+        """Occupy the executor with one request; returns its future."""
         future = client.submit(Request(kind="run", benchmark="adpcm_enc",
                                        capacity=1))
         assert self.entered.wait(30)
@@ -182,7 +183,7 @@ class TestBackpressure:
         try:
             client = Client(blocked.service)
             parked = blocked.park(client)
-            # distinct capacities: same group (same worker), no coalesce
+            # distinct capacities: same group, no coalesce
             queued = [client.submit(Request(kind="run",
                                             benchmark="adpcm_enc",
                                             capacity=2 + i))
@@ -191,7 +192,7 @@ class TestBackpressure:
                                           benchmark="adpcm_enc",
                                           capacity=99))
             assert shed.status == "overloaded"
-            assert "queue_depths" in shed.meta
+            assert shed.meta["queue_depth"] == 2
             blocked.release()
             assert parked.result(timeout=120).ok
             assert all(f.result(timeout=120).ok for f in queued)
@@ -200,8 +201,8 @@ class TestBackpressure:
         assert blocked.service.stats.overloaded == 1
 
     def test_coalesced_waiters_hear_overloaded_too(self):
-        """A request that coalesces onto a computation the pool then
-        sheds must hear ``overloaded`` rather than hang."""
+        """A request that coalesces onto a computation the executor
+        then sheds must hear ``overloaded`` rather than hang."""
         with Service(ServiceConfig(workers=1, cache_dir=None)) as service:
             request = Request(kind="run", benchmark="adpcm_enc",
                               capacity=5)
@@ -209,18 +210,18 @@ class TestBackpressure:
                                 capacity=5)
             captured = {}
 
-            def full_pool_submit(comp):
+            def full_queue_submit(comp):
                 # a duplicate arrives while this computation is being
                 # dispatched: it coalesces onto the pending entry
                 captured["dup"] = service.submit(duplicate)
-                raise QueueFull("worker 0 queue at depth 0")
+                raise QueueFull("queue at depth 0")
 
-            original = service.pool.submit
-            service.pool.submit = full_pool_submit
+            original = service.executor.submit
+            service.executor.submit = full_queue_submit
             try:
                 first = service.submit(request).result(timeout=30)
             finally:
-                service.pool.submit = original
+                service.executor.submit = original
             dup = captured["dup"].result(timeout=30)
         assert first.status == "overloaded"
         assert dup.status == "overloaded"
@@ -246,42 +247,13 @@ class TestBackpressure:
         assert blocked.service.stats.timeouts == 1
 
 
-class TestAffinity:
-    def test_ring_is_deterministic_and_spread(self):
-        ring = HashRing(4)
-        groups = [("bench%d" % i, "aggressive", False, "", 0)
-                  for i in range(64)]
-        owners = [ring.worker_for(g) for g in groups]
-        assert owners == [HashRing(4).worker_for(g) for g in groups]
-        assert len(set(owners)) == 4  # no worker starves at this scale
-
-    def test_resize_moves_few_groups(self):
-        groups = [("bench%d" % i, "p", False, "", 0) for i in range(256)]
-        before = [HashRing(4).worker_for(g) for g in groups]
-        after = [HashRing(5).worker_for(g) for g in groups]
-        moved = sum(1 for a, b in zip(before, after) if a != b)
-        # consistent hashing: ~1/5 of groups move, not ~4/5
-        assert moved < len(groups) // 2
-
-    def test_same_group_always_lands_one_worker(self):
-        with Service(ServiceConfig(workers=4, cache_dir=None)) as service:
-            client = Client(service)
-            responses = [client.request(Request(kind="run",
-                                                benchmark="adpcm_enc",
-                                                capacity=capacity))
-                         for capacity in (4, 8, 16, 32)]
-        assert all(r.ok for r in responses)
-        workers = {r.meta["worker"] for r in responses}
-        assert len(workers) == 1
-
-
-class TestWorkerPool:
+class TestExecutor:
     def test_take_batch_groups_and_preserves_order(self):
         taken = []
         done = threading.Event()
         gate = threading.Event()
 
-        def execute(worker, batch):
+        def execute(batch):
             if batch[0].request == "stall":
                 gate.wait(10)
                 for comp in batch:
@@ -293,19 +265,19 @@ class TestWorkerPool:
             if sum(len(b) for b in taken) >= 4:
                 done.set()
 
-        pool = WorkerPool(1, execute, queue_depth=8)
-        # stall the worker so the queue builds up a mixed sequence
-        pool.submit(Computation(key=("s",), group=("stall",),
+        executor = Executor(execute, queue_depth=8)
+        # stall the executor so the queue builds up a mixed sequence
+        executor.submit(Computation(key=("s",), group=("stall",),
                                 request="stall"))
-        while pool.queue_depths()[0]:  # until the worker picks it up
+        while executor.depth:  # until the executor picks it up
             time.sleep(0.005)
         for name, group in (("a1", "A"), ("b1", "B"), ("a2", "A"),
                             ("b2", "B")):
-            pool.submit(Computation(key=(name,), group=(group,),
+            executor.submit(Computation(key=(name,), group=(group,),
                                     request=name))
         gate.set()
         assert done.wait(10)
-        pool.close()
+        executor.close()
         # first batch after the stall: both A's together, order kept
         assert taken[0] == ["a1", "a2"]
         assert taken[1] == ["b1", "b2"]
@@ -314,27 +286,77 @@ class TestWorkerPool:
         started = threading.Event()
         gate = threading.Event()
 
-        def execute(worker, batch):
+        def execute(batch):
             started.set()
             gate.wait(10)
             for comp in batch:
                 comp.future.set_result("ran")
 
-        pool = WorkerPool(1, execute, queue_depth=8)
+        executor = Executor(execute, queue_depth=8)
         running = Computation(key=("r",), group=("r",), request=None)
-        pool.submit(running)
+        executor.submit(running)
         assert started.wait(10)
         pending = Computation(key=("p",), group=("p",), request=None)
-        pool.submit(pending)
-        # close while the worker is still busy: the queued computation
+        executor.submit(pending)
+        # close while the executor is still busy: the queued computation
         # must fail fast, not hang
-        pool.close(timeout=0.1)
+        executor.close(timeout=0.1)
         assert isinstance(pending.future.exception(timeout=10), QueueFull)
         with pytest.raises(QueueFull):
-            pool.submit(Computation(key=("x",), group=("x",),
+            executor.submit(Computation(key=("x",), group=("x",),
                                     request=None))
         gate.set()
         assert running.future.result(timeout=10) == "ran"
+
+    def test_service_runs_one_executor_thread(self):
+        """``workers`` is inert: any value >= 1 still builds a service
+        with exactly one executor thread, and that service serves."""
+        before = set(threading.enumerate())
+        with Service(ServiceConfig(workers=2, cache_dir=None)) as service:
+            started = set(threading.enumerate()) - before
+            assert [t.name for t in started] == ["serve-executor"]
+            response = Client(service).run("adpcm_enc", capacity=16)
+        assert response.ok
+        with pytest.raises(ValueError, match="at least one worker"):
+            ServiceConfig(workers=0)
+
+
+class TestStats:
+    @staticmethod
+    def _ping_storm():
+        """8 client threads x 400 pings, started together; the stats."""
+        with Service(ServiceConfig(cache_dir=None)) as service:
+            barrier = threading.Barrier(8, timeout=30)
+
+            def hammer():
+                client = Client(service)
+                barrier.wait()
+                for _ in range(400):
+                    client.ping()
+
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        return service.stats
+
+    def test_counters_lose_no_updates_across_threads(self):
+        """Client threads and the executor thread all bump the status
+        counters; unlocked read-modify-writes once dropped up to a third
+        of them under fast thread switching.  A storm does not always
+        interleave, so five of them."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                stats = self._ping_storm()
+                assert stats.requests == (
+                    stats.ok + stats.traps + stats.errors
+                    + stats.overloaded + stats.timeouts) == 3200
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestInlineSource:
@@ -415,7 +437,8 @@ class TestControlRequests:
             assert warm.ok and warm.payload["warm"] is True
             stats = client.stats()
             assert stats["stats"]["requests"] >= 3
-            assert len(stats["queue_depths"]) == 1
+            assert stats["queue_depth"] == 0
+            assert stats["executor"]["computations"] == 2
             assert "cache" in stats
 
     def test_bad_request_is_an_error_response(self):
