@@ -19,9 +19,7 @@ from .operation import Operation
 class BasicBlock:
     """A labeled straight-line sequence of operations."""
 
-    # __weakref__ lets the fast engine's shared decode store key entries
-    # weakly by block object without pinning retired overlay blocks alive.
-    __slots__ = ("label", "ops", "hyperblock", "__weakref__")
+    __slots__ = ("label", "ops", "hyperblock")
 
     def __init__(self, label: str, ops: list[Operation] | None = None) -> None:
         self.label = label

@@ -10,15 +10,12 @@ granularity), and wraps them in shallow ``Function``/``Module`` clones
 that share every untouched block, operation, and global with the base.
 
 The clones are real IR objects, so lint, the reference simulators, and
-the fast engine all work on an overlay unchanged — and because untouched
-``BasicBlock`` objects are shared across capacities, the fast engine's
-shared decode store (:mod:`repro.sim.engine`) decodes them once for an
-entire capacity sweep.  Each clone records its base function
-(``_decode_origin``), which is also how pass-trace replay
-(:mod:`repro.sim.replay`) finds the base block a materialized preheader
-was copied from and checks that only ``rec`` edits separate them: the
-rewrite never changes which blocks execute, so one recorded run of the
-base stands in for simulating every capacity.
+the fast engine all work on an overlay unchanged.  Each clone records
+its base function (``_decode_origin``) for pass-trace replay alone:
+:mod:`repro.sim.replay` uses it to find the base block a materialized
+preheader was copied from and checks that only ``rec`` edits separate
+them: the rewrite never changes which blocks execute, so one recorded
+run of the base stands in for simulating every capacity.
 
 List schedules are recomputed only for the copied blocks; every shared
 block reuses the base artifact's ``Schedule`` object, which is what a
@@ -66,10 +63,8 @@ def _clone_function(func: Function, replacements: dict[str, BasicBlock]) -> Func
     """Shallow clone of ``func`` with some blocks swapped for copies.
 
     Untouched blocks (and all operations) are shared with the original.
-    The clone records its origin so the fast engine can key its shared
-    decode layout by the base function: the rec rewrite never introduces
-    or removes virtual registers, so base and clone have identical
-    register populations and slot layouts.
+    The clone records its origin (``_decode_origin``) only so pass-trace
+    replay can find the base blocks its copies came from.
     """
     clone = Function.__new__(Function)
     clone.name = func.name

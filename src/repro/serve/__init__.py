@@ -3,9 +3,9 @@
 The runner (:mod:`repro.runner`) executes a *grid* — a batch of
 ``(benchmark, pipeline, capacity)`` cells — and exits.  This package
 wraps the same cell execution in a long-lived service so the warmth the
-grid builds up (compiled bases, the fast engine's shared decode store,
-the content-addressed artifact cache) survives between requests and is
-shared by thousands of concurrent callers.  Cells, cache keys and the
+grid builds up (compiled bases, the content-addressed artifact cache)
+survives between requests and is shared by thousands of concurrent
+callers.  Cells, cache keys and the
 cache itself stay the runner's, so the service and the batch runner
 warm each other; this package adds only what a long-lived service needs:
 

@@ -129,18 +129,27 @@ def drive(make_client, requests: list[Request],
 
     ``make_client`` is called once per worker thread (a thunk returning
     a :class:`Client` or :class:`SocketClient`); responses come back in
-    request order.  This is the load generator behind the ``serve.*``
-    benchmarks and the CI smoke workload.
+    request order.  Every client it made that has a ``close()`` is closed
+    once the pool is done, also when a request raised.  This is the load
+    generator behind the ``serve.*`` benchmarks and the CI smoke workload.
     """
     import threading
 
     local = threading.local()
+    clients = []
 
     def issue(request: Request) -> Response:
         client = getattr(local, "client", None)
         if client is None:
             client = local.client = make_client()
+            clients.append(client)
         return client.request(request)
 
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(issue, requests))
+    try:
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            return list(pool.map(issue, requests))
+    finally:
+        for client in clients:
+            close = getattr(client, "close", None)
+            if close is not None:
+                close()

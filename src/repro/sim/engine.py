@@ -26,19 +26,10 @@ This module mirrors the loop-buffer idea at the host level:
   slot assignment (:class:`FunctionProgram`), replacing the ``VReg``-keyed
   dict of the reference frame.
 * Decoded :class:`BlockProgram` objects live in a :class:`TraceCache`
-  keyed by ``(function, block label)``, with explicit invalidation hooks
-  (:meth:`TraceCache.invalidate`) plus a cheap per-pass staleness check
-  (``len(block.ops)``) that catches op insertion/removal between passes.
-* On the VLIW, the pure part of a decode (compute/branch thunks whose
-  operands are registers or immediates, plus the per-block metadata) is
-  additionally published to a process-wide **shared decode store** keyed
-  weakly by block object, so a capacity-sweep's overlay artifacts —
-  which share every untouched ``BasicBlock`` with their base (see
-  :mod:`repro.loopbuffer.overlay`) — decode each shared block once
-  across all capacities.  Entries are validated by op identity and by
-  schedule/modulo/machine object identity, and ops that bind simulator
-  state (``ld``/``st``/``call``/``rec``, or global-ref operands) are
-  always re-decoded per simulator.
+  private to one simulator, keyed by ``(function, block label)``, with
+  explicit invalidation hooks (:meth:`TraceCache.invalidate`) plus a
+  cheap per-pass staleness check (``len(block.ops)``) that catches op
+  insertion/removal between passes.
 * Profile counts (block passes, op fetches, edge traversals, taken
   branches) are accumulated in flat per-block arrays and folded into the
   :class:`~repro.analysis.profile.Profile` once at the end of the run —
@@ -57,12 +48,12 @@ VLIW.  Two exceptions, both enforced:
   reference records op by op, the fast engine per pass or per fused run
   of self-passes, so a trap can drop several completed passes); both
   engines mark the profile ``incomplete`` and its query methods raise;
-* in-run IR mutation must not introduce new virtual registers: the
-  functional slot map is frozen once a function is first decoded, and a
-  redecode that meets an unknown register raises :class:`SimError`
-  naming it (use :meth:`TraceCache.invalidate` and a fresh run for
-  structural edits).  A fused loop sees an edit to its own block only
-  at its next entry.
+* in-run IR mutation must not introduce new virtual registers: on both
+  engines a function's slot layout is built by one scan in
+  :class:`FunctionProgram` and frozen, and a redecode that meets a
+  register the scan did not see raises :class:`SimError` naming it (use
+  :meth:`TraceCache.invalidate` and a fresh run for structural edits).
+  A fused loop sees an edit to its own block only at its next entry.
 
 Engine selection: ``REPRO_ENGINE=ref|fast`` (default ``fast``), or the
 explicit ``engine=`` argument threaded through ``run_module`` /
@@ -74,7 +65,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import weakref
 from collections import OrderedDict
 
 from repro.ir.opcodes import Opcode
@@ -243,107 +233,23 @@ def _nop_step(frame):
 
 
 # --------------------------------------------------------------------------
-# shared VLIW decode store (cross-simulator, cross-capacity)
-
-
-#: ops whose thunks close over simulator state (memory, call stack, the
-#: loop buffer) and therefore can never be shared across simulators
-_SIM_BOUND_OPS = frozenset({
-    Opcode.LD, Opcode.ST, Opcode.CALL, Opcode.REC_CLOOP, Opcode.REC_WLOOP,
-})
-
-
-def _shareable_op(op) -> bool:
-    """True when the op's thunk is pure w.r.t. the simulator instance.
-
-    Global-ref operands are excluded too: their addresses are folded at
-    decode time through the simulator's loader.
-    """
-    if op.opcode in _SIM_BOUND_OPS:
-        return False
-    for src in op.srcs:
-        if not isinstance(src, (VReg, Imm, FImm)):
-            return False
-    return True
+# inert stand-ins for perfbench
 
 
 class SharedDecodeStats:
-    """Process-wide counters for the shared VLIW decode store."""
+    """Always-zero counters of a VLIW decode store that no longer exists
+    (DESIGN.md §5i).  Kept, with :func:`reset_shared_decode`, only because
+    ``perfbench/workloads.py`` imports both for ``sim.decode_hit_frac``."""
 
-    __slots__ = ("block_hits", "block_misses", "thunks_shared",
-                 "thunks_rebuilt")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.block_hits = 0
-        self.block_misses = 0
-        self.thunks_shared = 0
-        self.thunks_rebuilt = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+    block_hits = 0
+    block_misses = 0
 
 
 SHARED_DECODE_STATS = SharedDecodeStats()
 
 
-class _SharedBlock:
-    """The simulator-independent product of one VLIW block decode.
-
-    ``thunks`` holds the pure op thunks (``None`` where the op binds
-    simulator state and must be re-decoded per simulator).  An entry is
-    only reusable when the block's op list is id-identical and the
-    schedule/modulo-schedule/machine objects the metadata was derived
-    from are the very objects the requesting simulator holds.
-    """
-
-    __slots__ = (
-        "ops_ids", "sched", "mod", "machine", "thunks", "next_label", "n",
-        "uid_at", "is_cond", "executed_at", "key", "buffer_key",
-        "mod_ii", "mod_len", "cycles_at", "sched_len",
-        "is_counted", "is_loop_block", "is_brcloop", "penalty",
-    )
-
-
-class _SharedFunction:
-    """Per-function shared decode state, keyed by the *origin* function.
-
-    Overlay clones (:func:`repro.loopbuffer.overlay._clone_function`)
-    point at their base via ``_decode_origin`` and are guaranteed to
-    have identical register populations, so base and all clones share
-    one slot layout (``slots`` is grow-only and adopted by every
-    :class:`FunctionProgram` built over the family).  ``seen`` tracks
-    which block op-lists have been folded into the layout; ``progs``
-    holds the reusable block decodes, weakly keyed by block object so
-    retired overlay blocks drop their entries.
-    """
-
-    __slots__ = ("slots", "seen", "progs")
-
-    def __init__(self) -> None:
-        self.slots: dict[VReg, int] = {}
-        self.seen: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self.progs: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-_SHARED_VLIW: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def reset_shared_decode() -> None:
-    """Drop every shared decode entry (test isolation hook)."""
-    _SHARED_VLIW.clear()
-    SHARED_DECODE_STATS.reset()
-
-
-def _shared_function(func) -> _SharedFunction:
-    origin = getattr(func, "_decode_origin", func)
-    shared = _SHARED_VLIW.get(origin)
-    if shared is None:
-        shared = _SharedFunction()
-        _SHARED_VLIW[origin] = shared
-    return shared
+    """No-op; see :class:`SharedDecodeStats`."""
 
 
 # --------------------------------------------------------------------------
@@ -381,11 +287,15 @@ class BlockProgram:
 
 
 class FunctionProgram:
-    """Per-function register slot assignment and decoded block store."""
+    """Per-function register slot assignment and decoded block store.
+
+    The slot layout comes from one scan of the function here and is then
+    frozen: register files are sized from it and decoded thunks and
+    compiled blocks bake in its indices.
+    """
 
     __slots__ = ("cache", "func", "name", "entry_label", "param_slots",
-                 "frame_base_slot", "nslots", "calls", "progs", "_slots",
-                 "_shared", "_frozen")
+                 "frame_base_slot", "nslots", "calls", "progs", "_slots")
 
     def __init__(self, cache: "TraceCache", func) -> None:
         self.cache = cache
@@ -393,61 +303,34 @@ class FunctionProgram:
         self.name = func.name
         self.progs: dict[str, BlockProgram] = {}
         self.calls = 0
-        if cache.vliw:
-            # adopt the family-wide slot layout; only blocks whose op
-            # lists haven't been folded in yet are scanned (for a base
-            # that was already decoded once, this is a no-op; for an
-            # overlay clone, only its materialized preheaders — whose
-            # rec rewrite introduces no new registers — are walked)
-            shared = _shared_function(func)
-            self._slots = shared.slots
-        else:
-            # the functional engine decodes mid-pipeline IR that passes
-            # mutate between profile runs; it never shares decode state
-            shared = None
-            self._slots = {}
-        self._shared = shared
-        self._frozen = False
-        slot = self.slot
+        slots: dict[VReg, int] = {}
         for param in func.params:
-            slot(param)
+            slots.setdefault(param, len(slots))
         if func.frame_base is not None:
-            slot(func.frame_base)
-        seen = shared.seen if shared is not None else None
+            slots.setdefault(func.frame_base, len(slots))
         for block in func.blocks:
-            if seen is not None:
-                ids = tuple(map(id, block.ops))
-                if seen.get(block) == ids:
-                    continue
             for op in block.ops:
                 if op.guard is not None:
-                    slot(op.guard)
+                    slots.setdefault(op.guard, len(slots))
                 for dest in op.dests:
-                    slot(dest)
+                    slots.setdefault(dest, len(slots))
                 for src in op.srcs:
                     if isinstance(src, VReg):
-                        slot(src)
-            if seen is not None:
-                seen[block] = ids
-        self.nslots = len(self._slots)
-        # functional register files are sized here and compiled blocks
-        # bake in slot indices, so the functional layout is final
-        self._frozen = shared is None
-        self.param_slots = tuple(self._slots[p] for p in func.params)
-        self.frame_base_slot = (self._slots[func.frame_base]
+                        slots.setdefault(src, len(slots))
+        self._slots = slots
+        self.nslots = len(slots)
+        self.param_slots = tuple(slots[p] for p in func.params)
+        self.frame_base_slot = (slots[func.frame_base]
                                 if func.frame_base is not None else None)
         self.entry_label = func.entry.label
 
     def slot(self, reg: VReg) -> int:
-        slots = self._slots
-        index = slots.get(reg)
+        index = self._slots.get(reg)
         if index is None:
-            if self._frozen:
-                raise SimError(
-                    f"{self.name}: register {reg!r} was not in the function "
-                    "when it was first decoded; in-run IR edits must not "
-                    "add registers (invalidate the cache and run afresh)")
-            index = slots[reg] = len(slots)
+            raise SimError(
+                f"{self.name}: register {reg!r} was not in the function "
+                "when it was first decoded; in-run IR edits must not "
+                "add registers (invalidate the cache and run afresh)")
         return index
 
     def block_program(self, label: str) -> BlockProgram:
@@ -491,42 +374,17 @@ class TraceCache:
 
     def invalidate(self, func: str | None = None,
                    label: str | None = None) -> None:
-        """Drop decoded programs: everything, one function, or one block.
-
-        Shared decode entries for the affected blocks are purged too, so
-        an invalidate-then-rerun over mutated IR re-decodes from the
-        current op lists exactly as it did before the shared store
-        existed (in-place attribute edits included, which the op-identity
-        validation alone would not catch).
-        """
+        """Drop decoded programs: everything, one function, or one block."""
         if func is None:
-            for fprog in self.functions.values():
-                self._purge_shared(fprog)
             self.functions.clear()
             return
         fprog = self.functions.get(func)
         if fprog is None:
             return
-        self._purge_shared(fprog, label)
         if label is None:
             del self.functions[func]
         else:
             fprog.progs.pop(label, None)
-
-    @staticmethod
-    def _purge_shared(fprog: FunctionProgram,
-                      label: str | None = None) -> None:
-        shared = fprog._shared
-        if shared is None:
-            return
-        if label is None:
-            shared.progs.clear()
-            shared.seen.clear()
-            return
-        if fprog.func.has_block(label):
-            block = fprog.func.block(label)
-            shared.progs.pop(block, None)
-            shared.seen.pop(block, None)
 
     # -- profile finalization ------------------------------------------------
 
@@ -576,101 +434,6 @@ class TraceCache:
     # -- block decoding ------------------------------------------------------
 
     def decode_block(self, fprog: FunctionProgram, block) -> BlockProgram:
-        shared = fprog._shared
-        if shared is not None:
-            sb = shared.progs.get(block)
-            if sb is not None:
-                sim = self.sim
-                sched = sim.schedules.get(fprog.name, {}).get(block.label)
-                mod = sim.modulo.get((fprog.name, block.label))
-                if (sb.ops_ids == tuple(map(id, block.ops))
-                        and sb.sched is sched and sb.mod is mod
-                        and sb.machine is sim.machine):
-                    return self._stamp_shared(fprog, block, sb)
-            prog = self._decode_block_full(fprog, block)
-            shared.progs[block] = self._publish_shared(prog, block)
-            SHARED_DECODE_STATS.block_misses += 1
-            return prog
-        return self._decode_block_full(fprog, block)
-
-    def _stamp_shared(self, fprog: FunctionProgram, block,
-                      sb: _SharedBlock) -> BlockProgram:
-        """Build this simulator's BlockProgram from a shared decode: pure
-        thunks and immutable metadata are reused; sim-bound thunks and the
-        per-run accounting state are always fresh."""
-        prog = BlockProgram()
-        prog.label = block.label
-        prog.block = block
-        prog.n = sb.n
-        label = block.label
-        decode_op = self._decode_op
-        rebuilt = 0
-        thunks = []
-        for thunk, op in zip(sb.thunks, block.ops):
-            if thunk is None:
-                thunk = decode_op(fprog, op, label)
-                rebuilt += 1
-            thunks.append(thunk)
-        prog.thunks = thunks
-        prog.next_label = sb.next_label
-        prog.passes = 0
-        prog.prefix_counts = [0] * sb.n
-        prog.taken_counts = [0] * sb.n
-        prog.edge_counts = {}
-        prog.uid_at = sb.uid_at
-        prog.is_cond = sb.is_cond
-        prog.executed_at = sb.executed_at
-        prog.key = sb.key
-        prog.buffer_key = sb.buffer_key
-        prog.mod_ii = sb.mod_ii
-        prog.mod_len = sb.mod_len
-        prog.cycles_at = sb.cycles_at
-        prog.sched_len = sb.sched_len
-        prog.is_counted = sb.is_counted
-        prog.is_loop_block = sb.is_loop_block
-        prog.is_brcloop = sb.is_brcloop
-        prog.penalty = sb.penalty
-        prog.stats = None
-        prog.lstats = None
-        self.decoded_blocks += 1
-        self.decoded_ops += sb.n
-        stats = SHARED_DECODE_STATS
-        stats.block_hits += 1
-        stats.thunks_shared += sb.n - rebuilt
-        stats.thunks_rebuilt += rebuilt
-        return prog
-
-    def _publish_shared(self, prog: BlockProgram, block) -> _SharedBlock:
-        sim = self.sim
-        ops = block.ops
-        sb = _SharedBlock()
-        sb.ops_ids = tuple(map(id, ops))
-        sb.sched = sim.schedules.get(prog.key[0], {}).get(block.label)
-        sb.mod = sim.modulo.get(prog.key)
-        sb.machine = sim.machine
-        sb.thunks = tuple(
-            thunk if _shareable_op(op) else None
-            for thunk, op in zip(prog.thunks, ops)
-        )
-        sb.next_label = prog.next_label
-        sb.n = prog.n
-        sb.uid_at = prog.uid_at
-        sb.is_cond = prog.is_cond
-        sb.executed_at = prog.executed_at
-        sb.key = prog.key
-        sb.buffer_key = prog.buffer_key
-        sb.mod_ii = prog.mod_ii
-        sb.mod_len = prog.mod_len
-        sb.cycles_at = prog.cycles_at
-        sb.sched_len = prog.sched_len
-        sb.is_counted = prog.is_counted
-        sb.is_loop_block = prog.is_loop_block
-        sb.is_brcloop = prog.is_brcloop
-        sb.penalty = prog.penalty
-        return sb
-
-    def _decode_block_full(self, fprog: FunctionProgram,
-                           block) -> BlockProgram:
         sim = self.sim
         ops = block.ops
         prog = BlockProgram()

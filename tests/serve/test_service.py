@@ -568,6 +568,39 @@ class TestSocketFrontEnd:
         assert service.stats.run_cache_hits > 0
 
 
+class _FakeClient:
+    """A ``drive`` client that answers pings, fails on ``stats`` and
+    records whether it was closed."""
+
+    def __init__(self, made: list) -> None:
+        self.closed = False
+        made.append(self)
+
+    def request(self, request: Request):
+        if request.kind == "stats":
+            raise ConnectionError("service went away")
+        return request.kind
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class TestDrive:
+    def test_closes_every_client_it_made(self):
+        made: list = []
+        responses = drive(lambda: _FakeClient(made),
+                          [Request(kind="ping")] * 40, concurrency=4)
+        assert responses == ["ping"] * 40
+        assert made and all(client.closed for client in made)
+
+    def test_closes_every_client_when_a_request_raises(self):
+        made: list = []
+        requests = [Request(kind="ping")] * 20 + [Request(kind="stats")]
+        with pytest.raises(ConnectionError):
+            drive(lambda: _FakeClient(made), requests, concurrency=4)
+        assert made and all(client.closed for client in made)
+
+
 class TestFuzzOracleRoute:
     """The fuzz oracle can route one side of its differential through
     the service."""

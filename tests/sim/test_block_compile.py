@@ -31,7 +31,11 @@ from repro.ir.opcodes import CMP_TESTS, PTYPES, Opcode
 from repro.ir.operation import Operation
 from repro.ir.registers import FImm, VReg, ireg, preg
 from repro.sched.cache import clear_caches
-from repro.sim.engine import FastInterpreter, make_interpreter
+from repro.sim.engine import (
+    FastInterpreter,
+    make_interpreter,
+    make_vliw_simulator,
+)
 from repro.sim.interp import SimError, StepLimitExceeded, profile_module
 from repro.sim.replay import PassRecorder
 from repro.sim.values import INT_MAX, INT_MIN
@@ -589,10 +593,21 @@ def test_record_repeat_equals_separate_records():
 # decode-time invariants
 
 
-def test_new_register_mid_run_raises_naming_it():
+#: both fast engines over a module, with no schedules on the VLIW
+FAST_ENGINES = {
+    "FastInterpreter": lambda module: make_interpreter(
+        module, profile=Profile(), engine="fast"),
+    "FastVLIWSimulator": lambda module: make_vliw_simulator(
+        module, {}, engine="fast"),
+}
+
+
+@pytest.mark.parametrize("make_sim", FAST_ENGINES.values(),
+                         ids=FAST_ENGINES.keys())
+def test_new_register_mid_run_raises_naming_it(make_sim):
     module = _store_loop(30)
     loop = module.function("main").block("loop")
-    sim = make_interpreter(module, profile=Profile(), engine="fast")
+    sim = make_sim(module)
     write = sim.memory.write
 
     def write_then_edit(addr, value):
@@ -604,12 +619,15 @@ def test_new_register_mid_run_raises_naming_it():
     sim.memory.write = write_then_edit
     with pytest.raises(SimError, match="i999"):
         sim.run("main")
-    assert sim.profile.incomplete
+    if sim.profile is not None:
+        assert sim.profile.incomplete
 
 
-def test_functional_slot_map_is_frozen_after_init():
+@pytest.mark.parametrize("make_sim", FAST_ENGINES.values(),
+                         ids=FAST_ENGINES.keys())
+def test_slot_map_is_frozen_after_init(make_sim):
     module = _counted_loop(3)
-    sim = FastInterpreter(module)
+    sim = make_sim(module)
     fprog = sim.cache.function_program(module.function("main"))
     with pytest.raises(SimError, match="i77"):
         fprog.slot(VReg("i", 77))

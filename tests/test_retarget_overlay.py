@@ -20,14 +20,12 @@ produced.  ``tests/golden/retarget_grid.json`` pins that per cell (see
   module's pickle bytes unchanged throughout.
 
 Plus the overlay-specific contracts: ``capacity=None`` is a pure view,
-re-targeting an already-buffered artifact raises
-:class:`~repro.loopbuffer.overlay.RetargetError`, and the fast engine's
-shared decode store actually shares block decodes across a sweep.
+and re-targeting an already-buffered artifact raises
+:class:`~repro.loopbuffer.overlay.RetargetError`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 
 import pytest
@@ -254,21 +252,3 @@ def test_retarget_already_buffered_raises():
     with pytest.raises(RetargetError):
         with_buffer(direct, 128)
 
-
-def test_shared_decode_across_capacity_sweep():
-    from repro.sim.engine import SHARED_DECODE_STATS, reset_shared_decode
-
-    # without a pass trace (e.g. a base cached before traces existed)
-    # every capacity is simulated in full, through the shared decodes
-    base = dataclasses.replace(base_for("adpcm_enc", "traditional"),
-                               pass_trace=None)
-    reset_shared_decode()
-    SHARED_DECODE_STATS.reset()
-    values = set()
-    for capacity in (16, 64, 256):
-        compiled = with_buffer(base, capacity)
-        values.add(run_compiled(compiled, engine="fast").result.value)
-    assert len(values) == 1, "capacity must never change the checksum"
-    stats = SHARED_DECODE_STATS.snapshot()
-    assert stats["block_hits"] > 0, \
-        "overlay sweep never reused a shared block decode"
