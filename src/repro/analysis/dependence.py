@@ -17,12 +17,12 @@ Edge semantics for the schedulers::
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.ir.opcodes import NON_SPECULABLE, Opcode
 from repro.ir.operation import Operation
 from repro.ir.registers import GlobalRef, Imm, VReg
+from repro.memo import Memo, MemoStats
 
 from .liveness import op_unconditional_writes
 from .predrel import PredicateRelations
@@ -296,31 +296,14 @@ def exit_live_fingerprint(exit_live: dict[int, set[VReg]] | None) -> tuple | Non
     ))
 
 
-@dataclass
-class DepCacheStats:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions}
+#: (ops fingerprint, loop_carried, exit liveness) -> edge tuple; ~a few
+#: KB per entry, so 4096 entries is comfortably more than a full
+#: benchmark grid ever produces
+_graph_cache = Memo(4096)
 
 
-#: bounded LRU over edge tuples; ~a few KB per entry, so 4096 entries is
-#: comfortably more than a full benchmark grid ever produces
-_CACHE_LIMIT = 4096
-
-_graph_cache: "OrderedDict[tuple, tuple[DepEdge, ...]]" = OrderedDict()
-_cache_stats = DepCacheStats()
-
-
-def dependence_cache_stats() -> DepCacheStats:
-    return _cache_stats
-
-
-def clear_dependence_cache() -> None:
-    _graph_cache.clear()
+def dependence_cache_stats() -> MemoStats:
+    return _graph_cache.stats
 
 
 def dependence_graph(
@@ -343,17 +326,11 @@ def dependence_graph(
     key = (fingerprint, loop_carried, exit_live_fingerprint(exit_live))
     edges = _graph_cache.get(key)
     if edges is not None:
-        _graph_cache.move_to_end(key)
-        _cache_stats.hits += 1
         return DependenceGraph(list(ops), list(edges))
-    _cache_stats.misses += 1
     graph = build_dependence_graph(ops, relations=relations,
                                    loop_carried=loop_carried,
                                    exit_live=exit_live)
-    _graph_cache[key] = tuple(graph.edges)
-    if len(_graph_cache) > _CACHE_LIMIT:
-        _graph_cache.popitem(last=False)
-        _cache_stats.evictions += 1
+    _graph_cache.put(key, tuple(graph.edges))
     return graph
 
 

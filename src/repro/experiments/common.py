@@ -1,10 +1,11 @@
 """Shared infrastructure for the table/figure regeneration harness.
 
 This module is now a thin facade over :mod:`repro.runner`: compiled bases
-and run summaries come out of the runner's content-addressed on-disk
-cache (shared across processes and invocations) fronted by a per-process
-memo, and grid-shaped experiments can prewarm many cells at once through
-the process-pool executor via :func:`prewarm`.  The historical entry
+come from the runner's process base memo, and run summaries from a
+per-process table; both are backed by the runner's content-addressed
+on-disk cache (shared across processes and invocations), and
+grid-shaped experiments can prewarm many cells at once through the
+process-pool executor via :func:`prewarm`.  The historical entry
 points — ``compiled_base(name, pipeline)`` and
 ``run_at_capacity(name, pipeline, capacity)`` — keep their signatures and
 semantics, so callers and tests are unaffected.
@@ -18,7 +19,13 @@ import os
 from repro.pipeline import Compiled, RunConfig
 from repro.runner import metrics as _metrics_mod
 from repro.runner.cache import ArtifactCache, default_cache
-from repro.runner.parallel import compile_base, expand_grid, run_cell, run_grid
+from repro.runner.parallel import (
+    BASE_MEMO,
+    compile_base,
+    expand_grid,
+    run_cell,
+    run_grid,
+)
 from repro.runner.summary import RunSummary, format_table
 
 __all__ = [
@@ -40,12 +47,12 @@ FIG7_SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048)
 #: the headline configuration (Sections 1 and 7)
 HEADLINE_CAPACITY = 256
 
-#: process-wide runner state shared by every experiment module; the memos
-#: key on the run settings too, so flipping ``REPRO_CHECKED`` mid-process
-#: never serves an unchecked result
+#: process-wide runner state shared by every experiment module; the run
+#: table (the figures' results, unbounded) keys on the run settings too,
+#: so flipping ``REPRO_CHECKED`` mid-process never serves an unchecked
+#: result
 _CACHE: ArtifactCache | None = None
 _METRICS = _metrics_mod.MetricsRecorder()
-_BASE_MEMO: dict[tuple[str, str, RunConfig], Compiled] = {}
 _RUN_MEMO: dict[tuple[str, str, int | None, RunConfig], RunSummary] = {}
 
 
@@ -81,9 +88,10 @@ def runner_metrics() -> _metrics_mod.MetricsRecorder:
 
 
 def reset(cache: ArtifactCache | None = None) -> None:
-    """Drop the in-process memos (and optionally swap the disk cache)."""
+    """Drop the run table and the runner's base memo (and optionally
+    swap the disk cache)."""
     global _CACHE, _METRICS
-    _BASE_MEMO.clear()
+    BASE_MEMO.clear()
     _RUN_MEMO.clear()
     _METRICS = _metrics_mod.MetricsRecorder()
     _CACHE = cache
@@ -92,12 +100,7 @@ def reset(cache: ArtifactCache | None = None) -> None:
 def compiled_base(name: str, pipeline: str) -> Compiled:
     """Compile a benchmark once per pipeline, without buffer assignment
     (``with_buffer`` retargets it per capacity)."""
-    settings = RunConfig.resolve()
-    key = (name, pipeline, settings)
-    if key not in _BASE_MEMO:
-        _BASE_MEMO[key] = compile_base(name, pipeline, _cache(),
-                                       settings.checked, settings.engine)
-    return _BASE_MEMO[key]
+    return compile_base(name, pipeline, _cache())
 
 
 def run_at_capacity(name: str, pipeline: str,
@@ -109,7 +112,6 @@ def run_at_capacity(name: str, pipeline: str,
         _RUN_MEMO[key] = run_cell(
             name, pipeline, capacity,
             cache=_cache(),
-            base=_BASE_MEMO.get((name, pipeline, settings)),
             metrics=_METRICS,
             checked=settings.checked, engine=settings.engine,
         )

@@ -44,8 +44,9 @@ from repro.fuzz.oracle import (
     service_configs,
 )
 from repro.fuzz.reduce import DEFAULT_BUDGET, divergence_predicate, minimize
+from repro.memo import MemoStats
 from repro.runner.cache import default_cache
-from repro.sched.cache import CHECK_STATS, FRONTEND_STATS, MemoStats
+from repro.sched.cache import CHECK_STATS, FRONTEND_STATS
 
 
 def _csv(value: str) -> list[str]:

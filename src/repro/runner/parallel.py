@@ -1,9 +1,10 @@
 """Cell execution and process-pool fan-out over experiment grids.
 
 One *cell* is a ``(benchmark, pipeline, capacity)`` triple.  Executing it
-means: obtain the capacity-independent compiled base (disk cache or
-compile), retarget it at the capacity (:func:`repro.pipeline.with_buffer`),
-simulate, check the checksum against the pure-Python oracle and summarize.
+means: obtain the capacity-independent compiled base (the process's
+base memo, the disk cache or a compile), retarget it at the capacity
+(:func:`repro.pipeline.with_buffer`), simulate, check the checksum
+against the pure-Python oracle and summarize.
 
 :func:`run_grid` maps a list of cells over a
 :class:`~concurrent.futures.ProcessPoolExecutor` in two phases — first the
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.bench import Benchmark, benchmark
+from repro.memo import Memo
 from repro.obs import MetricsRegistry, Tracer, use as obs_use
 from repro.pipeline import (
     COMPILERS as _COMPILERS,
@@ -168,33 +170,46 @@ def compile_base(name: str, pipeline: str,
                  checked: bool | None = None,
                  engine: str | None = None) -> Compiled:
     """Compiled-but-unassigned base for a (benchmark, pipeline) group."""
-    compiled, _seconds, _hit, _trace = _compile_base_timed(
+    compiled, _seconds, _how, _trace = _compile_base_timed(
         name, pipeline, cache, RunConfig.resolve(checked, engine))
     return compiled
+
+
+#: :func:`base_key` -> ``(compiled, trace_payload)``, the payload ``None``
+#: unless the compile that stored it was traced; a Figure 7 sweep, the
+#: facade's figures and the service all share it
+BASE_MEMO = Memo(32)
 
 
 def _compile_base_timed(
     program: Program, pipeline: str, cache: ArtifactCache | None,
     settings: RunConfig = RunConfig(),
-) -> tuple[Compiled, float, bool, dict | None]:
-    """Returns ``(compiled, seconds, cache_hit, trace_payload)``.
+) -> tuple[Compiled, float, str, dict | None]:
+    """Returns ``(compiled, seconds, how, trace_payload)``, ``how``
+    naming where the base came from: ``"memo"`` (:data:`BASE_MEMO`),
+    ``"cache"`` (the disk cache) or ``"compiled"``.
 
-    With ``settings.trace`` on, a cache hit replays the trace stored
-    beside the base artifact; a hit with no stored trace recompiles
-    (deterministic, so the base is unchanged) to record one.
+    With ``settings.trace`` on, a hit replays the trace stored with the
+    base: a memo entry without one falls through to the disk cache, and
+    a disk hit without one recompiles (deterministic, so the base is
+    unchanged) to record one.
     """
     if pipeline not in _COMPILERS:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     program = _program(program)
     key = base_key(program, pipeline, settings)
+    memoized = BASE_MEMO.get(key)
+    if memoized is not None and (memoized[1] is not None
+                                 or not settings.trace):
+        compiled, payload = memoized
+        return compiled, 0.0, "memo", payload if settings.trace else None
     if cache is not None:
         cached = cache.load(key, "base")
         if cached is not None:
-            if not settings.trace:
-                return cached, 0.0, True, None
-            payload = cache.load(key, "trace")
-            if payload is not None:
-                return cached, 0.0, True, payload
+            payload = cache.load(key, "trace") if settings.trace else None
+            if not settings.trace or payload is not None:
+                BASE_MEMO.put(key, (cached, payload))
+                return cached, 0.0, "cache", payload
     tracer = Tracer() if settings.trace else None
     t0 = time.perf_counter()
     with obs_use(tracer) if settings.trace else nullcontext():
@@ -208,7 +223,8 @@ def _compile_base_timed(
         cache.store(key, "base", compiled)
         if settings.trace:
             cache.store(key, "trace", payload)
-    return compiled, seconds, False, payload
+    BASE_MEMO.put(key, (compiled, payload))
+    return compiled, seconds, "compiled", payload
 
 
 def run_base(
@@ -260,16 +276,15 @@ def _execute_cell(
     cache: ArtifactCache | None,
     base: Compiled | None = None,
     settings: RunConfig = RunConfig(),
-) -> tuple[RunSummary, CellMetrics, Compiled | None]:
+) -> tuple[RunSummary, CellMetrics]:
     """Run one cell end to end; raises AssertionError on checksum mismatch.
 
-    Returns the compiled base actually used (``None`` on a run-cache hit)
-    so callers sweeping several capacities can reuse it.  With
-    ``settings.trace`` on, the cell's trace payload rides on
-    ``CellMetrics.trace``; a warm cell replays the trace stored beside
-    its run summary, and a warm cell without one falls through to
-    re-simulate (summaries are deterministic, so the stored one stays
-    valid).
+    Without a ``base``, the cell takes its group's base from
+    :func:`_compile_base_timed`.  With ``settings.trace`` on, the cell's
+    trace payload rides on ``CellMetrics.trace``; a warm cell replays the
+    trace stored beside its run summary, and a warm cell without one
+    falls through to re-simulate (summaries are deterministic, so the
+    stored one stays valid).
     """
     cm = CellMetrics(cell.name, cell.pipeline, cell.capacity)
     program = benchmark(cell.name)
@@ -279,20 +294,22 @@ def _execute_cell(
         if isinstance(cached, RunSummary):
             if not settings.trace:
                 cm.run_cache_hit = True
-                return cached, cm, None
+                return cached, cm
             stored = cache.load(key, "trace")
             if stored is not None:
                 cm.run_cache_hit = True
                 cm.trace = _cell_trace(cell, None, stored, replayed=True)
                 cm.obs = _fold_obs(None, stored)
-                return cached, cm, None
+                return cached, cm
 
     compile_payload = None
     if base is None:
-        base, seconds, hit, compile_payload = _compile_base_timed(
+        base, seconds, how, compile_payload = _compile_base_timed(
             program, cell.pipeline, cache, settings)
-        cm.stages["compile"] = seconds
-        cm.base_cache_hit = hit
+        if how != "memo":
+            # like a base handed in, a memo hit is no compile stage
+            cm.stages["compile"] = seconds
+        cm.base_cache_hit = how != "compiled"
     else:
         cm.base_cache_hit = True
 
@@ -309,7 +326,7 @@ def _execute_cell(
         cache.store(key, "run", summary)
         if settings.trace:
             cache.store(key, "trace", run_payload)
-    return summary, cm, base
+    return summary, cm
 
 
 def _cell_trace(cell: Cell, compile_payload: dict | None,
@@ -346,9 +363,9 @@ def run_cell(
     engine: str | None = None,
 ) -> RunSummary:
     """The single-cell entry point the experiments facade builds on."""
-    summary, cm, _ = _execute_cell(Cell(name, pipeline, capacity), cache, base,
-                                   RunConfig.resolve(checked, engine,
-                                                     trace=trace))
+    summary, cm = _execute_cell(Cell(name, pipeline, capacity), cache, base,
+                                RunConfig.resolve(checked, engine,
+                                                  trace=trace))
     if metrics is not None:
         metrics.add_cell(cm)
         if cache is not None:
@@ -386,7 +403,7 @@ def _worker_cell(cell: Cell, base_blob: bytes | None, cache_dir: str,
                  settings: RunConfig = RunConfig()) -> bytes:
     cache = ArtifactCache(cache_dir, enabled=cache_enabled)
     base = pickle.loads(base_blob) if base_blob is not None else None
-    summary, cm, _ = _execute_cell(cell, cache, base, settings)
+    summary, cm = _execute_cell(cell, cache, base, settings)
     cm.worker = f"pid{os.getpid()}"
     return pickle.dumps((summary, cm, cache.stats))
 
@@ -451,22 +468,25 @@ def _run_serial(cells: Sequence[Cell], cache: ArtifactCache | None,
                 metrics: MetricsRecorder, _execute=None,
                 settings: RunConfig = RunConfig()) -> list[RunSummary]:
     execute = _execute or _execute_cell
-    bases: dict[tuple[str, str], Compiled] = {}
+    traced: set[tuple[str, str]] = set()
     results: list[RunSummary] = []
     for cell in cells:
-        base = bases.get(cell.group)
         try:
-            summary, cm, used = execute(cell, cache, base, settings)
+            summary, cm = execute(cell, cache, None, settings)
         except AssertionError:
             raise
         except Exception:
-            summary, cm, used = execute(cell, cache, base, settings)  # retry
+            summary, cm = execute(cell, cache, None, settings)  # retry
             cm.attempts = 2
             cm.retries = 1
+        if cm.trace is not None and cm.trace["compile"] is not None:
+            if cell.group in traced:
+                # a group's compile is traced once per grid, as in the pool
+                cm.trace["compile"] = None
+                cm.obs = _fold_obs(None, cm.trace["run"])
+            traced.add(cell.group)
         metrics.add_cell(cm)
         results.append(summary)
-        if used is not None:
-            bases.setdefault(cell.group, used)
     return results
 
 
@@ -533,7 +553,7 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
                     # retry in the parent what the worker did not return
                     base = _compile_base_timed(name, pipeline, cache,
                                                settings)
-                compiled, _seconds, _hit, payload = base
+                compiled, _seconds, _how, payload = base
                 base_blobs[(name, pipeline)] = pickle.dumps(compiled)
                 base_traces[(name, pipeline)] = payload
             if stats is not None:
@@ -550,7 +570,7 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
             # the pool died between phases: finish serially
             for index, cell in enumerate(cells):
                 base = pickle.loads(base_blobs[cell.group])
-                summary, cm, _ = _execute_cell(cell, cache, base, settings)
+                summary, cm = _execute_cell(cell, cache, base, settings)
                 _attach_base_trace(cell, cm)
                 metrics.add_cell(cm)
                 results[index] = summary
@@ -566,7 +586,7 @@ def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
                 # transient (worker death, timeout, pickle hiccup):
                 # retry once in the parent, serially
                 base = pickle.loads(base_blobs[cell.group])
-                summary, cm, _ = _execute_cell(cell, cache, base, settings)
+                summary, cm = _execute_cell(cell, cache, base, settings)
                 cm.attempts = 2
                 cm.retries = 1
                 stats = None

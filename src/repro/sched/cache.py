@@ -19,138 +19,57 @@ All scheduling time (cold builds *and* cache replays) is accumulated per
 phase in :data:`STATS`, so benchmarks can report scheduler-phase seconds
 without tracing overhead.
 
-The same process-level home holds checked mode's per-function check memo
+The same module holds checked mode's per-function check memo
 (:func:`check_entry`): :class:`repro.pipeline._PassChecker` keys each
 function's verify and IR-lint results by a digest of its content, so an
 unchanged function is checked once per process.  It also holds the
 pipelines' frontend memo (:func:`frontend_get` / :func:`frontend_put`):
 the cleaned, inlined module and its profile, keyed by the input program
 and the frontend's settings, so both pipelines of one program share one
-frontend run (DESIGN.md §5e).  :func:`clear_caches` drops both with the
-placements.
+frontend run (DESIGN.md §5e).  Each of the four is a
+:class:`repro.memo.Memo` (DESIGN.md §5j); :func:`clear_caches` drops
+every process memo.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from repro.analysis.dependence import (
-    clear_dependence_cache,
-    dependence_cache_stats,
-)
-
-#: bounded LRU size for each placement cache
-CACHE_LIMIT = 4096
+from repro.memo import Memo, clear_caches  # noqa: F401  (re-exported)
 
 
 @dataclass
 class SchedCacheStats:
-    """Hit/miss accounting plus scheduler-phase wall time per kind."""
+    """Scheduler-phase wall time."""
 
-    list_hits: int = 0
-    list_misses: int = 0
-    modulo_hits: int = 0
-    modulo_misses: int = 0
-    evictions: int = 0
     #: phase -> accumulated seconds ("list" | "modulo" | "oracle")
     seconds: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "list_hits": self.list_hits,
-            "list_misses": self.list_misses,
-            "modulo_hits": self.modulo_hits,
-            "modulo_misses": self.modulo_misses,
-            "evictions": self.evictions,
-            "seconds": {k: round(v, 6) for k, v in sorted(
-                self.seconds.items())},
-            "dependence": dependence_cache_stats().as_dict(),
-        }
 
 
 STATS = SchedCacheStats()
 
+#: block content, machine and side-exit liveness -> list placements
+_list_cache = Memo(4096)
+#: loop content and machine -> modulo outcome
+_modulo_cache = Memo(4096)
+#: function digest -> :class:`CheckEntry` (a function's verify message
+#: and lint diagnostics)
+_check_memo = Memo(4096)
+#: input program and frontend settings -> (module, profile); each entry
+#: holds one program's cleaned, inlined module and its profile
+_frontend_memo = Memo(32)
 
-@dataclass
-class MemoStats:
-    """A process-level memo's hits, misses and LRU evictions.
+LIST_STATS = _list_cache.stats
+CHECK_STATS = _check_memo.stats
+FRONTEND_STATS = _frontend_memo.stats
 
-    For the check memo, a hit or a miss is counted per function verify
-    or IR lint a check needed; for the frontend memo, per frontend a
-    compile needed."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    def counts(self) -> tuple[int, int, int]:
-        return self.hits, self.misses, self.evictions
-
-    def since(self, before: tuple[int, int, int]) -> tuple[int, int, int]:
-        """The counts added since ``before`` (an earlier :meth:`counts`)."""
-        return tuple(now - then for now, then in zip(self.counts(), before))
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = 0
-
-    def add(self, counts: tuple[int, int, int]) -> None:
-        """Fold in another process's (hits, misses, evictions)."""
-        self.hits += counts[0]
-        self.misses += counts[1]
-        self.evictions += counts[2]
-
-    def as_dict(self) -> dict:
-        looked = self.hits + self.misses
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_frac": round(self.hits / looked, 4) if looked else 0.0}
-
-
-CHECK_STATS = MemoStats()
-FRONTEND_STATS = MemoStats()
-
-#: bounded LRU size of the check memo (entries are 16-byte digests
-#: mapped to a function's verify message and lint diagnostics)
-CHECK_LIMIT = 4096
-
-_list_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_modulo_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
-_check_memo: "OrderedDict[bytes, CheckEntry]" = OrderedDict()
 #: (machine, rules) -> small id folded into check digests.  Kept across
 #: clear_caches(): a reissued id could alias a checker still running.
 _check_contexts: dict[tuple, int] = {}
 _check_lock = threading.Lock()
-
-#: bounded LRU size of the frontend memo (each entry holds one program's
-#: cleaned, inlined module and its profile)
-FRONTEND_LIMIT = 32
-
-_frontend_memo: "OrderedDict[tuple, tuple]" = OrderedDict()
-_frontend_lock = threading.Lock()
-
-
-def clear_caches() -> None:
-    """Drop every memoized placement, dependence graph, check result,
-    frontend, benchmark checksum and compiled interpreter block, and zero
-    the memos' counters."""
-    from repro.bench.suite import clear_benchmark_memo
-    from repro.sim.engine import clear_block_code
-
-    _list_cache.clear()
-    _modulo_cache.clear()
-    clear_dependence_cache()
-    with _check_lock:
-        _check_memo.clear()
-        CHECK_STATS.reset()
-    with _frontend_lock:
-        _frontend_memo.clear()
-        FRONTEND_STATS.reset()
-    clear_benchmark_memo()
-    clear_block_code()
 
 
 @contextmanager
@@ -164,35 +83,16 @@ def timed(kind: str):
                                + time.perf_counter() - t0)
 
 
-def _lookup(cache: OrderedDict, key: tuple):
-    value = cache.get(key)
-    if value is not None:
-        cache.move_to_end(key)
-    return value
-
-
-def _store(cache: OrderedDict, key: tuple, value: tuple) -> None:
-    cache[key] = value
-    if len(cache) > CACHE_LIMIT:
-        cache.popitem(last=False)
-        STATS.evictions += 1
-
-
 # -- list-schedule placements ------------------------------------------------
 
 
 def list_placements_get(key: tuple):
     """Stored ``((index, cycle, slot), ...)`` for a block, or ``None``."""
-    value = _lookup(_list_cache, key)
-    if value is None:
-        STATS.list_misses += 1
-    else:
-        STATS.list_hits += 1
-    return value
+    return _list_cache.get(key)
 
 
 def list_placements_put(key: tuple, placements: tuple) -> None:
-    _store(_list_cache, key, placements)
+    _list_cache.put(key, placements)
 
 
 # -- modulo-schedule placements ----------------------------------------------
@@ -201,16 +101,11 @@ def list_placements_put(key: tuple, placements: tuple) -> None:
 def modulo_result_get(key: tuple):
     """Stored modulo outcome: ``("ok", ii, times, slots, mve)`` with
     times/slots as index-keyed tuples, or ``("fail", message)``."""
-    value = _lookup(_modulo_cache, key)
-    if value is None:
-        STATS.modulo_misses += 1
-    else:
-        STATS.modulo_hits += 1
-    return value
+    return _modulo_cache.get(key)
 
 
 def modulo_result_put(key: tuple, value: tuple) -> None:
-    _store(_modulo_cache, key, value)
+    _modulo_cache.put(key, value)
 
 
 # -- checked-mode check results ----------------------------------------------
@@ -238,16 +133,7 @@ def check_context(context: tuple) -> int:
 
 def check_entry(digest: bytes) -> CheckEntry:
     """The memo entry for ``digest``, created empty on first use."""
-    with _check_lock:
-        entry = _check_memo.get(digest)
-        if entry is not None:
-            _check_memo.move_to_end(digest)
-            return entry
-        entry = _check_memo[digest] = CheckEntry()
-        if len(_check_memo) > CHECK_LIMIT:
-            _check_memo.popitem(last=False)
-            CHECK_STATS.evictions += 1
-        return entry
+    return _check_memo.setdefault(digest, CheckEntry)
 
 
 # -- the pipelines' shared frontend ------------------------------------------
@@ -258,20 +144,8 @@ def frontend_get(key: tuple):
 
     Callers must not mutate either: they deep-copy the module and only
     read the profile."""
-    with _frontend_lock:
-        value = _frontend_memo.get(key)
-        if value is None:
-            FRONTEND_STATS.misses += 1
-            return None
-        _frontend_memo.move_to_end(key)
-        FRONTEND_STATS.hits += 1
-        return value
+    return _frontend_memo.get(key)
 
 
 def frontend_put(key: tuple, value: tuple) -> None:
-    with _frontend_lock:
-        _frontend_memo[key] = value
-        _frontend_memo.move_to_end(key)
-        while len(_frontend_memo) > FRONTEND_LIMIT:
-            _frontend_memo.popitem(last=False)
-            FRONTEND_STATS.evictions += 1
+    _frontend_memo.put(key, value)

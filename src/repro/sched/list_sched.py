@@ -183,8 +183,7 @@ def schedule_function(
         return schedules
     with tracer.span(f"list:{func.name}", category="sched",
                      func=func.name) as span:
-        hits0 = sched_cache.STATS.list_hits
-        misses0 = sched_cache.STATS.list_misses
+        hits0, misses0, _ = sched_cache.LIST_STATS.counts()
         for block in func.blocks:
             exit_live = exit_live_map(func, block, liveness_info)
             schedules[block.label] = schedule_block(
@@ -200,8 +199,8 @@ def schedule_function(
             bundles=bundles,
             slots_used=slots_used,
             slots_total=bundles * machine.width,
-            cache_hits=sched_cache.STATS.list_hits - hits0,
-            cache_misses=sched_cache.STATS.list_misses - misses0,
+            cache_hits=sched_cache.LIST_STATS.hits - hits0,
+            cache_misses=sched_cache.LIST_STATS.misses - misses0,
         )
     return schedules
 

@@ -114,8 +114,11 @@ def _latency_sample(responses: list, config: dict,
 
 
 def _fresh_service(tmp: str):
+    """A service over an empty cache, with no compiled base memoized."""
+    from repro.runner.parallel import BASE_MEMO
     from repro.serve.service import Service, ServiceConfig
 
+    BASE_MEMO.clear()
     return Service(ServiceConfig(cache_dir=tmp))
 
 

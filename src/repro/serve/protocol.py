@@ -26,8 +26,8 @@ Responses carry ``status``: ``ok``, ``trap`` (the program trapped — a
 violation), ``overloaded`` (backpressure: the executor's queue was
 full), ``timeout`` (the request's deadline expired before execution) or
 ``error`` (anything else, with ``error`` naming it).  ``meta`` says how
-the request was served: whether it hit the run cache or the warm base
-memo, whether it was coalesced into or batched with other in-flight
+the request was served: whether it hit the run cache or the runner's
+base memo, whether it was coalesced into or batched with other in-flight
 requests, and the wall latency.
 """
 
@@ -107,8 +107,8 @@ class Request:
     @property
     def group(self) -> tuple:
         """Everything that determines the compiled base this request
-        needs: the base memo's key, and the executor batches queued
-        requests of one group against one base."""
+        needs: the executor batches queued requests of one group against
+        one base."""
         return (self.program_id, self.pipeline, self.checked,
                 self.engine or "", self.max_steps)
 

@@ -19,8 +19,8 @@ resolving to a :class:`~repro.serve.protocol.Response`):
    queueing unboundedly; an expired deadline answers ``timeout``
    without computing.
 4. **Batched execution.**  The executor takes every queued computation
-   of the group in one batch, obtains the compiled base once (the warm
-   base memo → the runner's cache-or-compile path) and runs each capacity
+   of the group in one batch, obtains the compiled base once (the
+   runner's base memo, cache or compile) and runs each capacity
    against that single base through the runner's cell executor
    (:func:`repro.runner.parallel.run_base`), mapping its exceptions to
    response statuses — one overlay sweep for the lot.
@@ -40,7 +40,6 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -64,10 +63,6 @@ from repro.serve.pool import (
 )
 from repro.serve.protocol import Request, Response
 from repro.sim.interp import SimError
-
-
-#: compiled bases kept warm (LRU beyond that)
-BASE_MEMO_SIZE = 32
 
 
 @dataclass
@@ -140,8 +135,6 @@ class Service:
             "serve_requests_total", "requests by kind and status")
         self._lock = threading.Lock()
         self._pending: dict[tuple, Computation] = {}
-        #: group -> compiled base; only the executor thread touches it
-        self._memo: OrderedDict = OrderedDict()
         self.executor = Executor(self._execute_batch,
                                  queue_depth=self.config.queue_depth)
 
@@ -366,25 +359,16 @@ class Service:
         trapped/crashed (inline sources can do that); the batch then
         answers every member with it.
         """
-        memo = self._memo
-        group = request.group
-        if group in memo:
-            memo.move_to_end(group)
-            self._count(base_memo_hits=1)
-            return memo[group], "memo", None
         try:
-            base, _seconds, hit, _trace = _compile_base_timed(
+            base, _seconds, how, _trace = _compile_base_timed(
                 self._program(request), request.pipeline, self.cache,
                 settings)
         except Exception as exc:
             # profiling executes the program: a trap here mirrors one at
             # run time
             return None, "compiled", _failure(exc, "compile")
-        self._count(**{"base_cache_hits" if hit else "base_compiles": 1})
-        memo[group] = base
-        while len(memo) > BASE_MEMO_SIZE:
-            memo.popitem(last=False)
-        return base, "cache" if hit else "compiled", None
+        self._count(**{_BASE_COUNTERS[how]: 1})
+        return base, how, None
 
     def _run_one(self, request: Request, base,
                  settings: RunConfig) -> Response:
@@ -441,6 +425,11 @@ class Service:
         if self.cache is not None:
             data["cache"] = self.cache.stats.as_dict()
         return data
+
+
+#: where a base came from -> the counter it bumps
+_BASE_COUNTERS = {"memo": "base_memo_hits", "cache": "base_cache_hits",
+                  "compiled": "base_compiles"}
 
 
 def _failure(exc: Exception, stage: str) -> tuple[str, str]:

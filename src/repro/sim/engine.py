@@ -20,8 +20,8 @@ This module mirrors the loop-buffer idea at the host level:
   that jumps back to itself from its last op and makes no call iterates
   inside that function, and the caller folds the completed self-passes
   into the profile, ``steps`` and the pass recorder in one step.  Code
-  objects live in a bounded, lock-guarded LRU keyed by a digest of the
-  generated source (DESIGN.md §5f).
+  objects live in a process :class:`~repro.memo.Memo` keyed by a digest
+  of the generated source (DESIGN.md §5f, §5j).
 * Registers live in a flat per-frame ``list`` indexed by a per-function
   slot assignment (:class:`FunctionProgram`), replacing the ``VReg``-keyed
   dict of the reference frame.
@@ -64,13 +64,12 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
-from collections import OrderedDict
 
 from repro.ir.opcodes import Opcode
 from repro.ir.preddef import pred_update
 from repro.ir.registers import FImm, GlobalRef, Imm, VReg
 from repro.loopbuffer.model import LoopState
+from repro.memo import Memo
 from repro.sim.interp import (
     Interpreter,
     RunResult,
@@ -834,18 +833,9 @@ def _binary_step(fn, dest, ac, av, bc, bv):
 #: few times never pay for code generation (DESIGN.md §5f)
 TIER_UP_PASSES = 8
 
-#: bound of the process-wide code cache (LRU, in distinct block sources)
-BLOCK_CODE_LIMIT = 512
-
-#: block source digest -> compiled code object, least recently used first
-_block_code: "OrderedDict[bytes, object]" = OrderedDict()
-_block_code_lock = threading.Lock()
-
-
-def clear_block_code() -> None:
-    """Drop every cached compiled block (``clear_caches`` calls this)."""
-    with _block_code_lock:
-        _block_code.clear()
+#: block source digest -> compiled code object, bounded at 512 distinct
+#: block sources
+_block_code = Memo(512)
 
 
 def _block_code_object(source: str):
@@ -854,17 +844,10 @@ def _block_code_object(source: str):
     Keyed by a digest rather than the text, so the cache holds no source.
     """
     key = hashlib.blake2b(source.encode(), digest_size=16).digest()
-    with _block_code_lock:
-        code = _block_code.get(key)
-        if code is not None:
-            _block_code.move_to_end(key)
-            return code
-    code = compile(source, f"<block {key.hex()[:12]}>", "exec")
-    with _block_code_lock:
-        _block_code[key] = code
-        _block_code.move_to_end(key)
-        while len(_block_code) > BLOCK_CODE_LIMIT:
-            _block_code.popitem(last=False)
+    code = _block_code.get(key)
+    if code is None:
+        code = compile(source, f"<block {key.hex()[:12]}>", "exec")
+        _block_code.put(key, code)
     return code
 
 

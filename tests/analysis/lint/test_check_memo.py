@@ -7,7 +7,6 @@ included, cold or warm, and no hit that hides a new violation.
 """
 
 import json
-from collections import OrderedDict
 from contextlib import contextmanager
 
 import pytest
@@ -19,6 +18,7 @@ from repro.fuzz.gen import generate
 from repro.fuzz.oracle import check_program, default_configs
 from repro.ir import Function, Imm, IRBuilder, Module, ireg, preg
 from repro.ir.verify import VerificationError, verify_module
+from repro.memo import Memo
 from repro.pipeline import CheckedModeError, RunConfig, _PassChecker
 from repro.sched.cache import CHECK_STATS, clear_caches
 from repro.sched.machine import DEFAULT_MACHINE
@@ -50,7 +50,7 @@ def reference_diagnostics(checker: _PassChecker, scope):
 def cold_memo():
     """Run with an empty memo, then put the warm one back."""
     saved = cache._check_memo
-    cache._check_memo = OrderedDict()
+    cache._check_memo = Memo(saved.limit)
     try:
         yield
     finally:
@@ -223,7 +223,7 @@ def test_clear_caches_empties_memo_and_counters():
 
 def test_lru_bound_evicts(monkeypatch):
     clear_caches()
-    monkeypatch.setattr(cache, "CHECK_LIMIT", 2)
+    monkeypatch.setattr(cache._check_memo, "limit", 2)
     module = Module("wide")
     for name in ("a", "b", "c"):
         func = Function(name, [ireg(0)])

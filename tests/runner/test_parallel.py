@@ -83,12 +83,17 @@ int main() {
 """)
 
     def test_compile_and_run_through_the_runner(self, cache):
-        base, _seconds, hit, _trace = _compile_base_timed(
+        parallel.BASE_MEMO.clear()
+        base, _seconds, how, _trace = _compile_base_timed(
             self.SOURCE, "aggressive", cache)
-        assert not hit
-        again, _seconds, hit, _trace = _compile_base_timed(
+        assert how == "compiled"
+        again, _seconds, how, _trace = _compile_base_timed(
             self.SOURCE, "aggressive", cache)
-        assert hit and again.static_ops == base.static_ops
+        assert how == "memo" and again is base
+        parallel.BASE_MEMO.clear()
+        again, _seconds, how, _trace = _compile_base_timed(
+            self.SOURCE, "aggressive", cache)
+        assert how == "cache" and again.static_ops == base.static_ops
         stages = {}
         summary, value = run_base(self.SOURCE, "aggressive", base, 16,
                                   stages=stages)
@@ -273,7 +278,7 @@ class TestRetry:
             summary = RunSummary(cell.name, cell.pipeline, cell.capacity,
                                  1, 1, 1, 1, 0, 1, 0)
             return summary, CellMetrics(cell.name, cell.pipeline,
-                                        cell.capacity), None
+                                        cell.capacity)
 
         return execute, calls
 

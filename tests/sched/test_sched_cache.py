@@ -81,11 +81,11 @@ class TestContentKeys:
 
 class TestListScheduleCache:
     def test_identical_blocks_hit_and_replay_identically(self):
-        before = sched_cache.STATS.list_hits
+        before = sched_cache.LIST_STATS.hits
         ops_a, ops_b = _body(), _body()
         sched_a = schedule_block(BasicBlock("loop", ops_a))
         sched_b = schedule_block(BasicBlock("loop", ops_b))
-        assert sched_cache.STATS.list_hits == before + 1
+        assert sched_cache.LIST_STATS.hits == before + 1
         assert _canonical(sched_a, ops_a) == _canonical(sched_b, ops_b)
 
     def test_replayed_schedule_binds_callers_operations(self):
@@ -99,26 +99,26 @@ class TestListScheduleCache:
     def test_exit_live_is_part_of_the_key(self):
         ops_a, ops_b = _body(), _body()
         schedule_block(BasicBlock("loop", ops_a))
-        misses = sched_cache.STATS.list_misses
+        misses = sched_cache.LIST_STATS.misses
         schedule_block(BasicBlock("loop", ops_b),
                        exit_live={4: {ireg(3)}})
-        assert sched_cache.STATS.list_misses == misses + 1
+        assert sched_cache.LIST_STATS.misses == misses + 1
 
     def test_legacy_and_optimized_schedules_identical(self):
         # cold (empty caches), then warm: every block replays from cache
         _compile_matches_golden("adpcm_enc", "traditional")
-        hits = sched_cache.STATS.list_hits
+        hits = sched_cache.LIST_STATS.hits
         _compile_matches_golden("adpcm_enc", "traditional")
-        assert sched_cache.STATS.list_hits > hits
+        assert sched_cache.LIST_STATS.hits > hits
 
 
 class TestModuloCache:
     def test_identical_loops_hit_with_identical_schedules(self):
         ops_a, ops_b = _loop_body(), _loop_body()
         sched_a = modulo_schedule(BasicBlock("loop", ops_a))
-        before = sched_cache.STATS.modulo_hits
+        before = sched_cache._modulo_cache.stats.hits
         sched_b = modulo_schedule(BasicBlock("loop", ops_b))
-        assert sched_cache.STATS.modulo_hits == before + 1
+        assert sched_cache._modulo_cache.stats.hits == before + 1
         assert sched_a.ii == sched_b.ii
         assert sched_a.mve_factor == sched_b.mve_factor
         assert ([sched_a.times[op.uid] for op in ops_a]
@@ -135,9 +135,9 @@ class TestModuloCache:
     def test_legacy_and_optimized_agree(self):
         # cold (empty caches), then warm: every loop replays from cache
         _compile_matches_golden("adpcm_enc", "aggressive")
-        hits = sched_cache.STATS.modulo_hits
+        hits = sched_cache._modulo_cache.stats.hits
         _compile_matches_golden("adpcm_enc", "aggressive")
-        assert sched_cache.STATS.modulo_hits > hits
+        assert sched_cache._modulo_cache.stats.hits > hits
 
 
 class TestDependenceCache:
@@ -164,8 +164,3 @@ class TestDependenceCache:
                  for e in fresh.edges]
                 == [(e.src, e.dst, e.kind, e.latency, e.distance)
                     for e in cached.edges])
-
-    def test_stats_roundtrip_in_as_dict(self):
-        data = sched_cache.STATS.as_dict()
-        assert set(data) >= {"list_hits", "list_misses", "modulo_hits",
-                             "modulo_misses", "seconds", "dependence"}

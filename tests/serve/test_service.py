@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.runner.cache import ArtifactCache
-from repro.runner.parallel import Cell, run_grid
+from repro.runner.parallel import BASE_MEMO, Cell, run_grid
 from repro.serve import Client, Request, Service, ServiceConfig
 from repro.serve.client import ServiceError, SocketClient, drive
 from repro.serve.pool import Computation, Executor, QueueFull
@@ -38,6 +38,13 @@ int main() {
     return acc;
 }
 """
+
+
+@pytest.fixture(autouse=True)
+def _cold_base_memo():
+    """Each test's service starts with no compiled base memoized: the
+    runner's base memo is process-wide."""
+    BASE_MEMO.clear()
 
 
 def _grid_cells():

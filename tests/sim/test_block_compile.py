@@ -639,7 +639,7 @@ def test_slot_map_is_frozen_after_init(make_sim):
 
 def test_code_cache_is_bounded_lru_and_cleared(monkeypatch):
     clear_caches()
-    monkeypatch.setattr(engine, "BLOCK_CODE_LIMIT", 4)
+    monkeypatch.setattr(engine._block_code, "limit", 4)
     sources = [f"def _block(frame, limit):\n    return 0, {n}, None\n"
                for n in range(10)]
     codes = [engine._block_code_object(src) for src in sources[:4]]
@@ -651,7 +651,7 @@ def test_code_cache_is_bounded_lru_and_cleared(monkeypatch):
     assert engine._block_code_object(sources[1]) is not codes[1]
     # keyed by a digest, never by the source text
     assert all(isinstance(key, bytes) and len(key) == 16
-               for key in engine._block_code)
+               for key in engine._block_code._entries)
     clear_caches()
     assert not engine._block_code
 

@@ -222,7 +222,7 @@ def test_clear_caches_empties_memo_and_counters():
 
 
 def test_lru_bound_evicts(monkeypatch):
-    monkeypatch.setattr(cache, "FRONTEND_LIMIT", 2)
+    monkeypatch.setattr(cache._frontend_memo, "limit", 2)
     modules = [compile_source(_table_source(tail)) for tail in (1, 2, 3)]
     for module in modules:
         compile_traditional(module)
@@ -245,7 +245,7 @@ def _snapshot(profile) -> dict:
 def test_shared_profile_unchanged_by_both_pipelines():
     program = benchmark("jpeg_dec")
     traditional = _compile("traditional", program)
-    ((_module, profile),) = cache._frontend_memo.values()
+    ((_module, profile),) = cache._frontend_memo._entries.values()
     before = _snapshot(profile)
     aggressive = _compile("aggressive", program)
     assert FRONTEND_STATS.hits == 1
