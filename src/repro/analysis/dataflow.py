@@ -129,9 +129,6 @@ class DataflowResult:
     def input_of(self, label: str, default: Any = None) -> Any:
         return self.input.get(label, default)
 
-    def output_of(self, label: str, default: Any = None) -> Any:
-        return self.output.get(label, default)
-
 
 #: accumulated stats per problem name (cleared with :func:`reset_stats`)
 STATS: dict[str, FixpointStats] = {}

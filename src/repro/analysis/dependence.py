@@ -54,9 +54,6 @@ class DependenceGraph:
         self.succs[edge.src].append(edge)
         self.preds[edge.dst].append(edge)
 
-    def acyclic_edges(self) -> list[DepEdge]:
-        return [e for e in self.edges if e.distance == 0]
-
     def critical_path_length(self) -> int:
         """Longest latency path through distance-0 edges (dependence height)."""
         n = len(self.ops)

@@ -52,12 +52,6 @@ class LivenessInfo:
     live_in: dict[str, set[VReg]] = field(default_factory=dict)
     live_out: dict[str, set[VReg]] = field(default_factory=dict)
 
-    def live_at_entry(self, label: str) -> set[VReg]:
-        return self.live_in.get(label, set())
-
-    def live_at_exit(self, label: str) -> set[VReg]:
-        return self.live_out.get(label, set())
-
 
 class _LivenessProblem(DataflowProblem):
     """Backward may-liveness: input = live-out, output = live-in."""

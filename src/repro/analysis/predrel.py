@@ -114,10 +114,3 @@ class PredicateRelations:
         if a is None:
             return False
         return self.subset(a, b)
-
-    def disjoint_pairs(self) -> list[tuple[VReg, VReg]]:
-        return sorted(
-            (tuple(sorted((a, b), key=lambda r: (r.kind, r.index)))  # type: ignore[misc]
-             for kind, a, b in self._facts if kind == "d"),
-            key=lambda pair: (pair[0].index, pair[1].index),
-        )

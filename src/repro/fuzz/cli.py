@@ -31,7 +31,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.fuzz.corpus import Corpus, CorpusEntry, default_corpus
+from repro.fuzz.corpus import CorpusEntry, default_corpus
 from repro.fuzz.faults import FAULTS
 from repro.fuzz.gen import generate
 from repro.fuzz.oracle import (
@@ -40,24 +40,13 @@ from repro.fuzz.oracle import (
     check_program,
     default_configs,
     oracle_configs,
-    retarget_configs,
     service_configs,
 )
 from repro.fuzz.reduce import DEFAULT_BUDGET, divergence_predicate, minimize
 from repro.memo import MemoStats
 from repro.runner.cache import default_cache
+from repro.runner.cli import parse_capacities, parse_csv
 from repro.sched.cache import CHECK_STATS, FRONTEND_STATS
-
-
-def _csv(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
-
-
-def _capacities(value: str) -> list[int | None]:
-    out: list[int | None] = []
-    for item in _csv(value):
-        out.append(None if item.lower() in ("none", "off") else int(item))
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,13 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_grid(p):
-        p.add_argument("--pipelines", type=_csv,
+        p.add_argument("--pipelines", type=parse_csv,
                        default=["traditional", "aggressive"],
                        metavar="PIPE[,PIPE...]")
-        p.add_argument("--capacities", type=_capacities,
+        p.add_argument("--capacities", type=parse_capacities,
                        default=[None, 16, 64], metavar="N[,N...]",
-                       help="buffer capacities; 'none' disables the buffer "
-                            "(default none,16,64)")
+                       help="buffer capacities; 'none' or 0 disables the "
+                            "buffer (default none,16,64)")
         p.add_argument("--no-checked", action="store_true",
                        help="skip checked-mode sanitizer sweeps (faster, "
                             "misses lint-only divergences)")
@@ -91,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="add configs that swap exact-oracle modulo "
                             "schedules into the backend and check them "
                             "for semantic agreement")
-        p.add_argument("--retarget", action="store_true",
-                       help="add configs that retarget a capacity-"
-                            "independent base through with_buffer")
         p.add_argument("--service", action="store_true",
                        help="add configs whose compiled half is routed "
                             "through an in-process repro.serve service, "
@@ -148,8 +134,6 @@ def _configs_from(args) -> tuple:
                               checked=not args.no_checked)
     if getattr(args, "sched_oracle", False):
         configs += oracle_configs(args.pipelines)
-    if getattr(args, "retarget", False):
-        configs += retarget_configs(args.pipelines)
     if getattr(args, "service", False):
         configs += service_configs(args.pipelines)
     return configs

@@ -27,7 +27,6 @@ from repro.pipeline import (
     CheckedModeError,
     RunConfig,
     run_compiled,
-    with_buffer,
 )
 from repro.runner.cache import ArtifactCache, cache_key
 from repro.runner.parallel import resolve_workers
@@ -40,8 +39,6 @@ DEFAULT_MAX_STEPS = 2_000_000
 
 DEFAULT_CAPACITIES: tuple[int | None, ...] = (None, 16, 64)
 
-#: how a config's compiled half reaches its capacity (``Config.retarget``)
-RETARGETS = ("direct", "overlay")
 
 @dataclass(frozen=True, order=True)
 class Config:
@@ -60,20 +57,11 @@ class Config:
     checked: bool = False
     engine: str = "fast"
     sched_oracle: bool = False
-    #: "direct" bakes the capacity into the pipeline call; "overlay"
-    #: compiles a capacity-independent base and retargets it through
-    #: ``with_buffer``
-    retarget: str = "direct"
     #: route this config's compiled half through an in-process
     #: :class:`repro.serve.Service` instead of calling the pipeline
     #: directly, so the service's compile/retarget/simulate path is
     #: differentially checked against the interpreter
     service: bool = False
-
-    def __post_init__(self) -> None:
-        if self.retarget not in RETARGETS:
-            raise ValueError(f"unknown retarget {self.retarget!r} "
-                             f"(expected one of {RETARGETS})")
 
     def run(self, max_steps: int) -> RunConfig:
         """The run settings this config compiles and simulates under."""
@@ -87,8 +75,6 @@ class Config:
             suffix += f"+{self.engine}"
         if self.sched_oracle:
             suffix += "+oracle"
-        if self.retarget != "direct":
-            suffix += f"+{self.retarget}"
         if self.service:
             suffix += "+serve"
         return f"{self.pipeline}@{cap}{suffix}"
@@ -100,11 +86,8 @@ class Config:
             # only serialized when set: non-oracle configs keep the cache
             # keys (and corpus JSON shape) they had before the flag existed
             data["sched_oracle"] = True
-        if self.retarget != "direct":
-            # same compatibility rule as sched_oracle
-            data["retarget"] = self.retarget
         if self.service:
-            # same compatibility rule again
+            # same compatibility rule
             data["service"] = True
         return data
 
@@ -114,7 +97,6 @@ class Config:
                    bool(data.get("checked")),
                    data.get("engine", "fast"),
                    bool(data.get("sched_oracle")),
-                   data.get("retarget", "direct"),
                    bool(data.get("service")))
 
 
@@ -143,34 +125,18 @@ def oracle_configs(
                  for pipeline in pipelines for capacity in capacities)
 
 
-def retarget_configs(
-    pipelines: Iterable[str] = ("traditional", "aggressive"),
-    capacities: Iterable[int | None] = (16, 64),
-) -> tuple[Config, ...]:
-    """Configs that retarget a capacity-independent base per capacity.
-
-    Each pipeline × capacity point compiles an unbuffered base and
-    retargets it through ``with_buffer``, so the retarget path is
-    differentially checked against the interpreter.
-    """
-    return tuple(Config(pipeline, capacity, retarget="overlay")
-                 for pipeline in pipelines for capacity in capacities)
-
-
 def service_configs(
     pipelines: Iterable[str] = ("traditional", "aggressive"),
     capacities: Iterable[int | None] = (None, 64),
 ) -> tuple[Config, ...]:
     """Configs whose compiled half is served by ``repro.serve``.
 
-    The service compiles a capacity-independent base and retargets it
-    through ``with_buffer`` (the overlay path), exactly like the batch
-    runner — so these configs differentially check the *whole service
-    request path* (coalescing, affinity, caching included) against the
-    reference interpreter.
+    The service buffers its base through ``with_buffer`` like every
+    other config, so these configs differentially check what the service
+    adds on that path (coalescing, batching and the base memo) against
+    the reference interpreter.
     """
-    return tuple(Config(pipeline, capacity, retarget="overlay",
-                        service=True)
+    return tuple(Config(pipeline, capacity, service=True)
                  for pipeline in pipelines for capacity in capacities)
 
 
@@ -250,17 +216,11 @@ def compiled_outcome(source: str, config: Config,
         module = compile_source(source)
     except Exception as exc:
         return ("frontend-error", f"{type(exc).__name__}: {exc}")
-    direct = config.retarget == "direct"
     try:
         compiled = COMPILERS[config.pipeline](
-            module, buffer_capacity=config.capacity if direct else None,
+            module, buffer_capacity=config.capacity,
             checked=settings.checked, engine=settings.engine,
             max_steps=settings.max_steps)
-        if not direct:
-            # retarget the capacity-independent base the way the
-            # experiment harness does
-            compiled = with_buffer(compiled, config.capacity,
-                                   checked=settings.checked)
     except CheckedModeError as exc:
         return ("checked-failure",
                 f"{exc.pass_name}: {exc.diagnostics[0].format()}"

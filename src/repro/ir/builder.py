@@ -32,12 +32,6 @@ class IRBuilder:
         self.block = block
         return self
 
-    def new_block(self, hint: str = "bb") -> BasicBlock:
-        """Append a fresh block to the layout and move to it."""
-        block = self.func.add_block(self.func.new_label(hint))
-        self.block = block
-        return block
-
     def reg(self, kind: str = INT) -> VReg:
         return self.func.new_reg(kind)
 

@@ -123,13 +123,6 @@ class LoopBuffer:
         if loop is not None and loop.state is LoopState.RECORDING:
             loop.state = LoopState.RESIDENT
 
-    def resident_loops(self) -> list[BufferedLoop]:
-        return sorted(
-            (lp for lp in self.loops.values()
-             if lp.state is LoopState.RESIDENT),
-            key=lambda lp: lp.offset,
-        )
-
     def occupancy(self) -> int:
         """Buffer words currently claimed by any loop."""
         claimed = [False] * self.capacity

@@ -41,6 +41,14 @@ class RetargetError(ValueError):
     """Invalid retarget request (e.g. re-buffering a buffered artifact)."""
 
 
+def check_capacity(capacity) -> None:
+    """Raise :class:`RetargetError` unless ``capacity`` is ``None`` or a
+    non-bool ``int >= 0``."""
+    if capacity is not None and (type(capacity) is not int or capacity < 0):
+        raise RetargetError(
+            f"buffer capacity must be None or an int >= 0, got {capacity!r}")
+
+
 @dataclass(frozen=True)
 class CapacityOverlay:
     """Record of what a zero-copy retarget materialized.
@@ -53,10 +61,6 @@ class CapacityOverlay:
     capacity: int | None
     materialized: tuple[tuple[str, str], ...]
     shared_blocks: int
-
-    @property
-    def materialized_blocks(self) -> int:
-        return len(self.materialized)
 
 
 def _clone_function(func: Function, replacements: dict[str, BasicBlock]) -> Function:

@@ -22,7 +22,6 @@ twice on one SHA compares against the same baseline both times); pass
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path

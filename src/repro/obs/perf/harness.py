@@ -182,9 +182,6 @@ class BenchResult:
     def mad(self) -> float:
         return mad(self.samples)
 
-    def phase_median(self, phase: str) -> float:
-        return statistics.median(self.phases[phase])
-
     def as_record(self) -> dict:
         """The JSON-able history-line form (``check`` never serializes)."""
         return {

@@ -22,7 +22,7 @@ over this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.runner.summary import format_table
 
@@ -236,12 +236,6 @@ class PhaseProfile:
         return "\n\n".join(parts)
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def from_cells(cls, cells: list[dict]) -> "PhaseProfile":
-        profile = cls()
-        profile.add_cells(cells)
-        return profile
 
     @classmethod
     def from_chrome_trace(cls, doc: dict) -> "PhaseProfile":

@@ -16,10 +16,13 @@
 Both start from one frontend -- cleanup, profile, inline, cleanup,
 profile -- which runs once per program and settings per process
 (:func:`_frontend`, DESIGN.md §5e).  Both share the backend:
-re-profiling, modulo scheduling of simple loops (with MVE footprints),
-buffer assignment (which rewrites ``cloop_set`` into ``rec_cloop`` /
-inserts ``rec_wloop``), then list scheduling of every block for the
-cycle simulator.
+re-profiling (recording the pass trace), modulo scheduling of simple
+loops (with MVE footprints), then list scheduling of every block for the
+cycle simulator.  That unbuffered base is capacity-independent.  A
+capacity reaches it one way, :func:`with_buffer` (DESIGN.md §5k): buffer
+assignment (which rewrites ``cloop_set`` into ``rec_cloop`` / inserts
+``rec_wloop``) on a copy-on-write overlay of the base, which is also what
+``compile_*(buffer_capacity=N)`` returns.
 
 **Checked mode** (``checked=True``, or the ``REPRO_CHECKED`` environment
 variable) runs the :mod:`repro.analysis.lint` sanitizer after every pass
@@ -58,6 +61,7 @@ from repro.loopbuffer.assign import AssignmentResult, assign_buffer
 from repro.loopbuffer.overlay import (
     CapacityOverlay,
     RetargetError,
+    check_capacity,
     retarget_overlay,
 )
 from repro.looptrans.cloop import convert_counted_loops
@@ -109,13 +113,12 @@ class Compiled:
     stats: dict[str, object] = field(default_factory=dict)
     buffer_capacity: int | None = None
     #: set when this artifact is a zero-copy retarget of a shared base
-    #: (``with_buffer``); ``None`` for direct compiles.
+    #: (``with_buffer``); ``None`` for unbuffered bases.
     overlay: CapacityOverlay | None = None
-    #: the unbuffered base's recorded pass trace (fast-engine compiles
-    #: with ``buffer_capacity=None``; ``with_buffer`` carries it over), so
+    #: the unbuffered base's recorded pass trace (every fast-engine
+    #: compile records one; ``with_buffer`` carries it over), so
     #: ``run_compiled`` replays instead of re-executing; ``None`` for
-    #: buffered or ``ref``-engine compiles and artifacts cached before
-    #: traces existed
+    #: ``ref``-engine compiles and artifacts cached before traces existed
     pass_trace: PassTrace | None = None
 
     @property
@@ -523,24 +526,22 @@ def _backend(
     entry: str,
     args: list[int],
     machine: MachineDescription,
-    buffer_capacity: int | None,
     stats: dict,
     checker: _PassChecker,
     settings: RunConfig,
 ) -> Compiled:
+    """Build the unbuffered base: re-profile, modulo-schedule simple
+    loops and list-schedule every block.  The final profiling run doubles
+    as the pass trace every capacity overlay of this base replays."""
     verify_module(module)
-    # an unbuffered base is what every capacity overlay shares: its final
-    # profiling run doubles as the pass trace they all replay
     profile, run = profile_module(module, entry, args,
                                   max_steps=settings.max_steps,
-                                  engine=settings.engine,
-                                  record=buffer_capacity is None)
+                                  engine=settings.engine, record=True)
     tracer = checker.tracer
 
     # modulo-schedule simple loops; their MVE-expanded kernels are the
     # buffer footprints
     modulo: dict[tuple[str, str], object] = {}
-    footprint: dict[tuple[str, str], int] = {}
     with tracer.span("modulo_schedule"):
         for func in module.functions.values():
             cfg = CFGView(func)
@@ -557,25 +558,11 @@ def _backend(
                                        reason=str(exc))
                     continue
                 modulo[(func.name, loop.header)] = sched
-                footprint[(func.name, loop.header)] = sched.buffered_op_count
         tracer.annotate(loops_scheduled=len(modulo))
     checker.check_target(
         "modulo_schedule",
         LintTarget(module=module, machine=machine, modulo=modulo),
         phases=("sched",))
-
-    assignment = None
-    if buffer_capacity:
-        assignment = assign_buffer(module, profile, buffer_capacity,
-                                   footprint=footprint, tracer=tracer)
-        verify_module(module)
-        checker.check_ir("assign_buffer")
-        checker.check_target(
-            "assign_buffer",
-            LintTarget(module=module, machine=machine, modulo=modulo,
-                       assignment=assignment,
-                       buffer_capacity=buffer_capacity),
-            phases=("buffer",))
 
     with tracer.span("list_schedule"):
         schedules = {
@@ -585,14 +572,11 @@ def _backend(
     checker.check_target(
         "list_schedule",
         LintTarget(module=module, machine=machine, schedules=schedules,
-                   modulo=modulo, assignment=assignment,
-                   buffer_capacity=buffer_capacity),
+                   modulo=modulo),
         phases=("sched",))
     stats["modulo_loops"] = len(modulo)
-    return Compiled(module, profile, schedules, modulo, assignment,
-                    machine, entry, list(args), stats,
-                    buffer_capacity=buffer_capacity,
-                    pass_trace=run.pass_trace)
+    return Compiled(module, profile, schedules, modulo, None, machine,
+                    entry, list(args), stats, pass_trace=run.pass_trace)
 
 
 def compile_traditional(
@@ -627,8 +611,12 @@ def compile_traditional(
         stats["cloops"] = checker.run("convert_counted_loops",
                                       convert_counted_loops_all, module)
         _scalar_cleanup(module, checker)
-        return _backend(module, entry, args, machine, buffer_capacity,
-                        stats, checker, settings)
+        base = _backend(module, entry, args, machine, stats, checker,
+                        settings)
+        if buffer_capacity is None:
+            return base
+        return with_buffer(base, buffer_capacity, checked=settings.checked,
+                           tracer=tracer)
 
 
 def compile_aggressive(
@@ -660,10 +648,13 @@ def compile_aggressive(
         module, profile = _frontend(module, entry, args, inline_budget,
                                     machine, settings, tracer)
         checker = _PassChecker(module, machine, settings, tracer)
-        return _compile_aggressive_body(
-            module, profile, entry, args, machine, buffer_capacity,
-            hammocks, collapse, peel, promote, combine, stats, checker,
-            settings)
+        base = _compile_aggressive_body(
+            module, profile, entry, args, machine, hammocks, collapse,
+            peel, promote, combine, stats, checker, settings)
+        if buffer_capacity is None:
+            return base
+        return with_buffer(base, buffer_capacity, checked=settings.checked,
+                           tracer=tracer)
 
 
 def _compile_aggressive_body(
@@ -672,7 +663,6 @@ def _compile_aggressive_body(
     entry: str,
     args: list[int],
     machine: MachineDescription,
-    buffer_capacity: int | None,
     hammocks: bool,
     collapse: bool,
     peel: bool,
@@ -744,8 +734,7 @@ def _compile_aggressive_body(
     for func in module.functions.values():
         checker.run("eliminate_dead_code", eliminate_dead_code, func,
                     scope=func.name)
-    return _backend(module, entry, args, machine, buffer_capacity,
-                    stats, checker, settings)
+    return _backend(module, entry, args, machine, stats, checker, settings)
 
 
 #: pipeline name -> its compiler; the runner, the service and the fuzz
@@ -767,23 +756,27 @@ def with_buffer(compiled: Compiled, capacity: int | None,
                 overhead_aware: bool = True,
                 checked: bool | None = None,
                 tracer=None) -> Compiled:
-    """Re-target a compiled program at a different buffer capacity.
+    """Buffer a compiled base at ``capacity``: the one way a capacity
+    reaches the IR (``compile_*(buffer_capacity=N)`` ends here too).
 
     Buffer assignment is capacity-dependent (offsets, which loops fit),
-    so a Figure 7-style size sweep re-runs assignment per size.  The
-    input must have been compiled with ``buffer_capacity=None`` (no
+    so a Figure 7-style size sweep re-runs assignment per size over one
+    base.  The input must be unbuffered (``buffer_capacity=None``, no
     ``rec`` ops installed yet); re-targeting an already-buffered artifact
     raises :class:`RetargetError` — re-running assignment over installed
-    ``rec`` ops would silently stack directives.  The original
-    ``Compiled`` is never mutated.
+    ``rec`` ops would silently stack directives — and so does a capacity
+    that is not ``None`` or an ``int >= 0``.  The original ``Compiled``
+    is never mutated.
 
     The retarget is zero-copy (:mod:`repro.loopbuffer.overlay`): only
     preheaders that gain ``rec`` directives are materialized
     (copy-on-write at block granularity) and rescheduled; everything
     else, including ``capacity=None`` (which returns a pure view),
-    shares the base artifact's objects.  Checked mode lints the
-    re-targeted artifact across all phases before returning it.
+    shares the base artifact's objects, its pass trace included.
+    Checked mode lints the re-targeted artifact across all phases before
+    returning it.
     """
+    check_capacity(capacity)
     if compiled.buffer_capacity is not None:
         raise RetargetError(
             f"cannot retarget an artifact already buffered at capacity "
@@ -843,16 +836,13 @@ def _check_replay(result, counters, buffer, full) -> None:
 
 def run_compiled(
     compiled: Compiled,
-    buffer_capacity: int | None | str = "compiled",
     max_steps: int = 200_000_000,
     tracer=None,
     engine: str | None = None,
 ) -> SimulationOutcome:
-    """Simulate a compiled program on the VLIW.
+    """Simulate a compiled program on the VLIW at the capacity it was
+    buffered for (buffer assignment bakes offsets in).
 
-    ``buffer_capacity`` defaults to the capacity the program was compiled
-    for (buffer assignment bakes offsets in); passing a different value is
-    only meaningful for programs compiled with ``buffer_capacity=None``.
     ``engine`` selects the simulator engine (``"ref"``/``"fast"``, default
     per ``REPRO_ENGINE``); the counters are identical either way.
 
@@ -861,8 +851,7 @@ def run_compiled(
     (``stats["checked"]``) is then simulated in full as well, and any
     difference raises :class:`CheckedModeError` for pass ``"replay"``.
     """
-    if buffer_capacity == "compiled":
-        buffer_capacity = compiled.buffer_capacity
+    buffer_capacity = compiled.buffer_capacity
     settings = RunConfig.resolve(engine=engine, max_steps=max_steps)
     tracer = tracer if tracer is not None else get_tracer()
     sim_args = (compiled.module, compiled.schedules, compiled.modulo,

@@ -56,14 +56,22 @@ from repro.runner.summary import format_table
 from repro.sim.engine import ENGINES, ENV_ENGINE
 
 
-def _csv(value: str) -> list[str]:
+def parse_csv(value: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
-def _capacities(value: str) -> list[int | None]:
+def parse_capacities(value: str) -> list[int | None]:
+    """``--capacities`` of both CLIs: ``none``/``off``/``0`` disable the
+    buffer; anything else must be a positive int."""
     out: list[int | None] = []
-    for item in _csv(value):
-        out.append(None if item.lower() in ("none", "off", "0") else int(item))
+    for item in parse_csv(value):
+        if item.lower() in ("none", "off"):
+            out.append(None)
+        elif item.isdecimal():
+            out.append(int(item) or None)
+        else:
+            raise argparse.ArgumentTypeError(
+                f"capacity must be 'none' or an int >= 0, got {item!r}")
     return out
 
 
@@ -73,17 +81,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parallel, disk-cached (benchmark x pipeline x "
                     "capacity) experiment grid runner.",
     )
-    parser.add_argument("--benchmarks", type=_csv, default=None,
+    parser.add_argument("--benchmarks", type=parse_csv, default=None,
                         metavar="NAME[,NAME...]",
                         help="benchmark subset (default: the whole Table 1 "
                              "suite)")
-    parser.add_argument("--pipelines", type=_csv, default=list(PIPELINES),
+    parser.add_argument("--pipelines", type=parse_csv, default=list(PIPELINES),
                         metavar="PIPE[,PIPE...]",
                         help="traditional, aggressive or both (default both)")
-    parser.add_argument("--capacities", type=_capacities, default=[256],
+    parser.add_argument("--capacities", type=parse_capacities, default=[256],
                         metavar="N[,N...]",
-                        help="buffer capacities in ops; 'none' disables the "
-                             "buffer (default 256)")
+                        help="buffer capacities in ops; 'none' or 0 disables "
+                             "the buffer (default 256)")
     parser.add_argument("--workers", type=int, default=None,
                         help="process-pool width (default: REPRO_WORKERS or "
                              "the core count; 0/1 = serial)")

@@ -37,6 +37,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+from repro.loopbuffer.overlay import check_capacity
 from repro.pipeline import RunConfig
 from repro.runner.summary import RunSummary, summary_from_dict, summary_to_dict  # noqa: F401
 
@@ -78,7 +79,8 @@ class Request:
 
     def validate(self) -> RunConfig:
         """Check the request and return its run settings, resolved
-        against the environment."""
+        against the environment.  ``capacity`` must be ``None`` or a
+        non-bool ``int >= 0``."""
         if self.kind not in REQUEST_KINDS:
             raise ProtocolError(f"unknown request kind {self.kind!r}")
         if self.kind in ("run", "compile"):
@@ -87,6 +89,7 @@ class Request:
                     f"{self.kind} request needs exactly one of "
                     "benchmark/source")
         try:
+            check_capacity(self.capacity)
             return RunConfig.resolve(self.checked, self.engine,
                                      self.max_steps)
         except ValueError as exc:

@@ -53,6 +53,30 @@ class TestRun:
         assert payload["divergences"] == 0
 
 
+class TestCapacities:
+    """Both CLIs parse ``--capacities`` with the runner's parser."""
+
+    def test_zero_and_none_disable_the_buffer(self):
+        from repro.fuzz.cli import build_parser
+        from repro.runner.cli import build_parser as runner_parser
+
+        value = "none,0,00,off,16"
+        fuzz = build_parser().parse_args(["run", "--capacities", value])
+        runner = runner_parser().parse_args(["--capacities", value])
+        assert fuzz.capacities == runner.capacities == [None] * 4 + [16]
+
+    @pytest.mark.parametrize("value", ["-4", "16,-1", "1.5", "big"])
+    def test_malformed_capacities_exit_2(self, value, capsys):
+        from repro.runner.cli import main as runner_main
+
+        for entry, argv in ((main, ["run", "--capacities", value]),
+                            (runner_main, ["--capacities", value])):
+            with pytest.raises(SystemExit) as excinfo:
+                entry(argv)
+            assert excinfo.value.code == 2
+            assert "capacity must be" in capsys.readouterr().err
+
+
 class TestReplay:
     def test_empty_corpus_ok(self, tmp_path, capsys):
         code = main(["replay", "--corpus", str(tmp_path / "nothing")])

@@ -10,7 +10,6 @@ from repro.fuzz.oracle import (
     default_configs,
     oracle_configs,
     reference_outcome,
-    retarget_configs,
 )
 from repro.runner.cache import ArtifactCache
 
@@ -52,26 +51,13 @@ class TestConfig:
         assert grid and all(c.sched_oracle for c in grid)
         assert len(set(grid)) == len(grid)
 
-    def test_retarget_label_and_roundtrip(self):
-        config = Config("aggressive", 64, retarget="overlay")
-        assert config.label == "aggressive@64+overlay"
-        assert Config.from_dict(config.as_dict()) == config
-
     def test_retarget_direct_keeps_legacy_dict_shape(self):
-        # pre-flag cache keys and corpus JSON must not change
-        assert "retarget" not in Config("traditional", 64).as_dict()
-
-    def test_retarget_grid_shape(self):
-        grid = retarget_configs()
-        # one overlay retarget per pipeline x capacity point
-        assert len(grid) == 2 * 2
-        assert {c.retarget for c in grid} == {"overlay"}
-        assert all(c.capacity for c in grid)
-        assert len(set(grid)) == len(grid)
-
-    def test_unknown_retarget_rejected(self):
-        with pytest.raises(ValueError, match="unknown retarget"):
-            Config("traditional", 64, retarget="legacy")
+        # cache keys and corpus JSON keep their shape, and a dict written
+        # while configs still had a retarget axis loads as the plain config
+        config = Config("traditional", 64)
+        assert "retarget" not in config.as_dict()
+        assert Config.from_dict({**config.as_dict(),
+                                 "retarget": "overlay"}) == config
 
 
 class TestSchedOracleConfig:
@@ -84,10 +70,22 @@ class TestSchedOracleConfig:
 
 
 class TestRetargetConfig:
-    def test_retarget_agrees_with_reference(self):
+    def test_retarget_agrees_with_reference(self, monkeypatch):
+        # every capacity config reaches its capacity through with_buffer
+        import repro.pipeline as pipeline_mod
+
+        calls = []
+        real = pipeline_mod.with_buffer
+
+        def counting(base, capacity, **kwargs):
+            calls.append(capacity)
+            return real(base, capacity, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "with_buffer", counting)
         program = generate(CLEAN_SEED)
-        report = check_program(program, retarget_configs(capacities=(16,)))
+        report = check_program(program, default_configs(capacities=(16,)))
         assert report.ok, [v.describe() for v in report.divergences]
+        assert calls == [16, 16]
 
 
 class TestReferenceOutcome:

@@ -1,8 +1,6 @@
 """Pipeline/simulator instrumentation: span coverage, the disabled fast
 path, nesting under checked mode and per-loop counter consistency."""
 
-import pytest
-
 from repro import obs
 from repro.bench import benchmark
 from repro.obs import NULL_TRACER, NullTracer, Tracer
@@ -45,10 +43,11 @@ class TestDisabledFastPath:
         probe = CountingNullTracer()
         outcome = _compile_and_run(tracer=probe)
         assert outcome.result.value == benchmark("adpcm_enc").expected()
-        # only the four pipeline-level group spans touch the disabled
-        # tracer (compile root, modulo group, list group, simulate);
-        # per-pass / per-block / per-function sites never call span()
-        assert probe.span_calls == 4
+        # only the five pipeline-level group spans touch the disabled
+        # tracer (compile root, modulo group, list group, with_buffer,
+        # simulate); per-pass / per-block / per-function sites never
+        # call span()
+        assert probe.span_calls == 5
         assert probe.instant_calls == 0
         traced = Tracer()
         _compile_and_run(tracer=traced)

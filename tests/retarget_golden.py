@@ -9,19 +9,25 @@ pipeline × capacity in ``None`` + the Figure 7 sweep, the digest of
 
 The file was generated once with the original unmemoized linear-probe
 schedulers and the whole-module deep-copy retarget asserted identical to
-the memoized schedulers and the zero-copy overlay on every cell; those
-reference paths are gone, so the digests are what the fast paths answer
-to now.  A deliberate change to the compiler's output must regenerate the
-file and say why.
+the memoized schedulers and the zero-copy overlay on every cell; the
+schedulers are gone, so the digests are what the fast paths answer to
+now.  The deep-copy retarget survives here only, as
+:func:`whole_module_retarget`, the reference the overlay is checked
+against on programs the grid does not cover.  A deliberate change to the
+compiler's output must regenerate the file and say why.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
+from repro.loopbuffer.assign import assign_buffer
 from repro.pipeline import run_compiled
+from repro.sched.list_sched import schedule_function
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "retarget_grid.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -87,3 +93,19 @@ def loop_table(compiled) -> tuple:
     buffer_stats = (outcome.buffer.stats.as_tuple()
                     if outcome.buffer is not None else None)
     return (outcome.counters.loop_table(), buffer_stats)
+
+
+def whole_module_retarget(base, capacity: int):
+    """``base`` buffered at ``capacity`` the whole-module way: deep-copy
+    it, assign the buffer in place with the modulo footprints and
+    list-schedule every function again."""
+    module = copy.deepcopy(base.module)
+    footprint = {key: sched.buffered_op_count
+                 for key, sched in base.modulo.items()}
+    assignment = assign_buffer(module, base.profile, capacity,
+                               footprint=footprint)
+    schedules = {func.name: schedule_function(func, base.machine)
+                 for func in module.functions.values()}
+    return replace(base, module=module, schedules=schedules,
+                   assignment=assignment, buffer_capacity=capacity,
+                   pass_trace=None)

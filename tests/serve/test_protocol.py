@@ -84,6 +84,14 @@ class TestValidation:
         Request(kind="run", benchmark="a", max_steps=None).validate()
 
 
+    def test_capacity_must_be_none_or_a_non_negative_int(self):
+        for bad in (-1, 1.5, True, "64"):
+            with pytest.raises(ProtocolError, match="capacity"):
+                Request(kind="run", benchmark="a", capacity=bad).validate()
+        for good in (None, 0, 64):
+            Request(kind="run", benchmark="a", capacity=good).validate()
+
+
 class TestIdentityKeys:
     def test_group_covers_base_identity(self):
         base = Request(kind="run", benchmark="a", capacity=64)

@@ -482,6 +482,19 @@ class TestRunSettings:
         assert "checked" in checked.error
         assert service.stats.computations == 0
 
+    @pytest.mark.parametrize("capacity", [-5, "64", 1.5, True],
+                             ids=["negative", "str", "float", "bool"])
+    def test_malformed_capacity_is_a_bad_request(self, capacity):
+        with Service(ServiceConfig(workers=1, cache_dir=None)) as service:
+            response = Client(service).request(Request(
+                kind="run", benchmark="adpcm_enc", pipeline="traditional",
+                capacity=capacity))
+        assert response.status == "error"
+        assert response.error.startswith("bad request: ")
+        assert "capacity" in response.error
+        assert service.stats.base_compiles == 0
+        assert service.stats.computations == 0
+
     def test_default_engine_coalesces_with_the_spelled_out_one(self):
         with Service(ServiceConfig(workers=1, cache_dir=None)) as service:
             client = Client(service)

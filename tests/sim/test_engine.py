@@ -26,7 +26,6 @@ from repro.sim.engine import (
     FastInterpreter,
     engine_choice,
     make_interpreter,
-    make_vliw_simulator,
 )
 from repro.sim.interp import Interpreter, StepLimitExceeded, profile_module, run_module
 

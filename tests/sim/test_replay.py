@@ -122,10 +122,17 @@ def test_trace_is_compact_and_carried_by_retargets():
 
 
 def test_only_fast_unbuffered_bases_record():
+    # a buffered compile is its base's overlay and carries the base's
+    # trace; the reference engine records none
     bench_module = compiled_base("adpcm_enc", "traditional").module
-    assert compile_traditional(bench_module, buffer_capacity=64
-                               ).pass_trace is None
-    assert compile_traditional(bench_module, buffer_capacity=None,
+    buffered = compile_traditional(bench_module, buffer_capacity=64,
+                                   engine="fast")
+    base = compile_traditional(bench_module, buffer_capacity=None,
+                               engine="fast")
+    assert buffered.overlay is not None
+    assert (buffered.pass_trace.value, buffered.pass_trace.steps) \
+        == (base.pass_trace.value, base.pass_trace.steps)
+    assert compile_traditional(bench_module, buffer_capacity=64,
                                engine="ref").pass_trace is None
 
 
@@ -170,9 +177,7 @@ def test_profiling_trap_records_no_trace():
         run_module(compile_source(TRAPPING), engine="fast", record=True)
     reference = reference_outcome(TRAPPING)
     assert reference[0] == "trap"
-    for retarget in ("direct", "overlay"):
-        config = Config("traditional", 16, retarget=retarget)
-        assert compiled_outcome(TRAPPING, config) == reference
+    assert compiled_outcome(TRAPPING, Config("traditional", 16)) == reference
 
 
 def _wloop_cell():

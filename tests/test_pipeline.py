@@ -107,6 +107,25 @@ class TestBufferSizeSweep:
         assert base.buffer_capacity is None
         assert base.assignment is None
 
+    def test_buffered_compile_is_the_base_overlay(self):
+        # compile_*(buffer_capacity=N) is with_buffer over the base
+        module = build_loop_with_diamond(300)
+        base = compile_aggressive(module, buffer_capacity=None,
+                                  engine="fast")
+        compiled = compile_aggressive(module, buffer_capacity=64,
+                                      engine="fast")
+        assert compiled.overlay is not None
+        assert compiled.buffer_capacity == 64
+        # the base's trace: the same run, up to the fresh op uids each
+        # compile allocates (which the block fingerprints hash)
+        trace, base_trace = compiled.pass_trace, base.pass_trace
+        assert trace is not None
+        assert ((trace.value, trace.steps, trace.blocks, trace.kinds)
+                == (base_trace.value, base_trace.steps, base_trace.blocks,
+                    base_trace.kinds))
+        assert (run_compiled(compiled).counters
+                == run_compiled(with_buffer(base, 64)).counters)
+
     def test_no_buffer_all_memory(self):
         module = build_counting_loop(100)
         compiled = compile_traditional(module, buffer_capacity=None)

@@ -12,12 +12,13 @@ produced.  ``tests/golden/retarget_grid.json`` pins that per cell (see
 * **run-identical** — :class:`~repro.runner.summary.RunSummary` and
   per-loop buffer counters match their pinned digests on real
   simulations (the whole grid under ``-m slow``), and every fuzz-corpus
-  reproducer retargets to the same artifact and value as a direct
-  compile at that capacity;
+  reproducer retargets to the same artifact as the whole-module
+  reference retarget (:func:`tests.retarget_golden.whole_module_retarget`)
+  and to the reference interpreter's value;
 * **order-independent** — a hypothesis property sweeps random capacity
   subsets in random order through one shared base and checks each
-  retarget against a direct compile at that capacity, with the base
-  module's pickle bytes unchanged throughout.
+  retarget against the whole-module reference at that capacity, with
+  the base module's pickle bytes unchanged throughout.
 
 Plus the overlay-specific contracts: ``capacity=None`` is a pure view,
 and re-targeting an already-buffered artifact raises
@@ -51,6 +52,7 @@ from tests.retarget_golden import (
     cell_key,
     digest,
     loop_table,
+    whole_module_retarget,
 )
 from tests.strategies import capacity_sweeps
 
@@ -149,30 +151,30 @@ def test_corpus_differential(entry_id, source):
     if source is None:
         pytest.skip("no corpus entries")
     from repro.frontend import compile_source
+    from repro.fuzz.oracle import reference_outcome
     from repro.sim.interp import SimError
 
+    status, expected = reference_outcome(source)
     for pipeline, compiler in _COMPILERS.items():
         try:
             base = compiler(compile_source(source), buffer_capacity=None)
         except SimError:
             continue  # reproducer traps at compile-time profiling
         for capacity in (16, 64):
-            # a direct compile at the capacity assigns the buffer over the
-            # whole module and list-schedules every block
-            direct = compiler(compile_source(source),
-                              buffer_capacity=capacity)
+            reference = whole_module_retarget(base, capacity)
             overlay = with_buffer(base, capacity)
             assert (canonical_retarget(overlay)
-                    == canonical_retarget(direct)), \
+                    == canonical_retarget(reference)), \
                 f"{entry_id}/{pipeline}@{capacity}: artifacts diverge"
-            try:
-                expected = run_compiled(direct).result.value
-            except SimError:
-                with pytest.raises(SimError):
-                    run_compiled(overlay)
-                continue
-            outcome = run_compiled(overlay)
-            assert outcome.result.value == expected
+            values = []
+            for compiled in (reference, overlay):
+                try:
+                    values.append(
+                        ("value", run_compiled(compiled).result.value))
+                except SimError as exc:
+                    values.append(("trap", type(exc).__name__))
+            assert values == [(status, expected)] * 2, \
+                f"{entry_id}/{pipeline}@{capacity}: values diverge"
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +188,8 @@ def _property_base():
     if not _PROPERTY_STATE:
         from tests.helpers import build_nested_loop
 
-        module = build_nested_loop(12, 12)
-        base = compile_traditional(module, buffer_capacity=None)
-        _PROPERTY_STATE["module"] = module
+        base = compile_traditional(build_nested_loop(12, 12),
+                                   buffer_capacity=None)
         _PROPERTY_STATE["base"] = base
         _PROPERTY_STATE["bytes"] = pickle.dumps(base.module)
         _PROPERTY_STATE["reference"] = {}
@@ -203,8 +204,8 @@ def test_overlay_sweep_order_independent(caps):
     reference: dict = state["reference"]
     for capacity in caps:
         if capacity not in reference:
-            reference[capacity] = canonical_retarget(compile_traditional(
-                state["module"], buffer_capacity=capacity))
+            reference[capacity] = canonical_retarget(
+                whole_module_retarget(base, capacity))
         overlay = with_buffer(base, capacity)
         assert canonical_retarget(overlay) == reference[capacity]
     # no retarget order may ever write through to the shared base
@@ -239,6 +240,15 @@ def test_overlay_materializes_only_recd_preheaders():
                 assert block is not base_block
             else:
                 assert block is base_block
+
+
+@pytest.mark.parametrize("capacity", [-1, 1.5, True, "64"])
+def test_malformed_capacity_raises(capacity):
+    base = base_for("adpcm_enc", "traditional")
+    with pytest.raises(RetargetError, match="capacity"):
+        with_buffer(base, capacity)
+    with pytest.raises(RetargetError, match="capacity"):
+        compile_traditional(base.module, buffer_capacity=capacity)
 
 
 def test_retarget_already_buffered_raises():
