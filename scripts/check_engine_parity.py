@@ -1,13 +1,22 @@
-"""Diff every profiling run of the pipelines: fast engine vs reference.
+"""Diff the fast engines against the reference engines they replace.
 
-Compiles each benchmark through both pipelines with the default (fast)
-engine.  Every ``profile_module`` call the pipelines make is also run on
-the reference interpreter, and the two runs must agree on every
-``Profile`` field (block, edge, op, taken and call counts, total ops),
-on the return value, the step count and the final memory image.
+Two checks, both against the reference classes built directly:
 
-A wrong profile still compiles correct code, so the differential fuzzer
-cannot see a profiling bug; only this check and the golden digests can.
+* every profiling run of the pipelines: each benchmark is compiled
+  through both pipelines, and every ``profile_module`` call they make
+  (the fast :class:`~repro.sim.engine.FastInterpreter`) is also run on
+  the reference :class:`~repro.sim.interp.Interpreter`.  The two runs
+  must agree on every ``Profile`` field (block, edge, op, taken and call
+  counts, total ops), on the return value, the step count and the final
+  memory image.  A wrong profile still compiles correct code, so the
+  differential fuzzer cannot see a profiling bug; only this check and
+  the golden digests can.
+* the quick simulation grid (adpcm_enc and mpeg2_dec, both pipelines,
+  capacities 64 and 256): each cell's ``run_compiled`` outcome, which
+  replays the base's pass trace, must equal a full run of the same
+  artifact on the reference :class:`~repro.sim.vliw.VLIWSimulator` in
+  value, steps, every ``SimCounters`` field (``per_block`` and
+  ``per_loop`` included) and the loop buffer's stats.
 
 Usage:  PYTHONPATH=src python scripts/check_engine_parity.py
 
@@ -16,6 +25,7 @@ Exits 1 on any difference, after printing each one.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -23,14 +33,22 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 import repro.pipeline as pipeline  # noqa: E402
+from repro.analysis.profile import Profile  # noqa: E402
 from repro.bench import benchmark, benchmark_names  # noqa: E402
+from repro.loopbuffer.model import LoopBuffer  # noqa: E402
 from repro.sched.cache import clear_caches  # noqa: E402
-from repro.sim.interp import profile_module  # noqa: E402
+from repro.sim.interp import Interpreter, profile_module  # noqa: E402
+from repro.sim.replay import ReplayedRun  # noqa: E402
+from repro.sim.vliw import VLIWSimulator  # noqa: E402
 
 PIPELINES = {"traditional": pipeline.compile_traditional,
              "aggressive": pipeline.compile_aggressive}
 
 PROFILE_FIELDS = ("blocks", "edges", "ops", "taken", "calls", "total_ops")
+
+#: the cells the retired ``sim.speedup`` bench compared (its quick grid)
+SIM_BENCHMARKS = ("adpcm_enc", "mpeg2_dec")
+SIM_CAPACITIES = (64, 256)
 
 
 def run_differences(fast, ref) -> list[str]:
@@ -51,20 +69,26 @@ def run_differences(fast, ref) -> list[str]:
     return diffs
 
 
-def check() -> list[str]:
+def reference_profile(module, entry, args, max_steps):
+    profile = Profile()
+    run = Interpreter(module, profile=profile,
+                      max_steps=max_steps).run(entry, args)
+    return profile, run
+
+
+def check_profiles(bases: dict) -> list[str]:
     """Compile every benchmark through both pipelines, comparing each
-    profiling run; returns one line per differing run."""
+    profiling run; returns one line per differing run.  The unbuffered
+    bases of :data:`SIM_BENCHMARKS` land in ``bases``."""
     failures: list[str] = []
     where = {"label": ""}
     calls = {"n": 0}
 
     def paired_profile_module(module, entry="main", args=None,
-                              max_steps=200_000_000, engine=None,
-                              record=False):
+                              max_steps=200_000_000, record=False):
         fast = profile_module(module, entry, args, max_steps=max_steps,
-                              engine="fast", record=record)
-        ref = profile_module(module, entry, args, max_steps=max_steps,
-                             engine="ref")
+                              record=record)
+        ref = reference_profile(module, entry, args, max_steps)
         calls["n"] += 1
         diffs = run_differences(fast, ref)
         if diffs:
@@ -80,8 +104,10 @@ def check() -> list[str]:
             for pipe, compiler in PIPELINES.items():
                 where["label"] = f"{name}/{pipe}"
                 before = calls["n"]
-                compiler(bench.build(), entry=bench.entry, args=bench.args,
-                         engine="fast")
+                base = compiler(bench.build(), entry=bench.entry,
+                                args=bench.args, buffer_capacity=None)
+                if name in SIM_BENCHMARKS:
+                    bases[(name, pipe)] = base
                 print(f"{where['label']}: {calls['n'] - before} "
                       "profiling run(s) compared")
     finally:
@@ -89,6 +115,57 @@ def check() -> list[str]:
         clear_caches()
     print(f"{calls['n']} profiling runs, {len(failures)} difference(s)")
     return failures
+
+
+def outcome_differences(outcome, ref) -> list[str]:
+    """Every field on which a ``run_compiled`` outcome differs from a
+    reference ``(result, counters, buffer)`` run."""
+    ref_result, ref_counters, ref_buffer = ref
+    diffs = []
+    if not isinstance(outcome.result, ReplayedRun):
+        diffs.append("not replayed")
+    for name in ("value", "steps"):
+        if getattr(outcome.result, name) != getattr(ref_result, name):
+            diffs.append(name)
+    for field in dataclasses.fields(ref_counters):
+        if (getattr(outcome.counters, field.name)
+                != getattr(ref_counters, field.name)):
+            diffs.append(f"counters.{field.name}")
+    stats = outcome.buffer.stats if outcome.buffer is not None else None
+    if stats != (ref_buffer.stats if ref_buffer is not None else None):
+        diffs.append("buffer stats")
+    return diffs
+
+
+def reference_simulate(compiled):
+    capacity = compiled.buffer_capacity
+    buffer = LoopBuffer(capacity) if capacity else None
+    sim = VLIWSimulator(compiled.module, compiled.schedules, compiled.modulo,
+                        compiled.machine, buffer)
+    return sim.run(compiled.entry, compiled.args), sim.counters, buffer
+
+
+def check_cells(bases: dict) -> list[str]:
+    """Replayed quick-grid cells vs the reference VLIW simulator."""
+    failures: list[str] = []
+    for (name, pipe), base in sorted(bases.items()):
+        for capacity in SIM_CAPACITIES:
+            compiled = pipeline.with_buffer(base, capacity)
+            diffs = outcome_differences(pipeline.run_compiled(compiled),
+                                        reference_simulate(compiled))
+            label = f"{name}/{pipe}@{capacity}"
+            print(f"{label}: {'differs' if diffs else 'identical'}")
+            if diffs:
+                failures.append(f"{label}: {', '.join(diffs)}")
+    print(f"{len(bases) * len(SIM_CAPACITIES)} simulated cells, "
+          f"{len(failures)} difference(s)")
+    return failures
+
+
+def check() -> list[str]:
+    bases: dict = {}
+    failures = check_profiles(bases)
+    return failures + check_cells(bases)
 
 
 def main() -> int:

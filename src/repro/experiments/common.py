@@ -113,7 +113,7 @@ def run_at_capacity(name: str, pipeline: str,
             name, pipeline, capacity,
             cache=_cache(),
             metrics=_METRICS,
-            checked=settings.checked, engine=settings.engine,
+            checked=settings.checked,
         )
     return _RUN_MEMO[key]
 
@@ -140,8 +140,7 @@ def prewarm(
     if not cells:
         return []
     summaries = run_grid(cells, workers=workers, cache=_cache(),
-                         metrics=_METRICS, checked=settings.checked,
-                         engine=settings.engine)
+                         metrics=_METRICS, checked=settings.checked)
     for cell, summary in zip(cells, summaries):
         _RUN_MEMO[(cell.name, cell.pipeline, cell.capacity,
                    settings)] = summary

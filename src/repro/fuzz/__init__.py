@@ -10,8 +10,8 @@ package systematically hunts violations:
     arithmetic, if/else diamonds, counted loops, 2-deep nests, short
     peel-eligible inner loops, infrequent side exits);
 :mod:`repro.fuzz.oracle`
-    differential runner: each program goes through
-    :func:`repro.sim.interp.run_module` and through every pipeline ×
+    differential runner: each program goes through the reference
+    :class:`repro.sim.interp.Interpreter` and through every pipeline ×
     capacity configuration, flagging divergences in return value, trap
     or checked-mode lint outcome, with process-pool fan-out;
 :mod:`repro.fuzz.reduce`

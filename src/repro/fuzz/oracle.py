@@ -1,7 +1,8 @@
 """Differential oracle: interpreter vs every pipeline configuration.
 
 For each program the *reference outcome* is one pure-Python
-interpretation of the unoptimized IR (:func:`repro.sim.interp.run_module`).
+interpretation of the unoptimized IR by the reference
+:class:`repro.sim.interp.Interpreter`.
 Each :class:`Config` then compiles the program through
 :func:`repro.pipeline.compile_traditional` or ``compile_aggressive`` and
 simulates it on the cycle-level VLIW (:func:`repro.pipeline.run_compiled`);
@@ -31,7 +32,7 @@ from repro.pipeline import (
 from repro.runner.cache import ArtifactCache, cache_key
 from repro.runner.parallel import resolve_workers
 from repro.sched.cache import CHECK_STATS, FRONTEND_STATS
-from repro.sim.interp import SimError, run_module
+from repro.sim.interp import Interpreter, SimError
 
 #: step budget per interpretation/simulation — generated programs are tiny,
 #: so anything approaching this is a runaway loop, reported as a trap
@@ -44,18 +45,16 @@ DEFAULT_CAPACITIES: tuple[int | None, ...] = (None, 16, 64)
 class Config:
     """One pipeline × capacity × checked-mode point of the oracle grid.
 
-    ``engine`` selects the simulator implementation the compiled half
-    runs on (``"fast"`` predecoded, ``"ref"`` reference); the reference
-    half of every comparison is always interpreted with the ``"ref"``
-    engine, so a ``Config(engine="fast")`` differentially checks the fast
-    path against the reference interpreter on top of the usual
+    The compiled half runs on the fast engines; the reference half of
+    every comparison is interpreted by the reference
+    :class:`~repro.sim.interp.Interpreter`, so every config checks the
+    fast engines against the reference on top of the usual
     compiled-vs-interpreted check.
     """
 
     pipeline: str
     capacity: int | None = None
     checked: bool = False
-    engine: str = "fast"
     sched_oracle: bool = False
     #: route this config's compiled half through an in-process
     #: :class:`repro.serve.Service` instead of calling the pipeline
@@ -65,14 +64,12 @@ class Config:
 
     def run(self, max_steps: int) -> RunConfig:
         """The run settings this config compiles and simulates under."""
-        return RunConfig.resolve(self.checked, self.engine, max_steps)
+        return RunConfig.resolve(self.checked, max_steps)
 
     @property
     def label(self) -> str:
         cap = "none" if self.capacity is None else str(self.capacity)
         suffix = "+checked" if self.checked else ""
-        if self.engine != "fast":
-            suffix += f"+{self.engine}"
         if self.sched_oracle:
             suffix += "+oracle"
         if self.service:
@@ -81,7 +78,7 @@ class Config:
 
     def as_dict(self) -> dict:
         data = {"pipeline": self.pipeline, "capacity": self.capacity,
-                "checked": self.checked, "engine": self.engine}
+                "checked": self.checked}
         if self.sched_oracle:
             # only serialized when set: non-oracle configs keep the cache
             # keys (and corpus JSON shape) they had before the flag existed
@@ -93,9 +90,10 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
+        # dicts saved while ``engine`` and ``retarget`` were config axes
+        # still carry them; every config now runs the one remaining path
         return cls(data["pipeline"], data.get("capacity"),
                    bool(data.get("checked")),
-                   data.get("engine", "fast"),
                    bool(data.get("sched_oracle")),
                    bool(data.get("service")))
 
@@ -194,9 +192,10 @@ def reference_outcome(source: str,
     except Exception as exc:
         return ("frontend-error", f"{type(exc).__name__}: {exc}")
     try:
-        # always the reference engine: this side anchors the comparison
-        return ("value", run_module(module, max_steps=max_steps,
-                                    engine="ref").value)
+        # always the reference interpreter: this side anchors the
+        # comparison
+        return ("value",
+                Interpreter(module, max_steps=max_steps).run("main").value)
     except SimError as exc:
         return ("trap", type(exc).__name__)
 
@@ -219,8 +218,7 @@ def compiled_outcome(source: str, config: Config,
     try:
         compiled = COMPILERS[config.pipeline](
             module, buffer_capacity=config.capacity,
-            checked=settings.checked, engine=settings.engine,
-            max_steps=settings.max_steps)
+            checked=settings.checked, max_steps=settings.max_steps)
     except CheckedModeError as exc:
         return ("checked-failure",
                 f"{exc.pass_name}: {exc.diagnostics[0].format()}"
@@ -234,8 +232,7 @@ def compiled_outcome(source: str, config: Config,
         if error is not None:
             return error
     try:
-        outcome = run_compiled(compiled, max_steps=settings.max_steps,
-                               engine=settings.engine)
+        outcome = run_compiled(compiled, max_steps=settings.max_steps)
     except SimError as exc:
         return ("trap", type(exc).__name__)
     except CheckedModeError as exc:
@@ -274,7 +271,7 @@ def _service_outcome(source: str, config: Config,
     response = _service().submit(Request(
         kind="run", source=source, pipeline=config.pipeline,
         capacity=config.capacity, checked=settings.checked,
-        engine=settings.engine, max_steps=settings.max_steps)).result()
+        max_steps=settings.max_steps)).result()
     if response.status == "ok":
         return ("value", (response.payload or {}).get("value"))
     if response.status == "trap":

@@ -1,7 +1,7 @@
 """Continuous performance observability: one harness, one schema.
 
-Every performance number this repo protects — the fast-engine speedup
-(BENCH_sim.json), the tracing overhead (BENCH_obs.json), the service
+Every performance number this repo protects — the cold-grid compute
+time (BENCH_sim.json), the tracing overhead (BENCH_obs.json), the service
 (BENCH_serve.json) — used to be measured by a bespoke script with its
 own JSON shape and no memory of previous runs.  This package unifies
 them:

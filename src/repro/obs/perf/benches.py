@@ -1,14 +1,13 @@
 """The built-in benchmark specs behind ``scripts/bench_*.py`` and CI.
 
-Each is measured as a *pair* of specs plus a derived machine-portable
-ratio:
-
-* ``sim.ref`` / ``sim.fast`` / ``sim.speedup`` — cold Figure 7 grid
-  compute seconds per engine (the BENCH_sim.json study).  Both engines'
-  run summaries must be byte-identical (``digest_group="sim"``).
-* ``obs.off`` / ``obs.on`` / ``obs.overhead`` — cold-grid wall seconds
-  with tracing disabled vs. enabled; the ratio is the instrumentation
-  overhead (lower is better, ceiling-budgeted).
+* ``sim.fast`` — cold Figure 7 grid compute seconds.  Its ``sim.ref``
+  partner and their ``sim.speedup`` ratio are retired: the reference
+  engines are oracles only, and ``BENCH_sim.json`` keeps the recorded
+  speedup (DESIGN.md §5l).
+* ``obs.off`` / ``obs.on`` / ``obs.overhead`` — a *pair* of specs plus a
+  derived machine-portable ratio: cold-grid wall seconds with tracing
+  disabled vs. enabled; the ratio is the instrumentation overhead
+  (lower is better, ceiling-budgeted).
 
 Every timing spec records per-phase series (compile/retarget/simulate),
 so a regression flagged by the gate arrives with the phase that caused
@@ -60,11 +59,13 @@ def _grid_config(quick_grid: dict, mode: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sim: reference vs. fast engine, cold grid
+# sim: cold grid compute seconds
 
 
-def _sim_config(mode: str, engine: str) -> dict:
-    return dict(_grid_config(QUICK_SIM, mode), engine=engine, workers=1)
+def _sim_config(mode: str) -> dict:
+    # ``engine`` is no longer a setting; it stays in the dict so the
+    # config hash, and with it the bench's history baseline, is unchanged
+    return dict(_grid_config(QUICK_SIM, mode), engine="fast", workers=1)
 
 
 def _cold_grid_sample(config: dict, bench: str, wall: bool,
@@ -97,9 +98,8 @@ def _cold_grid_sample(config: dict, bench: str, wall: bool,
     )
 
 
-def _sim_sample(mode: str, engine: str) -> Sample:
-    return _cold_grid_sample(_sim_config(mode, engine), "sim", wall=False,
-                             engine=engine)
+def _sim_sample(mode: str) -> Sample:
+    return _cold_grid_sample(_sim_config(mode), "sim", wall=False)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +107,14 @@ def _sim_sample(mode: str, engine: str) -> Sample:
 
 
 def _obs_config(mode: str, tracing: str) -> dict:
+    # ``engine="fast"`` keeps the config hash of the history baseline
     return dict(_grid_config(QUICK_OBS, mode), tracing=tracing,
                 engine="fast", workers=1)
 
 
 def _obs_sample(mode: str, trace: bool) -> Sample:
     return _cold_grid_sample(_obs_config(mode, "on" if trace else "off"),
-                             "obs", wall=True, engine="fast", trace=trace)
+                             "obs", wall=True, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +122,7 @@ def _obs_sample(mode: str, trace: bool) -> Sample:
 
 
 #: the CI gate's default suite (every ratio pulls in its inputs)
-DEFAULT_SUITE = ("sim.speedup", "obs.overhead", "serve.speedup",
-                 "serve.hitrate")
+DEFAULT_SUITE = ("obs.overhead", "serve.speedup", "serve.hitrate")
 
 
 def ensure_registered() -> None:
@@ -132,23 +132,12 @@ def ensure_registered() -> None:
     from repro.serve import benches as serve_benches
 
     serve_benches.ensure_registered()
-    if "sim.ref" in _REGISTRY:
+    if "sim.fast" in _REGISTRY:
         return
 
     register(BenchSpec(
-        "sim.ref", lambda mode: _sim_sample(mode, "ref"),
-        lambda mode: _sim_config(mode, "ref"),
-        digest_group="sim",
-        help="cold-grid compute seconds, reference interpreter/VLIW"))
-    register(BenchSpec(
-        "sim.fast", lambda mode: _sim_sample(mode, "fast"),
-        lambda mode: _sim_config(mode, "fast"),
-        digest_group="sim",
+        "sim.fast", _sim_sample, _sim_config,
         help="cold-grid compute seconds, predecoded fast engine"))
-    register(RatioSpec(
-        "sim.speedup", "sim.ref", "sim.fast",
-        budgets={"quick": 1.0, "full": 2.0},
-        help="fast-engine speedup (ref/fast compute seconds)"))
 
     register(BenchSpec(
         "obs.off", lambda mode: _obs_sample(mode, False),

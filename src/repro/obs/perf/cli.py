@@ -212,8 +212,8 @@ def cmd_compare(args) -> int:
             result.name, result.config_hash, result.env_fingerprint)
         # --budget overrides everything; otherwise a spec may carry its
         # own gate budget (serve.speedup: cold and warm noise sources
-        # are independent, so the ratio is wider than engine-vs-engine
-        # speedups); None falls through to the per-unit default
+        # are independent, so the ratio is wider than same-work ratios
+        # such as obs.overhead); None falls through to the per-unit default
         budget = args.budget if args.budget is not None \
             else harness.get_spec(result.name).gate_budget
         verdict = compare_result(result, baseline, env_match,

@@ -19,8 +19,8 @@ schema every benchmark in this repo reports in and the history store
 * ``git_sha`` — when (in history terms) it was measured.
 
 A :class:`RatioSpec` derives a dimensionless series from two specs
-(sample-wise numerator/denominator — e.g. ``sim.speedup = sim.ref /
-sim.fast``).  Ratios are machine-portable, so they stay gateable even
+(sample-wise numerator/denominator — e.g. ``obs.overhead = obs.on /
+obs.off``).  Ratios are machine-portable, so they stay gateable even
 across environment changes where raw seconds are not.
 
 ``REPRO_PERF_INJECT=bench:phase:factor`` multiplies one phase of one
@@ -124,7 +124,7 @@ class BenchSpec:
     ceiling (lower-better) enforced on the median regardless of history.
     ``digest_group`` names an equivalence class: every spec in the group
     must produce byte-identical ``meta["digest"]`` values in one suite
-    run (e.g. ref and fast engine summaries must agree).
+    run (e.g. traced and untraced grid summaries must agree).
     ``gate_budget`` overrides the regression gate's per-unit relative
     budget for this spec alone — for benches whose between-run noise is
     wider than their unit's default assumes (``None`` keeps the
@@ -418,7 +418,7 @@ def run_suite(names: list[str], mode: str = "quick", samples: int = 3,
 
     Returns ``{name: BenchResult}``; ratio specs are derived after their
     inputs run, and every digest group is cross-checked — divergent
-    artifacts (e.g. ref-vs-fast engine summaries) abort the suite.
+    artifacts (e.g. traced-vs-untraced grid summaries) abort the suite.
     """
     _ensure_builtins()
     ordered: list[str] = []

@@ -1,8 +1,7 @@
 """Shared driver behind the ``scripts/bench_*.py`` entry points.
 
 Each script names one *headline* bench (a ratio with an absolute budget
-— ``sim.speedup``, ``obs.overhead``, ``serve.speedup``), and this module
-does the rest: run the suite through the unified harness, write the
+— ``obs.overhead``, ``serve.speedup``), and this module does the rest: run the suite through the unified harness, write the
 ``repro-bench-v1`` document (the BENCH_*.json shape, one schema for all
 three), optionally append every result to the benchmark history, enforce
 the budgets, and print the human summary.

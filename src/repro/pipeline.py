@@ -89,7 +89,6 @@ from repro.sched.cache import (
 )
 from repro.sched.machine import DEFAULT_MACHINE, MachineDescription
 from repro.sched.modulo import ModuloSchedulingFailed, modulo_schedule
-from repro.sim.engine import DEFAULT_ENGINE, engine_choice
 from repro.sim.interp import profile_module
 from repro.sim.power import FetchEnergy
 from repro.sim.vliw import simulate
@@ -115,10 +114,10 @@ class Compiled:
     #: set when this artifact is a zero-copy retarget of a shared base
     #: (``with_buffer``); ``None`` for unbuffered bases.
     overlay: CapacityOverlay | None = None
-    #: the unbuffered base's recorded pass trace (every fast-engine
-    #: compile records one; ``with_buffer`` carries it over), so
-    #: ``run_compiled`` replays instead of re-executing; ``None`` for
-    #: ``ref``-engine compiles and artifacts cached before traces existed
+    #: the unbuffered base's recorded pass trace (every compile whose
+    #: final profiling run completes records one; ``with_buffer`` carries
+    #: it over), so ``run_compiled`` replays instead of re-executing;
+    #: ``None`` only for artifacts cached before traces existed
     pass_trace: PassTrace | None = None
 
     @property
@@ -174,23 +173,22 @@ _PER_PASS_SKIP = frozenset({"unreachable-block"})
 
 @dataclass(frozen=True)
 class RunConfig:
-    """How a compile or run executes: checked mode, simulator engine,
-    step budget (``None``: each layer's default) and whether the runner
-    records a trace.  Entry points :meth:`resolve` it once and pass it
-    down; ``RunConfig()`` is unchecked, fast, default budget, untraced.
+    """How a compile or run executes: checked mode, step budget
+    (``None``: each layer's default) and whether the runner records a
+    trace.  Entry points :meth:`resolve` it once and pass it down;
+    ``RunConfig()`` is unchecked, default budget, untraced.
     """
 
     checked: bool = False
-    engine: str = DEFAULT_ENGINE
     max_steps: int | None = None
     trace: bool = False
 
     @classmethod
-    def resolve(cls, checked: bool | None = None, engine: str | None = None,
+    def resolve(cls, checked: bool | None = None,
                 max_steps: int | None = None,
                 trace: bool = False) -> "RunConfig":
-        """Arguments win over ``REPRO_CHECKED`` and ``REPRO_ENGINE``;
-        :class:`ValueError` on a bad engine, checked flag or budget."""
+        """Arguments win over ``REPRO_CHECKED``; :class:`ValueError` on a
+        bad checked flag or budget."""
         if checked is None:
             checked = not falsey(os.environ.get(ENV_CHECKED))
         elif type(checked) is not bool:
@@ -199,12 +197,14 @@ class RunConfig:
                                       or max_steps < 1):
             raise ValueError(
                 f"max_steps must be a positive int, got {max_steps!r}")
-        return cls(checked, engine_choice(engine), max_steps, bool(trace))
+        return cls(checked, max_steps, bool(trace))
 
     def key_flags(self) -> dict:
         """The cache-key fragment; ``trace`` only observes, so it is not
-        keyed."""
-        flags = {"checked": self.checked, "engine": self.engine}
+        keyed.  ``"engine": "fast"`` is a constant kept from when the
+        simulator engine was a setting, so every key, and every cache
+        entry stored under one, stays valid (DESIGN.md §5l)."""
+        flags = {"checked": self.checked, "engine": "fast"}
         if self.max_steps is not None:
             flags["max_steps"] = self.max_steps
         return flags
@@ -506,8 +506,7 @@ def _common_frontend(module: Module, entry: str, args: list[int],
                      settings: RunConfig) -> Profile:
     _scalar_cleanup(module, checker)
     profile, _ = profile_module(module, entry, args,
-                                max_steps=settings.max_steps,
-                                engine=settings.engine)
+                                max_steps=settings.max_steps)
     before = _module_digest(module, uids=True)
     checker.run("inline_module", inline_module, module, profile,
                 expansion_limit=inline_budget)
@@ -516,8 +515,7 @@ def _common_frontend(module: Module, entry: str, args: list[int],
     if _module_digest(module, uids=True) != before:
         # inlining or cleanup changed the program: profile what it became
         profile, _ = profile_module(module, entry, args,
-                                    max_steps=settings.max_steps,
-                                    engine=settings.engine)
+                                    max_steps=settings.max_steps)
     return profile
 
 
@@ -535,8 +533,7 @@ def _backend(
     as the pass trace every capacity overlay of this base replays."""
     verify_module(module)
     profile, run = profile_module(module, entry, args,
-                                  max_steps=settings.max_steps,
-                                  engine=settings.engine, record=True)
+                                  max_steps=settings.max_steps, record=True)
     tracer = checker.tracer
 
     # modulo-schedule simple loops; their MVE-expanded kernels are the
@@ -589,16 +586,10 @@ def compile_traditional(
     max_steps: int = 200_000_000,
     checked: bool | None = None,
     tracer=None,
-    engine: str | None = None,
 ) -> Compiled:
-    """The baseline pipeline: no predication, no loop restructuring.
-
-    ``engine`` selects the profiling-interpreter engine (``"ref"`` /
-    ``"fast"``; default per ``REPRO_ENGINE``) — both produce identical
-    profiles, hence identical compiled artifacts.
-    """
+    """The baseline pipeline: no predication, no loop restructuring."""
     args = list(args or [])
-    settings = RunConfig.resolve(checked, engine, max_steps)
+    settings = RunConfig.resolve(checked, max_steps)
     tracer = tracer if tracer is not None else get_tracer()
     stats: dict[str, object] = {"pipeline": "traditional"}
     if settings.checked:
@@ -634,11 +625,10 @@ def compile_aggressive(
     combine: bool = True,
     checked: bool | None = None,
     tracer=None,
-    engine: str | None = None,
 ) -> Compiled:
     """The paper's aggressive pipeline (hyperblock + loop transforms)."""
     args = list(args or [])
-    settings = RunConfig.resolve(checked, engine, max_steps)
+    settings = RunConfig.resolve(checked, max_steps)
     tracer = tracer if tracer is not None else get_tracer()
     stats: dict[str, object] = {"pipeline": "aggressive"}
     if settings.checked:
@@ -701,8 +691,7 @@ def _compile_aggressive_body(
     verify_module(module)
 
     profile, _ = profile_module(module, entry, args,
-                                max_steps=settings.max_steps,
-                                engine=settings.engine)
+                                max_steps=settings.max_steps)
     combine_stats = []
     promote_stats = []
     for func in module.functions.values():
@@ -838,13 +827,9 @@ def run_compiled(
     compiled: Compiled,
     max_steps: int = 200_000_000,
     tracer=None,
-    engine: str | None = None,
 ) -> SimulationOutcome:
     """Simulate a compiled program on the VLIW at the capacity it was
     buffered for (buffer assignment bakes offsets in).
-
-    ``engine`` selects the simulator engine (``"ref"``/``"fast"``, default
-    per ``REPRO_ENGINE``); the counters are identical either way.
 
     An artifact carrying its base's pass trace is replayed rather than
     re-executed (:mod:`repro.sim.replay`).  A checked artifact
@@ -852,23 +837,22 @@ def run_compiled(
     difference raises :class:`CheckedModeError` for pass ``"replay"``.
     """
     buffer_capacity = compiled.buffer_capacity
-    settings = RunConfig.resolve(engine=engine, max_steps=max_steps)
+    settings = RunConfig.resolve(max_steps=max_steps)
     tracer = tracer if tracer is not None else get_tracer()
     sim_args = (compiled.module, compiled.schedules, compiled.modulo,
                 compiled.machine, buffer_capacity, compiled.entry,
                 compiled.args)
-    with tracer.span("simulate", category="sim", capacity=buffer_capacity,
-                     engine=settings.engine) as span:
+    with tracer.span("simulate", category="sim",
+                     capacity=buffer_capacity) as span:
         result, counters, buffer = simulate(
             *sim_args, max_steps=settings.max_steps, tracer=tracer,
-            engine=settings.engine, trace=compiled.pass_trace)
+            trace=compiled.pass_trace)
         if compiled.stats.get("checked") and compiled.pass_trace is not None:
             from repro.sim.replay import ReplayedRun
 
             if isinstance(result, ReplayedRun):
                 _check_replay(result, counters, buffer, simulate(
-                    *sim_args, max_steps=settings.max_steps, tracer=tracer,
-                    engine=settings.engine))
+                    *sim_args, max_steps=settings.max_steps, tracer=tracer))
         span.annotate(
             cycles=counters.cycles,
             ops_issued=counters.ops_issued,

@@ -53,7 +53,6 @@ from repro.runner.cache import (
 from repro.runner.metrics import MetricsRecorder
 from repro.runner.parallel import PIPELINES, expand_grid, run_grid
 from repro.runner.summary import format_table
-from repro.sim.engine import ENGINES, ENV_ENGINE
 
 
 def parse_csv(value: str) -> list[str]:
@@ -106,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="compile in checked mode: run the semantic "
                              "sanitizer after every pass and fail on the "
                              "first violation (also: REPRO_CHECKED=1)")
-    parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help="simulator engine: 'fast' predecodes blocks "
-                             "into thunk lists, 'ref' is the reference "
-                             "interpreter; both are bit-identical (default: "
-                             f"{ENV_ENGINE} or 'fast')")
     parser.add_argument("--trace", dest="trace_dir", nargs="?",
                         const=DEFAULT_TRACE_DIR,
                         default=trace_dir_from_env(), metavar="DIR",
@@ -246,8 +240,7 @@ def main(argv: list[str] | None = None) -> int:
                              timeout=args.timeout, cache=cache,
                              metrics=metrics,
                              checked=args.checked or None,
-                             trace=bool(args.trace_dir),
-                             engine=args.engine)
+                             trace=bool(args.trace_dir))
     except AssertionError as exc:
         print(f"CHECKSUM MISMATCH: {exc}", file=sys.stderr)
         return 1

@@ -135,10 +135,8 @@ def _base_flags(program: Benchmark | Source, settings: RunConfig) -> dict:
 
     # the run settings are part of the key: a checked compile carries
     # different stats (and may raise), so it must never be served from —
-    # or poison — the unchecked entry; the engines are verified
-    # equivalent, but a differential sweep (bench_sim, the fuzz oracle)
-    # must never have one engine's artifacts satisfy the other's cells;
-    # and a step budget decides where profiling and simulation trap
+    # or poison — the unchecked entry; and a step budget decides where
+    # profiling and simulation trap
     return {
         "entry": program.entry,
         "args": list(program.args),
@@ -167,11 +165,10 @@ def run_key(program: Program, pipeline: str, capacity: int | None,
 
 def compile_base(name: str, pipeline: str,
                  cache: ArtifactCache | None = None,
-                 checked: bool | None = None,
-                 engine: str | None = None) -> Compiled:
+                 checked: bool | None = None) -> Compiled:
     """Compiled-but-unassigned base for a (benchmark, pipeline) group."""
     compiled, _seconds, _how, _trace = _compile_base_timed(
-        name, pipeline, cache, RunConfig.resolve(checked, engine))
+        name, pipeline, cache, RunConfig.resolve(checked))
     return compiled
 
 
@@ -216,7 +213,7 @@ def _compile_base_timed(
         compiled = _COMPILERS[pipeline](
             program.build(), entry=program.entry, args=list(program.args),
             buffer_capacity=None, checked=settings.checked,
-            engine=settings.engine, **settings.budget())
+            **settings.budget())
     seconds = time.perf_counter() - t0
     payload = tracer.to_payload() if settings.trace else None
     if cache is not None:
@@ -243,8 +240,7 @@ def run_base(
     t0 = time.perf_counter()
     compiled = with_buffer(base, capacity, checked=settings.checked)
     t1 = time.perf_counter()
-    outcome = run_compiled(compiled, engine=settings.engine,
-                           **settings.budget())
+    outcome = run_compiled(compiled, **settings.budget())
     if stages is not None:
         stages["retarget"] = t1 - t0
         stages["simulate"] = time.perf_counter() - t1
@@ -360,12 +356,10 @@ def run_cell(
     metrics: MetricsRecorder | None = None,
     checked: bool | None = None,
     trace: bool = False,
-    engine: str | None = None,
 ) -> RunSummary:
     """The single-cell entry point the experiments facade builds on."""
     summary, cm = _execute_cell(Cell(name, pipeline, capacity), cache, base,
-                                RunConfig.resolve(checked, engine,
-                                                  trace=trace))
+                                RunConfig.resolve(checked, trace=trace))
     if metrics is not None:
         metrics.add_cell(cm)
         if cache is not None:
@@ -420,7 +414,6 @@ def run_grid(
     metrics: MetricsRecorder | None = None,
     checked: bool | None = None,
     trace: bool = False,
-    engine: str | None = None,
 ) -> list[RunSummary]:
     """Execute every cell, returning summaries in input-cell order.
 
@@ -437,10 +430,7 @@ def run_grid(
     compile error would, so keep grids small when debugging with it).
     ``trace`` records a span/event trace per cell onto its
     :class:`~repro.runner.metrics.CellMetrics` (see
-    :mod:`repro.obs.export` for the exporters).  ``engine`` selects the
-    simulator engine (``"ref"``/``"fast"``, default per ``REPRO_ENGINE``);
-    it is part of every cache key, so sweeping both engines against one
-    cache directory keeps their artifacts separate.
+    :mod:`repro.obs.export` for the exporters).
     """
     if cache == "default":
         cache = default_cache()
@@ -448,7 +438,7 @@ def run_grid(
     workers = resolve_workers(workers)
     metrics.workers = max(1, workers)
     cells = list(cells)
-    settings = RunConfig.resolve(checked, engine, trace=trace)
+    settings = RunConfig.resolve(checked, trace=trace)
 
     try:
         if workers <= 1 or len(cells) <= 1:

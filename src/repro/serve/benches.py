@@ -1,6 +1,6 @@
 """``serve.*`` saturation/load benchmarks for the service front end.
 
-Registered into the same harness as ``sim.*``
+Registered into the same harness as ``sim.fast`` and ``obs.*``
 (:mod:`repro.obs.perf`), so ``perf record``, the CI perf-gate and the
 nightly history all treat the service like any other protected fast
 path.  Four specs plus a ratio:
@@ -215,8 +215,8 @@ def ensure_registered() -> None:
     register(RatioSpec(
         "serve.speedup", "serve.cold", "serve.warm",
         budgets={"quick": 10.0, "full": 10.0},
-        # unlike engine-vs-engine speedups, the two halves measure
-        # different work (compile-bound cold vs. cache-lookup warm), so
+        # unlike same-work ratios such as obs.overhead, the two halves
+        # measure different work (compile-bound cold vs. cache-lookup warm), so
         # between-run machine noise does not divide out of the ratio;
         # the 10x floor above carries the contract and the gate only
         # needs to catch gross collapses

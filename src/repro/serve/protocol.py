@@ -66,7 +66,6 @@ class Request:
     pipeline: str = "aggressive"
     capacity: int | None = None
     checked: bool = False
-    engine: str | None = None
     #: simulation/profiling step budget (None = the pipeline default);
     #: the fuzz oracle pins this so runaway loops trap identically on
     #: both sides of its differential
@@ -90,8 +89,7 @@ class Request:
                     "benchmark/source")
         try:
             check_capacity(self.capacity)
-            return RunConfig.resolve(self.checked, self.engine,
-                                     self.max_steps)
+            return RunConfig.resolve(self.checked, self.max_steps)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
 
@@ -113,7 +111,7 @@ class Request:
         needs: the executor batches queued requests of one group against
         one base."""
         return (self.program_id, self.pipeline, self.checked,
-                self.engine or "", self.max_steps)
+                self.max_steps)
 
     def coalesce_key(self) -> tuple:
         """Full semantic identity: two requests with equal keys must

@@ -179,8 +179,7 @@ class Service:
 
         # 2. coalesce with an identical in-flight computation, keyed on
         # the resolved settings: a default left unset equals one spelled out
-        resolved = replace(request, checked=settings.checked,
-                           engine=settings.engine)
+        resolved = replace(request, checked=settings.checked)
         key = resolved.coalesce_key()
         deadline = request.deadline_s
         if deadline is None:

@@ -55,15 +55,15 @@ VLIW.  Two exceptions, both enforced:
   :meth:`TraceCache.invalidate` and a fresh run for structural edits).
   A fused loop sees an edit to its own block only at its next entry.
 
-Engine selection: ``REPRO_ENGINE=ref|fast`` (default ``fast``), or the
-explicit ``engine=`` argument threaded through ``run_module`` /
-``profile_module`` / ``simulate`` / the pipelines and the runner.
+These are the only engines the program runs: ``run_module``,
+``profile_module`` and ``simulate`` construct them directly.  The
+reference classes stay as oracles that tests and
+``scripts/check_engine_parity.py`` construct themselves (DESIGN.md §5l).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 from repro.ir.opcodes import Opcode
 from repro.ir.preddef import pred_update
@@ -87,58 +87,12 @@ from repro.sim.values import (
 from repro.sim.vliw import VLIWSimulator
 
 __all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "ENV_ENGINE",
     "FastInterpreter",
     "FastVLIWSimulator",
     "SHARED_DECODE_STATS",
     "TraceCache",
-    "engine_choice",
-    "make_interpreter",
-    "make_vliw_simulator",
     "reset_shared_decode",
 ]
-
-ENV_ENGINE = "REPRO_ENGINE"
-ENGINES = ("ref", "fast")
-DEFAULT_ENGINE = "fast"
-
-
-def engine_choice(engine: str | None = None) -> str:
-    """Resolve the effective engine: argument, else ``REPRO_ENGINE``, else
-    :data:`DEFAULT_ENGINE`."""
-    if engine is None:
-        engine = os.environ.get(ENV_ENGINE, "").strip().lower() or DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r} (choose from {', '.join(ENGINES)})"
-        )
-    return engine
-
-
-def make_interpreter(module, profile=None, max_steps: int = 200_000_000,
-                     engine: str | None = None,
-                     record: bool = False) -> Interpreter:
-    """A functional interpreter; ``record`` (fast engine only) records the
-    run's pass trace (:mod:`repro.sim.replay`)."""
-    if engine_choice(engine) == "fast":
-        return FastInterpreter(module, profile=profile, max_steps=max_steps,
-                               record=record)
-    return Interpreter(module, profile=profile, max_steps=max_steps)
-
-
-def make_vliw_simulator(module, schedules, modulo=None, machine=None,
-                        buffer=None, max_steps: int = 200_000_000,
-                        tracer=None, engine: str | None = None):
-    from repro.sched.machine import DEFAULT_MACHINE
-
-    machine = machine if machine is not None else DEFAULT_MACHINE
-    cls = (FastVLIWSimulator if engine_choice(engine) == "fast"
-           else VLIWSimulator)
-    return cls(module, schedules, modulo, machine, buffer,
-               max_steps=max_steps, tracer=tracer)
-
 
 # --------------------------------------------------------------------------
 # operand resolution and opcode handler tables
@@ -1260,15 +1214,13 @@ class _FastCallMixin:
 
 class FastInterpreter(_FastCallMixin, Interpreter):
     """Predecoded functional interpreter; bit-identical to the reference
-    (values, traps, profile counts), selectable via ``REPRO_ENGINE=fast``.
+    (values, traps, profile counts).
 
     With ``record`` set, a :class:`~repro.sim.replay.PassRecorder` notes
     every block pass in VLIW accounting order (a caller's pass after its
     callees') and the result carries the finished
     :class:`~repro.sim.replay.PassTrace`; a trapping run yields none.
     """
-
-    engine = "fast"
 
     def __init__(self, module, profile=None,
                  max_steps: int = 200_000_000, record: bool = False) -> None:
@@ -1393,8 +1345,6 @@ def _fold_self_passes(prog: BlockProgram, reps: int) -> None:
 class FastVLIWSimulator(_FastCallMixin, VLIWSimulator):
     """Predecoded cycle-level VLIW; ``SimCounters``/``LoopFetchStats`` and
     obs instants are bit-identical to the reference simulator."""
-
-    engine = "fast"
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

@@ -265,22 +265,19 @@ def run_module(
     args: list[int] | None = None,
     profile: Profile | None = None,
     max_steps: int = 200_000_000,
-    engine: str | None = None,
     record: bool = False,
 ) -> RunResult:
-    """Convenience wrapper: interpret ``module`` from ``entry``.
+    """Convenience wrapper: interpret ``module`` from ``entry`` on the
+    predecoded :class:`~repro.sim.engine.FastInterpreter`.
 
-    ``engine`` selects the execution engine (``"ref"`` — this module's
-    reference interpreter — or ``"fast"``, the predecoded engine in
-    :mod:`repro.sim.engine`); default per ``REPRO_ENGINE``, else fast.
-    ``record`` asks the fast engine for the run's pass trace
-    (``RunResult.pass_trace``, see :mod:`repro.sim.replay`); the
-    reference engine records none.
+    ``record`` asks for the run's pass trace (``RunResult.pass_trace``,
+    see :mod:`repro.sim.replay`).  This module's :class:`Interpreter` is
+    the reference it answers to; oracles construct it directly.
     """
-    from repro.sim.engine import make_interpreter
+    from repro.sim.engine import FastInterpreter
 
-    interp = make_interpreter(module, profile=profile, max_steps=max_steps,
-                              engine=engine, record=record)
+    interp = FastInterpreter(module, profile=profile, max_steps=max_steps,
+                             record=record)
     return interp.run(entry, args)
 
 
@@ -289,14 +286,13 @@ def profile_module(
     entry: str = "main",
     args: list[int] | None = None,
     max_steps: int = 200_000_000,
-    engine: str | None = None,
     record: bool = False,
 ) -> tuple[Profile, RunResult]:
     """Run once with profiling enabled; returns the profile and the result
     (carrying the pass trace when ``record`` is set, see :func:`run_module`)."""
     profile = Profile()
     result = run_module(module, entry, args, profile=profile,
-                        max_steps=max_steps, engine=engine, record=record)
+                        max_steps=max_steps, record=record)
     return profile, result
 
 

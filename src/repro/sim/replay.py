@@ -24,8 +24,8 @@ program per capacity:
 :func:`replay` declines (returns ``None``, and the caller simulates in
 full) whenever its assumptions are not certain to hold:
 
-* the ``ref`` engine, an enabled obs tracer (replay emits no
-  ``buffer_*`` instants), or an instrumented ``VLIWSimulator._do_rec``;
+* an enabled obs tracer (replay emits no ``buffer_*`` instants), or an
+  instrumented ``VLIWSimulator._do_rec``;
 * a different entry point or arguments than the trace recorded;
 * an executed block that is missing, or whose base block no longer
   matches the fingerprint recorded with the trace;
@@ -177,7 +177,7 @@ class ReplayedRun(RunResult):
 
             module, entry, args, max_steps = self._rerun
             self._final = run_module(module, entry, args,
-                                     max_steps=max_steps, engine="fast")
+                                     max_steps=max_steps)
         return self._final
 
     @property
@@ -340,7 +340,7 @@ def replay(trace: PassTrace, module, schedules, modulo, machine,
     Returns ``(ReplayedRun, SimCounters, LoopBuffer | None)`` exactly as
     :func:`repro.sim.vliw.simulate` would, or ``None`` when the trace
     cannot stand in for execution (see the module docstring; the caller
-    checks engine, tracer and instrumentation before calling).
+    checks the tracer and instrumentation before calling).
     """
     if VLIWSimulator._do_rec is not _STOCK_DO_REC:
         return None

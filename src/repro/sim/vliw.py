@@ -312,27 +312,25 @@ def simulate(
     args: list[int] | None = None,
     max_steps: int = 200_000_000,
     tracer=None,
-    engine: str | None = None,
     trace=None,
 ):
-    """Run a scheduled module; returns (RunResult, SimCounters, LoopBuffer).
-
-    ``engine`` picks the reference simulator (``"ref"``) or the predecoded
-    fast path (``"fast"``, :mod:`repro.sim.engine`); both produce
-    bit-identical counters.  Default per ``REPRO_ENGINE``, else fast.
+    """Run a scheduled module on the predecoded
+    :class:`~repro.sim.engine.FastVLIWSimulator`; returns (RunResult,
+    SimCounters, LoopBuffer).  This module's :class:`VLIWSimulator` is
+    the reference it answers to; oracles construct it directly.
 
     ``trace`` is the :class:`~repro.sim.replay.PassTrace` of the
     unbuffered base this module retargets (``Compiled.pass_trace``).
-    Given one, the fast engine *replays* it instead of re-executing the
+    Given one, the simulator *replays* it instead of re-executing the
     program (:mod:`repro.sim.replay`): same counters, buffer stats, value
     and step count, with ``memory``/``loader`` recomputed on demand.
-    Replay is skipped — and the module simulated in full — on the
-    ``ref`` engine, under an enabled obs tracer, and wherever
-    :func:`repro.sim.replay.replay` declines.
+    Replay is skipped — and the module simulated in full — under an
+    enabled obs tracer and wherever :func:`repro.sim.replay.replay`
+    declines.
     """
-    from repro.sim.engine import engine_choice, make_vliw_simulator
+    from repro.sim.engine import FastVLIWSimulator
 
-    if trace is not None and engine_choice(engine) == "fast":
+    if trace is not None:
         if tracer is None:
             from repro.obs import get_tracer
             tracer = get_tracer()
@@ -345,9 +343,8 @@ def simulate(
                 return replayed
 
     buffer = LoopBuffer(buffer_capacity) if buffer_capacity else None
-    sim = make_vliw_simulator(module, schedules, modulo, machine, buffer,
-                              max_steps=max_steps, tracer=tracer,
-                              engine=engine)
+    sim = FastVLIWSimulator(module, schedules, modulo, machine, buffer,
+                            max_steps=max_steps, tracer=tracer)
     result = sim.run(entry, args)
     tracer = sim.tracer
     if tracer.enabled:

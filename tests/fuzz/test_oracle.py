@@ -53,11 +53,16 @@ class TestConfig:
 
     def test_retarget_direct_keeps_legacy_dict_shape(self):
         # cache keys and corpus JSON keep their shape, and a dict written
-        # while configs still had a retarget axis loads as the plain config
+        # while configs still had a retarget or an engine axis loads as
+        # the plain config
         config = Config("traditional", 64)
-        assert "retarget" not in config.as_dict()
-        assert Config.from_dict({**config.as_dict(),
-                                 "retarget": "overlay"}) == config
+        assert config.as_dict() == {"pipeline": "traditional",
+                                    "capacity": 64, "checked": False}
+        assert config.label == "traditional@64"
+        for legacy in ({"retarget": "overlay"}, {"engine": "fast"},
+                       {"engine": "ref"},
+                       {"engine": "ref", "retarget": "direct"}):
+            assert Config.from_dict({**config.as_dict(), **legacy}) == config
 
 
 class TestSchedOracleConfig:

@@ -11,7 +11,7 @@ _BASES: dict[tuple[str, str], object] = {}
 
 def compiled_base(name: str, pipeline: str):
     """The benchmark's ``buffer_capacity=None`` base, compiled once per
-    test process (fast engine, so it carries its pass trace)."""
+    test process (it carries its pass trace)."""
     from repro.bench import benchmark
     from repro.pipeline import COMPILERS
 
@@ -20,7 +20,7 @@ def compiled_base(name: str, pipeline: str):
         bench = benchmark(name)
         _BASES[key] = COMPILERS[pipeline](
             bench.build(), entry=bench.entry, args=bench.args,
-            buffer_capacity=None, engine="fast")
+            buffer_capacity=None)
     return _BASES[key]
 
 

@@ -35,17 +35,20 @@ class TestList:
     def test_lists_builtins(self, capsys):
         assert main(["perf", "list"]) == 0
         out = capsys.readouterr().out
-        assert "sim.speedup" in out and "obs.overhead" in out
+        assert "sim.fast" in out and "obs.overhead" in out
+        # the reference engines are oracles only: no bench times them
+        assert "sim.ref" not in out and "sim.speedup" not in out
 
     def test_json_shape(self, capsys):
         assert main(["perf", "list", "--json"]) == 0
         specs = {s["name"]: s for s in
                  json.loads(capsys.readouterr().out)}
-        assert specs["sim.speedup"]["kind"] == "ratio"
-        assert specs["sim.speedup"]["direction"] == "higher"
+        assert specs["serve.speedup"]["kind"] == "ratio"
+        assert specs["serve.speedup"]["direction"] == "higher"
+        assert specs["obs.overhead"]["direction"] == "lower"
         # most specs gate at the per-unit default; serve.speedup carries
         # its own wider budget (cold/warm noise doesn't divide out)
-        assert specs["sim.speedup"]["gate_budget"] is None
+        assert specs["obs.overhead"]["gate_budget"] is None
         assert specs["serve.speedup"]["gate_budget"] == 0.5
 
 

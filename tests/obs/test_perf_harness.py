@@ -158,10 +158,15 @@ class TestBudgets:
 
 class TestBuiltins:
     def test_builtin_specs_registered(self):
+        from repro.obs.perf.benches import DEFAULT_SUITE
+
         names = harness.bench_names()
-        for name in ("sim.ref", "sim.fast", "sim.speedup", "obs.off",
-                     "obs.on", "obs.overhead"):
+        for name in ("sim.fast", "obs.off", "obs.on", "obs.overhead"):
             assert name in names
+        assert "sim.ref" not in names and "sim.speedup" not in names
+        assert DEFAULT_SUITE == ("obs.overhead", "serve.speedup",
+                                 "serve.hitrate")
+        assert set(DEFAULT_SUITE) <= set(names)
 
     def test_unknown_bench_raises(self):
         with pytest.raises(BenchError, match="unknown bench"):

@@ -89,7 +89,7 @@ def canonical_retarget(compiled) -> tuple:
 
 def loop_table(compiled) -> tuple:
     """Per-loop fetch counters plus buffer-model stats, canonicalized."""
-    outcome = run_compiled(compiled, engine="fast")
+    outcome = run_compiled(compiled)
     buffer_stats = (outcome.buffer.stats.as_tuple()
                     if outcome.buffer is not None else None)
     return (outcome.counters.loop_table(), buffer_stats)

@@ -21,10 +21,6 @@ PINNED = {
         {"checked": True},
         "9d76ed07a30823f0ed76d6a77b64403764252902e463c9282307ac9467b3aeab",
         "1493b641a4a7f196145b39ee3395760117cda3174f504564e392707e775d2a08"),
-    "ref": (
-        {"engine": "ref"},
-        "bf6bc60f1d2f543df83c54ce86a5ec839eb7eb78b3863f72f3e9f184129860f4",
-        "c422d923dab21f240b0dce6c47dc5dfe5da0f77748ff18d170ef373b26969898"),
     "max_steps": (
         {"max_steps": 1000},
         "92267a634c495118834062c663977de8051b262826902f835e7f9425177f4046",
@@ -41,16 +37,15 @@ def _clean_env(monkeypatch):
 class TestResolve:
     def test_defaults(self):
         assert RunConfig.resolve() == RunConfig() == RunConfig(
-            checked=False, engine="fast", max_steps=None, trace=False)
+            checked=False, max_steps=None, trace=False)
 
     def test_environment_then_argument(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECKED", "1")
-        monkeypatch.setenv("REPRO_ENGINE", "ref")
-        assert RunConfig.resolve() == RunConfig(checked=True, engine="ref")
-        assert RunConfig.resolve(checked=False, engine="fast") == RunConfig()
+        assert RunConfig.resolve() == RunConfig(checked=True)
+        assert RunConfig.resolve(checked=False) == RunConfig()
 
     @pytest.mark.parametrize("kwargs,match", [
-        ({"engine": "bogus"}, "unknown engine"),
+        ({"max_steps": "9"}, "max_steps"),
         ({"checked": "yes"}, "checked"),
         ({"checked": 1}, "checked"),
         ({"max_steps": 0}, "max_steps"),
@@ -91,10 +86,13 @@ class TestPinnedKeys:
         assert base_key("adpcm_dec", "traditional", traced) == base
         assert run_key("adpcm_dec", "traditional", 64, traced) == run
 
-    def test_environment_engine_keys_like_the_argument(self, monkeypatch):
+    def test_stale_engine_environment_keys_like_the_default(
+            self, monkeypatch):
+        # ``REPRO_ENGINE`` is no longer read: a leftover ``ref`` keys the
+        # default entries, never the ones a ``ref`` run once stored
         monkeypatch.setenv("REPRO_ENGINE", "ref")
-        _kwargs, base, run = PINNED["ref"]
+        _kwargs, base, run = PINNED["default"]
         settings = RunConfig.resolve()
-        assert settings == RunConfig.resolve(engine="ref")
+        assert settings == RunConfig()
         assert base_key("adpcm_dec", "traditional", settings) == base
         assert run_key("adpcm_dec", "traditional", 64, settings) == run

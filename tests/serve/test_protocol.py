@@ -104,8 +104,6 @@ class TestIdentityKeys:
         assert base.group != Request(kind="run", benchmark="a",
                                      checked=True).group
         assert base.group != Request(kind="run", benchmark="a",
-                                     engine="ref").group
-        assert base.group != Request(kind="run", benchmark="a",
                                      max_steps=10).group
         # keyed on the budget as given: no budget is not a zero budget
         assert base.group != Request(kind="run", benchmark="a",
@@ -127,6 +125,16 @@ class TestIdentityKeys:
                            match=r"unknown request fields \['retarget'\]"):
             decode_request(b'{"kind": "run", "benchmark": "a", '
                            b'"retarget": "legacy", "v": 1}\n')
+
+    @pytest.mark.parametrize("engine", ["ref", "fast"])
+    def test_engine_field_is_rejected(self, engine):
+        # the fast engine is the only one: the field left the protocol
+        with pytest.raises(ProtocolError,
+                           match=r"unknown request fields \['engine'\]"):
+            decode_request(b'{"kind": "run", "benchmark": "a", '
+                           b'"engine": "%s", "v": 1}\n' % engine.encode())
+        with pytest.raises(TypeError, match="engine"):
+            Request(kind="run", benchmark="a", engine=engine)
 
     def test_ids_never_affect_identity(self):
         a = Request(kind="run", benchmark="a", capacity=64, id="x")

@@ -461,22 +461,16 @@ class TestRunSettings:
     @pytest.fixture(autouse=True)
     def _clean_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKED", raising=False)
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
 
     def test_bad_settings_are_bad_requests_with_a_cache(self, tmp_path):
         # the front-door cache probe once raised out of submit instead
         with Service(ServiceConfig(workers=1,
                                    cache_dir=str(tmp_path))) as service:
             client = Client(service)
-            engine = client.request(Request(kind="run", benchmark="adpcm_enc",
-                                            capacity=64, engine="bogus"))
             checked = client.request(Request(kind="run",
                                              benchmark="adpcm_enc",
                                              capacity=64, checked="yes"))
             assert client.ping().ok
-        assert engine.status == "error"
-        assert engine.error.startswith("bad request: ")
-        assert "bogus" in engine.error
         assert checked.status == "error"
         assert checked.error.startswith("bad request: ")
         assert "checked" in checked.error
@@ -494,21 +488,6 @@ class TestRunSettings:
         assert "capacity" in response.error
         assert service.stats.base_compiles == 0
         assert service.stats.computations == 0
-
-    def test_default_engine_coalesces_with_the_spelled_out_one(self):
-        with Service(ServiceConfig(workers=1, cache_dir=None)) as service:
-            client = Client(service)
-            futures = [client.submit(Request(kind="run",
-                                             benchmark="adpcm_dec",
-                                             pipeline="traditional",
-                                             capacity=64, engine=engine))
-                       for engine in (None, "fast")]
-            implicit, explicit = [f.result(timeout=120) for f in futures]
-        assert implicit.ok and explicit.ok
-        assert implicit.summary() == explicit.summary()
-        assert service.stats.base_compiles == 1
-        assert service.stats.computations == 1
-        assert service.stats.coalesced == 1
 
 
 class TestSocketFrontEnd:
@@ -565,16 +544,21 @@ class TestSocketFrontEnd:
             assert "protocol" in response.error
             assert client.ping().ok
 
-    def test_bad_engine_keeps_connection_alive(self, server, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        path, _service = server
+    def test_bad_engine_keeps_connection_alive(self, server):
+        # ``engine`` is no longer a request field: a client that still
+        # sends one is refused by the unknown-field check, nothing runs
+        from repro.serve.protocol import decode_response
+
+        path, service = server
         with SocketClient(unix_path=path) as client:
-            response = client.request(Request(kind="run",
-                                              benchmark="adpcm_enc",
-                                              capacity=64, engine="bogus"))
+            client._file.write(b'{"kind": "run", "benchmark": "adpcm_enc", '
+                               b'"capacity": 64, "engine": "ref", "v": 1}\n')
+            client._file.flush()
+            response = decode_response(client._file.readline())
             assert response.status == "error"
-            assert "unknown engine 'bogus'" in response.error
+            assert "unknown request fields ['engine']" in response.error
             assert client.ping().ok
+        assert service.stats.computations == 0
 
     def test_concurrent_socket_clients(self, server):
         path, service = server

@@ -31,16 +31,18 @@ from repro.ir.opcodes import CMP_TESTS, PTYPES, Opcode
 from repro.ir.operation import Operation
 from repro.ir.registers import FImm, VReg, ireg, preg
 from repro.sched.cache import clear_caches
-from repro.sim.engine import (
-    FastInterpreter,
-    make_interpreter,
-    make_vliw_simulator,
+from repro.sim.engine import FastInterpreter, FastVLIWSimulator
+from repro.sim.interp import (
+    Interpreter,
+    SimError,
+    StepLimitExceeded,
+    profile_module,
 )
-from repro.sim.interp import SimError, StepLimitExceeded, profile_module
 from repro.sim.replay import PassRecorder
 from repro.sim.values import INT_MAX, INT_MIN
 
 from tests.conftest import nightly_examples
+from tests.reference_engines import reference_engines
 from tests.strategies import fuzz_program, loop_with_diamond_program
 
 TIER1 = ("adpcm_enc", "g724_dec", "jpeg_dec")
@@ -78,12 +80,20 @@ def _profile_dict(profile: Profile) -> dict:
             for name, value in values.items()}
 
 
+def _interpreter(engine_name, module, profile=None, max_steps=200_000_000,
+                 record=False):
+    """The reference (``"ref"``) or the fast (``"fast"``) interpreter."""
+    if engine_name == "ref":
+        return Interpreter(module, profile=profile, max_steps=max_steps)
+    return FastInterpreter(module, profile=profile, max_steps=max_steps,
+                           record=record)
+
+
 def _profiled(module, engine_name, args=(), max_steps=200_000_000,
               record=False, entry="main"):
     """``(outcome, profile dict, interpreter)`` of one profiled run."""
     profile = Profile()
-    sim = make_interpreter(module, profile=profile, max_steps=max_steps,
-                           engine=engine_name, record=record)
+    sim = _interpreter(engine_name, module, profile, max_steps, record)
     try:
         result = sim.run(entry, list(args))
     except Exception as exc:  # the outcome is compared
@@ -143,10 +153,10 @@ def tier1_profile_inputs():
     calls = []
 
     def capture(module, entry="main", args=None, max_steps=200_000_000,
-                engine=None, record=False):
+                record=False):
         calls.append((copy.deepcopy(module), entry, args, max_steps, record))
         return profile_module(module, entry, args, max_steps=max_steps,
-                              engine=engine, record=record)
+                              record=record)
 
     inputs = []
     with mock.patch.object(pipeline, "profile_module", capture):
@@ -182,8 +192,8 @@ def test_pipeline_profiles_match_reference(tier1_profile_inputs):
 
 def _recorded_run(module, entry, args, max_steps):
     profile = Profile()
-    result = make_interpreter(module, profile=profile, max_steps=max_steps,
-                              engine="fast", record=True).run(entry, args)
+    result = FastInterpreter(module, profile=profile, max_steps=max_steps,
+                             record=True).run(entry, args)
     return _profile_dict(profile), result.pass_trace
 
 
@@ -208,8 +218,7 @@ def test_fused_loops_run_in_the_pipelines(tier1_profile_inputs):
 
     with mock.patch.object(engine, "_fold_self_passes", counting):
         for _, module, entry, args, max_steps, _ in tier1_profile_inputs:
-            profile_module(module, entry, args, max_steps=max_steps,
-                           engine="fast")
+            profile_module(module, entry, args, max_steps=max_steps)
     assert sum(folded) > 1000
 
 
@@ -531,7 +540,7 @@ def test_trap_in_fused_loop_marks_profile_incomplete(engine_name):
     # divide by zero on the 20th iteration, well inside a fused run
     module = _counted_loop(40, divisor_at=19)
     profile = Profile()
-    sim = make_interpreter(module, profile=profile, engine=engine_name)
+    sim = _interpreter(engine_name, module, profile)
     with pytest.raises(SimError, match="division by zero"):
         sim.run("main")
     assert profile.incomplete
@@ -557,10 +566,9 @@ def test_complete_run_leaves_profile_queryable():
 
 def test_recorded_trace_of_fused_loop_matches_thunks():
     module = _counted_loop(30)
-    fast = make_interpreter(module, engine="fast", record=True).run("main")
+    fast = FastInterpreter(module, record=True).run("main")
     with mock.patch.object(engine, "_compile_block", lambda *a: None):
-        thunks = make_interpreter(module, engine="fast",
-                                  record=True).run("main")
+        thunks = FastInterpreter(module, record=True).run("main")
     for name in TRACE_FIELDS:
         assert (getattr(fast.pass_trace, name)
                 == getattr(thunks.pass_trace, name)), name
@@ -595,10 +603,9 @@ def test_record_repeat_equals_separate_records():
 
 #: both fast engines over a module, with no schedules on the VLIW
 FAST_ENGINES = {
-    "FastInterpreter": lambda module: make_interpreter(
-        module, profile=Profile(), engine="fast"),
-    "FastVLIWSimulator": lambda module: make_vliw_simulator(
-        module, {}, engine="fast"),
+    "FastInterpreter": lambda module: FastInterpreter(
+        module, profile=Profile()),
+    "FastVLIWSimulator": lambda module: FastVLIWSimulator(module, {}),
 }
 
 
@@ -716,8 +723,8 @@ def test_threads_profile_one_program_identically():
        st.sampled_from((1, 8)))
 def test_random_programs_fast_equals_reference(source, tier_up):
     module = compile_source(source)
-    compiled = pipeline.compile_aggressive(copy.deepcopy(module),
-                                           engine="ref")
+    with reference_engines():
+        compiled = pipeline.compile_aggressive(copy.deepcopy(module))
     with mock.patch.object(engine, "TIER_UP_PASSES", tier_up):
         for program in (module, compiled.module):
             ref = _profiled(program, "ref", max_steps=2_000_000)

@@ -3,7 +3,9 @@
 Every test here is differential: the fast path (:mod:`repro.sim.engine`)
 must be *bit-identical* to the reference — return values, trap classes,
 step counts, profile counts, and the full :class:`SimCounters` tree
-including per-block and per-loop fetch stats.
+including per-block and per-loop fetch stats.  The program runs only the
+fast engines; the reference ones are built directly
+(:mod:`tests.reference_engines`).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -18,16 +21,21 @@ from repro.bench import benchmark
 from repro.frontend import compile_source
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation
-from repro.pipeline import compile_aggressive, compile_traditional, run_compiled
-from repro.sim.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    ENV_ENGINE,
-    FastInterpreter,
-    engine_choice,
-    make_interpreter,
+from repro.pipeline import (
+    RunConfig,
+    compile_aggressive,
+    compile_traditional,
+    run_compiled,
 )
+from repro.sim.engine import FastInterpreter, FastVLIWSimulator
 from repro.sim.interp import Interpreter, StepLimitExceeded, profile_module, run_module
+from repro.sim.replay import ReplayedRun
+from repro.sim.vliw import simulate
+from tests.reference_engines import (
+    ref_profile_module,
+    ref_run_module,
+    reference_engines,
+)
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "fuzz_corpus"
 
@@ -42,28 +50,45 @@ def _counters_dict(counters):
 
 
 class TestEngineChoice:
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_ENGINE, "fast")
-        assert engine_choice("ref") == "ref"
+    """The fast engines are the only ones the program runs."""
 
     def test_environment_then_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_ENGINE, "ref")
-        assert engine_choice(None) == "ref"
-        monkeypatch.delenv(ENV_ENGINE)
-        assert engine_choice(None) == DEFAULT_ENGINE
+        # a ``REPRO_ENGINE`` left in the environment selects nothing: a
+        # pipeline compile still records the pass trace only the fast
+        # interpreter produces, and its cell replays
+        monkeypatch.setenv("REPRO_ENGINE", "ref")
+        bench = benchmark("adpcm_dec")
+        compiled = compile_traditional(bench.build(), entry=bench.entry,
+                                       args=bench.args, buffer_capacity=64)
+        assert compiled.pass_trace is not None
+        assert isinstance(run_compiled(compiled).result, ReplayedRun)
 
-    def test_unknown_engine_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            engine_choice("quantum")
-        monkeypatch.setenv(ENV_ENGINE, "quantum")
-        with pytest.raises(ValueError):
-            engine_choice(None)
+    def test_unknown_engine_rejected(self):
+        module = benchmark("adpcm_dec").build()
+        for call in (lambda: run_module(module, engine="ref"),
+                     lambda: profile_module(module, engine="fast"),
+                     lambda: compile_traditional(module, engine="ref"),
+                     lambda: RunConfig.resolve(engine="fast")):
+            with pytest.raises(TypeError, match="engine"):
+                call()
 
     def test_factories_dispatch(self):
-        module = benchmark("adpcm_dec").build()
-        assert type(make_interpreter(module, engine="ref")) is Interpreter
-        assert type(make_interpreter(module, engine="fast")) is FastInterpreter
-        assert "fast" in ENGINES and "ref" in ENGINES
+        # every interpreter the entry points build is a fast one
+        bench = benchmark("adpcm_dec")
+        compiled = compile_traditional(bench.build(), entry=bench.entry,
+                                       args=bench.args, buffer_capacity=None)
+        built = []
+        real = Interpreter.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(type(self))
+            real(self, *args, **kwargs)
+
+        with mock.patch.object(Interpreter, "__init__", init):
+            run_module(compiled.module, bench.entry, bench.args)
+            simulate(compiled.module, compiled.schedules, compiled.modulo,
+                     entry=bench.entry, args=bench.args)
+        assert built == [FastInterpreter, FastVLIWSimulator]
 
 
 class TestInterpreterEquality:
@@ -73,10 +98,10 @@ class TestInterpreterEquality:
     def test_profiled_run_identical(self, name):
         bench = benchmark(name)
         module = bench.build()
-        ref_prof, ref = profile_module(module, entry=bench.entry,
-                                       args=bench.args, engine="ref")
+        ref_prof, ref = ref_profile_module(module, entry=bench.entry,
+                                           args=bench.args)
         fast_prof, fast = profile_module(module, entry=bench.entry,
-                                         args=bench.args, engine="fast")
+                                         args=bench.args)
         assert fast.value == ref.value == bench.expected()
         assert fast.steps == ref.steps
         assert dict(fast_prof.blocks) == dict(ref_prof.blocks)
@@ -89,21 +114,19 @@ class TestInterpreterEquality:
     def test_unprofiled_run_identical(self):
         bench = benchmark("adpcm_enc")
         module = bench.build()
-        ref = run_module(module, entry=bench.entry, args=bench.args,
-                         engine="ref")
-        fast = run_module(module, entry=bench.entry, args=bench.args,
-                          engine="fast")
+        ref = ref_run_module(module, entry=bench.entry, args=bench.args)
+        fast = run_module(module, entry=bench.entry, args=bench.args)
         assert fast.value == ref.value
         assert fast.steps == ref.steps
 
     def test_step_limit_trips_at_identical_step(self):
         bench = benchmark("adpcm_dec")
         module = bench.build()
-        total = run_module(module, entry=bench.entry, args=bench.args,
-                           engine="ref").steps
+        total = ref_run_module(module, entry=bench.entry,
+                               args=bench.args).steps
         for budget in (total, total - 1, total // 2):
-            sims = [make_interpreter(module, max_steps=budget, engine=eng)
-                    for eng in ("ref", "fast")]
+            sims = [cls(module, max_steps=budget)
+                    for cls in (Interpreter, FastInterpreter)]
             outcomes = []
             for sim in sims:
                 try:
@@ -131,8 +154,9 @@ class TestVLIWEquality:
                     else compile_aggressive)
         compiled = compiler(bench.build(), entry=bench.entry, args=bench.args,
                             buffer_capacity=capacity)
-        ref = run_compiled(compiled, engine="ref")
-        fast = run_compiled(compiled, engine="fast")
+        fast = run_compiled(compiled)
+        with reference_engines():
+            ref = run_compiled(compiled)
         assert fast.result.value == ref.result.value == bench.expected()
         assert fast.result.steps == ref.result.steps
         assert _counters_dict(fast.counters) == _counters_dict(ref.counters)
@@ -144,8 +168,9 @@ class TestVLIWEquality:
         bench = benchmark(name)
         compiled = compile_aggressive(bench.build(), entry=bench.entry,
                                       args=bench.args, buffer_capacity=256)
-        ref = run_compiled(compiled, engine="ref")
-        fast = run_compiled(compiled, engine="fast")
+        fast = run_compiled(compiled)
+        with reference_engines():
+            ref = run_compiled(compiled)
         assert ref.counters.per_loop
         assert _counters_dict(fast.counters) == _counters_dict(ref.counters)
 
@@ -163,7 +188,7 @@ int main() {
 
     def test_decode_once_across_iterations(self):
         module = compile_source(self.LOOP_SOURCE)
-        sim = make_interpreter(module, engine="fast")
+        sim = FastInterpreter(module)
         assert sim.run("main").value == 4950
         decoded = sim.cache.decoded_blocks
         # 100 iterations over the loop body decoded each block exactly once
@@ -173,7 +198,7 @@ int main() {
 
     def test_second_run_reuses_decoded_blocks(self):
         module = compile_source(self.LOOP_SOURCE)
-        sim = make_interpreter(module, engine="fast")
+        sim = FastInterpreter(module)
         sim.run("main")
         decoded = sim.cache.decoded_blocks
         sim.steps = 0
@@ -182,7 +207,7 @@ int main() {
 
     def test_invalidate_forces_redecode(self):
         module = compile_source(self.LOOP_SOURCE)
-        sim = make_interpreter(module, engine="fast")
+        sim = FastInterpreter(module)
         sim.run("main")
         decoded = sim.cache.decoded_blocks
         sim.cache.invalidate("main")
@@ -192,7 +217,7 @@ int main() {
 
     def test_op_list_mutation_redecodes_stale_block(self):
         module = compile_source(self.LOOP_SOURCE)
-        sim = make_interpreter(module, engine="fast")
+        sim = FastInterpreter(module)
         sim.run("main")
         decoded = sim.cache.decoded_blocks
         func = module.function("main")
@@ -206,7 +231,7 @@ int main() {
 
     def test_function_identity_change_invalidates(self):
         module = compile_source(self.LOOP_SOURCE)
-        sim = make_interpreter(module, engine="fast")
+        sim = FastInterpreter(module)
         fprog = sim.cache.function_program(module.function("main"))
         module2 = compile_source(self.LOOP_SOURCE)
         fprog2 = sim.cache.function_program(module2.function("main"))
@@ -225,48 +250,48 @@ class TestCorpusReproducers:
         entry = json.loads(path.read_text())
         source = entry["source"]
         for raw in entry["configs"]:
-            base = Config.from_dict(raw)
-            outcomes = {
-                eng: compiled_outcome(
-                    source, dataclasses.replace(base, engine=eng))
-                for eng in ENGINES
-            }
-            assert outcomes["fast"] == outcomes["ref"], base.label
+            config = Config.from_dict(raw)
+            fast = compiled_outcome(source, config)
+            with reference_engines():
+                ref = compiled_outcome(source, config)
+            assert fast == ref, config.label
 
 
 class TestRunnerIntegration:
     def test_engine_is_part_of_cache_keys(self):
-        from repro.pipeline import RunConfig
+        # as the constant ``"engine": "fast"``, so keys (and cache entries)
+        # from when the engine was a setting stay valid; the settings
+        # that remain still key apart
         from repro.runner.parallel import base_key, run_key
 
+        assert RunConfig(checked=True).key_flags()["engine"] == "fast"
         keys = {
-            base_key("adpcm_dec", "traditional", RunConfig(engine="ref")),
-            base_key("adpcm_dec", "traditional", RunConfig(engine="fast")),
-            base_key("adpcm_dec", "traditional",
-                     RunConfig(checked=True, engine="fast")),
-            run_key("adpcm_dec", "traditional", 64, RunConfig(engine="ref")),
-            run_key("adpcm_dec", "traditional", 64, RunConfig(engine="fast")),
-            run_key("adpcm_dec", "traditional", 128,
-                    RunConfig(engine="fast")),
+            base_key("adpcm_dec", "traditional", RunConfig()),
+            base_key("adpcm_dec", "traditional", RunConfig(checked=True)),
+            run_key("adpcm_dec", "traditional", 64, RunConfig()),
+            run_key("adpcm_dec", "traditional", 64, RunConfig(checked=True)),
+            run_key("adpcm_dec", "traditional", 128, RunConfig()),
         }
-        assert len(keys) == 6
+        assert len(keys) == 5
 
     def test_grid_summaries_identical_across_engines(self, tmp_path):
         from repro.runner.cache import ArtifactCache
         from repro.runner.parallel import expand_grid, run_grid
 
         cells = expand_grid(["adpcm_dec"], ["traditional"], [64, None])
-        summaries = {}
-        for eng in ENGINES:
-            cache = ArtifactCache(tmp_path / eng)
-            summaries[eng] = run_grid(cells, workers=1, cache=cache,
-                                      engine=eng)
-        assert summaries["fast"] == summaries["ref"]
+        fast = run_grid(cells, workers=1, cache=ArtifactCache(tmp_path / "fast"))
+        with reference_engines():
+            ref = run_grid(cells, workers=1,
+                           cache=ArtifactCache(tmp_path / "ref"))
+        assert fast == ref
 
     def test_cli_engine_flag(self, tmp_path, capsys):
         from repro.runner.cli import main
 
-        code = main(["--benchmarks", "adpcm_dec", "--pipelines", "traditional",
-                     "--capacities", "64", "--workers", "0", "--engine", "ref",
-                     "--cache-dir", str(tmp_path), "--quiet"])
-        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--benchmarks", "adpcm_dec", "--pipelines", "traditional",
+                  "--capacities", "64", "--workers", "0", "--engine", "ref",
+                  "--cache-dir", str(tmp_path), "--quiet"])
+        assert exc.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

@@ -34,6 +34,7 @@ from repro.sim.replay import PassTrace, ReplayedRun, replay
 from repro.sim.vliw import simulate
 
 from tests.helpers import compiled_base
+from tests.reference_engines import ref_simulate, reference_engines
 from tests.retarget_golden import GRID_CAPACITIES
 
 PIPELINES = ("traditional", "aggressive")
@@ -123,17 +124,16 @@ def test_trace_is_compact_and_carried_by_retargets():
 
 def test_only_fast_unbuffered_bases_record():
     # a buffered compile is its base's overlay and carries the base's
-    # trace; the reference engine records none
+    # trace; the reference interpreter records none
     bench_module = compiled_base("adpcm_enc", "traditional").module
-    buffered = compile_traditional(bench_module, buffer_capacity=64,
-                                   engine="fast")
-    base = compile_traditional(bench_module, buffer_capacity=None,
-                               engine="fast")
+    buffered = compile_traditional(bench_module, buffer_capacity=64)
+    base = compile_traditional(bench_module, buffer_capacity=None)
     assert buffered.overlay is not None
     assert (buffered.pass_trace.value, buffered.pass_trace.steps) \
         == (base.pass_trace.value, base.pass_trace.steps)
-    assert compile_traditional(bench_module, buffer_capacity=64,
-                               engine="ref").pass_trace is None
+    with reference_engines():
+        assert compile_traditional(bench_module,
+                                   buffer_capacity=64).pass_trace is None
 
 
 def test_replayed_run_recomputes_memory_on_demand():
@@ -174,7 +174,7 @@ def test_profiling_trap_records_no_trace():
     from repro.frontend import compile_source
 
     with pytest.raises(SimError):
-        run_module(compile_source(TRAPPING), engine="fast", record=True)
+        run_module(compile_source(TRAPPING), record=True)
     reference = reference_outcome(TRAPPING)
     assert reference[0] == "trap"
     assert compiled_outcome(TRAPPING, Config("traditional", 16)) == reference
@@ -213,10 +213,22 @@ def test_step_budget_between_base_and_overlay():
     assert isinstance(_result, ReplayedRun)
 
 
+@pytest.mark.parametrize("capacity", (64, 256))
+@pytest.mark.parametrize("pipeline", PIPELINES)
+def test_replay_matches_reference_simulator(pipeline, capacity):
+    # the oracle behind every replayed cell: a full run of the same
+    # artifact on the reference VLIW simulator
+    compiled = with_buffer(compiled_base("adpcm_enc", pipeline), capacity)
+    outcome = run_compiled(compiled)
+    assert isinstance(outcome.result, ReplayedRun)
+    assert_identical((outcome.result, outcome.counters, outcome.buffer),
+                     ref_simulate(*_sim_args(compiled)))
+
+
 def test_ref_engine_simulates_in_full():
     compiled = with_buffer(compiled_base("adpcm_enc", "aggressive"), 64)
     args = _sim_args(compiled)
-    ref = simulate(*args, engine="ref", trace=compiled.pass_trace)
+    ref = ref_simulate(*args, trace=compiled.pass_trace)
     assert not isinstance(ref[0], ReplayedRun)
     assert_identical(simulate(*args, trace=compiled.pass_trace), ref)
 

@@ -208,7 +208,6 @@ class CountingCache(ArtifactCache):
 
 def test_cold_figures_share_each_base(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_CHECKED", raising=False)
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
     cache = CountingCache(tmp_path / "cache")
     common.reset(cache)
     try:

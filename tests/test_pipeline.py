@@ -110,10 +110,8 @@ class TestBufferSizeSweep:
     def test_buffered_compile_is_the_base_overlay(self):
         # compile_*(buffer_capacity=N) is with_buffer over the base
         module = build_loop_with_diamond(300)
-        base = compile_aggressive(module, buffer_capacity=None,
-                                  engine="fast")
-        compiled = compile_aggressive(module, buffer_capacity=64,
-                                      engine="fast")
+        base = compile_aggressive(module, buffer_capacity=None)
+        compiled = compile_aggressive(module, buffer_capacity=64)
         assert compiled.overlay is not None
         assert compiled.buffer_capacity == 64
         # the base's trace: the same run, up to the fresh op uids each
