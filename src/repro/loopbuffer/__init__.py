@@ -6,7 +6,8 @@ from .assign import (
     AssignmentResult,
     LoopCandidate,
     assign_buffer,
-    collect_candidates,
+    place_loops,
+    scan_loops,
 )
 from .model import BufferedLoop, BufferStats, LoopBuffer, LoopState
 
@@ -19,5 +20,6 @@ __all__ = [
     "LoopCandidate",
     "LoopState",
     "assign_buffer",
-    "collect_candidates",
+    "place_loops",
+    "scan_loops",
 ]

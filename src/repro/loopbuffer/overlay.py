@@ -49,6 +49,20 @@ def check_capacity(capacity) -> None:
             f"buffer capacity must be None or an int >= 0, got {capacity!r}")
 
 
+def check_retarget(compiled, capacity) -> None:
+    """Raise :class:`RetargetError` unless ``compiled`` is an unbuffered
+    base and ``capacity`` passes :func:`check_capacity`: re-running
+    assignment over installed ``rec`` ops would silently stack
+    directives."""
+    check_capacity(capacity)
+    if compiled.buffer_capacity is not None:
+        raise RetargetError(
+            f"cannot retarget an artifact already buffered at capacity "
+            f"{compiled.buffer_capacity}; recompile with "
+            f"buffer_capacity=None and re-target that base instead"
+        )
+
+
 @dataclass(frozen=True)
 class CapacityOverlay:
     """Record of what a zero-copy retarget materialized.
@@ -101,6 +115,14 @@ def overlay_module(
     return view
 
 
+def loop_footprints(compiled) -> dict[tuple[str, str], int]:
+    """Each modulo-scheduled loop's buffer footprint (kernel ops times
+    the MVE factor), keyed ``(function, header)``: the ``footprint``
+    that buffer assignment places ``compiled``'s loops with."""
+    return {key: sched.buffered_op_count
+            for key, sched in compiled.modulo.items()}
+
+
 def retarget_overlay(compiled, capacity: int | None,
                      overhead_aware: bool = True, tracer=None,
                      assign=None):
@@ -130,10 +152,9 @@ def retarget_overlay(compiled, capacity: int | None,
 
     assignment = None
     if capacity:
-        footprint = {key: sched.buffered_op_count
-                     for key, sched in compiled.modulo.items()}
         assignment = assign(
-            base_module, compiled.profile, capacity, footprint=footprint,
+            base_module, compiled.profile, capacity,
+            footprint=loop_footprints(compiled),
             overhead_aware=overhead_aware, tracer=tracer,
             get_block=cow_block,
         )

@@ -70,15 +70,19 @@ def _sim_config(mode: str) -> dict:
 
 def _cold_grid_sample(config: dict, bench: str, wall: bool,
                       **settings) -> Sample:
-    """Run ``config``'s grid into an empty cache with the run ``settings``
-    ``run_grid`` takes; the value is the grid's wall seconds when
-    ``wall``, else its compute seconds."""
+    """Run ``config``'s grid into an empty cache, from empty process
+    memos, with the run ``settings`` ``run_grid`` takes; the value is the
+    grid's wall seconds when ``wall``, else its compute seconds."""
+    from repro.memo import clear_caches
     from repro.runner.cache import ArtifactCache
     from repro.runner.metrics import MetricsRecorder
     from repro.runner.parallel import expand_grid, run_grid
 
     cells = expand_grid(config["benchmarks"], PIPELINES,
                         config["capacities"])
+    # every sample is cold: no base, frontend or capacity class is left
+    # in memory by an earlier sample
+    clear_caches()
     with tempfile.TemporaryDirectory(prefix=f"repro-perf-{bench}-") as tmp:
         cache = ArtifactCache(Path(tmp) / "cache")
         metrics = MetricsRecorder()

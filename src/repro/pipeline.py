@@ -60,8 +60,7 @@ from repro.ir.verify import VerificationError, verify_module
 from repro.loopbuffer.assign import AssignmentResult, assign_buffer
 from repro.loopbuffer.overlay import (
     CapacityOverlay,
-    RetargetError,
-    check_capacity,
+    check_retarget,
     retarget_overlay,
 )
 from repro.looptrans.cloop import convert_counted_loops
@@ -750,12 +749,15 @@ def with_buffer(compiled: Compiled, capacity: int | None,
 
     Buffer assignment is capacity-dependent (offsets, which loops fit),
     so a Figure 7-style size sweep re-runs assignment per size over one
-    base.  The input must be unbuffered (``buffer_capacity=None``, no
-    ``rec`` ops installed yet); re-targeting an already-buffered artifact
-    raises :class:`RetargetError` — re-running assignment over installed
-    ``rec`` ops would silently stack directives — and so does a capacity
-    that is not ``None`` or an ``int >= 0``.  The original ``Compiled``
-    is never mutated.
+    base.  Many sizes yield the same assignment, and the runner then
+    skips this call altogether (:func:`repro.runner.parallel.run_base`,
+    DESIGN.md §5m).  The input must be unbuffered
+    (``buffer_capacity=None``, no ``rec`` ops installed yet); re-targeting
+    an already-buffered artifact raises
+    :class:`~repro.loopbuffer.overlay.RetargetError`, and so does a
+    capacity that is not ``None`` or an ``int >= 0``
+    (:func:`~repro.loopbuffer.overlay.check_retarget`).  The original
+    ``Compiled`` is never mutated.
 
     The retarget is zero-copy (:mod:`repro.loopbuffer.overlay`): only
     preheaders that gain ``rec`` directives are materialized
@@ -763,15 +765,9 @@ def with_buffer(compiled: Compiled, capacity: int | None,
     else, including ``capacity=None`` (which returns a pure view),
     shares the base artifact's objects, its pass trace included.
     Checked mode lints the re-targeted artifact across all phases before
-    returning it.
+    returning it (:func:`check_buffered`).
     """
-    check_capacity(capacity)
-    if compiled.buffer_capacity is not None:
-        raise RetargetError(
-            f"cannot retarget an artifact already buffered at capacity "
-            f"{compiled.buffer_capacity}; recompile with "
-            f"buffer_capacity=None and re-target that base instead"
-        )
+    check_retarget(compiled, capacity)
     tracer = tracer if tracer is not None else get_tracer()
     with tracer.span("with_buffer", category="pipeline",
                      capacity=capacity):
@@ -785,12 +781,21 @@ def with_buffer(compiled: Compiled, capacity: int | None,
                           buffer_capacity=capacity, overlay=overlay,
                           pass_trace=compiled.pass_trace)
         if RunConfig.resolve(checked=checked).checked:
-            errors = errors_only(lint_compiled(result))
-            if errors:
-                raise CheckedModeError(
-                    "with_buffer",
-                    [replace(d, passname="with_buffer") for d in errors])
+            check_buffered(result)
         return result
+
+
+def check_buffered(compiled: Compiled,
+                   phases: tuple[str, ...] | None = None) -> None:
+    """Checked mode's gate on a buffered artifact: raise
+    :class:`CheckedModeError` for pass ``"with_buffer"`` on any error
+    :func:`~repro.analysis.lint.lint_compiled` finds in ``phases`` (all
+    of them by default)."""
+    errors = errors_only(lint_compiled(compiled, phases=phases))
+    if errors:
+        raise CheckedModeError(
+            "with_buffer",
+            [replace(d, passname="with_buffer") for d in errors])
 
 
 #: the scalar ``SimCounters`` fields checked mode compares

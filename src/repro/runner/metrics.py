@@ -34,6 +34,9 @@ class CellMetrics:
     stages: dict[str, float] = field(default_factory=dict)
     base_cache_hit: bool = False
     run_cache_hit: bool = False
+    #: a capacity class already computed in this process served the
+    #: cell: no retarget, no simulation (DESIGN.md §5m)
+    class_hit: bool = False
     attempts: int = 1
     #: parent-process re-executions after a worker timeout/death; a cell
     #: that needed one is a service-level flakiness signal even though
@@ -58,6 +61,7 @@ class CellMetrics:
             "seconds": round(self.seconds, 6),
             "base_cache_hit": self.base_cache_hit,
             "run_cache_hit": self.run_cache_hit,
+            "class_hit": self.class_hit,
             "attempts": self.attempts,
             "retries": self.retries,
             "worker": self.worker,
@@ -125,6 +129,10 @@ class MetricsRecorder:
     def run_cache_hits(self) -> int:
         return sum(1 for c in self.cells if c.run_cache_hit)
 
+    @property
+    def class_hits(self) -> int:
+        return sum(1 for c in self.cells if c.class_hit)
+
     def as_dict(self) -> dict:
         return {
             "wall_time_s": round(self.wall_time_s, 6),
@@ -133,6 +141,7 @@ class MetricsRecorder:
             "cache": self.cache.as_dict(),
             "cell_count": len(self.cells),
             "run_cache_hits": self.run_cache_hits,
+            "class_hits": self.class_hits,
             "compute_seconds": round(sum(c.seconds for c in self.cells), 6),
             "latency": self.latency_quantiles(),
         }
@@ -176,7 +185,8 @@ class MetricsRecorder:
             f"{len(self.cells)} cells in {self.wall_time_s:.2f}s wall "
             f"({self.workers} worker{'s' if self.workers != 1 else ''}); "
             f"cache: {self.cache.hits} hits / {self.cache.misses} misses / "
-            f"{self.cache.evictions} evicted"
+            f"{self.cache.evictions} evicted; "
+            f"{self.class_hits} capacity-class hits"
         )
         quantiles = self.latency_quantiles()
         if quantiles:

@@ -114,11 +114,12 @@ def _latency_sample(responses: list, config: dict,
 
 
 def _fresh_service(tmp: str):
-    """A service over an empty cache, with no compiled base memoized."""
-    from repro.runner.parallel import BASE_MEMO
+    """A service over an empty cache and empty process memos: no
+    compiled base, frontend or capacity class is memoized."""
+    from repro.memo import clear_caches
     from repro.serve.service import Service, ServiceConfig
 
-    BASE_MEMO.clear()
+    clear_caches()
     return Service(ServiceConfig(cache_dir=tmp))
 
 

@@ -15,7 +15,7 @@ import repro.runner.parallel as parallel
 
 from repro.pipeline import RunConfig
 from repro.runner.cache import ArtifactCache
-from repro.runner.metrics import MetricsRecorder
+from repro.runner.metrics import CellMetrics, MetricsRecorder
 from repro.runner.parallel import (
     ENV_WORKERS,
     Cell,
@@ -84,6 +84,7 @@ int main() {
 
     def test_compile_and_run_through_the_runner(self, cache):
         parallel.BASE_MEMO.clear()
+        parallel.CLASS_MEMO.clear()
         base, _seconds, how, _trace = _compile_base_timed(
             self.SOURCE, "aggressive", cache)
         assert how == "compiled"
@@ -94,13 +95,13 @@ int main() {
         again, _seconds, how, _trace = _compile_base_timed(
             self.SOURCE, "aggressive", cache)
         assert how == "cache" and again.static_ops == base.static_ops
-        stages = {}
+        cm = CellMetrics("src:sum8", "aggressive", 16)
         summary, value = run_base(self.SOURCE, "aggressive", base, 16,
-                                  stages=stages)
+                                  metrics=cm)
         assert value == 28
         assert (summary.name, summary.pipeline, summary.capacity) == \
             ("src:sum8", "aggressive", 16)
-        assert set(stages) == {"retarget", "simulate"}
+        assert set(cm.stages) == {"retarget", "simulate"}
 
     def test_step_budget_is_keyed(self):
         keys = {run_key(self.SOURCE, "aggressive", 16,
@@ -250,6 +251,8 @@ class TestPoolTaskFailures:
 
 class TestRunCell:
     def test_matches_grid_and_records_metrics(self, cache):
+        # a cold cell: no capacity class left over from earlier tests
+        parallel.CLASS_MEMO.clear()
         metrics = MetricsRecorder()
         summary = run_cell("adpcm_enc", "traditional", 64, cache=cache,
                            metrics=metrics)
@@ -257,6 +260,7 @@ class TestRunCell:
             [Cell("adpcm_enc", "traditional", 64)], workers=1, cache=cache)
         assert summary == grid_summary
         assert len(metrics.cells) == 1
+        assert not metrics.cells[0].class_hit
         assert metrics.cells[0].stages.get("simulate", 0) > 0
 
     def test_unknown_pipeline(self):

@@ -25,6 +25,8 @@ PROCESS_MEMOS = {
     "frontend": ("repro.sched.cache", "_frontend_memo", 32),
     "block-code": ("repro.sim.engine", "_block_code", 512),
     "bases": ("repro.runner.parallel", "BASE_MEMO", 32),
+    "loop-scans": ("repro.runner.parallel", "LOOP_SCANS", 32),
+    "classes": ("repro.runner.parallel", "CLASS_MEMO", 256),
 }
 
 
