@@ -34,7 +34,7 @@ from repro.pipeline import (
     run_compiled,
     with_buffer,
 )
-from repro.runner.parallel import run_base
+from repro.runner.parallel import CLASS_MEMO, run_base
 from repro.sched.cache import FRONTEND_STATS, clear_caches
 from repro.sim.interp import StepLimitExceeded
 
@@ -101,6 +101,8 @@ def test_memoised_compiles_match_cold_compiles(name, monkeypatch):
     # the memo now holds the last pipeline's frontend: both pipelines hit
     for pipeline in PIPELINES:
         base = _compile(pipeline, program)
+        # the capacity class of the cold run would serve this base unrun
+        CLASS_MEMO.clear()
         assert (format_module(base.module),
                 run_base(program, pipeline, base, 64)[0]) \
             == cold_runs[pipeline]
@@ -364,8 +366,12 @@ def test_concurrent_compiles_identical():
         same = results[index - 2]
         assert format_module(results[index].module) \
             == format_module(same.module)
-        assert run_base(program, PIPELINES[index % 2], results[index], 64) \
-            == run_base(program, PIPELINES[index % 2], same, 64)
+        # each base simulated, not served by the other's capacity class
+        runs = []
+        for compiled in (results[index], same):
+            CLASS_MEMO.clear()
+            runs.append(run_base(program, PIPELINES[index % 2], compiled, 64))
+        assert runs[0] == runs[1]
 
 
 # -- observability ---------------------------------------------------------------
