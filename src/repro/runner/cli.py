@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="process-pool width (default: REPRO_WORKERS or "
                              "the core count; 0/1 = serial)")
     parser.add_argument("--timeout", type=float, default=None,
-                        help="per-cell timeout in seconds (pool mode only)")
+                        help="timeout in seconds per compile and per cell "
+                             "of a pool task (pool mode only)")
     parser.add_argument("--cache-dir", default=None,
                         help="artifact cache directory (default: "
                              "REPRO_CACHE_DIR or .repro_cache)")

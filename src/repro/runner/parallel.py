@@ -8,23 +8,22 @@ against the pure-Python oracle and summarize.  Capacities that place
 the same loops at the same offsets form a *capacity class*, retargeted
 and simulated once per process (:func:`run_base`, DESIGN.md §5m).
 
-:func:`run_grid` maps a list of cells over a
-:class:`~concurrent.futures.ProcessPoolExecutor` in two phases — first the
-distinct compiled bases (each (benchmark, pipeline) group compiled
-once, so a capacity sweep never compiles the same program twice), then
-the per-cell tasks, each worker serving the classes it has already
-computed from its own memo.  Results always come back in
-input-cell order, whatever the completion order; a cell that times out
-or fails with anything other than a checksum mismatch is retried once in
-the parent process before the failure is allowed to propagate.
+:func:`run_grid` runs the cells serially or over a
+:class:`~concurrent.futures.ProcessPoolExecutor` with one task per
+benchmark (see :func:`_base_tasks`).  A task runs its cells in one
+worker just as the serial grid does, so each base is compiled once in
+the worker that uses it and each capacity class is served from that
+worker's memo.  Results always come back in input-cell order, whatever
+the completion order; a cell that times out or fails with anything
+other than a checksum mismatch is retried once in the parent process
+before the failure is allowed to propagate.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -42,7 +41,12 @@ from repro.pipeline import (
     run_compiled,
     with_buffer,
 )
-from repro.runner.cache import ArtifactCache, cache_key, default_cache
+from repro.runner.cache import (
+    ArtifactCache,
+    CacheStats,
+    cache_key,
+    default_cache,
+)
 from repro.runner.metrics import CellMetrics, MetricsRecorder
 from repro.runner.summary import RunSummary
 
@@ -357,17 +361,16 @@ def run_base(
 def _execute_cell(
     cell: Cell,
     cache: ArtifactCache | None,
-    base: Compiled | None = None,
     settings: RunConfig = RunConfig(),
 ) -> tuple[RunSummary, CellMetrics]:
     """Run one cell end to end; raises AssertionError on checksum mismatch.
 
-    Without a ``base``, the cell takes its group's base from
-    :func:`_compile_base_timed`.  With ``settings.trace`` on, the cell's
-    trace payload rides on ``CellMetrics.trace``; a warm cell replays the
-    trace stored beside its run summary, and a warm cell without one
-    falls through to re-simulate (summaries are deterministic, so the
-    stored one stays valid).
+    The cell takes its group's base from :func:`_compile_base_timed`.
+    With ``settings.trace`` on, the cell's trace payload rides on
+    ``CellMetrics.trace``; a warm cell replays the trace stored beside
+    its run summary, and a warm cell without one falls through to
+    re-simulate (summaries are deterministic, so the stored one stays
+    valid).
     """
     cm = CellMetrics(cell.name, cell.pipeline, cell.capacity)
     program = benchmark(cell.name)
@@ -385,16 +388,11 @@ def _execute_cell(
                 cm.obs = _fold_obs(None, stored)
                 return cached, cm
 
-    compile_payload = None
-    if base is None:
-        base, seconds, how, compile_payload = _compile_base_timed(
-            program, cell.pipeline, cache, settings)
-        if how != "memo":
-            # like a base handed in, a memo hit is no compile stage
-            cm.stages["compile"] = seconds
-        cm.base_cache_hit = how != "compiled"
-    else:
-        cm.base_cache_hit = True
+    base, seconds, how, compile_payload = _compile_base_timed(
+        program, cell.pipeline, cache, settings)
+    if how != "memo":
+        cm.stages["compile"] = seconds
+    cm.base_cache_hit = how != "compiled"
 
     tracer = Tracer() if settings.trace else None
     with obs_use(tracer) if settings.trace else nullcontext():
@@ -439,13 +437,12 @@ def run_cell(
     pipeline: str,
     capacity: int | None,
     cache: ArtifactCache | None = None,
-    base: Compiled | None = None,
     metrics: MetricsRecorder | None = None,
     checked: bool | None = None,
     trace: bool = False,
 ) -> RunSummary:
     """The single-cell entry point the experiments facade builds on."""
-    summary, cm = _execute_cell(Cell(name, pipeline, capacity), cache, base,
+    summary, cm = _execute_cell(Cell(name, pipeline, capacity), cache,
                                 RunConfig.resolve(checked, trace=trace))
     if metrics is not None:
         metrics.add_cell(cm)
@@ -453,40 +450,6 @@ def run_cell(
             metrics.merge_cache_stats(cache.stats)
             cache.stats = type(cache.stats)()
     return summary
-
-
-# --------------------------------------------------------------------------
-# pool workers (module-level so they pickle under every start method)
-
-
-def _worker_bases(name: str, pipelines: Sequence[str], cache_dir: str,
-                  cache_enabled: bool,
-                  settings: RunConfig = RunConfig()) -> bytes:
-    """Compile one benchmark's bases in order, in one worker, so the
-    later pipelines reuse the first one's frontend from the worker's
-    memo.  A compile failing with anything but a checksum mismatch is
-    returned as ``None``, for the parent to retry."""
-    cache = ArtifactCache(cache_dir, enabled=cache_enabled)
-    bases = []
-    for pipeline in pipelines:
-        try:
-            bases.append(_compile_base_timed(name, pipeline, cache,
-                                             settings))
-        except AssertionError:
-            raise
-        except Exception:
-            bases.append(None)
-    return pickle.dumps((bases, cache.stats))
-
-
-def _worker_cell(cell: Cell, base_blob: bytes | None, cache_dir: str,
-                 cache_enabled: bool,
-                 settings: RunConfig = RunConfig()) -> bytes:
-    cache = ArtifactCache(cache_dir, enabled=cache_enabled)
-    base = pickle.loads(base_blob) if base_blob is not None else None
-    summary, cm = _execute_cell(cell, cache, base, settings)
-    cm.worker = f"pid{os.getpid()}"
-    return pickle.dumps((summary, cm, cache.stats))
 
 
 # --------------------------------------------------------------------------
@@ -505,10 +468,12 @@ def run_grid(
     """Execute every cell, returning summaries in input-cell order.
 
     ``workers`` ``<= 1`` (or a one-cell grid) runs serially in-process.
-    Otherwise compiled bases fan out first (see :func:`_base_tasks`),
-    then the per-cell simulations.  ``timeout`` is per compile and per
-    cell: a task has ``timeout`` seconds for each of them to produce its
-    result once collection reaches it.
+    Otherwise each pool task runs one benchmark's cells, or one
+    (benchmark, pipeline) group's when there are fewer benchmarks than
+    workers (see :func:`_base_tasks`), in one worker and in input order.
+    ``timeout`` is per compile and per cell: a task has ``timeout``
+    seconds for each of its groups and each of its cells to produce its
+    results once collection reaches it.
     Timeouts and transient errors are retried once in the parent; checksum
     mismatches (``AssertionError``) fail immediately — they are
     deterministic.  ``checked`` turns on the pipeline's checked mode (a
@@ -541,24 +506,38 @@ def run_grid(
     return results
 
 
-def _run_serial(cells: Sequence[Cell], cache: ArtifactCache | None,
-                metrics: MetricsRecorder, _execute=None,
-                settings: RunConfig = RunConfig()) -> list[RunSummary]:
-    execute = _execute or _execute_cell
+def _attempt(execute, cell: Cell, cache: ArtifactCache | None,
+             settings: RunConfig) -> tuple[RunSummary, CellMetrics] | None:
+    """One try at a cell: its result, or ``None`` when it failed with
+    anything but a checksum mismatch (which is deterministic, so it
+    propagates)."""
+    try:
+        return execute(cell, cache, settings)
+    except AssertionError:
+        raise
+    except Exception:
+        return None
+
+
+def _collect(cells: Sequence[Cell], outcomes: Iterable, execute,
+             cache: ArtifactCache | None, metrics: MetricsRecorder,
+             settings: RunConfig) -> list[RunSummary]:
+    """Finish a grid in input-cell order, the serial loop and the pool
+    alike: retry once, in this process, each cell whose outcome is
+    ``None`` (see :func:`_attempt`), and record every cell.  A group's
+    compile trace is kept once per grid, on the first traced cell that
+    carries it."""
     traced: set[tuple[str, str]] = set()
     results: list[RunSummary] = []
-    for cell in cells:
-        try:
-            summary, cm = execute(cell, cache, None, settings)
-        except AssertionError:
-            raise
-        except Exception:
-            summary, cm = execute(cell, cache, None, settings)  # retry
+    for cell, outcome in zip(cells, outcomes):
+        if outcome is None:
+            summary, cm = execute(cell, cache, settings)
             cm.attempts = 2
             cm.retries = 1
+        else:
+            summary, cm = outcome
         if cm.trace is not None and cm.trace["compile"] is not None:
             if cell.group in traced:
-                # a group's compile is traced once per grid, as in the pool
                 cm.trace["compile"] = None
                 cm.obs = _fold_obs(None, cm.trace["run"])
             traced.add(cell.group)
@@ -567,14 +546,23 @@ def _run_serial(cells: Sequence[Cell], cache: ArtifactCache | None,
     return results
 
 
+def _run_serial(cells: Sequence[Cell], cache: ArtifactCache | None,
+                metrics: MetricsRecorder, _execute=None,
+                settings: RunConfig = RunConfig()) -> list[RunSummary]:
+    execute = _execute or _execute_cell
+    # a generator, so each cell's retry follows its own first try
+    outcomes = (_attempt(execute, cell, cache, settings) for cell in cells)
+    return _collect(cells, outcomes, execute, cache, metrics, settings)
+
+
 def _base_tasks(cells: Sequence[Cell],
                 workers: int) -> list[tuple[str, list[str]]]:
-    """Phase 1's tasks: a benchmark and the pipelines one task compiles
-    for it, in order, each benchmark and pipeline in first-seen order.
+    """The pool's tasks: a benchmark and the pipelines whose cells one
+    task runs for it, each benchmark and pipeline in first-seen order.
 
     With at least ``workers`` benchmarks, one task per benchmark, so its
     pipelines share one worker's frontend memo (DESIGN.md §5e) and every
-    worker still has a benchmark to compile.  With fewer, one task per
+    worker still has a benchmark to run.  With fewer, one task per
     (benchmark, pipeline) group, so the pipelines compile side by side
     instead of one after the other.
     """
@@ -587,91 +575,50 @@ def _base_tasks(cells: Sequence[Cell],
     return list(tasks.items())
 
 
+def _worker_task(cells: Sequence[Cell], cache_dir: str, cache_enabled: bool,
+                 settings: RunConfig = RunConfig()) -> tuple[list, CacheStats]:
+    """Run one pool task's cells in order, in one worker (module-level,
+    so it pickles under every start method).  Returns each cell's
+    ``(summary, metrics)``, or ``None`` for a cell for the parent to
+    retry, and the worker's cache stats."""
+    cache = ArtifactCache(cache_dir, enabled=cache_enabled)
+    done = [_attempt(_execute_cell, cell, cache, settings) for cell in cells]
+    for outcome in done:
+        if outcome is not None:
+            outcome[1].worker = f"pid{os.getpid()}"
+    return done, cache.stats
+
+
 def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
               cache: ArtifactCache | None,
               metrics: MetricsRecorder,
               settings: RunConfig = RunConfig()) -> list[RunSummary]:
     cache_dir = str(cache.root) if cache is not None else ""
     cache_enabled = cache is not None and cache.enabled
-    results: list[RunSummary | None] = [None] * len(cells)
-    # every pool cell receives its group's base, so compile spans are
-    # recorded once per group here and attached to its first traced cell
-    base_traces: dict[tuple[str, str], dict | None] = {}
-    attached_groups: set[tuple[str, str]] = set()
-
-    def _attach_base_trace(cell: Cell, cm: CellMetrics) -> None:
-        if cm.trace is not None and cell.group not in attached_groups:
-            attached_groups.add(cell.group)
-            cm.trace["compile"] = base_traces.get(cell.group)
-
+    done: list[tuple[RunSummary, CellMetrics] | None] = [None] * len(cells)
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        # phase 1: compile every distinct (benchmark, pipeline) group
-        tasks = _base_tasks(cells, workers)
-        base_futures = [
-            (name, pipelines,
-             pool.submit(_worker_bases, name, pipelines, cache_dir,
-                         cache_enabled, settings))
-            for name, pipelines in tasks
-        ]
-        base_blobs: dict[tuple[str, str], bytes] = {}
-        for name, pipelines, future in base_futures:
-            budget = None if timeout is None else timeout * len(pipelines)
+        futures = []
+        for name, pipelines in _base_tasks(cells, workers):
+            indices = [index for index, cell in enumerate(cells)
+                       if cell.name == name and cell.pipeline in pipelines]
+            budget = (None if timeout is None
+                      else timeout * (len(pipelines) + len(indices)))
+            futures.append((indices, budget, pool.submit(
+                _worker_task, [cells[index] for index in indices],
+                cache_dir, cache_enabled, settings)))
+        for indices, budget, future in futures:
             try:
-                bases, stats = pickle.loads(future.result(timeout=budget))
+                outcomes, stats = future.result(timeout=budget)
             except AssertionError:
                 raise
             except Exception:
-                # timeout / worker death: nothing came back; the
-                # parent's retries hit the cache for any base it stored
-                bases, stats = [None] * len(pipelines), None
-            for pipeline, base in zip(pipelines, bases):
-                if base is None:
-                    # retry in the parent what the worker did not return
-                    base = _compile_base_timed(name, pipeline, cache,
-                                               settings)
-                compiled, _seconds, _how, payload = base
-                base_blobs[(name, pipeline)] = pickle.dumps(compiled)
-                base_traces[(name, pipeline)] = payload
-            if stats is not None:
-                metrics.merge_cache_stats(stats)
-
-        # phase 2: per-cell retarget + simulate
-        try:
-            cell_futures = [
-                pool.submit(_worker_cell, cell, base_blobs[cell.group],
-                            cache_dir, cache_enabled, settings)
-                for cell in cells
-            ]
-        except BrokenExecutor:
-            # the pool died between phases: finish serially
-            for index, cell in enumerate(cells):
-                base = pickle.loads(base_blobs[cell.group])
-                summary, cm = _execute_cell(cell, cache, base, settings)
-                _attach_base_trace(cell, cm)
-                metrics.add_cell(cm)
-                results[index] = summary
-            return results  # type: ignore[return-value]
-
-        for index, (cell, future) in enumerate(zip(cells, cell_futures)):
-            try:
-                summary, cm, stats = pickle.loads(
-                    future.result(timeout=timeout))
-            except AssertionError:
-                raise
-            except Exception:
-                # transient (worker death, timeout, pickle hiccup):
-                # retry once in the parent, serially
-                base = pickle.loads(base_blobs[cell.group])
-                summary, cm = _execute_cell(cell, cache, base, settings)
-                cm.attempts = 2
-                cm.retries = 1
-                stats = None
-            _attach_base_trace(cell, cm)
-            metrics.add_cell(cm)
-            if stats is not None:
-                metrics.merge_cache_stats(stats)
-            results[index] = summary
+                # timeout or worker death: nothing came back, so the
+                # parent retries every cell of the task
+                continue
+            metrics.merge_cache_stats(stats)
+            for index, outcome in zip(indices, outcomes):
+                done[index] = outcome
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-    return results  # type: ignore[return-value]
+    return _collect(cells, done, _execute_cell, cache, metrics, settings)

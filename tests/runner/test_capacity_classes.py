@@ -64,6 +64,23 @@ def test_class_served_summaries_equal_fresh_runs():
         assert summary == _fresh_summary(cell), (cell, cm.class_hit)
 
 
+def test_pooled_sweep_serves_the_serial_classes():
+    """Each pool task runs a benchmark's cells in one worker, so the
+    pool compiles each base once, records that compile and serves the
+    same classes as the serial grid."""
+    runs = {}
+    for workers in (1, 2):
+        clear_caches()
+        metrics = MetricsRecorder()
+        runs[workers] = (run_grid(SWEEP, workers=workers, cache=None,
+                                  metrics=metrics), metrics)
+    assert runs[1][0] == runs[2][0]
+    for _summaries, metrics in runs.values():
+        assert metrics.class_hits == 20
+        # one compile per (benchmark, pipeline) group
+        assert sum(1 for c in metrics.cells if "compile" in c.stages) == 4
+
+
 def test_checked_class_hit_reruns_the_buffer_rules():
     settings = RunConfig(checked=True)
     base, *_ = _compile_base_timed("g724_dec", "traditional", None,

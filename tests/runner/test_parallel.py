@@ -23,7 +23,7 @@ from repro.runner.parallel import (
     _base_tasks,
     _compile_base_timed,
     _run_serial,
-    _worker_bases,
+    _worker_task,
     base_key,
     expand_grid,
     resolve_workers,
@@ -167,7 +167,7 @@ class TestSerialVsParallel:
 
 
 class TestPoolAffinity:
-    """Phase 1 sends all of a benchmark's pipelines to one worker, whose
+    """The pool sends all of a benchmark's cells to one worker, whose
     frontend memo then runs the shared frontend once, when there are at
     least as many benchmarks as workers."""
 
@@ -189,25 +189,27 @@ class TestPoolAffinity:
                                                          for cell in GRID)]
 
     def test_worker_compiles_a_benchmark_with_one_frontend(self, cache):
-        import pickle
-
         from repro.sched.cache import FRONTEND_STATS, clear_caches
 
         clear_caches()
-        bases, stats = pickle.loads(_worker_bases(
-            "adpcm_enc", ["traditional", "aggressive"], str(cache.root),
-            True))
-        assert [base.stats["pipeline"] for base, *_ in bases] \
-            == ["traditional", "aggressive"]
+        cells = expand_grid(["adpcm_enc"], ("traditional", "aggressive"),
+                            (64, 256))
+        done, stats = _worker_task(cells, str(cache.root), True)
         assert FRONTEND_STATS.counts() == (1, 1, 0)
-        assert stats.stores == 2
+        # each pipeline's base compiles once, on its group's first cell
+        assert [("compile" in cm.stages) for _summary, cm in done] \
+            == [True, False, True, False]
+        assert stats.stores == 2 + len(cells)   # two bases, every run
+        assert [summary for summary, _cm in done] \
+            == run_grid(cells, workers=1, cache=None)
         clear_caches()
 
 
 class TestPoolTaskFailures:
-    """A phase-1 task compiling several pipelines keeps the per-compile
-    timeout, and the parent retries only what the worker did not return.
-    The patched compile reaches the pool workers because they fork after
+    """A pool task running several groups keeps the per-compile timeout,
+    and the parent retries only what the worker did not return: the
+    failed cells, or every cell of a task whose worker died.  The
+    patched compile reaches the pool workers because they fork after
     the patch."""
 
     @pytest.fixture
@@ -219,7 +221,7 @@ class TestPoolTaskFailures:
         ready = {cell.group: _compile_base_timed(*cell.group, None)
                  for cell in GRID}
         parent = os.getpid()
-        calls = {"parent": [], "delay": 0.0, "fail": None}
+        calls = {"parent": [], "delay": 0.0, "fail": None, "exit": None}
 
         def fake(program, pipeline, *_args, **_kwargs):
             name = getattr(program, "name", program)
@@ -227,6 +229,8 @@ class TestPoolTaskFailures:
                 calls["parent"].append((name, pipeline))
             elif (name, pipeline) == calls["fail"]:
                 raise RuntimeError("worker compile failed")
+            elif (name, pipeline) == calls["exit"]:
+                os._exit(1)
             time.sleep(calls["delay"])
             return ready[name, pipeline]
 
@@ -247,6 +251,19 @@ class TestPoolTaskFailures:
         results = run_grid(GRID, workers=2, cache=None)
         assert compile_calls["parent"] == [("adpcm_dec", "aggressive")]
         assert results == compile_calls["serial"]
+
+    def test_dead_worker_task_is_retried_in_the_parent(self, compile_calls):
+        compile_calls["exit"] = ("adpcm_dec", "aggressive")
+        metrics = MetricsRecorder()
+        results = run_grid(GRID, workers=2, cache=None, metrics=metrics)
+        assert results == compile_calls["serial"]
+        assert ("adpcm_dec", "aggressive") in compile_calls["parent"]
+        for cm in metrics.cells:
+            # the dead worker's task held both adpcm_dec cells; the
+            # other task may have died with the pool, or finished
+            if cm.name == "adpcm_dec":
+                assert (cm.retries, cm.attempts) == (1, 2), cm
+            assert cm.retries <= 1, cm
 
 
 class TestRunCell:
@@ -272,7 +289,7 @@ class TestRetry:
     def _flaky(self, fail_times, exc=RuntimeError):
         calls = {"n": 0}
 
-        def execute(cell, cache, base, checked=False):
+        def execute(cell, cache, settings):
             calls["n"] += 1
             if calls["n"] <= fail_times:
                 raise exc("transient")

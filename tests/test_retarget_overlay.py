@@ -41,7 +41,7 @@ from repro.pipeline import (
     run_compiled,
     with_buffer,
 )
-from repro.runner.parallel import run_cell
+from repro.runner.parallel import run_base
 
 from tests.conftest import nightly_examples
 from tests.helpers import compiled_base
@@ -105,7 +105,7 @@ def test_run_summaries_byte_identical(name, pipeline):
     base = base_for(name, pipeline)
     for capacity in (16, 256):
         key = cell_key(name, pipeline, capacity)
-        summary = run_cell(name, pipeline, capacity, base=base)
+        summary = run_base(name, pipeline, base, capacity)[0]
         assert digest(summary) == GOLDEN["runs"][key], \
             f"{key}: run summary differs from the pinned digest"
 
@@ -126,7 +126,7 @@ def test_full_grid_differential(name, pipeline):
     base = base_for(name, pipeline)
     for capacity in GRID_CAPACITIES:
         key = cell_key(name, pipeline, capacity)
-        summary = run_cell(name, pipeline, capacity, base=base)
+        summary = run_base(name, pipeline, base, capacity)[0]
         assert digest(summary) == GOLDEN["runs"][key], \
             f"{key}: run summary differs from the pinned digest"
         assert (digest(loop_table(with_buffer(base, capacity)))
