@@ -3,11 +3,16 @@
 For each program the *reference outcome* is one pure-Python
 interpretation of the unoptimized IR by the reference
 :class:`repro.sim.interp.Interpreter`.
-Each :class:`Config` then compiles the program through
-:func:`repro.pipeline.compile_traditional` or ``compile_aggressive`` and
-simulates it on the cycle-level VLIW (:func:`repro.pipeline.run_compiled`);
-any difference in return value or trap class — or a checked-mode lint
-failure, or a crash in the compiler itself — is a divergence.
+Each :class:`Config` then buffers the program's unbuffered base at its
+capacity (:func:`repro.pipeline.with_buffer`) and simulates it on the
+cycle-level VLIW (:func:`repro.pipeline.run_compiled`); any difference
+in return value or trap class — or a checked-mode lint failure, or a
+crash in the compiler itself — is a divergence.
+
+:func:`check_program` parses each program once, for the reference and
+every config, and compiles each pipeline's base once, for every
+capacity config of that pipeline (DESIGN.md §5n).  Both live only for
+that one call.
 
 :func:`check_many` fans a batch of programs over a process pool (same
 worker-count resolution as :mod:`repro.runner.parallel`) and can reuse the
@@ -22,10 +27,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import repro.pipeline
 from repro.frontend import compile_source
+from repro.ir.module import Module
 from repro.pipeline import (
     COMPILERS,
     CheckedModeError,
+    Compiled,
     RunConfig,
     run_compiled,
 )
@@ -180,17 +188,28 @@ class ProgramReport:
         return [v for v in self.verdicts if not v.ok]
 
 
+def _parse(source: str) -> Module | Outcome:
+    """The program's unoptimized IR, or its ``("frontend-error", ...)``
+    outcome."""
+    try:
+        return compile_source(source)
+    except Exception as exc:
+        return ("frontend-error", f"{type(exc).__name__}: {exc}")
+
+
 def reference_outcome(source: str,
-                      max_steps: int = DEFAULT_MAX_STEPS) -> Outcome:
+                      max_steps: int = DEFAULT_MAX_STEPS, *,
+                      module: Module | Outcome | None = None) -> Outcome:
     """Interpret the unoptimized IR; ``("value", v)`` or ``("trap", cls)``.
 
     A frontend rejection comes back as ``("frontend-error", message)`` so
     the minimizer can tell "invalid program" apart from "divergence".
+    ``module`` is ``source``'s parse (:func:`_parse`), when the caller
+    has it; the interpreter only reads it.
     """
-    try:
-        module = compile_source(source)
-    except Exception as exc:
-        return ("frontend-error", f"{type(exc).__name__}: {exc}")
+    module = _parse(source) if module is None else module
+    if not isinstance(module, Module):
+        return module
     try:
         # always the reference interpreter: this side anchors the
         # comparison
@@ -200,33 +219,67 @@ def reference_outcome(source: str,
         return ("trap", type(exc).__name__)
 
 
-def compiled_outcome(source: str, config: Config,
-                     max_steps: int = DEFAULT_MAX_STEPS) -> Outcome:
-    """Compile under ``config`` and simulate on the VLIW.
+def _compile_failure(exc: Exception) -> Outcome:
+    """The outcome of a compile, or a retarget, that raised ``exc``.
 
     Compile-time interpreter traps (profiling executes the program) are
-    reported as ``("trap", cls)`` so a program that traps identically in
-    reference and compiled form is *not* a divergence.
+    ``("trap", cls)``, so a program that traps identically in reference
+    and compiled form is *not* a divergence.
     """
-    settings = config.run(max_steps)
-    if config.service:
-        return _service_outcome(source, config, settings)
-    try:
-        module = compile_source(source)
-    except Exception as exc:
-        return ("frontend-error", f"{type(exc).__name__}: {exc}")
-    try:
-        compiled = COMPILERS[config.pipeline](
-            module, buffer_capacity=config.capacity,
-            checked=settings.checked, max_steps=settings.max_steps)
-    except CheckedModeError as exc:
+    if isinstance(exc, CheckedModeError):
         return ("checked-failure",
                 f"{exc.pass_name}: {exc.diagnostics[0].format()}"
                 if exc.diagnostics else exc.pass_name)
-    except SimError as exc:
+    if isinstance(exc, SimError):
         return ("trap", type(exc).__name__)
+    return ("compile-crash", f"{type(exc).__name__}: {exc}")
+
+
+def _base(module: Module, pipeline_name: str, settings: RunConfig,
+          bases: dict) -> Compiled | Outcome:
+    """``pipeline_name``'s unbuffered base of ``module``, or the outcome
+    its compile gave, built once per (pipeline, settings) in ``bases``."""
+    key = (pipeline_name, settings)
+    if key not in bases:
+        try:
+            bases[key] = COMPILERS[pipeline_name](
+                module, buffer_capacity=None, checked=settings.checked,
+                max_steps=settings.max_steps)
+        except Exception as exc:
+            bases[key] = _compile_failure(exc)
+    return bases[key]
+
+
+def compiled_outcome(source: str, config: Config,
+                     max_steps: int = DEFAULT_MAX_STEPS, *,
+                     module: Module | Outcome | None = None,
+                     bases: dict | None = None) -> Outcome:
+    """Compile under ``config`` and simulate on the VLIW.
+
+    The compile is the pipeline's unbuffered base, buffered at the
+    config's capacity by :func:`~repro.pipeline.with_buffer`, as
+    ``compile_*(buffer_capacity=...)`` does.  ``module`` is ``source``'s
+    parse (:func:`_parse`) and ``bases`` a dict of bases already built
+    from it, keyed by (pipeline, :class:`RunConfig`); this call adds
+    the base it builds.  Neither is mutated: the frontend deep-copies
+    its input and every later step only reads the base.
+    """
+    settings = config.run(max_steps)
+    module = _parse(source) if module is None else module
+    if not isinstance(module, Module):
+        return module
+    if config.service:
+        return _service_outcome(source, config, settings)
+    base = _base(module, config.pipeline, settings,
+                 {} if bases is None else bases)
+    if not isinstance(base, Compiled):
+        return base
+    try:
+        compiled = (base if config.capacity is None
+                    else repro.pipeline.with_buffer(
+                        base, config.capacity, checked=settings.checked))
     except Exception as exc:
-        return ("compile-crash", f"{type(exc).__name__}: {exc}")
+        return _compile_failure(exc)
     if config.sched_oracle:
         compiled, error = _oracle_swap(compiled)
         if error is not None:
@@ -259,15 +312,12 @@ def _service() -> "object":
 
 def _service_outcome(source: str, config: Config,
                      settings: RunConfig) -> Outcome:
-    """The compiled half of the differential, via the service."""
+    """The compiled half of the differential, via the service.  Only
+    called for a source that parses: the caller reports a frontend
+    rejection as ``frontend-error``, as the direct path does (the
+    service would report it as a generic compile error)."""
     from repro.serve.protocol import Request
 
-    try:
-        # mirror the direct path's frontend-error contract exactly (the
-        # service would report a rejection as a generic compile error)
-        compile_source(source)
-    except Exception as exc:
-        return ("frontend-error", f"{type(exc).__name__}: {exc}")
     response = _service().submit(Request(
         kind="run", source=source, pipeline=config.pipeline,
         capacity=config.capacity, checked=settings.checked,
@@ -343,11 +393,16 @@ def check_program(
     seed = getattr(source, "seed", None)
     source = getattr(source, "source", source)
     configs = tuple(configs) if configs is not None else default_configs()
-    reference = reference_outcome(source, max_steps)
+    module = _parse(source)
+    reference = reference_outcome(source, max_steps, module=module)
     report = ProgramReport(source, reference, seed=seed)
     with inject_fault(fault):
+        # bases are built under the fault and dropped with it: a base
+        # from a stock compile must never serve a fault-injected config
+        bases: dict = {}
         for config in configs:
-            observed = compiled_outcome(source, config, max_steps)
+            observed = compiled_outcome(source, config, max_steps,
+                                        module=module, bases=bases)
             report.verdicts.append(_judge(config, reference, observed))
     return report
 

@@ -2,9 +2,10 @@
 
 The list and modulo schedulers are deterministic functions of an op
 list's *content* plus the machine description (and, for list scheduling,
-the side-exit liveness map).  A Figure 7 capacity sweep re-list-schedules
-a deep copy of the same module once per buffer size, the fuzz oracle
-compiles one program once per grid config, and checked mode re-derives
+the side-exit liveness map).  A Figure 7 capacity sweep retargets one
+base at many buffer sizes, re-list-scheduling the preheaders that gain
+``rec`` directives each time (the fuzz oracle buffers one base per
+pipeline at each of its capacities), and checked mode re-derives
 the same dependence systems the schedulers just used — all identical
 work.  This module memoizes *placements* by content: a hit replays the
 stored (index, cycle, slot) assignments onto the caller's operations,

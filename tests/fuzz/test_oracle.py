@@ -1,15 +1,30 @@
 """Tests for the differential interp-vs-VLIW oracle."""
 
+import pickle
+from pathlib import Path
+
 import pytest
 
+import repro.fuzz.oracle as oracle_mod
+from repro.frontend import compile_source
+from repro.fuzz.corpus import Corpus
 from repro.fuzz.gen import generate
 from repro.fuzz.oracle import (
+    DEFAULT_MAX_STEPS,
     Config,
     check_many,
     check_program,
+    compiled_outcome,
     default_configs,
     oracle_configs,
     reference_outcome,
+)
+from repro.pipeline import (
+    COMPILERS,
+    CheckedModeError,
+    _module_digest,
+    run_compiled,
+    with_buffer,
 )
 from repro.runner.cache import ArtifactCache
 
@@ -190,3 +205,119 @@ class TestCheckMany:
         check_many([generate(0), generate(1)], SMALL_GRID, workers=0,
                    progress=lambda index, report: seen.append(index))
         assert seen == [0, 1]
+
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "fuzz_corpus"
+
+
+def _count_parses(monkeypatch) -> list:
+    """Record each parse the oracle makes: the module and its digest, or
+    ``None`` for a source the frontend rejects."""
+    parsed = []
+
+    def counting(source, *args, **kwargs):
+        parsed.append(None)
+        module = compile_source(source, *args, **kwargs)
+        parsed[-1] = (module, _module_digest(module, uids=True))
+        return module
+
+    monkeypatch.setattr(oracle_mod, "compile_source", counting)
+    return parsed
+
+
+def _count_compiles(monkeypatch, replace=None) -> list:
+    """Record each pipeline compile as ``(pipeline, buffer_capacity)``;
+    ``replace`` maps a pipeline to the compiler to call instead."""
+    calls = []
+    for name, compiler in list(COMPILERS.items()):
+        compiler = (replace or {}).get(name, compiler)
+
+        def counting(module, *args, _name=name, _compiler=compiler,
+                     **kwargs):
+            calls.append((_name, kwargs.get("buffer_capacity", 256)))
+            return _compiler(module, *args, **kwargs)
+
+        monkeypatch.setitem(COMPILERS, name, counting)
+    return calls
+
+
+class TestSharedBases:
+    """check_program parses once and compiles one base per pipeline."""
+
+    def test_one_parse_and_one_base_per_pipeline(self, monkeypatch):
+        program = generate(CLEAN_SEED)
+        configs = default_configs()
+        parsed = _count_parses(monkeypatch)
+        compiles = _count_compiles(monkeypatch)
+        report = check_program(program, configs)
+        assert len(parsed) == 1
+        assert compiles == [("traditional", None), ("aggressive", None)]
+        assert report.ok, [v.describe() for v in report.divergences]
+        assert [v.observed for v in report.verdicts] == [
+            compiled_outcome(program.source, config) for config in configs]
+
+    @pytest.mark.parametrize("error,kind", [
+        (CheckedModeError("promote_function", []), "checked-failure"),
+        (RuntimeError("planted"), "compile-crash"),
+    ], ids=["checked", "crash"])
+    def test_failed_base_is_reported_per_config(self, monkeypatch, error,
+                                                kind):
+        def failing(module, **kwargs):
+            raise error
+
+        program = generate(CLEAN_SEED)
+        configs = default_configs()
+        compiles = _count_compiles(monkeypatch, {"aggressive": failing})
+        report = check_program(program, configs)
+        assert [call for call in compiles if call[0] == "aggressive"] == [
+            ("aggressive", None)]
+        for verdict in report.verdicts:
+            if verdict.config.pipeline == "traditional":
+                assert verdict.ok, verdict.describe()
+            else:
+                assert verdict.kind == kind
+                assert verdict.observed == compiled_outcome(
+                    program.source, verdict.config)
+
+    def test_frontend_error_parses_once(self, monkeypatch):
+        parsed = _count_parses(monkeypatch)
+        report = check_program("int main() { return 1 + ; }", SMALL_GRID)
+        assert parsed == [None]
+        assert report.reference[0] == "frontend-error"
+        assert report.ok
+        assert {v.observed for v in report.verdicts} == {report.reference}
+
+
+def _snapshot(compiled) -> bytes:
+    return pickle.dumps((compiled.module, compiled.schedules,
+                         compiled.modulo, compiled.profile,
+                         compiled.pass_trace, compiled.stats))
+
+
+@pytest.mark.parametrize("entry", Corpus(CORPUS_DIR).entries(),
+                         ids=lambda entry: entry.id)
+class TestSharedBaseUnmutated:
+    """Every step a config runs on a shared base leaves it unchanged."""
+
+    def test_config_steps_leave_base_unchanged(self, entry):
+        module = compile_source(entry.source)
+        for name, compiler in COMPILERS.items():
+            base = compiler(module, buffer_capacity=None, checked=True,
+                            max_steps=DEFAULT_MAX_STEPS)
+            before = _snapshot(base)
+            run_compiled(base, max_steps=DEFAULT_MAX_STEPS)
+            oracle_mod._oracle_swap(base)
+            for capacity in (16, 64):
+                overlay = with_buffer(base, capacity, checked=True)
+                run_compiled(overlay, max_steps=DEFAULT_MAX_STEPS)
+                oracle_mod._oracle_swap(overlay)
+            assert _snapshot(base) == before, name
+
+    def test_check_program_leaves_parse_unchanged(self, entry,
+                                                  monkeypatch):
+        parsed = _count_parses(monkeypatch)
+        report = check_program(entry.source,
+                               default_configs() + oracle_configs())
+        assert report.ok, [v.describe() for v in report.divergences]
+        [(module, digest)] = parsed
+        assert _module_digest(module, uids=True) == digest
