@@ -13,10 +13,12 @@ Two checks, both against the reference classes built directly:
   the golden digests can.
 * the quick simulation grid (adpcm_enc and mpeg2_dec, both pipelines,
   capacities 64 and 256): each cell's ``run_compiled`` outcome, which
-  replays the base's pass trace, must equal a full run of the same
-  artifact on the reference :class:`~repro.sim.vliw.VLIWSimulator` in
-  value, steps, every ``SimCounters`` field (``per_block`` and
-  ``per_loop`` included) and the loop buffer's stats.
+  replays the base's pass trace, and a full run of the same artifact on
+  the fast :class:`~repro.sim.engine.FastVLIWSimulator` (what checked
+  mode cross-checks the replay against) must each equal a full run on
+  the reference :class:`~repro.sim.vliw.VLIWSimulator` in value, steps,
+  every ``SimCounters`` field (``per_block`` and ``per_loop`` included)
+  and the loop buffer's stats.
 
 Usage:  PYTHONPATH=src python scripts/check_engine_parity.py
 
@@ -39,7 +41,7 @@ from repro.loopbuffer.model import LoopBuffer  # noqa: E402
 from repro.sched.cache import clear_caches  # noqa: E402
 from repro.sim.interp import Interpreter, profile_module  # noqa: E402
 from repro.sim.replay import ReplayedRun  # noqa: E402
-from repro.sim.vliw import VLIWSimulator  # noqa: E402
+from repro.sim.vliw import VLIWSimulator, simulate  # noqa: E402
 
 PIPELINES = {"traditional": pipeline.compile_traditional,
              "aggressive": pipeline.compile_aggressive}
@@ -117,21 +119,20 @@ def check_profiles(bases: dict) -> list[str]:
     return failures
 
 
-def outcome_differences(outcome, ref) -> list[str]:
-    """Every field on which a ``run_compiled`` outcome differs from a
-    reference ``(result, counters, buffer)`` run."""
-    ref_result, ref_counters, ref_buffer = ref
+def sim_differences(run, ref) -> list[str]:
+    """Every field on which one ``(result, counters, buffer)`` simulation
+    differs from another."""
+    (result, counters, buffer), (ref_result, ref_counters, ref_buffer) = \
+        run, ref
     diffs = []
-    if not isinstance(outcome.result, ReplayedRun):
-        diffs.append("not replayed")
     for name in ("value", "steps"):
-        if getattr(outcome.result, name) != getattr(ref_result, name):
+        if getattr(result, name) != getattr(ref_result, name):
             diffs.append(name)
     for field in dataclasses.fields(ref_counters):
-        if (getattr(outcome.counters, field.name)
+        if (getattr(counters, field.name)
                 != getattr(ref_counters, field.name)):
             diffs.append(f"counters.{field.name}")
-    stats = outcome.buffer.stats if outcome.buffer is not None else None
+    stats = buffer.stats if buffer is not None else None
     if stats != (ref_buffer.stats if ref_buffer is not None else None):
         diffs.append("buffer stats")
     return diffs
@@ -145,14 +146,28 @@ def reference_simulate(compiled):
     return sim.run(compiled.entry, compiled.args), sim.counters, buffer
 
 
+def fast_simulate(compiled):
+    """A full fast-engine simulation of the artifact, never replayed."""
+    return simulate(compiled.module, compiled.schedules, compiled.modulo,
+                    compiled.machine, compiled.buffer_capacity,
+                    compiled.entry, compiled.args, trace=None)
+
+
 def check_cells(bases: dict) -> list[str]:
-    """Replayed quick-grid cells vs the reference VLIW simulator."""
+    """Quick-grid cells, replayed and simulated in full on the fast
+    engine, vs the reference VLIW simulator."""
     failures: list[str] = []
     for (name, pipe), base in sorted(bases.items()):
         for capacity in SIM_CAPACITIES:
             compiled = pipeline.with_buffer(base, capacity)
-            diffs = outcome_differences(pipeline.run_compiled(compiled),
-                                        reference_simulate(compiled))
+            ref = reference_simulate(compiled)
+            outcome = pipeline.run_compiled(compiled)
+            diffs = ([] if isinstance(outcome.result, ReplayedRun)
+                     else ["not replayed"])
+            diffs += [f"replayed {diff}" for diff in sim_differences(
+                (outcome.result, outcome.counters, outcome.buffer), ref)]
+            diffs += [f"full {diff}" for diff in
+                      sim_differences(fast_simulate(compiled), ref)]
             label = f"{name}/{pipe}@{capacity}"
             print(f"{label}: {'differs' if diffs else 'identical'}")
             if diffs:

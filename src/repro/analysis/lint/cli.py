@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.bench import benchmark_names
 from repro.pipeline import CheckedModeError, with_buffer
 from repro.runner.cache import default_cache
+from repro.runner.cli import parse_capacities, parse_csv
 from repro.runner.parallel import PIPELINES, compile_base
 from repro.runner.summary import format_table
 
@@ -36,8 +37,14 @@ from .diagnostics import Severity
 from .engine import all_rules, get_rule, lint_compiled
 
 
-def _csv(value: str) -> list[str]:
-    return [item.strip() for item in value.split(",") if item.strip()]
+def _capacity(value: str) -> int | None:
+    """``--capacity``: one ``--capacities`` item of the runner (``none``,
+    ``off`` and ``0`` disable the buffer)."""
+    capacities = parse_capacities(value)
+    if len(capacities) != 1:
+        raise argparse.ArgumentTypeError(
+            f"expected one capacity, got {value!r}")
+    return capacities[0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,20 +52,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis.lint",
         description="Semantic sanitizer sweep over the benchmark corpus.",
     )
-    parser.add_argument("--benchmarks", type=_csv, default=None,
+    parser.add_argument("--benchmarks", type=parse_csv, default=None,
                         metavar="NAME[,NAME...]",
                         help="benchmark subset (default: the whole Table 1 "
                              "suite)")
-    parser.add_argument("--pipelines", type=_csv, default=list(PIPELINES),
+    parser.add_argument("--pipelines", type=parse_csv,
+                        default=list(PIPELINES),
                         metavar="PIPE[,PIPE...]",
                         help="traditional, aggressive or both (default both)")
-    parser.add_argument("--capacity", type=int, default=256,
-                        help="buffer capacity in ops; 0 disables the buffer "
-                             "(default 256)")
-    parser.add_argument("--rules", type=_csv, default=None,
+    parser.add_argument("--capacity", type=_capacity, default=256,
+                        help="buffer capacity in ops; none or 0 disables "
+                             "the buffer (default 256)")
+    parser.add_argument("--rules", type=parse_csv, default=None,
                         metavar="ID[,ID...]",
                         help="run only these rule ids (default: all)")
-    parser.add_argument("--exclude-rules", type=_csv, default=None,
+    parser.add_argument("--exclude-rules", type=parse_csv, default=None,
                         metavar="ID[,ID...]",
                         help="skip these rule ids (applied after --rules)")
     parser.add_argument("--list-rules", action="store_true",
@@ -123,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
                     and r.rule_id not in excluded]
 
     cache = default_cache(args.cache_dir, enabled=not args.no_cache)
-    capacity = args.capacity or None
+    capacity = args.capacity
     records = []
     rows = []
     lines = []

@@ -1,13 +1,11 @@
 """Phase-level profiling: span accumulation, attribution, flamegraphs.
 
-A :class:`PhaseProfile` folds the three instrumentation sources the repo
+A :class:`PhaseProfile` folds the two instrumentation sources the repo
 already records into one attribution report:
 
 * **pass spans** — the ``_PassChecker`` / pipeline spans in tracer
   payloads (or an exported Chrome trace), nested by depth, accumulated
   into per-name wall and *self* time (wall minus children);
-* **scheduler phase seconds** — :data:`repro.sched.cache.STATS`-style
-  ``{"list": s, "modulo": s}`` accumulators;
 * **simulator lifecycle instants** — the cycle-stamped loop-buffer
   events (record/hit/evict...), counted per name.
 
@@ -41,7 +39,7 @@ class SpanRecord:
 
 
 class PhaseProfile:
-    """Accumulates spans, scheduler seconds and simulator event counts."""
+    """Accumulates spans and simulator event counts."""
 
     def __init__(self) -> None:
         #: phase name -> {"count", "wall_us", "self_us"}
@@ -50,8 +48,6 @@ class PhaseProfile:
         self.stacks: dict[tuple[str, ...], float] = {}
         #: every individual span, for top-N reporting
         self.spans: list[SpanRecord] = []
-        #: scheduler phase -> seconds (sched/cache.py STATS.seconds)
-        self.sched_seconds: dict[str, float] = {}
         #: simulator lifecycle event name -> count
         self.sim_events: dict[str, int] = {}
 
@@ -124,12 +120,6 @@ class PhaseProfile:
     def add_cells(self, cells: list[dict]) -> None:
         for cell in cells:
             self.add_cell(cell)
-
-    def add_sched_seconds(self, seconds: dict) -> None:
-        """Fold a scheduler-phase seconds dict (STATS.seconds shape)."""
-        for kind, value in seconds.items():
-            self.sched_seconds[kind] = \
-                self.sched_seconds.get(kind, 0.0) + value
 
     def add_chrome_trace(self, doc: dict) -> None:
         """Fold an exported Chrome trace: nesting is re-derived from
@@ -217,13 +207,6 @@ class PhaseProfile:
                 ["phase", "spans", "wall s", "self s", "self%"],
                 rows, "per-phase attribution (self time)",
                 align=["l", "r", "r", "r", "r"]))
-        if self.sched_seconds:
-            parts.append(format_table(
-                ["scheduler phase", "seconds"],
-                [[kind, seconds] for kind, seconds in
-                 sorted(self.sched_seconds.items())],
-                "scheduler phases (sched.cache STATS)",
-                align=["l", "r"]))
         if self.sim_events:
             parts.append(format_table(
                 ["sim lifecycle event", "count"],
@@ -232,7 +215,7 @@ class PhaseProfile:
                 "simulator loop-buffer lifecycle",
                 align=["l", "r"]))
         if not parts:
-            parts.append("(empty profile: no spans, phases or events)")
+            parts.append("(empty profile: no spans or events)")
         return "\n\n".join(parts)
 
     # -- constructors --------------------------------------------------------

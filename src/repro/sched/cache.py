@@ -1,4 +1,4 @@
-"""Content-addressed memoization and timing for the schedulers.
+"""Content-addressed memoization for the schedulers.
 
 The list and modulo schedulers are deterministic functions of an op
 list's *content* plus the machine description (and, for list scheduling,
@@ -16,10 +16,6 @@ The schedules these paths produce are pinned per benchmark cell in
 ``tests/golden/retarget_grid.json``, which was generated with the
 original unmemoized linear-probe schedulers asserted identical.
 
-All scheduling time (cold builds *and* cache replays) is accumulated per
-phase in :data:`STATS`, so benchmarks can report scheduler-phase seconds
-without tracing overhead.
-
 The same module holds checked mode's per-function check memo
 (:func:`check_entry`): :class:`repro.pipeline._PassChecker` keys each
 function's verify and IR-lint results by a digest of its content, so an
@@ -35,22 +31,9 @@ every process memo.
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from repro.memo import Memo, clear_caches  # noqa: F401  (re-exported)
 
-
-@dataclass
-class SchedCacheStats:
-    """Scheduler-phase wall time."""
-
-    #: phase -> accumulated seconds ("list" | "modulo" | "oracle")
-    seconds: dict = field(default_factory=dict)
-
-
-STATS = SchedCacheStats()
 
 #: block content, machine and side-exit liveness -> list placements
 _list_cache = Memo(4096)
@@ -71,17 +54,6 @@ FRONTEND_STATS = _frontend_memo.stats
 #: clear_caches(): a reissued id could alias a checker still running.
 _check_contexts: dict[tuple, int] = {}
 _check_lock = threading.Lock()
-
-
-@contextmanager
-def timed(kind: str):
-    """Accumulate wall seconds against ``STATS.seconds[kind]``."""
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        STATS.seconds[kind] = (STATS.seconds.get(kind, 0.0)
-                               + time.perf_counter() - t0)
 
 
 # -- list-schedule placements ------------------------------------------------

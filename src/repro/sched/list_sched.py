@@ -77,24 +77,23 @@ def schedule_block(
     instead of re-running the scheduling search.
     """
     ops = [op for op in block.ops if op.opcode != Opcode.NOP]
-    with sched_cache.timed("list"):
-        fingerprint = ops_fingerprint(ops)
-        key = (fingerprint, machine, exit_live_fingerprint(exit_live))
-        placements = sched_cache.list_placements_get(key)
-        if placements is not None:
-            return _replay(ops, placements)
-        if relations is None:
-            relations = PredicateRelations(block)
-        graph = dependence_graph(ops, relations=relations,
-                                 exit_live=exit_live,
-                                 fingerprint=fingerprint)
-        schedule = _schedule_ops(ops, graph, machine, block.label)
-        sched_cache.list_placements_put(key, tuple(
-            (i, place.cycle, place.slot)
-            for i, op in enumerate(ops)
-            for place in (schedule.placement[op.uid],)
-        ))
-        return schedule
+    fingerprint = ops_fingerprint(ops)
+    key = (fingerprint, machine, exit_live_fingerprint(exit_live))
+    placements = sched_cache.list_placements_get(key)
+    if placements is not None:
+        return _replay(ops, placements)
+    if relations is None:
+        relations = PredicateRelations(block)
+    graph = dependence_graph(ops, relations=relations,
+                             exit_live=exit_live,
+                             fingerprint=fingerprint)
+    schedule = _schedule_ops(ops, graph, machine, block.label)
+    sched_cache.list_placements_put(key, tuple(
+        (i, place.cycle, place.slot)
+        for i, op in enumerate(ops)
+        for place in (schedule.placement[op.uid],)
+    ))
+    return schedule
 
 
 def _replay(ops, placements) -> Schedule:

@@ -164,48 +164,47 @@ def modulo_schedule(
 
 def _modulo_schedule(block, machine, max_ii, budget_factor, span=None):
     ops = [op for op in block.ops if op.opcode != Opcode.NOP]
-    with sched_cache.timed("modulo"):
-        fingerprint = ops_fingerprint(ops)
-        key = (fingerprint, machine, max_ii, budget_factor)
-        cached = sched_cache.modulo_result_get(key)
-        if cached is not None:
-            return _modulo_from_cache(block, ops, cached, span)
-        relations = PredicateRelations(block)
-        graph = dependence_graph(ops, relations=relations,
-                                 loop_carried=True,
-                                 fingerprint=fingerprint)
-        # both lower bounds are known before any candidate schedule is
-        # attempted: the II search never starts below max(ResMII, RecMII)
-        res_mii = resource_mii(ops, machine)
-        rec_mii = recurrence_mii(graph)
-        mii = max(res_mii, rec_mii)
-        if span is not None:
-            span.annotate(min_ii=mii, resource_mii=res_mii,
-                          recurrence_mii=rec_mii, ops=len(ops))
+    fingerprint = ops_fingerprint(ops)
+    key = (fingerprint, machine, max_ii, budget_factor)
+    cached = sched_cache.modulo_result_get(key)
+    if cached is not None:
+        return _modulo_from_cache(block, ops, cached, span)
+    relations = PredicateRelations(block)
+    graph = dependence_graph(ops, relations=relations,
+                             loop_carried=True,
+                             fingerprint=fingerprint)
+    # both lower bounds are known before any candidate schedule is
+    # attempted: the II search never starts below max(ResMII, RecMII)
+    res_mii = resource_mii(ops, machine)
+    rec_mii = recurrence_mii(graph)
+    mii = max(res_mii, rec_mii)
+    if span is not None:
+        span.annotate(min_ii=mii, resource_mii=res_mii,
+                      recurrence_mii=rec_mii, ops=len(ops))
 
-        for ii in range(mii, max_ii + 1):
-            result = _try_schedule(ops, graph, machine, ii,
-                                   budget_factor * len(ops) + 32)
-            if result is not None:
-                times, slots = result
-                sched = ModuloSchedule(
-                    ii=ii,
-                    times={ops[i].uid: t for i, t in times.items()},
-                    slots={ops[i].uid: s for i, s in slots.items()},
-                    ops=list(ops),
-                )
-                sched.mve_factor = required_mve_factor(ops, graph, times, ii)
-                sched_cache.modulo_result_put(key, (
-                    "ok", ii,
-                    tuple(times[i] for i in range(len(ops))),
-                    tuple(slots[i] for i in range(len(ops))),
-                    sched.mve_factor,
-                    (mii, res_mii, rec_mii),
-                ))
-                return sched
-        message = f"no II <= {max_ii} for {block.label}"
-        sched_cache.modulo_result_put(key, ("fail", f"no II <= {max_ii}"))
-        raise ModuloSchedulingFailed(message)
+    for ii in range(mii, max_ii + 1):
+        result = _try_schedule(ops, graph, machine, ii,
+                               budget_factor * len(ops) + 32)
+        if result is not None:
+            times, slots = result
+            sched = ModuloSchedule(
+                ii=ii,
+                times={ops[i].uid: t for i, t in times.items()},
+                slots={ops[i].uid: s for i, s in slots.items()},
+                ops=list(ops),
+            )
+            sched.mve_factor = required_mve_factor(ops, graph, times, ii)
+            sched_cache.modulo_result_put(key, (
+                "ok", ii,
+                tuple(times[i] for i in range(len(ops))),
+                tuple(slots[i] for i in range(len(ops))),
+                sched.mve_factor,
+                (mii, res_mii, rec_mii),
+            ))
+            return sched
+    message = f"no II <= {max_ii} for {block.label}"
+    sched_cache.modulo_result_put(key, ("fail", f"no II <= {max_ii}"))
+    raise ModuloSchedulingFailed(message)
 
 
 def _modulo_from_cache(block, ops, cached, span):

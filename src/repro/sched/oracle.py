@@ -49,7 +49,6 @@ from repro.ir.block import BasicBlock
 from repro.ir.opcodes import Opcode, latency_of
 from repro.obs import get_tracer
 
-from . import cache as sched_cache
 from .machine import DEFAULT_MACHINE, MachineDescription
 from .modulo import (
     ModuloSchedule,
@@ -286,55 +285,54 @@ def oracle_schedule(
     if tracer is None:
         tracer = get_tracer()
     ops = [op for op in block.ops if op.opcode != Opcode.NOP]
-    with sched_cache.timed("oracle"):
-        relations = PredicateRelations(block)
-        graph = dependence_graph(ops, relations=relations,
-                                 loop_carried=True,
-                                 fingerprint=ops_fingerprint(ops))
-        res_mii = resource_mii(ops, machine)
+    relations = PredicateRelations(block)
+    graph = dependence_graph(ops, relations=relations,
+                             loop_carried=True,
+                             fingerprint=ops_fingerprint(ops))
+    res_mii = resource_mii(ops, machine)
+    try:
+        rec_mii = recurrence_mii(graph)
+    except ModuloSchedulingFailed:
+        rec_mii = max_ii + 1
+    mii = max(res_mii, rec_mii)
+
+    def done(result: OracleResult) -> OracleResult:
+        if tracer.enabled:
+            tracer.instant("oracle", category="sched",
+                           block=block.label, **result.as_dict())
+        return result
+
+    if max_ii < mii:
+        # the MinII bound alone refutes every candidate — no search
+        # (and no size limit) needed for this certificate
+        return done(OracleResult(block.label, len(ops), res_mii,
+                                 rec_mii, mii, None, "infeasible", 0))
+    if len(ops) > max_ops:
+        return done(OracleResult(block.label, len(ops), res_mii,
+                                 rec_mii, mii, None, "too-large", 0))
+    budget = [node_budget]
+    refuted_all_below = True
+    for ii in range(mii, max_ii + 1):
+        horizon = safe_horizon(ops, ii)
         try:
-            rec_mii = recurrence_mii(graph)
-        except ModuloSchedulingFailed:
-            rec_mii = max_ii + 1
-        mii = max(res_mii, rec_mii)
-
-        def done(result: OracleResult) -> OracleResult:
-            if tracer.enabled:
-                tracer.instant("oracle", category="sched",
-                               block=block.label, **result.as_dict())
-            return result
-
-        if max_ii < mii:
-            # the MinII bound alone refutes every candidate — no search
-            # (and no size limit) needed for this certificate
-            return done(OracleResult(block.label, len(ops), res_mii,
-                                     rec_mii, mii, None, "infeasible", 0))
-        if len(ops) > max_ops:
-            return done(OracleResult(block.label, len(ops), res_mii,
-                                     rec_mii, mii, None, "too-large", 0))
-        budget = [node_budget]
-        refuted_all_below = True
-        for ii in range(mii, max_ii + 1):
-            horizon = safe_horizon(ops, ii)
-            try:
-                outcome = _search(ops, graph, machine, ii, horizon, budget)
-            except _BudgetExceeded:
-                refuted_all_below = False
-                continue
-            if outcome[0] == "sat":
-                _tag, times, slots = outcome
-                status = "optimal" if refuted_all_below else "feasible"
-                return done(OracleResult(
-                    block.label, len(ops), res_mii, rec_mii, mii, ii,
-                    status, node_budget - budget[0], times, slots))
-            # "unsat" at the safe horizon and "cycle" are both proofs
-        if refuted_all_below:
-            return done(OracleResult(block.label, len(ops), res_mii,
-                                     rec_mii, mii, None, "infeasible",
-                                     node_budget - budget[0]))
-        return done(OracleResult(block.label, len(ops), res_mii, rec_mii,
-                                 mii, None, "unknown",
+            outcome = _search(ops, graph, machine, ii, horizon, budget)
+        except _BudgetExceeded:
+            refuted_all_below = False
+            continue
+        if outcome[0] == "sat":
+            _tag, times, slots = outcome
+            status = "optimal" if refuted_all_below else "feasible"
+            return done(OracleResult(
+                block.label, len(ops), res_mii, rec_mii, mii, ii,
+                status, node_budget - budget[0], times, slots))
+        # "unsat" at the safe horizon and "cycle" are both proofs
+    if refuted_all_below:
+        return done(OracleResult(block.label, len(ops), res_mii,
+                                 rec_mii, mii, None, "infeasible",
                                  node_budget - budget[0]))
+    return done(OracleResult(block.label, len(ops), res_mii, rec_mii,
+                             mii, None, "unknown",
+                             node_budget - budget[0]))
 
 
 def as_modulo_schedule(block: BasicBlock, result: OracleResult,

@@ -12,16 +12,21 @@ This module mirrors the loop-buffer idea at the host level:
   **op thunks** — closures binding the opcode handler, operand accessors
   (register slot index or folded constant) and the guard check at decode
   time.  Executing a pass is then one call per op.
-* On the functional engine, a block that reaches its
-  :data:`TIER_UP_PASSES`-th pass is **compiled** into one generated
-  Python function (:class:`_BlockCodegen`): registers as ``r[slot]``,
-  integer constants as literals, ``wrap32`` inlined as its range check,
-  and a thunk call for any op the generator does not emit.  A block
-  that jumps back to itself from its last op and makes no call iterates
-  inside that function, and the caller folds the completed self-passes
-  into the profile, ``steps`` and the pass recorder in one step.  Code
-  objects live in a process :class:`~repro.memo.Memo` keyed by a digest
-  of the generated source (DESIGN.md §5f, §5j).
+* On both engines, a block that reaches its :data:`TIER_UP_PASSES`-th
+  pass is **compiled** into one generated Python function
+  (:class:`_BlockCodegen`): registers as ``r[slot]``, integer constants
+  as literals, ``wrap32`` inlined as its range check, and a thunk call
+  for any op the generator does not emit (calls, and the VLIW's ``rec``
+  directives).  A functional block that jumps back to itself from its
+  last op and makes no call iterates inside that function, and the
+  caller folds the completed self-passes into the profile, ``steps``
+  and the pass recorder in one step; a VLIW block runs one pass per
+  call.  Code objects live in a process :class:`~repro.memo.Memo` keyed
+  by a digest of the generated source (DESIGN.md §5f, §5j).
+* Both engines run one frame loop (``_FastCallMixin._run_frame``),
+  which hands each finished pass to the engine's pass observer: the
+  functional engine's :class:`~repro.sim.replay.PassRecorder` when it
+  records, the VLIW's cycle, fetch and bubble accounting always.
 * Registers live in a flat per-frame ``list`` indexed by a per-function
   slot assignment (:class:`FunctionProgram`), replacing the ``VReg``-keyed
   dict of the reference frame.
@@ -226,8 +231,8 @@ class BlockProgram:
 
     __slots__ = (
         "label", "block", "n", "thunks", "next_label",
-        # compiled blocks (functional engine): the decoded ops, the
-        # generated function once compiled, passes left until compiling
+        # compiled blocks: the decoded ops, the generated function once
+        # compiled, passes left until compiling
         "ops", "run", "heat",
         # deferred profiling (functional engine)
         "passes", "prefix_counts", "taken_counts", "edge_counts",
@@ -402,11 +407,10 @@ class TraceCache:
         prog.prefix_counts = [0] * prog.n
         prog.taken_counts = [0] * prog.n
         prog.edge_counts = {}
-        if not self.vliw:
-            prog.ops = tuple(ops)
-            prog.run = None
-            # an empty block never counts down to compiling
-            prog.heat = TIER_UP_PASSES if ops else -1
+        prog.ops = tuple(ops)
+        prog.run = None
+        # an empty block never counts down to compiling
+        prog.heat = TIER_UP_PASSES if ops else -1
         prog.uid_at = [None if op.opcode is Opcode.NOP else op.uid
                        for op in ops]
         prog.is_cond = [op.is_conditional_branch for op in ops]
@@ -713,8 +717,9 @@ class TraceCache:
         Dispatched dynamically through the simulator's ``_do_rec`` method
         (never inlined at decode time) so class-level instrumentation —
         notably the fuzzer's injected faults, which monkeypatch
-        ``VLIWSimulator._do_rec`` — applies to the fast engine too.  Rec
-        directives fire once per loop entry, so the dispatch is free.
+        ``VLIWSimulator._do_rec`` — applies to the fast engine too; a
+        compiled VLIW block calls this thunk as well.  Rec directives
+        fire once per loop entry, so the dispatch is free.
         """
         sim = self.sim
         key = (fprog.name, label)
@@ -779,7 +784,7 @@ def _binary_step(fn, dest, ac, av, bc, bv):
 
 
 # --------------------------------------------------------------------------
-# compiled blocks (functional engine)
+# compiled blocks
 
 
 #: a block is compiled on its this-many'th pass and runs thunks before
@@ -876,16 +881,19 @@ def _literal(value) -> str:
 
 
 class _BlockCodegen:
-    """Generates the Python function that runs one functional block.
+    """Generates the Python function that runs one block on either fast
+    engine.
 
     The function is ``_block(frame, limit) -> (reps, attempted,
     transfer)``: ``reps`` passes that each ran every op and jumped back
     to the block from its last op, then one final pass that attempted
     ``attempted`` ops and left by ``transfer`` (``None``: fallthrough).
-    Only a block whose terminator targets its own label and which makes
-    no call iterates inside the function (``reps > 0``), and it starts
-    at most ``limit`` passes.  Each op is spelled out with its thunk's
-    exact semantics; an op the generator does not emit runs its thunk.
+    Only a functional block whose terminator targets its own label and
+    which makes no call iterates inside the function (``reps > 0``), and
+    it starts at most ``limit`` passes; a VLIW block runs one pass per
+    call, so the VLIW charges every pass.  Each op is spelled out with
+    its thunk's exact semantics; an op the generator does not emit runs
+    its thunk, as the VLIW's ``rec`` directives do.
     """
 
     def __init__(self, cache: TraceCache, fprog: FunctionProgram,
@@ -893,12 +901,14 @@ class _BlockCodegen:
         self.loader = cache.sim.loader
         self.memory = cache.sim.memory
         self.st_value = cache.sim._st_value
+        self.vliw = cache.vliw
         self.fprog = fprog
         self.prog = prog
         self.globals = dict(_BLOCK_GLOBALS)
         ops = prog.ops
         last = ops[-1]
-        self.fuse = (last.opcode in _LOOP_BRANCHES
+        self.fuse = (not self.vliw
+                     and last.opcode in _LOOP_BRANCHES
                      and last.target == prog.label
                      and not any(op.opcode is Opcode.CALL for op in ops)
                      and self._emits(last))
@@ -1069,6 +1079,8 @@ class _BlockCodegen:
             return [f"c = lc.get({lc_id}, 0) - 1", f"lc[{lc_id}] = c",
                     "if c > 0:"] + ["    " + line
                                     for line in self._transfer(i, op)]
+        if self.vliw and code in (Opcode.REC_CLOOP, Opcode.REC_WLOOP):
+            raise _NotEmitted  # _rec_step, issued before the guard
         if code in (Opcode.REC_CLOOP, Opcode.REC_WLOOP, Opcode.EXEC_CLOOP,
                     Opcode.EXEC_WLOOP):
             # functionally they (re)load the loop counter (_lc_reload_step)
@@ -1168,9 +1180,19 @@ def _compile_block(cache: TraceCache, fprog: FunctionProgram,
 
 
 class _FastCallMixin:
-    """Shared frame setup for the fast engines (slot-list register file)."""
+    """What both fast engines share: the slot-list register file, frame
+    setup, and the one frame loop.
+
+    The frame loop hands each finished pass to the engine's pass
+    ``observer`` (``None``: nobody watches): the functional engine's
+    :class:`~repro.sim.replay.PassRecorder`, or the VLIW's
+    :class:`_PassAccounting`.  An observer's ``looping`` is the block
+    program whose last pass jumped to itself, which makes the next pass
+    over it ``iterating``.
+    """
 
     cache: TraceCache
+    observer: object
 
     def _val(self, frame, src):
         # reference-engine helper, usable on fast frames too: methods
@@ -1211,57 +1233,19 @@ class _FastCallMixin:
             if func.frame_words:
                 self.loader.pop_frame(func.frame_words)
 
-
-class FastInterpreter(_FastCallMixin, Interpreter):
-    """Predecoded functional interpreter; bit-identical to the reference
-    (values, traps, profile counts).
-
-    With ``record`` set, a :class:`~repro.sim.replay.PassRecorder` notes
-    every block pass in VLIW accounting order (a caller's pass after its
-    callees') and the result carries the finished
-    :class:`~repro.sim.replay.PassTrace`; a trapping run yields none.
-    """
-
-    def __init__(self, module, profile=None,
-                 max_steps: int = 200_000_000, record: bool = False) -> None:
-        super().__init__(module, profile=profile, max_steps=max_steps)
-        self.cache = TraceCache(self, vliw=False)
-        self.recorder = None
-        if record:
-            from repro.sim.replay import PassRecorder
-
-            self.recorder = PassRecorder()
-
-    def run(self, entry: str, args: list[int] | None = None) -> RunResult:
-        func = self.module.function(entry)
-        args = list(args or [])
-        try:
-            value = self._call(func, args)
-        except BaseException:
-            if self.profile is not None:
-                self.profile.incomplete = True
-            raise
-        finally:
-            if self.profile is not None:
-                self.cache.finalize_profile(self.profile)
-        trace = (self.recorder.finish(entry, args, value, self.steps)
-                 if self.recorder is not None else None)
-        return RunResult(value, self.steps, self.memory, self.loader,
-                         self.profile, trace)
-
     def _run_frame(self, frame: _FastFrame):  # noqa: C901
         fprog = frame.fprog
         prog = fprog.block_program(fprog.entry_label)
         profiling = self.profile is not None
-        recorder = self.recorder
+        observer = self.observer
         max_steps = self.max_steps
         while True:
             if len(prog.block.ops) != prog.n:
                 prog = fprog.redecode(prog.label)
             if profiling:
                 prog.passes += 1
-            if recorder is not None:
-                iterating = recorder.looping is prog
+            if observer is not None:
+                iterating = observer.looping is prog
                 calls = frame.calls
             n = prog.n
             run = prog.run
@@ -1277,8 +1261,8 @@ class FastInterpreter(_FastCallMixin, Interpreter):
                     self.steps += reps * n
                     if profiling:
                         _fold_self_passes(prog, reps)
-                    if recorder is not None:
-                        recorder.record_repeat(fprog.name, prog, reps,
+                    if observer is not None:
+                        observer.record_repeat(fprog.name, prog, reps,
                                                iterating)
                         iterating = True
                 self.steps += i
@@ -1304,8 +1288,8 @@ class FastInterpreter(_FastCallMixin, Interpreter):
                     self.steps += i
             if profiling and i:
                 prog.prefix_counts[i - 1] += 1
-            if recorder is not None:
-                recorder.record(fprog.name, prog, i, transfer, iterating,
+            if observer is not None:
+                observer.record(fprog.name, prog, i, transfer, iterating,
                                 frame.calls - calls)
             if transfer is None:
                 nxt = prog.next_label
@@ -1342,6 +1326,126 @@ def _fold_self_passes(prog: BlockProgram, reps: int) -> None:
     edges[prog.label] = edges.get(prog.label, 0) + reps
 
 
+class FastInterpreter(_FastCallMixin, Interpreter):
+    """Predecoded functional interpreter; bit-identical to the reference
+    (values, traps, profile counts).
+
+    With ``record`` set, its pass observer is a
+    :class:`~repro.sim.replay.PassRecorder` that notes every block pass
+    in VLIW accounting order (a caller's pass after its callees') and
+    the result carries the finished
+    :class:`~repro.sim.replay.PassTrace`; a trapping run yields none.
+    """
+
+    def __init__(self, module, profile=None,
+                 max_steps: int = 200_000_000, record: bool = False) -> None:
+        super().__init__(module, profile=profile, max_steps=max_steps)
+        self.cache = TraceCache(self, vliw=False)
+        self.observer = None
+        if record:
+            from repro.sim.replay import PassRecorder
+
+            self.observer = PassRecorder()
+
+    def run(self, entry: str, args: list[int] | None = None) -> RunResult:
+        func = self.module.function(entry)
+        args = list(args or [])
+        try:
+            value = self._call(func, args)
+        except BaseException:
+            if self.profile is not None:
+                self.profile.incomplete = True
+            raise
+        finally:
+            if self.profile is not None:
+                self.cache.finalize_profile(self.profile)
+        trace = (self.observer.finish(entry, args, value, self.steps)
+                 if self.observer is not None else None)
+        return RunResult(value, self.steps, self.memory, self.loader,
+                         self.profile, trace)
+
+
+class _PassAccounting:
+    """The VLIW's pass observer: charges each finished pass its cycles,
+    bundles, fetch source and branch bubbles, as
+    ``VLIWSimulator._account_pass`` does.  A compiled VLIW block runs one
+    pass per call, so every pass arrives here by :meth:`record`."""
+
+    __slots__ = ("sim", "looping")
+
+    def __init__(self, sim: "FastVLIWSimulator") -> None:
+        self.sim = sim
+        #: the reference's ``_last_key``, as a block program
+        self.looping = None
+
+    def record(self, fname: str, prog: BlockProgram, i: int, transfer,
+               iterating: bool, calls: int) -> None:
+        # ``calls`` is unused: a VLIW call charges its bubble when issued
+        counters = self.sim.counters
+        executed = prog.executed_at[i - 1] if i else 0
+        stats = prog.stats
+        if stats is None:
+            stats = prog.stats = counters.block_stats(*prog.key)
+        stats.passes += 1
+        if prog.mod_ii is not None:
+            cycles = prog.mod_ii if iterating else prog.mod_len
+        elif prog.cycles_at is not None:
+            cycles = (prog.cycles_at[i - 1] if transfer is not None
+                      else prog.sched_len)
+        else:
+            cycles = executed if executed else 1
+        counters.cycles += cycles
+        counters.bundles += cycles
+
+        buffer = self.sim.buffer
+        state = (buffer.state_of(prog.buffer_key)
+                 if buffer is not None else LoopState.ABSENT)
+        counters.ops_issued += executed
+        lstats = prog.lstats
+        if lstats is None:
+            lstats = counters.per_loop.get(prog.buffer_key)
+            if lstats is not None:
+                prog.lstats = lstats
+        if lstats is not None:
+            lstats.passes += 1
+        full_pass = transfer is None or i == prog.n
+        if state is LoopState.RESIDENT:
+            counters.ops_from_buffer += executed
+            stats.ops_from_buffer += executed
+            stats.buffered_passes += 1
+            if lstats is not None:
+                lstats.ops_from_buffer += executed
+                lstats.buffered_passes += 1
+        else:
+            counters.ops_from_memory += executed
+            stats.ops_from_memory += executed
+            if lstats is not None:
+                lstats.ops_from_memory += executed
+            if state is LoopState.RECORDING and full_pass:
+                buffer.finish_recording(prog.buffer_key)
+
+        buffered = state is not LoopState.ABSENT
+        penalty = prog.penalty
+        if transfer is None:
+            bubble = (penalty if (buffered and not prog.is_counted
+                                  and prog.is_loop_block) else 0)
+        elif transfer[0] == "ret":
+            bubble = penalty
+        elif transfer[1] == prog.label:
+            bubble = 0 if buffered else penalty
+        elif buffered and prog.is_counted and prog.is_brcloop[i - 1]:
+            bubble = 0
+        else:
+            bubble = penalty
+        counters.branch_bubbles += bubble
+        counters.cycles += bubble
+
+        self.looping = (prog if (transfer is not None
+                                 and transfer[0] == "jump"
+                                 and transfer[1] == prog.label)
+                        else None)
+
+
 class FastVLIWSimulator(_FastCallMixin, VLIWSimulator):
     """Predecoded cycle-level VLIW; ``SimCounters``/``LoopFetchStats`` and
     obs instants are bit-identical to the reference simulator."""
@@ -1349,111 +1453,4 @@ class FastVLIWSimulator(_FastCallMixin, VLIWSimulator):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.cache = TraceCache(self, vliw=True)
-
-    def _run_frame(self, frame: _FastFrame):  # noqa: C901
-        fprog = frame.fprog
-        prog = fprog.block_program(fprog.entry_label)
-        counters = self.counters
-        max_steps = self.max_steps
-        while True:
-            if len(prog.block.ops) != prog.n:
-                prog = fprog.redecode(prog.label)
-            key = prog.key
-            iterating = self._last_key == key
-            transfer = None
-            i = 0
-            if self.steps + prog.n > max_steps:
-                for step in prog.thunks:
-                    self.steps += 1
-                    if self.steps > max_steps:
-                        raise StepLimitExceeded(
-                            f"exceeded {max_steps} steps")
-                    i += 1
-                    transfer = step(frame)
-                    if transfer is not None:
-                        break
-            else:
-                for step in prog.thunks:
-                    i += 1
-                    transfer = step(frame)
-                    if transfer is not None:
-                        break
-                self.steps += i
-
-            # --- pass accounting (mirrors VLIWSimulator._account_pass) ---
-            executed = prog.executed_at[i - 1] if i else 0
-            stats = prog.stats
-            if stats is None:
-                stats = prog.stats = counters.block_stats(*key)
-            stats.passes += 1
-            if prog.mod_ii is not None:
-                cycles = prog.mod_ii if iterating else prog.mod_len
-            elif prog.cycles_at is not None:
-                cycles = (prog.cycles_at[i - 1] if transfer is not None
-                          else prog.sched_len)
-            else:
-                cycles = executed if executed else 1
-            counters.cycles += cycles
-            counters.bundles += cycles
-
-            buffer = self.buffer
-            state = (buffer.state_of(prog.buffer_key)
-                     if buffer is not None else LoopState.ABSENT)
-            counters.ops_issued += executed
-            lstats = prog.lstats
-            if lstats is None:
-                lstats = counters.per_loop.get(prog.buffer_key)
-                if lstats is not None:
-                    prog.lstats = lstats
-            if lstats is not None:
-                lstats.passes += 1
-            full_pass = transfer is None or i == prog.n
-            if state is LoopState.RESIDENT:
-                counters.ops_from_buffer += executed
-                stats.ops_from_buffer += executed
-                stats.buffered_passes += 1
-                if lstats is not None:
-                    lstats.ops_from_buffer += executed
-                    lstats.buffered_passes += 1
-            else:
-                counters.ops_from_memory += executed
-                stats.ops_from_memory += executed
-                if lstats is not None:
-                    lstats.ops_from_memory += executed
-                if state is LoopState.RECORDING and full_pass:
-                    buffer.finish_recording(prog.buffer_key)
-
-            buffered = state is not LoopState.ABSENT
-            penalty = prog.penalty
-            if transfer is None:
-                bubble = (penalty if (buffered and not prog.is_counted
-                                      and prog.is_loop_block) else 0)
-            elif transfer[0] == "ret":
-                bubble = penalty
-            elif transfer[1] == prog.label:
-                bubble = 0 if buffered else penalty
-            elif buffered and prog.is_counted and prog.is_brcloop[i - 1]:
-                bubble = 0
-            else:
-                bubble = penalty
-            counters.branch_bubbles += bubble
-            counters.cycles += bubble
-
-            self._last_key = (key if (transfer is not None
-                                      and transfer[0] == "jump"
-                                      and transfer[1] == prog.label)
-                              else None)
-
-            # --- transfer ---
-            if transfer is None:
-                nxt = prog.next_label
-                if nxt is None:
-                    raise SimError(
-                        f"{frame.func.name}: fell off the end at "
-                        f"{prog.label}"
-                    )
-                prog = fprog.block_program(nxt)
-                continue
-            if transfer[0] == "ret":
-                return transfer[1]
-            prog = fprog.block_program(transfer[1])
+        self.observer = _PassAccounting(self)

@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
+
 from repro.analysis.lint import all_rules
-from repro.analysis.lint.cli import main
+from repro.analysis.lint.cli import build_parser, main
 
 
 def test_list_rules(capsys):
@@ -56,3 +58,20 @@ def test_exclude_rules_and_table_artifact(tmp_path, capsys):
     assert "lint sweep at capacity" in report
     # --quiet suppresses stdout but not the artifact
     assert "lint sweep" not in capsys.readouterr().out
+
+
+def test_bad_capacity_exits_2_before_compiling(capsys):
+    for value in ("-5", "big", "16,32"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--benchmarks", "adpcm_dec", "--no-cache",
+                  "--capacity", value])
+        assert exc.value.code == 2
+        assert "--capacity" in capsys.readouterr().err
+
+
+def test_capacity_spellings_match_the_runner():
+    parser = build_parser()
+    for value, capacity in (("none", None), ("off", None), ("0", None),
+                            ("64", 64)):
+        assert parser.parse_args(["--capacity", value]).capacity == capacity
+    assert parser.parse_args([]).capacity == 256

@@ -63,10 +63,8 @@ class TestPayloadFolding:
     def test_render_mentions_each_section(self):
         profile = PhaseProfile()
         profile.add_payload(_payload())
-        profile.add_sched_seconds({"list": 0.5, "modulo": 0.25})
         text = profile.render()
         assert "per-phase attribution" in text
-        assert "scheduler phases" in text
         assert "simulator loop-buffer lifecycle" in text
 
     def test_empty_profile_renders_placeholder(self):

@@ -1,20 +1,24 @@
-"""Compiled blocks in the fast functional engine vs the reference.
+"""Compiled blocks in the fast engines vs the reference engines.
 
-The fast interpreter compiles a block into one generated Python function
-on the block's :data:`~repro.sim.engine.TIER_UP_PASSES`-th pass, and a
-block that jumps back to itself from its last op iterates inside that
-function.  Everything here is differential: values, trap classes and
-messages, step counts, every ``Profile`` field and the recorded
-``PassTrace`` must be exactly what the reference interpreter (or the
-thunk-only fast engine) produces.
+Both fast engines compile a block into one generated Python function on
+the block's :data:`~repro.sim.engine.TIER_UP_PASSES`-th pass.  On the
+functional engine a block that jumps back to itself from its last op
+iterates inside that function; on the VLIW every call is one pass.
+Everything here is differential: values, trap classes and messages,
+step counts, every ``Profile`` field and the recorded ``PassTrace`` must
+be exactly what the reference interpreter (or the thunk-only fast
+engine) produces, and every ``SimCounters`` field, buffer stat and
+``buffer_*`` instant what the reference VLIW simulator produces.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import re
 import sys
 import threading
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -30,6 +34,8 @@ from repro.ir import Function, Imm, IRBuilder, Module
 from repro.ir.opcodes import CMP_TESTS, PTYPES, Opcode
 from repro.ir.operation import Operation
 from repro.ir.registers import FImm, VReg, ireg, preg
+from repro.loopbuffer.model import LoopBuffer
+from repro.obs.trace import Tracer
 from repro.sched.cache import clear_caches
 from repro.sim.engine import FastInterpreter, FastVLIWSimulator
 from repro.sim.interp import (
@@ -40,6 +46,7 @@ from repro.sim.interp import (
 )
 from repro.sim.replay import PassRecorder
 from repro.sim.values import INT_MAX, INT_MIN
+from repro.sim.vliw import VLIWSimulator
 
 from tests.conftest import nightly_examples
 from tests.reference_engines import reference_engines
@@ -595,6 +602,160 @@ def test_record_repeat_equals_separate_records():
             assert list(one.reps) == list(many.reps)
             assert list(one.kind_ids) == list(many.kind_ids)
             assert one.looping is many.looping
+
+
+# --------------------------------------------------------------------------
+# compiled blocks on the VLIW
+
+
+def _vliw(cls, module, max_steps=200_000_000):
+    """A reference or fast VLIW simulator of an unscheduled module, with
+    an enabled tracer."""
+    return cls(module, {}, max_steps=max_steps, tracer=Tracer())
+
+
+def _vliw_cell(cls, compiled, max_steps=200_000_000):
+    """The same for a compiled artifact at its own capacity."""
+    capacity = compiled.buffer_capacity
+    return cls(compiled.module, compiled.schedules, compiled.modulo,
+               compiled.machine, LoopBuffer(capacity) if capacity else None,
+               max_steps=max_steps, tracer=Tracer())
+
+
+def _vliw_outcome(sim, entry="main", args=()) -> tuple:
+    """Everything one VLIW run is compared by, whether or not it traps:
+    the trap is raised mid-pass on both engines, before that pass is
+    charged, so the counters agree on a trap too."""
+    try:
+        result = sim.run(entry, list(args))
+        outcome = ("value", result.value, result.steps)
+    except SimError as exc:
+        outcome = ("trap", type(exc), str(exc), sim.steps)
+    return (outcome, sim.memory.loads, sim.memory.stores,
+            sorted(sim.memory._words.items()),
+            dataclasses.asdict(sim.counters),
+            sim.buffer.stats if sim.buffer is not None else None,
+            [event.as_dict() for event in sim.tracer.events])
+
+
+@pytest.fixture(scope="module")
+def tier1_cells():
+    """``(label, artifact, reference outcome)`` for every tier-1
+    benchmark through both pipelines, buffered at 16 and 256 ops (a
+    loop too big for the buffer runs as an unbuffered one would)."""
+    cells = []
+    for name in TIER1:
+        bench = benchmark(name)
+        for compiler in (pipeline.compile_traditional,
+                         pipeline.compile_aggressive):
+            base = compiler(bench.build(), entry=bench.entry,
+                            args=bench.args, buffer_capacity=None)
+            for capacity in (16, 256):
+                compiled = pipeline.with_buffer(base, capacity)
+                ref = _vliw_outcome(_vliw_cell(VLIWSimulator, compiled),
+                                    compiled.entry, compiled.args)
+                assert ref[0][0] == "value"
+                cells.append((f"{name}/{compiler.__name__}@{capacity}",
+                              compiled, ref))
+    clear_caches()
+    return cells
+
+
+@pytest.mark.parametrize("tier_up", (None, 1), ids=("default", "1"))
+def test_full_vliw_runs_match_reference(tier1_cells, tier_up):
+    compiled = Counter()
+    real = engine._compile_block
+
+    def counting(cache, fprog, prog):
+        compiled[cache.vliw] += 1
+        return real(cache, fprog, prog)
+
+    with mock.patch.object(engine, "_compile_block", counting), \
+            mock.patch.object(engine, "TIER_UP_PASSES",
+                              tier_up or engine.TIER_UP_PASSES):
+        for label, artifact, ref in tier1_cells:
+            sim = _vliw_cell(FastVLIWSimulator, artifact)
+            assert _vliw_outcome(sim, artifact.entry, artifact.args) == ref, \
+                label
+    assert compiled[True] > 0  # the VLIW ran generated code
+    assert any(ref[5] and ref[5].records_started
+               for _, _, ref in tier1_cells)  # and drove the buffer
+
+
+def test_hot_vliw_block_runs_compiled_code_once_per_pass():
+    module = _store_loop(30)
+    calls = Counter()
+    real = engine._compile_block
+
+    def counting(cache, fprog, prog):
+        run = real(cache, fprog, prog)
+
+        def counted(frame, limit):
+            calls[prog.label] += 1
+            return run(frame, limit)
+
+        return counted
+
+    with mock.patch.object(engine, "_compile_block", counting):
+        fast = _vliw_outcome(_vliw(FastVLIWSimulator, module))
+    assert fast == _vliw_outcome(_vliw(VLIWSimulator, module))
+    # the loop's passes from its TIER_UP_PASSES-th on, one call each
+    assert calls == {"loop": 30 - engine.TIER_UP_PASSES + 1}
+
+
+def test_vliw_rec_directives_stay_thunks(tier1_cells):
+    rec_ops = (Opcode.REC_CLOOP, Opcode.REC_WLOOP)
+    seen = 0
+    for _, artifact, _ in tier1_cells:
+        sim = _vliw_cell(FastVLIWSimulator, artifact)
+        for func in artifact.module.functions.values():
+            fprog = sim.cache.function_program(func)
+            for block in func.blocks:
+                recs = [i for i, op in enumerate(block.ops)
+                        if op.opcode in rec_ops]
+                if not recs:
+                    continue
+                source = engine._BlockCodegen(
+                    sim.cache, fprog, fprog.block_program(block.label)
+                ).source()
+                assert "while True" not in source
+                for i in recs:
+                    assert f"_t{i}(frame)" in source
+                seen += 1
+    assert seen
+
+
+@pytest.mark.parametrize("tier_up", (1, 8))
+def test_vliw_step_limit_same_as_reference(monkeypatch, tier_up):
+    monkeypatch.setattr(engine, "TIER_UP_PASSES", tier_up)
+    module = _store_loop(12)
+    body = len(module.function("main").block("loop").ops)
+    entry = _loop_entry_steps(module)
+    compiled = 0
+    # every budget from loop entry to three passes past the tier-up
+    for budget in range(entry, entry + (tier_up + 3) * body + 1):
+        ref = _vliw_outcome(_vliw(VLIWSimulator, module, max_steps=budget))
+        sim = _vliw(FastVLIWSimulator, module, max_steps=budget)
+        assert _vliw_outcome(sim) == ref, budget
+        compiled += sim.cache.functions["main"].progs["loop"].run is not None
+    assert compiled > 3
+
+
+def test_vliw_step_limit_in_a_buffered_cell(tier1_cells, monkeypatch):
+    monkeypatch.setattr(engine, "TIER_UP_PASSES", 1)
+    label, artifact, whole_run = next(cell for cell in tier1_cells
+                                      if cell[0].endswith("@256"))
+    whole = whole_run[0][2]
+    for budget in (whole // 3, whole - 1, whole):
+        ref = _vliw_outcome(_vliw_cell(VLIWSimulator, artifact, budget),
+                            artifact.entry, artifact.args)
+        sim = _vliw_cell(FastVLIWSimulator, artifact, budget)
+        assert (_vliw_outcome(sim, artifact.entry, artifact.args)
+                == ref), (label, budget)
+        assert ref[0][0] == ("value" if budget == whole else "trap")
+        assert sim.cache.functions[artifact.entry].progs[
+            artifact.module.function(artifact.entry).entry.label
+        ].run is not None
 
 
 # --------------------------------------------------------------------------
