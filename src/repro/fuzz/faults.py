@@ -17,6 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.ir.opcodes import Opcode
+from repro.memo import clear_caches
 
 __all__ = ["FAULTS", "inject_fault"]
 
@@ -111,7 +112,15 @@ FAULTS = {
 
 @contextmanager
 def inject_fault(name: str | None):
-    """Context manager applying the named fault; no-op for ``None``."""
+    """Context manager applying the named fault; no-op for ``None``.
+
+    The process memos (:func:`repro.memo.clear_caches`) are emptied on
+    entry and on exit: their keys name the program and its settings,
+    not the pass and simulator functions a fault patches, so a stock
+    artifact would otherwise serve the faulted run and a faulted one
+    the next stock run.  Their counters are kept, so a faulted fuzz
+    run still reports its memo traffic.
+    """
     if name is None:
         yield
         return
@@ -121,5 +130,9 @@ def inject_fault(name: str | None):
         raise ValueError(
             f"unknown fault {name!r} (choose from {', '.join(sorted(FAULTS))})"
         ) from None
-    with fault():
-        yield
+    clear_caches(counters=False)
+    try:
+        with fault():
+            yield
+    finally:
+        clear_caches(counters=False)

@@ -139,8 +139,8 @@ def service_configs(
 
     The service buffers its base through ``with_buffer`` like every
     other config, so these configs differentially check what the service
-    adds on that path (coalescing, batching and the base memo) against
-    the reference interpreter.
+    adds on that path (coalescing, the executor queue and the base memo)
+    against the reference interpreter.
     """
     return tuple(Config(pipeline, capacity, service=True)
                  for pipeline in pipelines for capacity in capacities)
@@ -276,8 +276,7 @@ def compiled_outcome(source: str, config: Config,
         return base
     try:
         compiled = (base if config.capacity is None
-                    else repro.pipeline.with_buffer(
-                        base, config.capacity, checked=settings.checked))
+                    else repro.pipeline.with_buffer(base, config.capacity))
     except Exception as exc:
         return _compile_failure(exc)
     if config.sched_oracle:

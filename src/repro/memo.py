@@ -107,11 +107,13 @@ class Memo:
                 self._entries.move_to_end(key)
             return value
 
-    def clear(self) -> None:
-        """Drop every entry and zero the counters."""
+    def clear(self, counters: bool = True) -> None:
+        """Drop every entry and, unless ``counters`` is false, zero the
+        counters."""
         with self._lock:
             self._entries.clear()
-            self.stats.reset()
+            if counters:
+                self.stats.reset()
 
     def _evict(self) -> None:
         while len(self._entries) > self.limit:
@@ -119,11 +121,13 @@ class Memo:
             self.stats.evictions += 1
 
 
-def clear_caches() -> None:
+def clear_caches(counters: bool = True) -> None:
     """Empty every memo and zero its counters, and forget every built
-    benchmark and reference checksum."""
+    benchmark and reference checksum.  ``counters=False`` keeps the
+    counters, for a caller that drops entries mid-run and still reports
+    what the run's lookups hit."""
     from repro.bench.suite import clear_benchmark_memo
 
     for memo in list(_MEMOS):
-        memo.clear()
+        memo.clear(counters)
     clear_benchmark_memo()

@@ -605,8 +605,7 @@ def compile_traditional(
                         settings)
         if buffer_capacity is None:
             return base
-        return with_buffer(base, buffer_capacity, checked=settings.checked,
-                           tracer=tracer)
+        return with_buffer(base, buffer_capacity, tracer=tracer)
 
 
 def compile_aggressive(
@@ -642,8 +641,7 @@ def compile_aggressive(
             peel, promote, combine, stats, checker, settings)
         if buffer_capacity is None:
             return base
-        return with_buffer(base, buffer_capacity, checked=settings.checked,
-                           tracer=tracer)
+        return with_buffer(base, buffer_capacity, tracer=tracer)
 
 
 def _compile_aggressive_body(
@@ -742,7 +740,6 @@ def convert_counted_loops_all(module: Module):
 
 def with_buffer(compiled: Compiled, capacity: int | None,
                 overhead_aware: bool = True,
-                checked: bool | None = None,
                 tracer=None) -> Compiled:
     """Buffer a compiled base at ``capacity``: the one way a capacity
     reaches the IR (``compile_*(buffer_capacity=N)`` ends here too).
@@ -764,8 +761,9 @@ def with_buffer(compiled: Compiled, capacity: int | None,
     (copy-on-write at block granularity) and rescheduled; everything
     else, including ``capacity=None`` (which returns a pure view),
     shares the base artifact's objects, its pass trace included.
-    Checked mode lints the re-targeted artifact across all phases before
-    returning it (:func:`check_buffered`).
+    A checked base (``stats["checked"]``, as :func:`run_compiled`
+    decides) has the re-targeted artifact linted across all phases
+    before it is returned (:func:`check_buffered`).
     """
     check_retarget(compiled, capacity)
     tracer = tracer if tracer is not None else get_tracer()
@@ -780,7 +778,7 @@ def with_buffer(compiled: Compiled, capacity: int | None,
                           list(compiled.args), dict(compiled.stats),
                           buffer_capacity=capacity, overlay=overlay,
                           pass_trace=compiled.pass_trace)
-        if RunConfig.resolve(checked=checked).checked:
+        if compiled.stats.get("checked"):
             check_buffered(result)
         return result
 

@@ -324,7 +324,7 @@ def run_base(
                            phases=("buffer",))
     else:
         t0 = time.perf_counter()
-        compiled = with_buffer(base, capacity, checked=settings.checked)
+        compiled = with_buffer(base, capacity)
         t1 = time.perf_counter()
         outcome = run_compiled(compiled, **settings.budget())
         if metrics is not None:

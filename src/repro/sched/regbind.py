@@ -1,11 +1,18 @@
 """Register binding checks.
 
 The modeled machine provides 64 integer registers and 8 predicates
-(Section 7).  The compiler schedules with virtual registers and then
-verifies bindability: integer pressure must not exceed the file size
-(spilling would be required — we report rather than spill, since the
-benchmark kernels stay far below 64, as the paper's do), and predicates
-are actually colored (see :mod:`repro.predication.coloring`).
+(Section 7).  The compiler schedules with virtual registers;
+:func:`check_bindability` measures whether a function would bind:
+integer pressure must not exceed the file size (spilling would be
+required) and each block's predicates must color into the predicate
+file (see :mod:`repro.predication.coloring`).  It reports rather than
+spills, and nothing in the pipeline calls it.
+
+Not every kernel fits (DESIGN.md §5a).  On the default bases, the
+aggressive pipeline's ``g724_dec`` ``post_filter`` peaks at 66 live
+integer registers and the ``pgp_dec``/``pgp_enc`` ``crypt_block`` at 92
+and 90, and both ``crypt_block`` need more than 8 predicates; every
+other function stays at or below 24 live integers.
 """
 
 from __future__ import annotations

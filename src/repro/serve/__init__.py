@@ -12,12 +12,11 @@ warm each other; this package adds only what a long-lived service needs:
 - :mod:`repro.serve.protocol` — the request/response schema and its
   JSON-lines wire form (``compile``/``run``/``stats``/``ping``).
 - :mod:`repro.serve.pool` — the one executor thread: a bounded queue
-  (backpressure) drained in same-group batches that share one compiled
-  base.
+  (backpressure) drained in arrival order.
 - :mod:`repro.serve.service` — the :class:`Service` itself: request
   coalescing (concurrent identical requests collapse into one
   computation), backpressure (``overloaded`` responses), per-request
-  deadlines, obs spans/metrics on every request, and the asyncio
+  deadlines, obs spans on every computation, and the asyncio
   JSON-lines front end over a unix or TCP socket.
 - :mod:`repro.serve.client` — in-process :class:`Client` plus the
   :class:`SocketClient` wire client and a concurrent workload driver.

@@ -1,18 +1,16 @@
-"""One executor thread: same-group batching and backpressure.
+"""One executor thread: arrival order and backpressure.
 
 Every request needs a compiled base for its ``(benchmark, pipeline)``
-group before it can retarget and simulate.  That work is CPU-bound
-Python, so under the GIL a second thread cannot overlap it (DESIGN.md
-§5h): the service runs every computation on one daemon thread fed by
-one bounded deque.
+before it can retarget and simulate.  That work is CPU-bound Python, so
+under the GIL a second thread cannot overlap it (DESIGN.md §5h): the
+service runs every computation on one daemon thread fed by one bounded
+deque, oldest first.  The base and the capacity class come from the
+runner's process memos, so a computation shares them with every other
+computation of its program without waiting for it.
 
 ``submit`` raising :class:`QueueFull` *is* the backpressure signal — the
 service turns it into an ``overloaded`` response instead of letting
-latency grow without bound.  When the thread wakes it takes the oldest
-computation plus every other queued computation of the same group (up
-to :data:`BATCH_LIMIT`, order kept) in one batch: the service executes
-the batch against a single shared base, so concurrent capacity requests
-for one benchmark become one overlay sweep.
+latency grow without bound.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 DEFAULT_QUEUE_DEPTH = 64
-#: most computations executed against one base in one batch
-BATCH_LIMIT = 32
 
 
 class QueueFull(RuntimeError):
@@ -36,13 +32,11 @@ class QueueFull(RuntimeError):
 class Computation:
     """One unit of real work (1..n coalesced requests resolve from it).
 
-    ``future`` resolves to whatever the service's batch executor
-    returns; the per-request response wrappers hang off it via
-    callbacks.
+    The executor's callback resolves ``future``; the per-request
+    response wrappers hang off it via callbacks.
     """
 
     key: tuple
-    group: tuple
     request: object
     #: the request's resolved run settings (a ``RunConfig``)
     settings: object = None
@@ -56,18 +50,16 @@ class Computation:
 
 
 class Executor:
-    """One daemon thread draining one bounded queue in same-group
-    batches."""
+    """One daemon thread draining one bounded queue in arrival order."""
 
-    def __init__(self, execute_batch,
+    def __init__(self, execute,
                  queue_depth: int = DEFAULT_QUEUE_DEPTH) -> None:
         self.queue_depth = queue_depth
-        self._execute_batch = execute_batch
+        self._execute = execute
         self._queue: deque[Computation] = deque()
         self._cond = threading.Condition()
         self._stopping = False
         self.computations = 0
-        self.batches = 0
         self.max_queue_depth = 0
         self._thread = threading.Thread(target=self._run,
                                         name="serve-executor", daemon=True)
@@ -87,37 +79,27 @@ class Executor:
                                        len(self._queue))
             self._cond.notify()
 
-    def _take_batch(self) -> list[Computation] | None:
-        """Block for work; return the next same-group batch (or ``None``
-        at shutdown)."""
+    def _take(self) -> Computation | None:
+        """Block for work; return the oldest queued computation (or
+        ``None`` at shutdown)."""
         with self._cond:
             while not self._queue:
                 if self._stopping:
                     return None
                 self._cond.wait()
-            head = self._queue.popleft()
-            batch, rest = [head], deque()
-            for comp in self._queue:
-                if comp.group == head.group and len(batch) < BATCH_LIMIT:
-                    batch.append(comp)
-                else:
-                    rest.append(comp)
-            self._queue = rest
-            return batch
+            return self._queue.popleft()
 
     def _run(self) -> None:
         while True:
-            batch = self._take_batch()
-            if batch is None:
+            comp = self._take()
+            if comp is None:
                 return
-            self.batches += 1
-            self.computations += len(batch)
+            self.computations += 1
             try:
-                self._execute_batch(batch)
+                self._execute(comp)
             except BaseException as exc:  # never kill the executor thread
-                for comp in batch:
-                    if not comp.future.done():
-                        comp.future.set_exception(exc)
+                if not comp.future.done():
+                    comp.future.set_exception(exc)
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop accepting work, drain nothing: pending computations get
@@ -134,9 +116,9 @@ class Executor:
 
     @property
     def depth(self) -> int:
-        """Computations queued (not counting the batch in flight)."""
+        """Computations queued (not counting the one in flight)."""
         return len(self._queue)
 
     def stats(self) -> dict:
-        return {"computations": self.computations, "batches": self.batches,
+        return {"computations": self.computations,
                 "max_queue_depth": self.max_queue_depth}

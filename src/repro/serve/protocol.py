@@ -27,8 +27,8 @@ violation), ``overloaded`` (backpressure: the executor's queue was
 full), ``timeout`` (the request's deadline expired before execution) or
 ``error`` (anything else, with ``error`` naming it).  ``meta`` says how
 the request was served: whether it hit the run cache or the runner's
-base memo, whether it was coalesced into or batched with other in-flight
-requests, and the wall latency.
+base memo, whether it was coalesced into another in-flight request, and
+the wall latency.
 """
 
 from __future__ import annotations
@@ -105,19 +105,13 @@ class Request:
             (self.source or "").encode("utf-8")).hexdigest()
         return f"src:{digest[:16]}"
 
-    @property
-    def group(self) -> tuple:
-        """Everything that determines the compiled base this request
-        needs: the executor batches queued requests of one group against
-        one base."""
-        return (self.program_id, self.pipeline, self.checked,
-                self.max_steps)
-
     def coalesce_key(self) -> tuple:
         """Full semantic identity: two requests with equal keys must
         produce equal payloads, so concurrent ones share one
-        computation."""
-        return (self.kind,) + self.group + (self.capacity,)
+        computation.  Everything but ``kind`` and ``capacity`` decides
+        the compiled base the request needs."""
+        return (self.kind, self.program_id, self.pipeline, self.checked,
+                self.max_steps, self.capacity)
 
     # -- wire form ---------------------------------------------------------
 
@@ -136,8 +130,8 @@ class Response:
     id: str | None = None
     payload: dict | None = None
     error: str | None = None
-    #: how the request was served: temperature, coalesced/batched flags,
-    #: wall latency seconds
+    #: how the request was served: temperature, coalesced flag, base
+    #: source, wall latency seconds
     meta: dict = field(default_factory=dict)
 
     @property

@@ -18,15 +18,14 @@ resolving to a :class:`~repro.serve.protocol.Response`):
    sheds the request with an ``overloaded`` response instead of
    queueing unboundedly; an expired deadline answers ``timeout``
    without computing.
-4. **Batched execution.**  The executor takes every queued computation
-   of the group in one batch, obtains the compiled base once (the
-   runner's base memo, cache or compile) and runs each capacity
-   against that single base through the runner's cell executor
-   (:func:`repro.runner.parallel.run_base`), mapping its exceptions to
-   response statuses — one overlay sweep for the lot.
+4. **Execution.**  The executor runs computations in arrival order.
+   Each obtains its compiled base (the runner's base memo, cache or
+   compile) and runs its capacity through the runner's cell executor
+   (:func:`repro.runner.parallel.run_base`, whose capacity-class memo
+   lets a capacity sweep share retargets and simulations), mapping its
+   exceptions to response statuses.
 
-Every request lands in the obs metrics histograms
-(``serve_request_latency_s`` labeled by kind and temperature) and opens
+Each response's ``meta`` records its wall latency, and execution opens
 tracer spans, so a traced service emits the same Chrome-trace/Perfetto
 artifacts as the runner.
 
@@ -45,7 +44,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.bench import benchmark
-from repro.obs import Counter, Histogram, MetricsRegistry, get_tracer
+from repro.obs import get_tracer
 from repro.pipeline import CheckedModeError, RunConfig
 from repro.runner.cache import DEFAULT_CACHE_DIR, ArtifactCache
 from repro.runner.parallel import (
@@ -106,8 +105,6 @@ class ServiceStats:
     coalesced: int = 0
     #: computations actually executed (coalescing makes this < requests)
     computations: int = 0
-    #: computations executed in a batch with >= 2 members
-    batched: int = 0
     run_cache_hits: int = 0
     base_memo_hits: int = 0
     base_cache_hits: int = 0
@@ -127,12 +124,6 @@ class Service:
             self.cache = ArtifactCache(Path(self.config.cache_dir),
                                        max_bytes=self.config.max_cache_bytes)
         self.stats = ServiceStats()
-        self.metrics = MetricsRegistry()
-        self.latency: Histogram = self.metrics.histogram(
-            "serve_request_latency_s",
-            "service request wall latency (seconds)")
-        self.requests_total: Counter = self.metrics.counter(
-            "serve_requests_total", "requests by kind and status")
         self._lock = threading.Lock()
         self._pending: dict[tuple, Computation] = {}
         self.executor = Executor(self._execute_batch,
@@ -189,8 +180,7 @@ class Service:
             coalesced = comp is not None
             if comp is None:
                 comp = Computation(
-                    key=key, group=resolved.group, request=resolved,
-                    settings=settings,
+                    key=key, request=resolved, settings=settings,
                     deadline_at=(time.perf_counter() + deadline
                                  if deadline is not None else None))
                 # register before dispatch so a concurrent identical
@@ -239,10 +229,6 @@ class Service:
                   "error": "errors"}[response.status]
         # client threads and the executor thread both answer requests
         with self._lock:
-            self.latency.observe(latency, kind=request.kind,
-                                 temperature=response.meta["temperature"])
-            self.requests_total.inc(kind=request.kind,
-                                    status=response.status)
             self.stats.requests += 1
             setattr(self.stats, bucket, getattr(self.stats, bucket) + 1)
             if response.meta.get("served") == "run-cache":
@@ -299,51 +285,41 @@ class Service:
 
     # -- execution (the executor thread) -----------------------------------
 
-    def _execute_batch(self, batch: list[Computation]) -> None:
-        tracer = get_tracer()
-        live: list[Computation] = []
+    def _execute_batch(self, comp: Computation) -> None:
+        """Answer one computation (the name predates arrival-order
+        execution; the perf harness probes it)."""
+        self._count(computations=1)
         try:
-            for comp in batch:
-                if comp.expired:
-                    self._count(computations=1)
-                    self._resolve(comp, Response(
-                        status="timeout",
-                        error="deadline expired before execution"))
-                else:
-                    live.append(comp)
-            if not live:
+            if comp.expired:
+                self._resolve(comp, Response(
+                    status="timeout",
+                    error="deadline expired before execution"))
                 return
-            head = live[0]
-            with tracer.span("serve_batch", category="serve",
-                             group=repr(head.group), size=len(live)):
-                base, base_how, failure = self._base_for(head.request,
-                                                         head.settings)
-                for comp in live:
-                    self._count(computations=1, batched=int(len(live) > 1))
-                    if failure is not None:
-                        response = Response(status=failure[0],
-                                            error=failure[1])
-                        if comp.request.kind == "run":
-                            # a trap during profiling is as deterministic
-                            # as one at run time — cache the verdict
-                            self._store_verdict(*self._run_key(
-                                comp.request, comp.settings), response)
-                    elif comp.request.kind == "compile":
-                        response = Response(status="ok", payload={
-                            "warm": base_how != "compiled"})
-                    else:
-                        response = self._run_one(comp.request, base,
-                                                 comp.settings)
-                    response.meta.update(
-                        served="computed", base=base_how,
-                        batched=len(live) > 1, batch_size=len(live))
-                    self._resolve(comp, response)
+            request = comp.request
+            with get_tracer().span("serve_batch", category="serve",
+                                   program=request.program_id,
+                                   pipeline=request.pipeline):
+                base, base_how, failure = self._base_for(request,
+                                                         comp.settings)
+                if failure is not None:
+                    response = Response(status=failure[0], error=failure[1])
+                    if request.kind == "run":
+                        # a trap during profiling is as deterministic as
+                        # one at run time — cache the verdict
+                        self._store_verdict(*self._run_key(
+                            request, comp.settings), response)
+                elif request.kind == "compile":
+                    response = Response(status="ok", payload={
+                        "warm": base_how != "compiled"})
+                else:
+                    response = self._run_one(request, base, comp.settings)
+                response.meta.update(served="computed", base=base_how)
+                self._resolve(comp, response)
         except BaseException as exc:
-            for comp in batch:
-                if not comp.future.done():
-                    with self._lock:
-                        self._pending.pop(comp.key, None)
-                    comp.future.set_exception(exc)
+            with self._lock:
+                self._pending.pop(comp.key, None)
+            if not comp.future.done():
+                comp.future.set_exception(exc)
 
     def _resolve(self, comp: Computation, response: Response) -> None:
         with self._lock:
@@ -352,11 +328,11 @@ class Service:
             comp.future.set_result(response)
 
     def _base_for(self, request: Request, settings: RunConfig):
-        """``(base, how, failure)`` — the compiled base for a group.
+        """``(base, how, failure)`` — the compiled base for a request.
 
         ``failure`` is ``(status, error)`` when compilation itself
-        trapped/crashed (inline sources can do that); the batch then
-        answers every member with it.
+        trapped/crashed (inline sources can do that); the request is
+        answered with it.
         """
         try:
             base, _seconds, how, _trace = _compile_base_timed(
@@ -371,7 +347,7 @@ class Service:
 
     def _run_one(self, request: Request, base,
                  settings: RunConfig) -> Response:
-        """Retarget + simulate one request against a shared base."""
+        """Retarget + simulate one request against its base."""
         program = self._program(request)
         key, kind = self._run_key(request, settings, program)
         try:

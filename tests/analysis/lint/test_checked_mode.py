@@ -88,7 +88,8 @@ def test_unchecked_mode_does_not_raise(monkeypatch):
 
 
 def test_with_buffer_checked_catches_bad_assignment(monkeypatch):
-    base = compile_traditional(build_counting_loop(64), buffer_capacity=None)
+    base = compile_traditional(build_counting_loop(64), buffer_capacity=None,
+                               checked=True)
     real = pipeline_mod.assign_buffer
 
     def evil(module, profile, capacity, **kwargs):
@@ -99,7 +100,7 @@ def test_with_buffer_checked_catches_bad_assignment(monkeypatch):
 
     monkeypatch.setattr(pipeline_mod, "assign_buffer", evil)
     with pytest.raises(CheckedModeError) as excinfo:
-        with_buffer(base, 64, checked=True)
+        with_buffer(base, 64)
     err = excinfo.value
     assert err.pass_name == "with_buffer"
     assert {d.rule for d in err.diagnostics} & {"buffer-capacity",
@@ -107,8 +108,9 @@ def test_with_buffer_checked_catches_bad_assignment(monkeypatch):
 
 
 def test_with_buffer_clean_under_checked():
-    base = compile_traditional(build_counting_loop(64), buffer_capacity=None)
-    compiled = with_buffer(base, 64, checked=True)
+    base = compile_traditional(build_counting_loop(64), buffer_capacity=None,
+                               checked=True)
+    compiled = with_buffer(base, 64)
     assert compiled.buffer_capacity == 64
 
 

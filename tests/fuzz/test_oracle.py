@@ -18,7 +18,9 @@ from repro.fuzz.oracle import (
     default_configs,
     oracle_configs,
     reference_outcome,
+    service_configs,
 )
+from repro.memo import clear_caches
 from repro.pipeline import (
     COMPILERS,
     CheckedModeError,
@@ -27,6 +29,7 @@ from repro.pipeline import (
     with_buffer,
 )
 from repro.runner.cache import ArtifactCache
+from repro.sched.cache import FRONTEND_STATS
 
 CLEAN_SEED = 3
 #: these seeds are known to diverge under the named injected fault (see
@@ -162,6 +165,33 @@ class TestCheckProgram:
         # after the faulty check the same program must be clean again
         assert check_program(generate(FAULTY["cloop-reload-off-by-one"]),
                              SMALL_GRID).ok
+
+    def test_fault_after_stock_run_is_not_served_stock_artifacts(self):
+        """The service's base and class memos are keyed without the
+        patched functions: a stock run of the same program once left
+        artifacts that answered the faulted run, hiding the fault."""
+        program = generate(FAULTY["dce-drop-store"])
+        clear_caches()
+        fresh = check_program(program, service_configs(),
+                              fault="dce-drop-store")
+        clear_caches()
+        assert check_program(program, service_configs()).ok
+        after_stock = check_program(program, service_configs(),
+                                    fault="dce-drop-store")
+        assert not fresh.ok
+        assert len(after_stock.divergences) == len(fresh.divergences)
+
+    def test_stock_after_fault_is_not_served_faulted_artifacts(self):
+        """...and the reverse: a faulted run's artifacts once answered
+        the next stock run with false value mismatches."""
+        program = generate(FAULTY["dce-drop-store"])
+        clear_caches()
+        assert not check_program(program, service_configs(),
+                                 fault="dce-drop-store").ok
+        # the fault's memo clears keep the counters a fuzz run reports
+        assert FRONTEND_STATS.counts() != (0, 0, 0)
+        report = check_program(program, service_configs())
+        assert report.ok, [v.describe() for v in report.divergences]
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError, match="unknown fault"):
@@ -308,7 +338,7 @@ class TestSharedBaseUnmutated:
             run_compiled(base, max_steps=DEFAULT_MAX_STEPS)
             oracle_mod._oracle_swap(base)
             for capacity in (16, 64):
-                overlay = with_buffer(base, capacity, checked=True)
+                overlay = with_buffer(base, capacity)
                 run_compiled(overlay, max_steps=DEFAULT_MAX_STEPS)
                 oracle_mod._oracle_swap(overlay)
             assert _snapshot(base) == before, name

@@ -93,21 +93,20 @@ class TestValidation:
 
 
 class TestIdentityKeys:
-    def test_group_covers_base_identity(self):
+    def test_coalesce_key_covers_base_identity(self):
         base = Request(kind="run", benchmark="a", capacity=64)
-        assert base.group == Request(kind="run", benchmark="a",
-                                     capacity=256).group
-        assert base.group != Request(kind="run", benchmark="b",
-                                     capacity=64).group
-        assert base.group != Request(kind="run", benchmark="a",
-                                     pipeline="traditional").group
-        assert base.group != Request(kind="run", benchmark="a",
-                                     checked=True).group
-        assert base.group != Request(kind="run", benchmark="a",
-                                     max_steps=10).group
-        # keyed on the budget as given: no budget is not a zero budget
-        assert base.group != Request(kind="run", benchmark="a",
-                                     capacity=64, max_steps=0).group
+        for other in (Request(kind="run", benchmark="b", capacity=64),
+                      Request(kind="run", benchmark="a", capacity=64,
+                              pipeline="traditional"),
+                      Request(kind="run", benchmark="a", capacity=64,
+                              checked=True),
+                      Request(kind="run", benchmark="a", capacity=64,
+                              max_steps=10),
+                      # keyed on the budget as given: no budget is not a
+                      # zero budget
+                      Request(kind="run", benchmark="a", capacity=64,
+                              max_steps=0)):
+            assert base.coalesce_key() != other.coalesce_key()
 
     def test_coalesce_key_is_full_identity(self):
         a = Request(kind="run", benchmark="a", capacity=64)

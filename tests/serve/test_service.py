@@ -1,6 +1,6 @@
-"""Service behaviour: identity with the runner, coalescing, batching,
-backpressure, deadlines, the one executor thread, lossless counters and
-the socket front end."""
+"""Service behaviour: identity with the runner, coalescing, arrival-order
+execution, backpressure, deadlines, the one executor thread, lossless
+counters and the socket front end."""
 
 import asyncio
 import sys
@@ -105,7 +105,7 @@ class TestRunnerIdentity:
 
 class TestCoalescingAndBatching:
     def test_identical_concurrent_requests_coalesce(self):
-        """The batching criterion: computation count < request count."""
+        """The coalescing criterion: computation count < request count."""
         with Service(ServiceConfig(workers=1, cache_dir=None)) as service:
             client = Client(service)
             futures = [client.submit(Request(kind="run",
@@ -122,7 +122,8 @@ class TestCoalescingAndBatching:
             service.stats.coalesced
 
     def test_capacity_sweep_batches_on_one_base(self):
-        """Same-group capacity requests share one compiled base."""
+        """Capacity requests of one program share one compiled base:
+        the first compiles it, the rest take it from the base memo."""
         with Service(ServiceConfig(workers=1, cache_dir=None)) as service:
             client = Client(service)
             futures = [client.submit(Request(kind="run",
@@ -132,7 +133,7 @@ class TestCoalescingAndBatching:
             responses = [f.result(timeout=120) for f in futures]
         assert all(r.ok for r in responses)
         assert service.stats.base_compiles == 1
-        assert service.stats.base_memo_hits + service.stats.batched > 0
+        assert service.stats.base_memo_hits == 5
         capacities = [r.summary().capacity for r in responses]
         assert capacities == [4, 8, 16, 32, 64, 128]
 
@@ -160,14 +161,14 @@ class _BlockedService:
         self.service = Service(ServiceConfig(cache_dir=None, **config))
         self.gate = threading.Event()
         self.entered = threading.Event()
-        inner = self.service.executor._execute_batch
+        inner = self.service.executor._execute
 
-        def blocked(batch):
+        def blocked(comp):
             self.entered.set()
             self.gate.wait(30)
-            inner(batch)
+            inner(comp)
 
-        self.service.executor._execute_batch = blocked
+        self.service.executor._execute = blocked
 
     def park(self, client):
         """Occupy the executor with one request; returns its future."""
@@ -190,7 +191,7 @@ class TestBackpressure:
         try:
             client = Client(blocked.service)
             parked = blocked.park(client)
-            # distinct capacities: same group, no coalesce
+            # distinct capacities: no coalesce
             queued = [client.submit(Request(kind="run",
                                             benchmark="adpcm_enc",
                                             capacity=2 + i))
@@ -255,63 +256,57 @@ class TestBackpressure:
 
 
 class TestExecutor:
-    def test_take_batch_groups_and_preserves_order(self):
+    def test_runs_in_arrival_order(self):
+        """The executor once ran every queued computation of the oldest
+        one's group first: a1 and a2 together, then b1 and b2."""
         taken = []
         done = threading.Event()
         gate = threading.Event()
 
-        def execute(batch):
-            if batch[0].request == "stall":
+        def execute(comp):
+            if comp.request == "stall":
                 gate.wait(10)
-                for comp in batch:
-                    comp.future.set_result(None)
-                return
-            taken.append([c.request for c in batch])
-            for comp in batch:
-                comp.future.set_result(None)
-            if sum(len(b) for b in taken) >= 4:
+            else:
+                taken.append(comp.request)
+            comp.future.set_result(None)
+            if len(taken) >= 4:
                 done.set()
 
         executor = Executor(execute, queue_depth=8)
         # stall the executor so the queue builds up a mixed sequence
-        executor.submit(Computation(key=("s",), group=("stall",),
-                                request="stall"))
+        executor.submit(Computation(key=("s",), request="stall"))
         while executor.depth:  # until the executor picks it up
             time.sleep(0.005)
-        for name, group in (("a1", "A"), ("b1", "B"), ("a2", "A"),
-                            ("b2", "B")):
-            executor.submit(Computation(key=(name,), group=(group,),
-                                    request=name))
+        for name in ("a1", "b1", "a2", "b2"):
+            executor.submit(Computation(key=(name,), request=name))
         gate.set()
         assert done.wait(10)
         executor.close()
-        # first batch after the stall: both A's together, order kept
-        assert taken[0] == ["a1", "a2"]
-        assert taken[1] == ["b1", "b2"]
+        assert taken == ["a1", "b1", "a2", "b2"]
+        assert executor.stats() == {"computations": 5,
+                                    "max_queue_depth": 4}
 
     def test_close_fails_pending_with_queue_full(self):
         started = threading.Event()
         gate = threading.Event()
 
-        def execute(batch):
+        def execute(comp):
             started.set()
             gate.wait(10)
-            for comp in batch:
-                comp.future.set_result("ran")
+            comp.future.set_result("ran")
 
         executor = Executor(execute, queue_depth=8)
-        running = Computation(key=("r",), group=("r",), request=None)
+        running = Computation(key=("r",), request=None)
         executor.submit(running)
         assert started.wait(10)
-        pending = Computation(key=("p",), group=("p",), request=None)
+        pending = Computation(key=("p",), request=None)
         executor.submit(pending)
         # close while the executor is still busy: the queued computation
         # must fail fast, not hang
         executor.close(timeout=0.1)
         assert isinstance(pending.future.exception(timeout=10), QueueFull)
         with pytest.raises(QueueFull):
-            executor.submit(Computation(key=("x",), group=("x",),
-                                    request=None))
+            executor.submit(Computation(key=("x",), request=None))
         gate.set()
         assert running.future.result(timeout=10) == "ran"
 

