@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any
 
 from repro.obs import get_tracer
 
@@ -199,21 +199,3 @@ def solve(problem: DataflowProblem, cfg: CFGView) -> DataflowResult:
                        **stats.as_dict())
     return result
 
-
-def close_facts(
-    facts: set,
-    rules: Iterable[Callable[[set], Iterable[Hashable]]],
-) -> frozenset:
-    """Saturate ``facts`` under ``rules`` (each maps the current set to
-    newly derivable facts).  Shared by the predicate relation analyses so
-    the block-local and global fact closures cannot drift apart."""
-    current = set(facts)
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            derived = [f for f in rule(current) if f not in current]
-            if derived:
-                current.update(derived)
-                changed = True
-    return frozenset(current)

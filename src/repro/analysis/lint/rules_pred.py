@@ -29,13 +29,15 @@ def check_pred_undef_web(target: LintTarget, make) -> None:
     must-defined ``undef-guard`` rule cannot see this — it deliberately
     counts partial writes as definitions."""
     for func in target.selected_functions():
-        web = PredicateWeb(func)
+        web = None
         for block in func.blocks:
             points = None
             for index, op in enumerate(block.ops):
                 if op.guard is None:
                     continue
                 if points is None:
+                    if web is None:
+                        web = PredicateWeb(func)
                     points = web.points(block.label)
                 if points[index].possibly_undefined(op.guard):
                     make(f"{op!r} is guarded by {op.guard!r} whose reaching "

@@ -39,11 +39,10 @@ MERGE          sometimes, a fresh value (guarded ``ct``/``cf``  all facts
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Hashable, Iterable
 
 from repro.ir.opcodes import Opcode
-
-from .dataflow import close_facts
 
 REPLACE = "replace"
 STRENGTHEN = "strengthen"
@@ -99,53 +98,46 @@ def kill_for_redefinition(facts: set, atom: Hashable, kind: str) -> set:
 
 # -- closure ------------------------------------------------------------------
 
-def _rule_subset_transitive(facts: set) -> Iterable[tuple]:
-    supers: dict = {}
-    for f in facts:
+def close_pred_facts(facts: Iterable[tuple]) -> frozenset:
+    """Saturate a predicate fact set under the three closure rules:
+    ``a ⊆ b ⊆ c => a ⊆ c``, ``a ⊆ b ∦ c => a ∦ c`` (both for ``a != c``)
+    and ``a ⊆ b``, ``b`` known-zero ``=> a`` known-zero.
+
+    One worklist pass over indexed facts: ``supers`` for subset facts,
+    ``disj`` for disjointness, ``zeros`` for the input's known-zero
+    atoms.  Every rule has a subset premise, and only subset facts go
+    through the worklist.  A popped ``a ⊆ b`` extends ``a`` by the
+    supersets of ``b``, queueing the new facts, so the popped facts
+    reach the transitive closure; it also takes on the disjointness
+    facts of ``b`` indexed so far, and is known-zero when ``b`` is.
+    Derived disjointness is indexed at once, so of the two subset facts
+    that carry an input ``b ∦ c`` down to ``x ∦ y``, the one popped
+    second sees what the first derived (DESIGN.md §5c).
+    """
+    closed = set(facts)
+    supers, disj = defaultdict(set), defaultdict(set)
+    zeros = {f[1] for f in closed if f[0] == "z"}
+    work = []
+    for f in closed:
         if f[0] == "s":
-            supers.setdefault(f[1], []).append(f[2])
-    for f in facts:
-        if f[0] == "s":
-            for d in supers.get(f[2], ()):
-                if f[1] != d:
-                    yield ("s", f[1], d)
-
-
-def _rule_subset_inherits_disjoint(facts: set) -> Iterable[tuple]:
-    # a ⊆ b and b ∦ c  =>  a ∦ c
-    subs: dict = {}
-    for f in facts:
-        if f[0] == "s":
-            subs.setdefault(f[2], []).append(f[1])
-    for f in facts:
-        if f[0] == "d":
-            _, b, c = f
-            for a in subs.get(b, ()):
-                if a != c:
-                    yield dfact(a, c)
-            for a in subs.get(c, ()):
-                if a != b:
-                    yield dfact(a, b)
-
-
-def _rule_zero_propagates(facts: set) -> Iterable[tuple]:
-    # a ⊆ b and b known-zero  =>  a known-zero
-    zeros = {f[1] for f in facts if f[0] == "z"}
-    for f in facts:
-        if f[0] == "s" and f[2] in zeros:
-            yield ("z", f[1])
-
-
-CLOSURE_RULES = (
-    _rule_subset_transitive,
-    _rule_subset_inherits_disjoint,
-    _rule_zero_propagates,
-)
-
-
-def close_pred_facts(facts: set) -> frozenset:
-    """Saturate a predicate fact set under the closure rules."""
-    return close_facts(facts, CLOSURE_RULES)
+            supers[f[1]].add(f[2])
+            work.append(f)
+        elif f[0] == "d":
+            disj[f[1]].add(f[2])
+            disj[f[2]].add(f[1])
+    while work:
+        _, a, b = work.pop()
+        for c in [c for c in supers[b] if c != a and c not in supers[a]]:
+            supers[a].add(c)
+            work.append(("s", a, c))
+            closed.add(("s", a, c))
+        for c in [c for c in disj[b] if c != a and c not in disj[a]]:
+            disj[a].add(c)
+            disj[c].add(a)
+            closed.add(dfact(a, c))
+        if b in zeros:
+            closed.add(("z", a))
+    return frozenset(closed)
 
 
 # -- queries ------------------------------------------------------------------

@@ -140,6 +140,10 @@ class PredicateWeb:
 
     Queries go through :meth:`at` / :meth:`points`, which expose the
     state *before* a given operation executes.
+
+    Facts change only at predicate writes, so a point's facts are the
+    closure after the block's last predicate write before it, or else
+    the block's entry facts, which are closed already (DESIGN.md §5c).
     """
 
     def __init__(self, func: Function, cfg: CFGView | None = None) -> None:
@@ -185,15 +189,18 @@ class PredicateWeb:
     def _transfer_block(self, label: str, state: _State) -> _State:
         env = state.env_map()
         facts = set(state.facts)
+        wrote = False
         for op in self.func.block(label).ops:
-            self._transfer_op(op, env, facts)
+            wrote = self._transfer_op(op, env, facts) or wrote
+        if not wrote:
+            return state  # already closed: see the class docstring
         return _State(_pack_env(env), close_pred_facts(facts))
 
-    def _transfer_op(self, op: Operation, env: dict, facts: set) -> None:
+    def _transfer_op(self, op: Operation, env: dict, facts: set) -> bool:
         pred_dests = [(i, d) for i, d in enumerate(op.dests)
                       if d.is_predicate]
         if not pred_dests:
-            return
+            return False  # no predicate write: env and facts unchanged
         guarded = op.guard is not None
         guard_sites = (env.get(op.guard, _UNDEF_SITES) if guarded
                        else frozenset())
@@ -281,6 +288,7 @@ class PredicateWeb:
                 if pol0 != pol1:
                     facts.add(dfact(self._site_of[(op.uid, i0)],
                                     self._site_of[(op.uid, i1)]))
+        return True
 
     @staticmethod
     def _common_subsets(facts: set, sites: frozenset) -> set:
@@ -329,21 +337,20 @@ class PredicateWeb:
             return cached
         block = self.func.block(label)
         state = self._entry_state.get(label)
-        points: list[WebPoint] = []
         if state is None:
             # unreachable: everything unknown
-            env: dict = {}
-            facts: set = set()
-            for _ in range(len(block.ops) + 1):
-                points.append(WebPoint(self, dict(env), frozenset()))
+            points = [WebPoint(self, {}, frozenset())
+                      for _ in range(len(block.ops) + 1)]
         else:
+            points = []
             env = state.env_map()
             facts = set(state.facts)
+            closed = state.facts
             for op in block.ops:
-                points.append(WebPoint(self, dict(env),
-                                       close_pred_facts(facts)))
-                self._transfer_op(op, env, facts)
-            points.append(WebPoint(self, dict(env), close_pred_facts(facts)))
+                points.append(WebPoint(self, dict(env), closed))
+                if self._transfer_op(op, env, facts):
+                    closed = close_pred_facts(facts)
+            points.append(WebPoint(self, dict(env), closed))
         self._points[label] = points
         return points
 

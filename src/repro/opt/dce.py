@@ -83,8 +83,6 @@ def sink_partially_dead(func: Function, web: PredicateWeb | None = None) -> int:
     """
     changed = 0
     info = liveness(func)
-    if web is None:
-        web = PredicateWeb(func)
     for block in func.blocks:
         exit_live: set = set()
         for op in block.ops:
@@ -105,6 +103,9 @@ def sink_partially_dead(func: Function, web: PredicateWeb | None = None) -> int:
             if not consumers:
                 continue
             if points is None:
+                # guarding a non-predicate op never changes the web
+                if web is None:
+                    web = PredicateWeb(func)
                 points = web.points(block.label)
             guard = _covering_guard(op, i, consumers, block.ops, points)
             if guard is not None:

@@ -43,14 +43,15 @@ class PromotionStats:
 
 def promote_block(block: BasicBlock, func: Function,
                   live_out=None, live_info=None,
-                  web: PredicateWeb | None = None) -> PromotionStats:
+                  ctx: "_WebContext | None" = None) -> PromotionStats:
     """Promote guards within one (hyper)block.
 
     Implication between a consumer's guard and the promoted guard is
     first tried against block-local :class:`PredicateRelations`; when
-    that fails, the global predicate ``web`` (built on demand) may still
-    prove it, with each guard's site set pinned at its operation's
-    position so a mid-block redefinition cannot conflate two webs.
+    that fails, the global predicate web (built on demand, shared by a
+    function's blocks through ``ctx``) may still prove it, with each
+    guard's site set pinned at its operation's position so a mid-block
+    redefinition cannot conflate two webs.
     """
     if live_info is None:
         live_info = liveness(func)
@@ -59,7 +60,8 @@ def promote_block(block: BasicBlock, func: Function,
     exit_live = _exit_liveness(block, func, live_info)
     stats = PromotionStats()
     relations = PredicateRelations(block)
-    ctx = _WebContext(func, block, web)
+    if ctx is None:
+        ctx = _WebContext(func)
 
     changed = True
     while changed:
@@ -94,28 +96,24 @@ def _exit_liveness(block, func, live_info) -> dict[int, set]:
 
 
 class _WebContext:
-    """Lazy per-block view of the global predicate web.
+    """Lazy view of the global predicate web of one function.
 
     The web is only solved when block-local relations fail to prove an
     implication; promotion never touches predicate defines, so the
-    solved states stay valid across the promote/retry fixpoint loop.
+    solved states stay valid across the fixpoint loop and the blocks.
     """
 
-    def __init__(self, func, block, web=None):
+    def __init__(self, func):
         self._func = func
-        self._block = block
-        self._web = web
-        self._points = None
+        self._web = None
 
-    def implies_execution(self, consumer_index, consumer_guard,
+    def implies_execution(self, label, consumer_index, consumer_guard,
                           def_index, guard) -> bool:
         if consumer_guard is None:
             return False
-        if self._points is None:
-            if self._web is None:
-                self._web = PredicateWeb(self._func)
-            self._points = self._web.points(self._block.label)
-        pts = self._points
+        if self._web is None:
+            self._web = PredicateWeb(self._func)
+        pts = self._web.points(label)
         return pts[consumer_index].implies_sites(
             pts[consumer_index].sites(consumer_guard),
             pts[def_index].sites(guard))
@@ -129,8 +127,9 @@ def _promotable(block, index, op, relations: PredicateRelations, live_out,
         for j, later in enumerate(block.ops[index + 1:], start=index + 1):
             if dest in later.reads():
                 if not relations.implies_execution(later.guard, guard) \
-                        and not ctx.implies_execution(j, later.guard,
-                                                      index, guard):
+                        and not ctx.implies_execution(block.label, j,
+                                                      later.guard, index,
+                                                      guard):
                     return False
             # a side exit taken before the kill exposes the polluted value
             if j in exit_live and dest in exit_live[j]:
@@ -147,12 +146,12 @@ def promote_function(func: Function) -> PromotionStats:
     """Promote across all hyperblocks of ``func``."""
     info = liveness(func)
     total = PromotionStats()
-    web = PredicateWeb(func)
+    ctx = _WebContext(func)
     for block in func.blocks:
         if not block.hyperblock:
             continue
         got = promote_block(block, func, info.live_out[block.label], info,
-                            web=web)
+                            ctx=ctx)
         total.promoted += got.promoted
         total.speculative_forms += got.speculative_forms
     return total

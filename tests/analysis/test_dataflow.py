@@ -7,7 +7,6 @@ from repro.analysis.dataflow import (
     STATS,
     TOP,
     DataflowProblem,
-    close_facts,
     reset_stats,
     solve,
 )
@@ -169,17 +168,3 @@ class TestStats:
         reset_stats()
         assert STATS == {}
 
-
-class TestCloseFacts:
-    def test_saturates_transitively(self):
-        def chain(facts):
-            return [("s", a, d) for (s1, a, b) in facts if s1 == "s"
-                    for (s2, c, d) in facts if s2 == "s" and b == c]
-
-        closed = close_facts({("s", 1, 2), ("s", 2, 3), ("s", 3, 4)},
-                             [chain])
-        assert ("s", 1, 4) in closed
-        assert ("s", 1, 3) in closed and ("s", 2, 4) in closed
-
-    def test_empty(self):
-        assert close_facts(set(), []) == frozenset()

@@ -1,5 +1,8 @@
 """Unit tests for the shared predicate-fact semantics."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.analysis.predfacts import (
     MERGE,
     REPLACE,
@@ -13,6 +16,9 @@ from repro.analysis.predfacts import (
     redefinition_kind,
 )
 from repro.ir import Opcode
+
+from tests.analysis.closure_oracle import oracle_close
+from tests.conftest import nightly_examples
 
 
 class TestRedefinitionKind:
@@ -104,3 +110,28 @@ class TestClosureAndQueries:
         closed = close_pred_facts({("s", "a", "b")})
         assert not facts_disjoint(closed, "a", "b")
         assert not facts_subset(closed, "b", "a")
+
+
+_ATOMS = st.integers(min_value=0, max_value=4)
+_FACTS = st.frozensets(st.one_of(
+    st.tuples(st.just("s"), _ATOMS, _ATOMS),
+    st.builds(dfact, _ATOMS, _ATOMS),
+    st.tuples(st.just("z"), _ATOMS),
+), max_size=14)
+
+
+class TestWorklistClosure:
+    @settings(max_examples=nightly_examples(300, 2000))
+    @given(facts=_FACTS)
+    def test_equals_rule_based_oracle(self, facts):
+        # the closure is the rules' least fixed point: the worklist must
+        # reach exactly the set that re-running every rule reaches
+        assert close_pred_facts(facts) == oracle_close(facts)
+
+    def test_long_chain_saturates(self):
+        chain = {("s", i, i + 1) for i in range(6)} | {dfact(6, "x"),
+                                                        ("z", 5)}
+        closed = close_pred_facts(chain)
+        assert closed == oracle_close(chain)
+        assert ("s", 0, 6) in closed and dfact(0, "x") in closed
+        assert ("z", 0) in closed and ("z", 6) not in closed

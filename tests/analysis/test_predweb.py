@@ -6,13 +6,20 @@ the web makes at each executed program point — predicate-pair
 disjointness, implication and definedness must hold on every execution.
 """
 
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 
+import repro.analysis.predweb as predweb_mod
 from repro.analysis.predweb import UNDEF, PredicateWeb
 from repro.ir import Function, Imm, IRBuilder, Opcode, preg
 from repro.ir.preddef import pred_update
 
+from tests.analysis.closure_oracle import ReferenceWeb, web_snapshot
 from tests.strategies import PRED_PARAM_VALUES, predicated_dag_function
+
+CORPUS_DIR = Path(__file__).resolve().parents[1] / "fuzz_corpus"
 
 _CMP = {
     "eq": lambda a, b: int(a == b),
@@ -283,3 +290,148 @@ class TestPropertySoundness:
                         if point.implies(a, b):
                             assert (not preds.get(a, 0)) or preds.get(b, 0), \
                                 (label, index, a, b, values)
+
+
+class TestBuiltOnFirstQuery:
+    """Promotion, partial dead-code sinking and ``pred-undef-web`` build
+    a function's web only when they first query it."""
+
+    @staticmethod
+    def _built(monkeypatch, func):
+        from repro.analysis.lint import lint_module, rules_pred
+        from repro.ir import Module
+        from repro.opt import dce
+        from repro.predication import promotion
+
+        built = []
+
+        class CountedWeb(PredicateWeb):
+            def __init__(self, func, cfg=None):
+                built.append(func.name)
+                super().__init__(func, cfg)
+
+        for module in (rules_pred, dce, promotion):
+            monkeypatch.setattr(module, "PredicateWeb", CountedWeb)
+        module = Module("t")
+        module.add_function(func)
+        promotion.promote_function(func)
+        dce.sink_partially_dead(func)
+        lint_module(module, rule_ids=["pred-undef-web"])
+        return built
+
+    @staticmethod
+    def _hyperblock(guarded: bool):
+        func, b, entry, body = _two_block_function()
+        entry.hyperblock = body.hyperblock = True
+        p = func.new_pred()
+        b.at(entry)
+        x = b.movi(3)
+        b.pred_def("lt", x, Imm(10), [p], ["ut"])
+        y = b.add(x, Imm(1), guard=p if guarded else None)
+        b.at(body)
+        z = b.add(y, Imm(2), guard=p if guarded else None)
+        b.ret(z)
+        return func
+
+    def test_no_guard_builds_no_web(self, monkeypatch):
+        assert self._built(monkeypatch, self._hyperblock(False)) == []
+
+    def test_one_web_per_querying_client(self, monkeypatch):
+        # the lint rule queries both blocks of one web
+        assert self._built(monkeypatch, self._hyperblock(True)) == ["main"]
+
+
+class TestCloseOncePerWrite:
+    """Facts change only at predicate writes, so the web closes a fact
+    set only after one, and the result equals re-closing everywhere."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        close = predweb_mod.close_pred_facts
+
+        def counted(facts):
+            calls.append(1)
+            return close(facts)
+
+        monkeypatch.setattr(predweb_mod, "close_pred_facts", counted)
+        return calls
+
+    def test_closures_at_most_one_per_predicate_write(self, monkeypatch):
+        func = Function("main", [])
+        b = IRBuilder(func)
+        entry = func.add_block("entry")
+        body = func.add_block("body")
+        b.at(entry)
+        x = b.movi(3)
+        preds = [func.new_pred() for _ in range(3)]
+        b.pred_set(preds[0], 0)
+        for p, bound in zip(preds[1:], (5, 7)):
+            y = b.add(x, Imm(1))
+            b.pred_def("lt", y, Imm(bound), [p], ["ot"], guard=preds[0])
+            b.add(y, Imm(2), guard=p)
+        b.at(body)
+        z = x
+        for _ in range(6):
+            z = b.add(z, Imm(1), guard=preds[1])
+        b.ret(z)
+        calls = self._counting(monkeypatch)
+        web = PredicateWeb(func)
+        # solving: only the entry block writes a predicate
+        assert len(calls) == 1
+        calls.clear()
+        web.points("entry")
+        assert len(calls) <= 3  # one pred_set + two pred_defs
+        calls.clear()
+        web.points("body")
+        assert calls == []
+        assert web_snapshot(web) == web_snapshot(ReferenceWeb(func))
+
+    def _assert_pipeline_webs_match_reference(self, monkeypatch, compile_all):
+        """Every web a pass or lint rule builds during ``compile_all``
+        equals the reference at every point, when it is built."""
+        from repro.analysis.lint import rules_pred
+        from repro.memo import clear_caches
+        from repro.opt import dce
+        from repro.predication import promotion
+
+        checked = []
+
+        class CheckedWeb(PredicateWeb):
+            def __init__(self, func, cfg=None):
+                super().__init__(func, cfg)
+                assert web_snapshot(self) == web_snapshot(
+                    ReferenceWeb(func, self.cfg)), func.name
+                checked.append(func.name)
+
+        for module in (rules_pred, dce, promotion):
+            monkeypatch.setattr(module, "PredicateWeb", CheckedWeb)
+        clear_caches()
+        try:
+            compile_all()
+        finally:
+            clear_caches()
+        assert checked, "no predicate web was built"
+
+    def test_fuzz_corpus_webs_match_reference(self, monkeypatch):
+        from repro.fuzz.corpus import Corpus
+        from repro.fuzz.oracle import check_program
+
+        def compile_all():
+            for entry in Corpus(CORPUS_DIR).entries():
+                assert check_program(entry.source).ok, entry.id
+
+        self._assert_pipeline_webs_match_reference(monkeypatch, compile_all)
+
+    @pytest.mark.parametrize("name", ["adpcm_enc", "g724_dec"])
+    def test_benchmark_webs_match_reference(self, monkeypatch, name):
+        from repro.bench import benchmark
+        from repro.pipeline import COMPILERS
+
+        def compile_all():
+            bench = benchmark(name)
+            for compile_ in COMPILERS.values():
+                compile_(bench.build(), entry=bench.entry, args=bench.args,
+                         buffer_capacity=64, checked=True)
+
+        self._assert_pipeline_webs_match_reference(monkeypatch, compile_all)
