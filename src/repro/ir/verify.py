@@ -55,56 +55,13 @@ def verify_function(func: Function, module: Module | None = None,
 
     for block in func.blocks:
         for index, op in enumerate(block.ops):
-            where = f"{op_location(func.name, block.label, index)}: {op!r}"
-            expected = _SRC_COUNTS.get(op.opcode)
-            if expected is not None and len(op.srcs) != expected:
+            problem = _op_problem(op, labels, module)
+            if problem is not None:
+                # located and rendered only on failure: a clean function
+                # never formats an op
                 raise VerificationError(
-                    f"{where}: expected {expected} sources, got {len(op.srcs)}"
-                )
-            if op.opcode in _NEEDS_TARGET:
-                target = op.target
-                if target is None:
-                    raise VerificationError(f"{where}: branch lacks a target")
-                if target not in labels:
-                    raise VerificationError(f"{where}: dangling target {target!r}")
-            if op.opcode == Opcode.RET and len(op.srcs) > 1:
-                raise VerificationError(f"{where}: ret takes at most one source")
-            if op.opcode == Opcode.CALL:
-                callee = op.attrs.get("callee")
-                if callee is None:
-                    raise VerificationError(f"{where}: call lacks a callee")
-                if module is not None and callee not in module.functions:
-                    raise VerificationError(f"{where}: unknown callee {callee!r}")
-                if len(op.dests) > 1:
-                    raise VerificationError(f"{where}: call has multiple dests")
-            if op.opcode == Opcode.ST and op.dests:
-                raise VerificationError(f"{where}: store must not have dests")
-            if op.opcode == Opcode.LD and len(op.dests) != 1:
-                raise VerificationError(f"{where}: load needs exactly one dest")
-            for src in op.srcs:
-                if isinstance(src, Label):
-                    raise VerificationError(
-                        f"{where}: labels belong in attrs['target'], not srcs"
-                    )
-                if isinstance(src, GlobalRef) and module is not None:
-                    if src.name not in module.globals:
-                        raise VerificationError(
-                            f"{where}: unknown global {src.name!r}"
-                        )
-            if op.opcode == Opcode.PRED_SET and not op.dests[0].is_predicate:
-                raise VerificationError(f"{where}: pred_set dest must be predicate")
-            if op.opcode == Opcode.PRED_DEF:
-                for dst in op.dests:
-                    if not dst.is_predicate:
-                        raise VerificationError(
-                            f"{where}: pred_def dests must be predicates"
-                        )
-            if op.opcode not in (Opcode.PRED_DEF, Opcode.PRED_SET):
-                for dst in op.dests:
-                    if isinstance(dst, VReg) and dst.is_predicate:
-                        raise VerificationError(
-                            f"{where}: only predicate ops may write predicates"
-                        )
+                    f"{op_location(func.name, block.label, index)}: "
+                    f"{op!r}: {problem}")
 
     # Every block must be terminated or able to fall through to a real block.
     last = func.blocks[-1]
@@ -120,6 +77,50 @@ def verify_function(func: Function, module: Module | None = None,
                 f"{func.name}: blocks unreachable from entry: "
                 f"{', '.join(sorted(unreachable))}"
             )
+
+
+def _op_problem(op, labels: set[str], module: Module | None) -> str | None:
+    """What is structurally wrong with ``op``, or ``None``."""
+    expected = _SRC_COUNTS.get(op.opcode)
+    if expected is not None and len(op.srcs) != expected:
+        return f"expected {expected} sources, got {len(op.srcs)}"
+    if op.opcode in _NEEDS_TARGET:
+        target = op.target
+        if target is None:
+            return "branch lacks a target"
+        if target not in labels:
+            return f"dangling target {target!r}"
+    if op.opcode == Opcode.RET and len(op.srcs) > 1:
+        return "ret takes at most one source"
+    if op.opcode == Opcode.CALL:
+        callee = op.attrs.get("callee")
+        if callee is None:
+            return "call lacks a callee"
+        if module is not None and callee not in module.functions:
+            return f"unknown callee {callee!r}"
+        if len(op.dests) > 1:
+            return "call has multiple dests"
+    if op.opcode == Opcode.ST and op.dests:
+        return "store must not have dests"
+    if op.opcode == Opcode.LD and len(op.dests) != 1:
+        return "load needs exactly one dest"
+    for src in op.srcs:
+        if isinstance(src, Label):
+            return "labels belong in attrs['target'], not srcs"
+        if isinstance(src, GlobalRef) and module is not None:
+            if src.name not in module.globals:
+                return f"unknown global {src.name!r}"
+    if op.opcode == Opcode.PRED_SET and not op.dests[0].is_predicate:
+        return "pred_set dest must be predicate"
+    if op.opcode == Opcode.PRED_DEF:
+        for dst in op.dests:
+            if not dst.is_predicate:
+                return "pred_def dests must be predicates"
+    if op.opcode not in (Opcode.PRED_DEF, Opcode.PRED_SET):
+        for dst in op.dests:
+            if isinstance(dst, VReg) and dst.is_predicate:
+                return "only predicate ops may write predicates"
+    return None
 
 
 def _reachable_labels(func: Function) -> set[str]:

@@ -71,7 +71,7 @@ from repro.opt.inline import inline_module
 from repro.opt.local import optimize_function
 from repro.opt.reassoc import reassociate_function
 from repro.opt.simplify_cfg import simplify_cfg
-from repro.predication.branch_combine import combine_branches
+from repro.predication.branch_combine import combine_branches, reads_profile
 from repro.predication.hyperblock import (
     form_hammock_hyperblocks,
     form_loop_hyperblocks,
@@ -687,8 +687,12 @@ def _compile_aggressive_body(
                         form_hammock_hyperblocks, func, profile, scope=scope)
     verify_module(module)
 
-    profile, _ = profile_module(module, entry, args,
-                                max_steps=settings.max_steps)
+    # only branch combining reads this profile, and only when some
+    # hyperblock has enough exits to combine (DESIGN.md §5a)
+    profile = None
+    if combine and reads_profile(module):
+        profile, _ = profile_module(module, entry, args,
+                                    max_steps=settings.max_steps)
     combine_stats = []
     promote_stats = []
     for func in module.functions.values():

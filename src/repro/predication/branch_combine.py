@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from repro.analysis.profile import Profile
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
+from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation
 from repro.ir.registers import Imm
@@ -62,29 +63,39 @@ def combine_branches(
     return stats
 
 
-def _combinable_exits(
-    func: Function, block: BasicBlock, profile: Profile | None,
-    taken_threshold: float,
-) -> list[int]:
-    """Indices of side-exit BR ops cold enough to combine.
+def exit_candidates(block: BasicBlock) -> list[int]:
+    """Indices of the side-exit BR ops combining may take, before any
+    profile is consulted.
 
     The final transfer op is never combined (it is the loop-back branch or
     the fall-out path), and only plain conditional branches qualify.
     """
-    indices = []
-    for i, op in enumerate(block.ops):
-        if i == len(block.ops) - 1:
-            continue
-        if op.opcode != Opcode.BR:
-            continue
-        if op.target == block.label:
-            continue  # loop-back branch
-        if profile is not None:
-            ratio = profile.taken_ratio(func.name, op.uid)
-            if ratio > taken_threshold:
-                continue
-        indices.append(i)
-    return indices
+    last = len(block.ops) - 1
+    return [i for i, op in enumerate(block.ops)
+            if i != last and op.opcode == Opcode.BR
+            and op.target != block.label]  # not the loop-back branch
+
+
+def reads_profile(module: Module) -> bool:
+    """Whether combining ``module`` could consult a profile: some
+    hyperblock has at least ``DEFAULT_MIN_EXITS`` candidate exits.  With
+    none, no block reaches it whatever the profile says."""
+    return any(len(exit_candidates(block)) >= DEFAULT_MIN_EXITS
+               for func in module.functions.values()
+               for block in func.blocks if block.hyperblock)
+
+
+def _combinable_exits(
+    func: Function, block: BasicBlock, profile: Profile | None,
+    taken_threshold: float,
+) -> list[int]:
+    """The candidate exits cold enough to combine."""
+    indices = exit_candidates(block)
+    if profile is None:
+        return indices
+    return [i for i in indices
+            if profile.taken_ratio(func.name, block.ops[i].uid)
+            <= taken_threshold]
 
 
 def _combine_in_block(

@@ -92,46 +92,75 @@ MAX_REC_MII = 512
 def recurrence_mii(graph: DependenceGraph) -> int:
     """RecMII: smallest II with no positive cycle of weight lat - II*dist.
 
-    Checked by Bellman-Ford-style relaxation on longest paths; the II is
-    feasible when relaxation converges (no positive-weight cycle).
-    Feasibility is monotone in II (raising II only lowers edge weights),
-    so the smallest feasible II is found by doubling to an upper bound
-    and bisecting.
+    Found by cycle jumping.  From II = 1, longest-path Bellman-Ford
+    relaxes strictly and keeps each node's parent edge.  Under strict
+    relaxation a cycle of parent edges has positive weight at the current
+    II, so its latency L and distance D bound RecMII from below by
+    ceil(L / D), which exceeds the current II: the search jumps there and
+    relaxes afresh.  Once relaxation converges no positive cycle is left
+    and the II is RecMII.  Distance-0 edges point forward in op order, so
+    every cycle has D >= 1 (DESIGN.md §5o).
     A graph with no loop-carried edge has no cycle at all: RecMII is 1
     without any relaxation.
     """
-    if not any(edge.distance for edge in graph.edges):
+    edges = [(edge.src, edge.dst, edge.latency, edge.distance)
+             for edge in graph.edges]
+    if not any(distance for *_, distance in edges):
         return 1
-    if _feasible(graph, 1):
-        return 1
-    lo, hi = 1, 2  # lo is always infeasible, hi the candidate bound
-    while not _feasible(graph, hi):
-        lo, hi = hi, min(hi * 2, MAX_REC_MII - 1)
-        if lo >= MAX_REC_MII - 1:
+    n = len(graph.ops)
+    ii = 1
+    while True:
+        cycle = _positive_cycle(n, edges, ii)
+        if cycle is None:
+            return ii
+        latency = sum(edges[k][2] for k in cycle)
+        distance = sum(edges[k][3] for k in cycle)
+        ii = -(-latency // distance)
+        if ii > MAX_REC_MII - 1:
             raise ModuloSchedulingFailed(
                 "recurrence MII exceeds search budget")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _feasible(graph, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
-def _feasible(graph: DependenceGraph, ii: int) -> bool:
-    n = len(graph.ops)
-    dist = [0] * n
-    for _ in range(n + 1):
+def _positive_cycle(n, edges, ii):
+    """Edge indices of a positive cycle at ``ii``, or ``None`` once
+    longest-path relaxation converges (no positive cycle)."""
+    weighted = [(src, dst, latency - ii * distance)
+                for src, dst, latency, distance in edges]
+    best = [0] * n
+    parent = [-1] * n  # node -> index of the edge that last raised it
+    while True:
         changed = False
-        for edge in graph.edges:
-            weight = edge.latency - ii * edge.distance
-            if dist[edge.src] + weight > dist[edge.dst]:
-                dist[edge.dst] = dist[edge.src] + weight
+        for k, (src, dst, weight) in enumerate(weighted):
+            if best[src] + weight > best[dst]:
+                best[dst] = best[src] + weight
+                parent[dst] = k
                 changed = True
         if not changed:
-            return True
-    return False
+            return None
+        cycle = _parent_cycle(parent, edges)
+        if cycle is not None:
+            return cycle
+
+
+def _parent_cycle(parent, edges):
+    """Edge indices of a cycle among the parent edges, or ``None``."""
+    walk = [0] * len(parent)  # node -> 1 + the start of the walk that saw it
+    for start in range(len(parent)):
+        node = start
+        while node >= 0 and not walk[node]:
+            walk[node] = start + 1
+            k = parent[node]
+            node = edges[k][0] if k >= 0 else -1
+        if node >= 0 and walk[node] == start + 1:
+            cycle = []
+            head = node
+            while True:
+                k = parent[node]
+                cycle.append(k)
+                node = edges[k][0]
+                if node == head:
+                    return cycle
+    return None
 
 
 def modulo_schedule(

@@ -163,3 +163,41 @@ def test_duplicate_labels_detected():
     func.blocks.append(dup)
     with pytest.raises(VerificationError, match="duplicate"):
         verify_function(func)
+
+
+def test_error_messages_keep_their_text():
+    module = build_counting_loop(4)
+    func = module.function("main")
+    func.block("body").ops[-1].attrs["target"] = "nowhere"
+    with pytest.raises(VerificationError) as excinfo:
+        verify_function(func)
+    assert str(excinfo.value) == (
+        "main/body#2: br.lt i0, 4 -> nowhere: dangling target 'nowhere'")
+
+    func = Function("f")
+    blk = func.add_block("entry")
+    blk.append(Operation(Opcode.ADD, [ireg(0)], [Imm(1)]))
+    blk.append(Operation(Opcode.RET))
+    with pytest.raises(VerificationError) as excinfo:
+        verify_function(func)
+    assert str(excinfo.value) == "f/entry#0: add i0 = 1: expected 2 sources, got 1"
+
+
+def test_clean_function_renders_no_op(monkeypatch):
+    calls = []
+    real = Operation.__repr__
+
+    def counting(op):
+        calls.append(op)
+        return real(op)
+
+    monkeypatch.setattr(Operation, "__repr__", counting)
+    verify_module(build_counting_loop(4))
+    verify_module(build_if_diamond())
+    assert calls == []
+    # and a failing one still renders the op it names
+    func = build_counting_loop(4).function("main")
+    func.block("body").ops[-1].attrs["target"] = "nowhere"
+    with pytest.raises(VerificationError):
+        verify_function(func)
+    assert len(calls) == 1

@@ -1,17 +1,26 @@
 """Unit tests for iterative modulo scheduling."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis.dependence import build_dependence_graph
+from repro.analysis.dependence import (
+    DepEdge,
+    DependenceGraph,
+    build_dependence_graph,
+)
 from repro.ir import BasicBlock, Imm, Opcode, Operation, ireg
 from repro.sched.machine import DEFAULT_MACHINE
 from repro.sched.modulo import (
     MAX_REC_MII,
     ModuloSchedule,
-    _feasible,
+    ModuloSchedulingFailed,
     modulo_schedule,
     recurrence_mii,
     resource_mii,
 )
+
+from tests.conftest import nightly_examples
+from tests.sched.recmii_oracle import feasible, oracle_recurrence_mii
 
 
 def _counting_body(counted=True):
@@ -158,8 +167,35 @@ def _assert_valid(block, sched: ModuloSchedule):
         assert sched.slots[op.uid] in DEFAULT_MACHINE.slots_for_op(op.opcode)
 
 
+def _self_loop_graph(latency: int) -> DependenceGraph:
+    """One op whose single edge is a distance-1 self-recurrence."""
+    op = Operation(Opcode.ADD, [ireg(0)], [ireg(0), Imm(1)])
+    return DependenceGraph([op], [DepEdge(0, 0, latency, 1, "flow")])
+
+
+@st.composite
+def _random_graphs(draw):
+    """Graphs shaped like the scheduler's: distance-0 edges point forward
+    in op order, loop-carried ones (distance 1-2) point back or to
+    themselves; latencies 0-6."""
+    n = draw(st.integers(1, 9))
+    op = Operation(Opcode.NOP, [], [])
+    edges = []
+    for _ in range(draw(st.integers(0, 3 * n))):
+        src = draw(st.integers(0, n - 1))
+        latency = draw(st.integers(0, 6))
+        if draw(st.booleans()) and src < n - 1:
+            dst = draw(st.integers(src + 1, n - 1))
+            edges.append(DepEdge(src, dst, latency, 0, "flow"))
+        else:
+            dst = draw(st.integers(0, src))
+            edges.append(DepEdge(src, dst, latency,
+                                 draw(st.integers(1, 2)), "flow"))
+    return DependenceGraph([op] * n, edges)
+
+
 class TestRecMIIBisection:
-    """The doubling+bisection RecMII search must match the linear scan."""
+    """Cycle jumping must match the bisected Bellman-Ford oracle."""
 
     def _graphs(self):
         yield build_dependence_graph(_counting_body(), loop_carried=True)
@@ -176,10 +212,28 @@ class TestRecMIIBisection:
 
     def test_matches_legacy_scan_on_known_graphs(self):
         for graph in self._graphs():
-            # reference: the original one-by-one II scan
-            expected = next(ii for ii in range(1, MAX_REC_MII)
-                            if _feasible(graph, ii))
-            assert recurrence_mii(graph) == expected
+            assert recurrence_mii(graph) == oracle_recurrence_mii(graph)
+            # and both equal the one-by-one II scan
+            assert recurrence_mii(graph) == next(
+                ii for ii in range(1, MAX_REC_MII) if feasible(graph, ii))
+
+    @settings(max_examples=nightly_examples(150, 1000))
+    @given(_random_graphs())
+    def test_matches_oracle_on_random_graphs(self, graph):
+        assert recurrence_mii(graph) == oracle_recurrence_mii(graph)
+
+    def test_longest_single_edge_recurrence_in_budget(self):
+        graph = _self_loop_graph(MAX_REC_MII - 1)
+        assert recurrence_mii(graph) == 511
+        assert oracle_recurrence_mii(graph) == 511
+
+    def test_recurrence_past_budget_raises(self):
+        graph = _self_loop_graph(MAX_REC_MII)
+        with pytest.raises(ModuloSchedulingFailed,
+                           match="recurrence MII exceeds search budget"):
+            recurrence_mii(graph)
+        with pytest.raises(ModuloSchedulingFailed):
+            oracle_recurrence_mii(graph)
 
     def test_chained_load_recurrence_known_answer(self):
         # 4 chained latency-3 loads, one cycle of distance 1 -> RecMII 12
