@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.ir.opcodes import NON_SPECULABLE, Opcode
 from repro.ir.operation import Operation
-from repro.ir.registers import GlobalRef, Imm, VReg
+from repro.ir.registers import FImm, GlobalRef, Imm, Label, VReg
 from repro.memo import Memo, MemoStats
 
 from .liveness import op_unconditional_writes
@@ -267,15 +267,51 @@ def build_dependence_graph(
 # the stored edge list onto the caller's operations in O(edges).
 
 
+#: the attributes that change an operation's dependences or its printed form
+_KEYED_ATTRS = ("cmp", "ptypes", "target", "callee", "lc")
+
+
 def op_fingerprint(op: Operation) -> tuple:
     """Content identity of one operation for dependence purposes.
 
-    ``repr`` covers opcode, cmp test, guard, destinations (with predicate
-    define types), sources, branch target and callee; ``lc`` is the loop
-    counter id that pairs ``cloop_set`` with ``br_cloop``.  Operand reprs
-    are unambiguous across kinds (``r3`` / ``3`` / ``@label`` / ``$glob``).
+    A flat tuple of plain strings and ints, which hash far faster than
+    the IR's dataclass registers: the opcode's string, the guard, each
+    destination, ``"|"``, each source behind a tag of its kind, then each
+    attribute of :data:`_KEYED_ATTRS` the op carries, by name (cmp test,
+    predicate define types, branch target, callee and ``lc``, the loop
+    counter id that pairs ``cloop_set`` with ``br_cloop``).  The tags and
+    names keep the tuple decodable, so two ops with equal keys print the
+    same ``repr`` and carry the same ``lc``: the key is never looser than
+    ``(repr(op), lc)``, and costs a fraction of formatting it.
+    Immediates key on their value's type and bits, because
+    ``FImm(0.0) == FImm(-0.0)`` and ``Imm(True) == Imm(1)`` print apart.
     """
-    return (repr(op), op.attrs.get("lc"))
+    guard = op.guard
+    key = [op.opcode._value_]
+    key += (guard.kind, guard.index) if guard is not None else (None,)
+    for reg in op.dests:
+        key += (reg.kind, reg.index)
+    key.append("|")
+    for src in op.srcs:
+        kind = type(src)
+        if kind is VReg:
+            key += (src.kind, src.index)
+        elif kind is Imm or kind is FImm:
+            value = src.value
+            key += ("#i" if kind is Imm else "#f", type(value),
+                    value.hex() if type(value) is float else value)
+        elif kind is Label:
+            key += ("@", src.name)
+        elif kind is GlobalRef:
+            key += ("$", src.name)
+        else:
+            key += ("?", repr(src))
+    attrs = op.attrs
+    for name in _KEYED_ATTRS:
+        if name in attrs:
+            value = attrs[name]
+            key += (name, tuple(value) if type(value) is list else value)
+    return tuple(key)
 
 
 def ops_fingerprint(ops: list[Operation]) -> tuple:

@@ -1,22 +1,18 @@
-"""Continuous performance observability: one harness, one schema.
+"""Continuous performance observability over perfbench's results.
 
-Every performance number this repo protects — the cold-grid compute
-time (BENCH_sim.json), the tracing overhead (BENCH_obs.json), the service
-(BENCH_serve.json) — used to be measured by a bespoke script with its
-own JSON shape and no memory of previous runs.  This package unifies
-them:
+``perfbench/run.py`` measures every workload end to end and layer by
+layer; this package keeps the statistics that turn its result lines
+into a gate and a trajectory:
 
-* :mod:`~repro.obs.perf.harness` — a :class:`BenchSpec` registry and one
-  result schema (:class:`BenchResult`: repeated samples, median + MAD,
-  per-phase sample series, environment fingerprint, git SHA, config
-  hash);
-* :mod:`~repro.obs.perf.benches` — the built-in specs the
-  ``scripts/bench_*.py`` entry points are thin wrappers over;
+* :mod:`~repro.obs.perf.results` — reads a results file (one tagged
+  perfbench line per run) into ``<workload>/<metric>`` series, with each
+  layer's seconds turned into its share of the traced wall time;
 * :mod:`~repro.obs.perf.history` — an append-only JSONL time series
-  keyed by (bench name, config hash), seeded at ``BENCH_history.jsonl``;
+  keyed by (series name, config hash), seeded at ``BENCH_history.jsonl``;
 * :mod:`~repro.obs.perf.regress` — a noise-aware regression detector
-  (median + MAD thresholds, never a single noisy sample) with per-phase
-  blame, plus a drift detector over the stored trajectory;
+  (median + MAD thresholds, never a single noisy sample) that names the
+  regressed layer, the absolute bounds, and a drift detector over the
+  stored trajectory;
 * :mod:`~repro.obs.perf.profile` — a span-accumulating profiler that
   folds pass spans, scheduler-phase seconds and simulator lifecycle
   events into a per-phase attribution report and a collapsed-stack
@@ -25,40 +21,18 @@ them:
 The CLI front end is ``python -m repro.obs perf record|compare|trend``.
 """
 
-from repro.obs.perf.harness import (
-    BenchError,
-    BenchResult,
-    BenchSpec,
-    RatioSpec,
-    Sample,
-    config_hash,
-    env_fingerprint,
-    fingerprint_key,
-    mad,
-    register,
-    run_bench,
-    run_suite,
-)
 from repro.obs.perf.history import History
 from repro.obs.perf.profile import PhaseProfile
 from repro.obs.perf.regress import Verdict, compare_result, trend
+from repro.obs.perf.results import Series, collect, read_results
 
 __all__ = [
-    "BenchError",
-    "BenchResult",
-    "BenchSpec",
     "History",
     "PhaseProfile",
-    "RatioSpec",
-    "Sample",
+    "Series",
     "Verdict",
+    "collect",
     "compare_result",
-    "config_hash",
-    "env_fingerprint",
-    "fingerprint_key",
-    "mad",
-    "register",
-    "run_bench",
-    "run_suite",
+    "read_results",
     "trend",
 ]

@@ -1,28 +1,65 @@
 """Append-only JSONL benchmark history keyed by (bench, config hash).
 
-One line per :meth:`~repro.obs.perf.harness.BenchResult.as_record`, plus
-a ``recorded_at`` wall-clock stamp.  The committed seed lives at
-``BENCH_history.jsonl`` in the repo root; CI compares fresh samples
-against the latest matching baseline in it, and the nightly job appends
-full-mode samples so the trajectory (``perf trend``) has a time axis.
+One line per series record
+(:meth:`~repro.obs.perf.results.Series.as_record`), plus a
+``recorded_at`` wall-clock stamp.  The committed seed lives at
+``BENCH_history.jsonl`` in the repo root; ``perf record`` appends one
+baseline record per series, ``perf compare`` gates fresh results
+against the latest matching record, and the nightly job appends to a
+copy so the trajectory (``perf trend``) has a time axis.
 
 Baseline resolution prefers the most recent record taken in the *same*
 environment fingerprint; when only foreign-environment records exist the
 newest of those is returned with ``env_match=False`` so the caller can
-demote absolute-seconds comparisons to informational (ratios stay
-gateable — see :mod:`repro.obs.perf.regress`).
+demote absolute-seconds comparisons to informational (shares, ratios,
+fractions and counts stay gateable — see :mod:`repro.obs.perf.regress`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import platform
+import subprocess
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.obs.perf.harness import BenchResult
-
 #: the committed seed history at the repo root
 DEFAULT_HISTORY = "BENCH_history.jsonl"
+
+
+def config_hash(config: dict) -> str:
+    """Stable short digest of a JSON-able config dict (the history key)."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def env_fingerprint() -> dict:
+    """Where a sample was taken: everything that moves absolute seconds."""
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def fingerprint_key(env: dict) -> str:
+    """Short digest of an environment fingerprint dict."""
+    return config_hash({k: env.get(k) for k in
+                        ("python", "platform", "cpu_count")})
+
+
+def git_sha() -> str | None:
+    """Current short commit SHA, or ``None`` outside a work tree."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = out.stdout.strip()
+    return sha if out.returncode == 0 and sha else None
 
 
 class History:
@@ -33,15 +70,12 @@ class History:
 
     # -- writing -------------------------------------------------------------
 
-    def append(self, result: BenchResult | dict, **extra) -> dict:
-        """Append one record (a BenchResult or a pre-built dict) and
-        return the dict actually written."""
-        record = (result.as_record() if isinstance(result, BenchResult)
-                  else dict(result))
+    def append(self, record: dict) -> dict:
+        """Append one record and return the dict actually written."""
+        record = dict(record)
         record.setdefault(
             "recorded_at",
             datetime.now(timezone.utc).isoformat(timespec="seconds"))
-        record.update(extra)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -83,7 +117,7 @@ class History:
     def benches(self) -> list[tuple[str, str, str]]:
         """Distinct (bench, mode, config_hash) series present, sorted."""
         seen = {
-            (r.get("bench", "?"), r.get("mode", "?"),
+            (r.get("bench", "?"), r.get("mode", "-"),
              r.get("config_hash", "?"))
             for r in self.records()
         }

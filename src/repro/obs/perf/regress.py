@@ -1,21 +1,21 @@
 """Noise-aware regression and drift detection over benchmark series.
 
 The gate never fires on a single noisy sample.  A fresh
-:class:`~repro.obs.perf.harness.BenchResult` (itself several samples) is
-compared to the stored baseline by *medians*, and the allowed movement is
-the larger of a relative budget and a multiple of the *baseline's* noise
-scale::
+:class:`~repro.obs.perf.results.Series` (one sample per perfbench run)
+is compared to the stored baseline by *medians*, and the allowed
+movement is the larger of a relative budget and a multiple of the
+*baseline's* noise scale::
 
     allowed = max(budget * |baseline_median|, mad_k * base_mad)
 
 so a quiet baseline is held to the relative budget while a noisy one
 must move beyond its own noise floor to alarm.  Only the baseline MAD
 counts: letting the fresh run's spread widen the gate would let a
-regression that arrives with extra variance mask itself.  Direction-aware: ``lower``
-benches (seconds) regress upward, ``higher`` benches (speedup ratios)
-regress downward.  When a regression fires and both sides carry phase
-series, the verdict names the phase with the largest worsening — the
-difference between *detectable* and *diagnosable*.
+regression that arrives with extra variance mask itself.  Direction-aware:
+``lower`` series (seconds, shares) regress upward, ``higher`` series
+(hit fractions) regress downward.  A regressed per-layer series names
+its layer (``sched.list_s``): the difference between *detectable* and
+*diagnosable*.
 
 :func:`trend` guards the other failure mode: a slow drift where every
 step stays under the gate but the series walks away over weeks.  It
@@ -27,29 +27,66 @@ movement beyond the budget.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.obs.perf.harness import BenchResult, mad
+#: the unit of a layer's seconds over the traced pass's wall time
+SHARE = "share"
 
-#: default relative movement allowed before the gate fires (ratios —
-#: dimensionless, so run-to-run machine noise mostly divides out)
+#: default relative movement allowed before the gate fires on a
+#: dimensionless series (run-to-run machine noise mostly divides out)
 DEFAULT_BUDGET = 0.25
-#: default budget for absolute-unit (seconds) benches: machine load
+#: default budget for absolute-unit (seconds) series: machine load
 #: moves raw wall/CPU seconds by tens of percent run-to-run even on one
 #: box, and the in-run MAD cannot see that between-run component, so
-#: seconds get a wide gross-error budget while the ratio benches and
-#: the absolute budget floors carry the tight contract
+#: seconds get a wide gross-error budget while the dimensionless series
+#: and the absolute bounds carry the tight contract
 DEFAULT_SECONDS_BUDGET = 0.5
+#: budget for a layer's share of the traced wall time: a 20% slowdown of
+#: a layer that takes a tenth of the pass moves its share by 18%, so the
+#: share budget sits below that; the baseline's own MAD still widens it
+#: for a noisy layer
+SHARE_BUDGET = 0.1
 #: default noise multiplier: movement must also exceed mad_k * noise
 DEFAULT_MAD_K = 5.0
 #: absolute floor under the noise term, so an all-zero MAD series
 #: (timer-resolution-flat samples) still tolerates timer jitter
 NOISE_FLOOR_S = 1e-4
+#: the noise floor of a layer share: a layer must move by more than
+#: DEFAULT_MAD_K times this (half a percent of the traced wall time) to
+#: alarm, so a layer too small to matter cannot fail the gate on jitter
+SHARE_NOISE_FLOOR = 1e-3
 
-#: dimensionless units — speedup ratios ("x") and fractions like cache
-#: hit rates ("frac") — are machine-portable, so they keep the tight
-#: ratio budget and stay gateable across environment changes
-PORTABLE_UNITS = ("x", "frac")
+#: units whose values do not depend on the host's speed: speedup
+#: ratios, fractions, counts and layer shares keep the tight budget and
+#: stay gateable across environment changes
+PORTABLE_UNITS = ("x", "ratio", "frac", SHARE, "count", "cycles", "ops",
+                  "bytes")
+
+#: absolute bounds on a series' median, whatever its history: a ceiling
+#: for a lower-better series, a floor for a higher-better one
+BOUNDS = {"paper-cold/trace.overhead_ratio": 1.5}
+
+
+def default_budget(unit: str) -> float:
+    """The relative budget a series in ``unit`` gates and drifts at."""
+    if unit == SHARE:
+        return SHARE_BUDGET
+    return DEFAULT_BUDGET if unit in PORTABLE_UNITS \
+        else DEFAULT_SECONDS_BUDGET
+
+
+def noise_floor(unit: str) -> float:
+    """The least noise a series in ``unit`` is credited with."""
+    return SHARE_NOISE_FLOOR if unit == SHARE else NOISE_FLOOR_S
+
+
+def mad(values: list[float]) -> float:
+    """Median absolute deviation — the robust noise scale the gate uses."""
+    if not values:
+        return 0.0
+    center = statistics.median(values)
+    return statistics.median(abs(v - center) for v in values)
+
 
 OK = "ok"
 REGRESSION = "regression"
@@ -64,94 +101,37 @@ FAILING = (REGRESSION, BUDGET_FAIL)
 
 @dataclass
 class Verdict:
-    """One bench's comparison outcome."""
+    """One series' comparison outcome."""
 
     bench: str
     status: str = OK
-    unit: str = "s"
-    direction: str = "lower"
     new_median: float = 0.0
     base_median: float | None = None
     ratio: float | None = None
-    allowed: float = 0.0
-    noise: float = 0.0
-    phase: str | None = None
+    layer: str | None = None
     detail: str = ""
 
     @property
     def failed(self) -> bool:
         return self.status in FAILING
 
-    def as_dict(self) -> dict:
-        return {
-            "bench": self.bench,
-            "status": self.status,
-            "unit": self.unit,
-            "direction": self.direction,
-            "new_median": round(self.new_median, 6),
-            "base_median": (round(self.base_median, 6)
-                            if self.base_median is not None else None),
-            "ratio": (round(self.ratio, 4)
-                      if self.ratio is not None else None),
-            "allowed": round(self.allowed, 6),
-            "noise": round(self.noise, 6),
-            "phase": self.phase,
-            "detail": self.detail,
-        }
 
+def compare_result(new, baseline: dict | None,
+                   env_match: bool = True) -> Verdict:
+    """Gate one fresh series against its stored baseline record.
 
-def _phase_series(record_or_result) -> dict[str, list[float]]:
-    if isinstance(record_or_result, BenchResult):
-        return record_or_result.phases
-    phases = record_or_result.get("phases", {})
-    return {name: list(entry.get("samples", []))
-            for name, entry in phases.items()}
-
-
-def _blame_phase(new: BenchResult, baseline: dict,
-                 direction: str) -> tuple[str | None, str]:
-    """Name the phase whose median moved the most in the worse direction."""
-    base_phases = _phase_series(baseline)
-    worst_name, worst_delta, worst_line = None, 0.0, ""
-    for name, series in new.phases.items():
-        base_series = base_phases.get(name)
-        if not series or not base_series:
-            continue
-        new_med = statistics.median(series)
-        base_med = statistics.median(base_series)
-        delta = new_med - base_med
-        if direction == "higher":
-            delta = -delta  # a drop is the worsening direction
-        if delta > worst_delta:
-            worst_name, worst_delta = name, delta
-            sign = "-" if direction == "higher" else "+"
-            worst_line = (f"phase {name!r}: {base_med:.3f} -> "
-                          f"{new_med:.3f} ({sign}{abs(worst_delta):.3f})")
-    return worst_name, worst_line
-
-
-def compare_result(new: BenchResult, baseline: dict | None,
-                   env_match: bool = True,
-                   budget: float | None = None,
-                   mad_k: float = DEFAULT_MAD_K) -> Verdict:
-    """Gate one fresh result against its stored baseline record.
-
+    ``new`` is a :class:`~repro.obs.perf.results.Series`.
     ``baseline=None`` is the first run of a series: record it, never
     alarm.  ``env_match=False`` (the baseline was taken on a different
-    machine) demotes absolute-unit benches to informational — only
-    dimensionless ratio benches stay gateable across environments.
-    ``budget=None`` picks the per-unit default
-    (:data:`DEFAULT_BUDGET` for ratios, :data:`DEFAULT_SECONDS_BUDGET`
-    for absolute units).
+    machine) demotes absolute-unit series to informational — only
+    dimensionless series stay gateable across environments.  The
+    budget is the unit's (:func:`default_budget`).
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET if new.unit in PORTABLE_UNITS \
-            else DEFAULT_SECONDS_BUDGET
-    verdict = Verdict(bench=new.name, unit=new.unit,
-                      direction=new.direction, new_median=new.median)
+    budget = default_budget(new.unit)
+    verdict = Verdict(bench=new.name, new_median=new.median)
     if baseline is None:
         verdict.status = NO_BASELINE
-        verdict.detail = "first run for this (bench, config); recorded"
+        verdict.detail = "first run for this series; record a baseline"
         return verdict
     if not env_match and new.unit not in PORTABLE_UNITS:
         verdict.status = ENV_MISMATCH
@@ -165,35 +145,65 @@ def compare_result(new: BenchResult, baseline: dict | None,
     base_median = float(baseline.get("median", 0.0))
     base_mad = float(baseline.get("mad", 0.0))
     new_median = new.median
-    noise = max(base_mad, NOISE_FLOOR_S)
-    allowed = max(budget * abs(base_median), mad_k * noise)
+    noise = max(base_mad, noise_floor(new.unit))
+    allowed = max(budget * abs(base_median), DEFAULT_MAD_K * noise)
     delta = new_median - base_median
     if new.direction == "higher":
-        delta = -delta  # for ratios, going *down* is the regression
+        delta = -delta  # for hit fractions, going *down* is the regression
 
     verdict.base_median = base_median
     verdict.ratio = (new_median / base_median) if base_median else None
-    verdict.allowed = allowed
-    verdict.noise = noise
     if delta > allowed:
         verdict.status = REGRESSION
-        phase, line = _blame_phase(new, baseline, new.direction)
-        verdict.phase = phase
-        arrow = f"{base_median:.3f} -> {new_median:.3f}{new.unit}"
+        verdict.layer = new.layer
+        arrow = f"{base_median:.4g} -> {new_median:.4g} {new.unit}"
         verdict.detail = (
-            f"median {arrow} exceeds allowance {allowed:.3f} "
-            f"(budget {budget:.0%}, noise {noise:.4f})"
-            + (f"; {line}" if line else ""))
+            (f"layer {new.layer!r}: " if new.layer else "")
+            + f"median {arrow} exceeds allowance {allowed:.4g} "
+            f"(budget {budget:.0%}, noise {noise:.4g})")
     elif -delta > allowed:
         verdict.status = IMPROVEMENT
-        verdict.detail = (f"median {base_median:.3f} -> "
-                          f"{new_median:.3f}{new.unit}; consider "
+        verdict.detail = (f"median {base_median:.4g} -> "
+                          f"{new_median:.4g} {new.unit}; consider "
                           "re-recording the baseline")
     else:
         verdict.status = OK
-        verdict.detail = (f"median {new_median:.3f}{new.unit} within "
-                          f"{allowed:.3f} of baseline {base_median:.3f}")
+        verdict.detail = (f"median {new_median:.4g} {new.unit} within "
+                          f"{allowed:.4g} of baseline {base_median:.4g}")
     return verdict
+
+
+def check_bound(series) -> str | None:
+    """The :data:`BOUNDS` check of one series; a failure message or
+    ``None``."""
+    bound = BOUNDS.get(series.name)
+    if bound is None:
+        return None
+    median = series.median
+    if series.direction == "higher" and median < bound:
+        return (f"{series.name}: median {median:.3f} {series.unit} "
+                f"below its floor {bound:g}")
+    if series.direction == "lower" and median > bound:
+        return (f"{series.name}: median {median:.3f} {series.unit} "
+                f"above its ceiling {bound:g}")
+    return None
+
+
+def gate(series: dict, history, env_key: str) -> list[Verdict]:
+    """Every series of ``series`` against its latest baseline in
+    ``history`` (a :class:`~repro.obs.perf.history.History`), then
+    against its absolute bound; ``env_key`` is this host's fingerprint."""
+    verdicts = []
+    for s in series.values():
+        baseline, env_match = history.baseline(s.name, s.config_hash,
+                                               env_key)
+        verdict = compare_result(s, baseline, env_match)
+        bound_msg = check_bound(s)
+        if bound_msg and not verdict.failed:
+            verdict.status = BUDGET_FAIL
+            verdict.detail = bound_msg
+        verdicts.append(verdict)
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +223,6 @@ class TrendVerdict:
     last_median: float | None = None
     drift: float | None = None
     detail: str = ""
-    rows: list = field(default_factory=list)
 
     @property
     def failed(self) -> bool:
@@ -244,30 +253,21 @@ def trend(records: list[dict], budget: float | None = None,
     (per-unit default, like :func:`compare_result`), applied to the
     cumulative movement.
     """
-    if budget is None and records:
-        budget = DEFAULT_BUDGET if records[0].get("unit") == "x" \
-            else DEFAULT_SECONDS_BUDGET
-    elif budget is None:
-        budget = DEFAULT_BUDGET
     if not records:
         return TrendVerdict("?", "?", "?", NO_BASELINE, 0,
                             detail="empty series")
     head = records[0]
+    if budget is None:
+        budget = default_budget(head.get("unit", "s"))
     bench = head.get("bench", "?")
     verdict = TrendVerdict(
         bench=bench,
-        mode=head.get("mode", "?"),
+        mode=head.get("mode", "-"),
         config_hash=head.get("config_hash", "?"),
         status=OK,
         points=len(records),
     )
     medians = [float(r.get("median", 0.0)) for r in records]
-    verdict.rows = [
-        [r.get("recorded_at", "?"), r.get("git_sha") or "?",
-         float(r.get("median", 0.0)), float(r.get("mad", 0.0)),
-         len(r.get("samples", []))]
-        for r in records
-    ]
     if len(records) < 2:
         verdict.status = NO_BASELINE
         verdict.detail = "need >= 2 records to measure drift"
@@ -283,7 +283,7 @@ def trend(records: list[dict], budget: float | None = None,
     # own allowance and mask itself), floored by the in-run MADs
     steps = [b - a for a, b in zip(medians, medians[1:])]
     noise = max(max(float(r.get("mad", 0.0)) for r in records),
-                mad(steps), NOISE_FLOOR_S)
+                mad(steps), noise_floor(head.get("unit", "s")))
     allowed = max(budget * abs(first), mad_k * noise)
     delta = last - first
     if direction == "higher":

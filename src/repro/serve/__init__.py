@@ -20,9 +20,10 @@ warm each other; this package adds only what a long-lived service needs:
   JSON-lines front end over a unix or TCP socket.
 - :mod:`repro.serve.client` — in-process :class:`Client` plus the
   :class:`SocketClient` wire client and a concurrent workload driver.
-- :mod:`repro.serve.benches` — registered ``serve.*`` saturation/load
-  benchmarks (requests/s, p50/p95/p99 cold vs. warm, hit rate), gated
-  in CI beside ``sim.*``.
+
+perfbench's ``serve-mixed`` workload is the service's load benchmark,
+and CI's serve-smoke job holds a repeated workload's own run-cache hit
+rate to at least 0.9.
 
 Start one from the shell with ``python -m repro.serve serve --unix
 /tmp/repro.sock`` and drive it with ``python -m repro.serve workload``

@@ -1,8 +1,19 @@
 """Unit tests for dependence-graph construction."""
 
-from repro.analysis.dependence import build_dependence_graph
+from pathlib import Path
+
+from repro.analysis.dependence import build_dependence_graph, op_fingerprint
 from repro.analysis.predrel import PredicateRelations
-from repro.ir import BasicBlock, Imm, Opcode, Operation, ireg, preg
+from repro.ir import (
+    BasicBlock,
+    FImm,
+    Imm,
+    Opcode,
+    Operation,
+    freg,
+    ireg,
+    preg,
+)
 
 
 def _ops_add_chain():
@@ -220,3 +231,74 @@ class TestLoopCarried:
     def test_critical_path(self):
         graph = build_dependence_graph(_ops_add_chain())
         assert graph.critical_path_length() == 3
+
+
+class TestOpFingerprint:
+    """The memo key is built from an op's fields; it must never be
+    looser than the ``(repr(op), lc)`` pair it replaced."""
+
+    def test_immediates_that_compare_equal_but_print_apart(self):
+        zero = Operation(Opcode.FMOV, [freg(0)], [FImm(0.0)])
+        negative_zero = Operation(Opcode.FMOV, [freg(0)], [FImm(-0.0)])
+        assert FImm(0.0) == FImm(-0.0)
+        assert op_fingerprint(zero) != op_fingerprint(negative_zero)
+        one = Operation(Opcode.MOV, [ireg(0)], [Imm(1)])
+        true = Operation(Opcode.MOV, [ireg(0)], [Imm(True)])
+        assert op_fingerprint(one) != op_fingerprint(true)
+
+    def test_lc_and_attributes_are_keyed(self):
+        a = Operation(Opcode.BR_CLOOP, [], [], None, {"target": "L", "lc": 0})
+        b = Operation(Opcode.BR_CLOOP, [], [], None, {"target": "L", "lc": 1})
+        c = Operation(Opcode.BR_CLOOP, [], [], None, {"target": "M", "lc": 0})
+        assert len({op_fingerprint(a), op_fingerprint(b),
+                    op_fingerprint(c)}) == 3
+
+    def test_never_looser_than_repr_on_real_ops(self, monkeypatch):
+        # every op the schedulers key while both pipelines compile the
+        # tier-1 benchmarks and the fuzz regression corpus, plus every op
+        # of the resulting bases
+        from repro.analysis import dependence
+        from repro.bench import benchmark
+        from repro.frontend import compile_source
+        from repro.fuzz.corpus import Corpus
+        from repro.fuzz.oracle import DEFAULT_MAX_STEPS
+        from repro.memo import clear_caches
+        from repro.pipeline import COMPILERS
+        from repro.sim.interp import SimError
+
+        seen = []
+        real = dependence.op_fingerprint
+
+        def recording(op):
+            seen.append(op)
+            return real(op)
+
+        monkeypatch.setattr(dependence, "op_fingerprint", recording)
+        clear_caches()
+        try:
+            modules = []
+            for name in ("adpcm_enc", "g724_dec", "jpeg_dec"):
+                bench = benchmark(name)
+                modules += [(bench.build(), dict(entry=bench.entry,
+                                                 args=bench.args))]
+            corpus = Path(__file__).resolve().parents[1] / "fuzz_corpus"
+            modules += [(compile_source(entry.source),
+                         dict(max_steps=DEFAULT_MAX_STEPS))
+                        for entry in Corpus(corpus).entries()]
+            for module, kwargs in modules:
+                for compile_ in COMPILERS.values():
+                    try:
+                        base = compile_(module, buffer_capacity=None,
+                                        **kwargs)
+                    except SimError:
+                        continue  # traps while profiling
+                    seen.extend(op for func in base.module.functions.values()
+                                for block in func.blocks for op in block.ops)
+        finally:
+            clear_caches()
+        assert len(seen) > 1000
+        printed: dict[tuple, set] = {}
+        for op in seen:
+            printed.setdefault(real(op), set()).add(
+                (repr(op), op.attrs.get("lc")))
+        assert all(len(forms) == 1 for forms in printed.values())

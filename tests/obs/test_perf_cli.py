@@ -1,150 +1,162 @@
-"""``python -m repro.obs perf`` — record/compare/trend wiring and exits."""
+"""``python -m repro.obs perf`` — record/compare/trend on synthetic
+perfbench result lines."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.obs.cli import main
-from repro.obs.perf import harness
-from repro.obs.perf.harness import BenchSpec, Sample, register
+from repro.obs.perf.history import History, env_fingerprint, fingerprint_key
+from repro.obs.perf.regress import ENV_MISMATCH, REGRESSION, gate
+from repro.obs.perf.results import Series, collect, load_directions
+
+REPO = Path(__file__).resolve().parents[2]
+#: run-to-run jitter of the synthetic samples (median 1, MAD 0.01)
+JITTER = (1.0, 1.01, 0.99, 1.02, 0.98)
 
 
-@pytest.fixture
-def registry(monkeypatch):
-    """Isolated spec registry with a cheap deterministic toy bench."""
-    saved = dict(harness._REGISTRY)
-    monkeypatch.delenv(harness.ENV_INJECT, raising=False)
-
-    def fn(mode):
-        return Sample(value=0.2, phases={"work": 0.1, "rest": 0.1},
-                      meta={"digest": "toy"})
-
-    register(BenchSpec(name="toy.time", fn=fn,
-                       config_fn=lambda mode: {"toy": True},
-                       budgets={"full": 0.05}, help="toy timing bench"))
-    register(BenchSpec(name="toy.loose", fn=fn,
-                       config_fn=lambda mode: {"toy": True},
-                       gate_budget=2.0,
-                       help="toy bench with a per-spec gate budget"))
-    yield harness._REGISTRY
-    harness._REGISTRY.clear()
-    harness._REGISTRY.update(saved)
+@pytest.fixture(autouse=True)
+def _repo_root(monkeypatch):
+    # the CLI reads each metric's direction from BENCHMARK.json in the
+    # working directory, as it does when run from the repo root
+    monkeypatch.chdir(REPO)
 
 
-class TestList:
-    def test_lists_builtins(self, capsys):
-        assert main(["perf", "list"]) == 0
-        out = capsys.readouterr().out
-        assert "sim.fast" in out and "obs.overhead" in out
-        # the reference engines are oracles only: no bench times them
-        assert "sim.ref" not in out and "sim.speedup" not in out
+def _traced(jitter, list_s=0.2, wall_s=4.0, overhead=1.05):
+    return {
+        "sched.list_s": {"value": list_s * jitter, "unit": "s"},
+        "sched.modulo_s": {"value": 0.3 / jitter, "unit": "s"},
+        "trace.wall_s": {"value": wall_s, "unit": "s"},
+        "trace.overhead_ratio": {"value": overhead * jitter,
+                                 "unit": "ratio"},
+        "sim.simulate_calls": {"value": 95, "unit": "count"},
+        "serve.run_hit_frac": {"value": 0.43, "unit": "frac"},
+        "req_p95_s": {"value": 0.012 * jitter, "unit": "s"},
+    }
 
-    def test_json_shape(self, capsys):
-        assert main(["perf", "list", "--json"]) == 0
-        specs = {s["name"]: s for s in
-                 json.loads(capsys.readouterr().out)}
-        assert specs["serve.speedup"]["kind"] == "ratio"
-        assert specs["serve.speedup"]["direction"] == "higher"
-        assert specs["obs.overhead"]["direction"] == "lower"
-        # most specs gate at the per-unit default; serve.speedup carries
-        # its own wider budget (cold/warm noise doesn't divide out)
-        assert specs["obs.overhead"]["gate_budget"] is None
-        assert specs["serve.speedup"]["gate_budget"] == 0.5
+
+def _untraced(jitter, wall_s=3.5):
+    return {
+        "wall_s": {"value": wall_s * jitter, "unit": "s"},
+        "pass_frac": {"value": 1.0, "unit": "frac"},
+        "sim_cycles": {"value": 123456, "unit": "cycles"},
+    }
+
+
+def _write(path, correct=True, **traced):
+    """One untraced and one traced paper-cold line per jitter step."""
+    with path.open("w") as fh:
+        for jitter in JITTER:
+            for metrics in (_untraced(jitter), _traced(jitter, **traced)):
+                fh.write(json.dumps({
+                    "workload": "paper-cold", "correct": correct,
+                    "attempted": 191, "failed": 0,
+                    "metrics": metrics}) + "\n")
+    return path
+
+
+def _args(command, results, tmp_path):
+    return ["perf", command, str(results),
+            "--history", str(tmp_path / "h.jsonl")]
 
 
 class TestRecord:
-    def test_appends_and_writes_json(self, registry, tmp_path, capsys):
-        history = tmp_path / "h.jsonl"
-        out = tmp_path / "r.json"
-        code = main(["perf", "record", "--bench", "toy.time",
-                     "--history", str(history), "--samples", "2",
-                     "--json", str(out)])
-        assert code == 0
-        (line,) = history.read_text().splitlines()
-        record = json.loads(line)
-        assert record["bench"] == "toy.time"
-        assert record["samples"] == [0.2, 0.2]
-        assert json.loads(out.read_text())["toy.time"]["median"] == 0.2
+    def test_appends_and_writes_json(self, tmp_path, capsys):
+        results = _write(tmp_path / "r.jsonl")
+        assert main(_args("record", results, tmp_path)) == 0
+        records = {r["bench"]: r for r in
+                   History(tmp_path / "h.jsonl").records()}
+        assert len(records) == 10
+        assert "appended 10 record(s)" in capsys.readouterr().out
+        share = records["paper-cold/sched.list_s"]
+        assert share["unit"] == "share"
+        assert share["samples"] == [round(0.05 * j, 6) for j in JITTER]
+        # the traced wall time and the end-to-end seconds stay seconds
+        assert records["paper-cold/trace.wall_s"]["unit"] == "s"
+        assert records["paper-cold/req_p95_s"]["unit"] == "s"
+        assert records["paper-cold/wall_s"]["median"] == 3.5
 
-    def test_no_append_leaves_history_untouched(self, registry, tmp_path):
-        history = tmp_path / "h.jsonl"
-        assert main(["perf", "record", "--bench", "toy.time",
-                     "--history", str(history), "--samples", "1",
-                     "--no-append"]) == 0
-        assert not history.exists()
+    def test_budget_failure_exits_nonzero(self, tmp_path, capsys):
+        # paper-cold's tracing overhead carries a 1.5x ceiling
+        results = _write(tmp_path / "r.jsonl", overhead=1.8)
+        assert main(_args("record", results, tmp_path)) == 1
+        assert "trace.overhead_ratio" in capsys.readouterr().err
 
-    def test_budget_failure_exits_nonzero(self, registry, tmp_path):
-        # the toy budget is a 0.05s ceiling in full mode; 0.2 busts it
-        assert main(["perf", "record", "--bench", "toy.time",
-                     "--mode", "full", "--samples", "1",
-                     "--history", str(tmp_path / "h.jsonl")]) == 1
+    def test_failed_run_is_not_recorded(self, tmp_path):
+        results = _write(tmp_path / "r.jsonl", correct=False)
+        assert main(_args("record", results, tmp_path)) == 1
+        assert not (tmp_path / "h.jsonl").exists()
 
 
 class TestCompare:
-    def _args(self, tmp_path, *extra):
-        return ["perf", "compare", "--bench", "toy.time",
-                "--history", str(tmp_path / "h.jsonl"),
-                "--samples", "2", *extra]
-
     def _seed(self, tmp_path):
-        assert main(["perf", "record", "--bench", "toy.time",
-                     "--history", str(tmp_path / "h.jsonl"),
-                     "--samples", "3"]) == 0
+        results = _write(tmp_path / "base.jsonl")
+        assert main(_args("record", results, tmp_path)) == 0
 
-    def test_first_run_records_without_alarm(self, registry, tmp_path,
-                                             capsys):
-        assert main(self._args(tmp_path)) == 0
+    def test_first_run_records_without_alarm(self, tmp_path, capsys):
+        results = _write(tmp_path / "r.jsonl")
+        assert main(_args("compare", results, tmp_path)) == 0
         assert "no-baseline" in capsys.readouterr().out
 
-    def test_stable_against_baseline_and_rerunnable(self, registry,
-                                                    tmp_path, capsys):
+    def test_stable_against_baseline_and_rerunnable(self, tmp_path,
+                                                    capsys):
         self._seed(tmp_path)
         baseline = (tmp_path / "h.jsonl").read_text()
+        results = _write(tmp_path / "r.jsonl")
         # same SHA, twice: both pass, and the baseline file is untouched
-        assert main(self._args(tmp_path)) == 0
-        assert main(self._args(tmp_path)) == 0
+        assert main(_args("compare", results, tmp_path)) == 0
+        assert main(_args("compare", results, tmp_path)) == 0
         assert (tmp_path / "h.jsonl").read_text() == baseline
         assert "gate ok" in capsys.readouterr().out
 
-    def test_record_out_is_separate(self, registry, tmp_path):
+    def test_injected_slowdown_fails_and_blames_phase(self, tmp_path,
+                                                       capsys):
         self._seed(tmp_path)
-        out = tmp_path / "fresh.jsonl"
-        assert main(self._args(tmp_path, "--record-out", str(out))) == 0
-        assert len(out.read_text().splitlines()) == 1
-        assert len((tmp_path / "h.jsonl").read_text().splitlines()) == 1
+        results = _write(tmp_path / "r.jsonl", list_s=0.24)
+        assert main(_args("compare", results, tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "GATE FAILED: paper-cold/sched.list_s" in err
+        assert "layer 'sched.list_s'" in err
+        # no other series moved
+        assert err.count("GATE FAILED") == 1
 
-    def test_injected_slowdown_fails_and_blames_phase(
-            self, registry, tmp_path, monkeypatch, capsys):
+    def test_failed_run_fails_the_gate(self, tmp_path, capsys):
         self._seed(tmp_path)
-        monkeypatch.setenv(harness.ENV_INJECT, "toy.time:work:3.0")
-        verdicts = tmp_path / "v.json"
-        code = main(self._args(tmp_path, "--json", str(verdicts)))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "GATE FAILED: toy.time" in captured.err
-        assert "phase 'work'" in captured.err
-        (verdict,) = json.loads(verdicts.read_text())["verdicts"]
-        assert verdict["status"] == "regression"
-        assert verdict["phase"] == "work"
+        results = _write(tmp_path / "r.jsonl", correct=False)
+        assert main(_args("compare", results, tmp_path)) == 1
+        assert "failed run" in capsys.readouterr().err
 
-    def test_bad_injection_spec_is_usage_error(self, registry, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setenv(harness.ENV_INJECT, "garbage")
-        assert main(self._args(tmp_path)) == 2
+    def test_malformed_results_is_usage_error(self, tmp_path):
+        results = tmp_path / "r.jsonl"
+        results.write_text('{"correct": true, "metrics": {}}\n')
+        assert main(_args("compare", results, tmp_path)) == 2
+        results.write_text("")
+        assert main(_args("compare", results, tmp_path)) == 2
 
-    def test_spec_gate_budget_loosens_the_gate(self, registry, tmp_path,
-                                               monkeypatch):
-        # a 2x slowdown busts the 50% seconds default but sits inside
-        # toy.loose's own 200% gate budget; an explicit --budget still
-        # overrides the spec either way
-        loose = ["perf", "compare", "--bench", "toy.loose",
-                 "--history", str(tmp_path / "h.jsonl"), "--samples", "2"]
-        assert main(["perf", "record", "--bench", "toy.loose",
-                     "--history", str(tmp_path / "h.jsonl"),
-                     "--samples", "3"]) == 0
-        monkeypatch.setenv(harness.ENV_INJECT, "toy.loose:work:3.0")
-        assert main(loose) == 0
-        assert main([*loose, "--budget", "0.5"]) == 1
+    def test_foreign_env_gates_only_dimensionless_series(self, tmp_path):
+        history = History(tmp_path / "h.jsonl")
+        base = collect(
+            [json.loads(line) for line in
+             _write(tmp_path / "base.jsonl").read_text().splitlines()],
+            load_directions())
+        for series in base.values():
+            history.append(series.as_record({}, "other-env", None))
+        # every metric twice as large (or, for the hit fraction, half):
+        # seconds are not gated across hosts, everything else is
+        slow = {}
+        for name, series in base.items():
+            factor = 0.5 if series.direction == "higher" else 2.0
+            slow[name] = Series(name, series.unit, series.direction,
+                                [v * factor for v in series.samples])
+        here = fingerprint_key(env_fingerprint())
+        verdicts = {v.bench: v for v in gate(slow, history, here)}
+        for name in ("wall_s", "trace.wall_s", "req_p95_s"):
+            assert verdicts[f"paper-cold/{name}"].status == ENV_MISMATCH
+        for name in ("sched.list_s", "sim_cycles", "sim.simulate_calls",
+                     "trace.overhead_ratio", "serve.run_hit_frac",
+                     "pass_frac"):
+            assert verdicts[f"paper-cold/{name}"].status == REGRESSION, name
 
 
 class TestTrend:
@@ -152,15 +164,13 @@ class TestTrend:
         assert main(["perf", "trend",
                      "--history", str(tmp_path / "nope.jsonl")]) == 2
 
-    def test_renders_series_after_records(self, registry, tmp_path,
-                                          capsys):
-        history = tmp_path / "h.jsonl"
+    def test_renders_series_after_records(self, tmp_path, capsys):
+        results = _write(tmp_path / "r.jsonl")
         for _ in range(3):
-            assert main(["perf", "record", "--bench", "toy.time",
-                         "--history", str(history),
-                         "--samples", "1"]) == 0
+            assert main(_args("record", results, tmp_path)) == 0
         capsys.readouterr()
-        assert main(["perf", "trend", "--history", str(history)]) == 0
+        assert main(["perf", "trend",
+                     "--history", str(tmp_path / "h.jsonl")]) == 0
         out = capsys.readouterr().out
         assert "benchmark trajectories" in out
-        assert "toy.time" in out
+        assert "paper-cold/sched.list_s" in out

@@ -1,6 +1,6 @@
 """Benchmark history store: JSONL persistence and baseline resolution."""
 
-from repro.obs.perf.history import History
+from repro.obs.perf.history import History, config_hash, fingerprint_key
 
 
 def _record(bench="t.a", config_hash="c1", mode="quick", median=1.0,
@@ -71,3 +71,16 @@ class TestBaseline:
         history.append(_record(median=2.0, env="e2"))
         record, env_match = history.baseline("t.a", "c1", "e3")
         assert not env_match and record["median"] == 2.0
+
+
+class TestKeys:
+    def test_config_hash_stable_and_order_insensitive(self):
+        a = config_hash({"x": 1, "y": [2, 3]})
+        b = config_hash({"y": [2, 3], "x": 1})
+        assert a == b and len(a) == 12
+        assert config_hash({"x": 2}) != a
+
+    def test_fingerprint_key_ignores_extra_fields(self):
+        env = {"python": "3.11", "platform": "p", "cpu_count": 4}
+        assert fingerprint_key(env) == \
+            fingerprint_key(dict(env, extra="ignored"))

@@ -1,8 +1,7 @@
-"""Noise-aware regression gate against synthetic benchmark series."""
+"""Noise-aware regression gate against synthetic series."""
 
 import statistics
 
-from repro.obs.perf.harness import BenchResult, config_hash, mad
 from repro.obs.perf.regress import (
     ENV_MISMATCH,
     IMPROVEMENT,
@@ -10,28 +9,22 @@ from repro.obs.perf.regress import (
     OK,
     REGRESSION,
     compare_result,
+    mad,
     trend,
 )
+from repro.obs.perf.results import Series
 
 
-def _result(samples, phases=None, unit="s", direction="lower",
-            name="t.a", env="e1"):
-    return BenchResult(
-        name=name, unit=unit, direction=direction, mode="quick",
-        samples=list(samples), phases=phases or {},
-        config={"toy": True}, config_hash=config_hash({"toy": True}),
-        env={}, env_fingerprint=env, git_sha=None)
+def _result(samples, unit="s", direction="lower", name="w/wall_s"):
+    return Series(name=name, unit=unit, direction=direction,
+                  samples=list(samples))
 
 
-def _baseline(samples, phases=None, env="e1", **extra):
+def _baseline(samples, env="e1", **extra):
     return {
-        "bench": "t.a", "median": statistics.median(samples),
+        "bench": "w/wall_s", "median": statistics.median(samples),
         "mad": mad(samples), "samples": list(samples),
-        "env_fingerprint": env,
-        "phases": {name: {"samples": series,
-                          "median": statistics.median(series)}
-                   for name, series in (phases or {}).items()},
-        **extra,
+        "env_fingerprint": env, **extra,
     }
 
 
@@ -44,18 +37,17 @@ class TestStepGate:
         assert not verdict.failed
 
     def test_step_regression_alarms_and_blames_phase(self):
-        baseline = _baseline(
-            [1.00, 1.01, 0.99],
-            phases={"list": [0.70, 0.71, 0.69],
-                    "modulo": [0.30, 0.30, 0.30]})
-        new = _result(
-            [2.02, 2.00, 2.01],
-            phases={"list": [1.72, 1.70, 1.71],
-                    "modulo": [0.30, 0.30, 0.30]})
+        baseline = _baseline([0.050, 0.051, 0.049])
+        new = _result([0.060, 0.061, 0.060], unit="share",
+                      name="paper-cold/sched.list_s")
         verdict = compare_result(new, baseline)
         assert verdict.status == REGRESSION and verdict.failed
-        assert verdict.phase == "list"
-        assert "list" in verdict.detail
+        assert verdict.layer == "sched.list_s"
+        assert "sched.list_s" in verdict.detail
+        # an end-to-end series has no layer to name
+        verdict = compare_result(_result([2.0, 2.0, 2.0]),
+                                 _baseline([1.0, 1.0, 1.0]))
+        assert verdict.status == REGRESSION and verdict.layer is None
 
     def test_missing_baseline_records_without_alarm(self):
         verdict = compare_result(_result([1.0]), None)
@@ -69,25 +61,23 @@ class TestStepGate:
         assert not verdict.failed
 
     def test_noisy_baseline_widens_the_allowance(self):
-        # the same +20% step at the same explicit budget: a quiet
-        # baseline alarms, a noisy one's mad_k * MAD swallows it
-        quiet = compare_result(_result([1.2, 1.2, 1.2]),
-                               _baseline([1.0, 1.0, 1.0]), budget=0.1)
+        # the same +20% step on a share (10% budget): a quiet baseline
+        # alarms, a noisy one's mad_k * MAD swallows it
+        step = _result([0.12, 0.12, 0.12], unit="share")
+        quiet = compare_result(step, _baseline([0.1, 0.1, 0.1]))
         assert quiet.status == REGRESSION
-        noisy = compare_result(
-            _result([1.2, 1.2, 1.2]),
-            _baseline([1.0, 0.7, 1.3, 0.8, 1.2]), budget=0.1)
+        noisy = compare_result(step, _baseline([0.1, 0.07, 0.13, 0.08, 0.12]))
         assert noisy.status == OK
 
     def test_seconds_get_the_wide_default_budget(self):
-        # +40% on an absolute-seconds bench stays inside the 50%
+        # +40% on an absolute-seconds series stays inside the 50%
         # gross-error budget (machine load moves raw seconds that much
-        # run-to-run); the same move on a ratio bench alarms at 25%
+        # run-to-run); the same move on a ratio series alarms at 25%
         seconds = compare_result(_result([1.4, 1.4, 1.4]),
                                  _baseline([1.0, 1.0, 1.0]))
         assert seconds.status == OK
         ratio = compare_result(
-            _result([1.4, 1.4, 1.4], unit="x", direction="lower"),
+            _result([1.4, 1.4, 1.4], unit="ratio", direction="lower"),
             _baseline([1.0, 1.0, 1.0]))
         assert ratio.status == REGRESSION
 
@@ -107,16 +97,18 @@ class TestStepGate:
         baseline = _baseline([1.0], env="other-env")
         seconds = compare_result(_result([5.0]), baseline, env_match=False)
         assert seconds.status == ENV_MISMATCH and not seconds.failed
-        ratio = compare_result(
-            _result([1.0], unit="x", direction="higher"),
-            _baseline([4.0], env="other-env"), env_match=False)
-        assert ratio.status == REGRESSION
+        for unit in ("x", "ratio", "share", "frac", "count"):
+            verdict = compare_result(
+                _result([1.0], unit=unit, direction="higher"),
+                _baseline([4.0], env="other-env"), env_match=False)
+            assert verdict.status == REGRESSION, unit
 
 
 class TestTrend:
-    def _series(self, medians, mad_value=0.002, unit="x"):
+    def _series(self, medians, mad_value=0.002, unit="x",
+                direction="lower"):
         return [{"bench": "t.a", "mode": "quick", "config_hash": "c1",
-                 "unit": unit, "direction": "lower", "median": m,
+                 "unit": unit, "direction": direction, "median": m,
                  "mad": mad_value, "samples": [m], "recorded_at": f"T{i}"}
                 for i, m in enumerate(medians)]
 
@@ -127,11 +119,22 @@ class TestTrend:
         for prev, cur in zip(medians, medians[1:]):
             step = compare_result(
                 _result([cur], unit="x", direction="lower"),
-                _baseline([prev], bench="t.a"))
+                _baseline([prev]))
             assert step.status == OK  # the step gate never fires
         verdict = trend(self._series(medians))
         assert verdict.status == REGRESSION and verdict.failed
         assert verdict.drift > 0.25
+
+    def test_drifting_fraction_gets_the_dimensionless_budget(self):
+        # a hit fraction sliding 0.90 -> 0.60 (-33%) is past the 25%
+        # dimensionless budget, though inside the 50% seconds budget
+        medians = [0.90 - 0.015 * i for i in range(21)]
+        for unit in ("frac", "ratio", "count", "share"):
+            verdict = trend(self._series(medians, unit=unit,
+                                         direction="higher"))
+            assert verdict.status == REGRESSION, unit
+        verdict = trend(self._series(medians, unit="s", direction="higher"))
+        assert verdict.status == OK
 
     def test_flat_series_is_ok(self):
         verdict = trend(self._series([1.0, 1.01, 0.99, 1.0, 1.02]))
@@ -150,3 +153,10 @@ class TestTrend:
     def test_improving_series_reports_improvement(self):
         verdict = trend(self._series([2.0, 1.8, 1.5, 1.2, 1.0, 0.9]))
         assert verdict.status == IMPROVEMENT and not verdict.failed
+
+
+class TestStatistics:
+    def test_mad_is_robust_center_spread(self):
+        assert mad([]) == 0.0
+        assert mad([5.0, 5.0, 5.0]) == 0.0
+        assert mad([1.0, 2.0, 3.0, 100.0]) == 1.0
