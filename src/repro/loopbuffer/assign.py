@@ -43,6 +43,7 @@ from repro.analysis.profile import Profile
 from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation
+from repro.obs import get_tracer
 
 
 @dataclass
@@ -145,7 +146,6 @@ def assign_buffer(
     capacity: int = 256,
     footprint: dict[tuple[str, str], int] | None = None,
     overhead_aware: bool = True,
-    tracer=None,
     get_block=None,
 ) -> AssignmentResult:
     """Choose buffer offsets for the module's loops and rewrite the IR.
@@ -156,9 +156,7 @@ def assign_buffer(
     (:mod:`repro.loopbuffer.overlay`) passes a copy-on-write getter so
     the shared base module is analyzed but never mutated.
     """
-    if tracer is None:
-        from repro.obs import get_tracer
-        tracer = get_tracer()
+    tracer = get_tracer()
     if not tracer.enabled:
         return _assign_buffer(module, profile, capacity, footprint,
                               overhead_aware, get_block)

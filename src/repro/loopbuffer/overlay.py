@@ -124,8 +124,7 @@ def loop_footprints(compiled) -> dict[tuple[str, str], int]:
 
 
 def retarget_overlay(compiled, capacity: int | None,
-                     overhead_aware: bool = True, tracer=None,
-                     assign=None):
+                     overhead_aware: bool = True, assign=None):
     """Retarget ``compiled`` to ``capacity`` without copying the module.
 
     ``compiled`` is an unbuffered base artifact (``repro.pipeline``'s
@@ -155,8 +154,7 @@ def retarget_overlay(compiled, capacity: int | None,
         assignment = assign(
             base_module, compiled.profile, capacity,
             footprint=loop_footprints(compiled),
-            overhead_aware=overhead_aware, tracer=tracer,
-            get_block=cow_block,
+            overhead_aware=overhead_aware, get_block=cow_block,
         )
 
     module = (overlay_module(base_module, materialized)

@@ -1,25 +1,20 @@
-"""Observability: pass/sim tracing, metrics registry, trace export.
+"""Observability: pass/sim tracing and trace export.
 
 One process-global :class:`~repro.obs.trace.Tracer` is consulted by the
 pipeline, the schedulers, buffer assignment and the VLIW simulator.  It
-defaults to :data:`~repro.obs.trace.NULL_TRACER` (every operation free),
-and is either installed explicitly::
+defaults to :data:`~repro.obs.trace.NULL_TRACER` (every operation free);
+installing one with :func:`use` is the only way to trace::
 
     tracer = Tracer()
     with obs.use(tracer):
         compiled = compile_aggressive(module)
     payload = tracer.to_payload()
 
-or injected per call (``compile_aggressive(module, tracer=tracer)``).
-:func:`disabled` forces the null tracer regardless of what is installed —
-the guard the runner uses around cache-served cells, and the hook tests
-use to pin the zero-allocation fast path.
-
 ``REPRO_TRACE`` turns tracing on for the runner CLI (any non-empty value
 except ``0``/``false``/``no``; a value that names a path doubles as the
-trace output directory).  Trace artifacts are cached beside compiled
-artifacts under the same content-addressed keys, so warm cells replay
-their recorded traces instead of recomputing.
+trace output directory).  A traced cell records only what its run
+computed: it reads and writes no disk cache, so a warm traced run
+recomputes its cells instead of serving them (DESIGN.md §5p).
 """
 
 from __future__ import annotations
@@ -28,26 +23,19 @@ import os
 from contextlib import contextmanager
 
 from repro import falsey
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import NULL_TRACER, Instant, NullTracer, Span, Tracer
 
 __all__ = [
-    "Counter",
     "DEFAULT_TRACE_DIR",
     "ENV_TRACE",
-    "Gauge",
-    "Histogram",
     "Instant",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "Span",
     "Tracer",
-    "disabled",
     "get_tracer",
     "set_tracer",
     "trace_dir_from_env",
-    "tracing_enabled",
     "use",
 ]
 
@@ -57,13 +45,10 @@ ENV_TRACE = "REPRO_TRACE"
 DEFAULT_TRACE_DIR = ".repro_trace"
 
 _active: Tracer | NullTracer = NULL_TRACER
-_disabled_depth = 0
 
 
 def get_tracer() -> Tracer | NullTracer:
     """The tracer instrumented code should record into right now."""
-    if _disabled_depth:
-        return NULL_TRACER
     return _active
 
 
@@ -84,21 +69,6 @@ def use(tracer: Tracer | None):
         yield tracer
     finally:
         set_tracer(previous)
-
-
-@contextmanager
-def disabled():
-    """Force the null tracer inside the block, whatever is installed."""
-    global _disabled_depth
-    _disabled_depth += 1
-    try:
-        yield
-    finally:
-        _disabled_depth -= 1
-
-
-def tracing_enabled() -> bool:
-    return get_tracer().enabled
 
 
 def trace_dir_from_env(value: str | None = None) -> str | None:

@@ -16,10 +16,11 @@ Subcommands::
     # benchmark observability (see repro.obs.perf)
     python -m repro.obs perf record|compare|trend|list
 
-The ``report`` command accepts the runner's trace directory, its flat
-``report.json``, or the Perfetto ``trace.json`` (pass totals are then
-re-derived from the span events).  ``--top``/``--flame`` need span-level
-data, so they require the trace directory or ``trace.json`` itself.
+The ``report`` command accepts the runner's trace directory, its
+``report.json``, or the Perfetto ``trace.json`` (the report is then
+folded from it, as the runner folds it).  ``--top``/``--flame`` need
+span-level data, so they require the trace directory or ``trace.json``
+itself.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.obs.export import (
     TRACE_FILENAME,
     REPORT_FILENAME,
     render_report,
-    report_from_chrome_trace,
+    trace_report,
     validate_chrome_trace,
 )
 
@@ -49,12 +50,12 @@ def _resolve_report(path: Path) -> dict:
             return _load(report)
         trace = path / TRACE_FILENAME
         if trace.exists():
-            return report_from_chrome_trace(_load(trace))
+            return trace_report(_load(trace))
         raise FileNotFoundError(
             f"{path}: neither {REPORT_FILENAME} nor {TRACE_FILENAME} found")
     doc = _load(path)
     if "traceEvents" in doc:
-        return report_from_chrome_trace(doc)
+        return trace_report(doc)
     return doc
 
 
@@ -66,7 +67,7 @@ def _resolve_trace_doc(path: Path) -> dict:
             return _load(trace)
         raise FileNotFoundError(
             f"{path}: no {TRACE_FILENAME} (span-level output needs the "
-            "trace itself, not the flat report)")
+            "trace itself, not the report)")
     doc = _load(path)
     if "traceEvents" not in doc:
         raise ValueError(
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("path", type=Path,
                         help="trace directory, report.json or trace.json")
     report.add_argument("--json", action="store_true",
-                        help="emit the flat report as JSON instead of tables")
+                        help="emit the report as JSON instead of tables")
     report.add_argument("--top", type=int, default=None, metavar="N",
                         help="also list the N slowest individual spans")
     report.add_argument("--flame", type=Path, default=None, metavar="OUT",

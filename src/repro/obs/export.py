@@ -1,19 +1,20 @@
-"""Trace exporters: Chrome trace-event (Perfetto-loadable) JSON and a
-flat per-pass / per-loop report.
+"""Trace exporters: Chrome trace-event (Perfetto-loadable) JSON, and the
+per-cell pass / loop report derived from it.
 
 The unit of export is a *cell trace*: one dict per executed runner cell::
 
     {"name": ..., "pipeline": ..., "capacity": ...,
      "compile": <tracer payload> | None,     # base compile spans
-     "run": <tracer payload> | None,         # retarget + simulate spans
-     "replayed": bool}                       # served from a cached trace
+     "run": <tracer payload> | None}         # retarget + simulate spans
 
 where a *tracer payload* is :meth:`repro.obs.trace.Tracer.to_payload`
-output.  In the Chrome trace each cell becomes one ``pid`` with three
-threads: compile spans (wall µs), run spans (wall µs) and the simulator's
-loop-buffer lifecycle events, whose timestamps are **machine cycles**, not
-wall time — deterministic, so a trace replayed from the cache is
-byte-stable modulo the recorded compile times.
+output; ``compile`` is empty when the cell's base came from the
+process's base memo.  In the Chrome trace each cell becomes one ``pid``
+with three threads: compile spans (wall µs), run spans (wall µs) and the
+simulator's loop-buffer lifecycle events, whose timestamps are **machine
+cycles**, not wall time.  :func:`trace_report` reads only that document,
+so the runner's ``report.json`` and ``python -m repro.obs report
+trace.json`` are one fold.
 """
 
 from __future__ import annotations
@@ -162,80 +163,51 @@ def validate_chrome_trace(doc) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# flat report
+# report
 
 
-def _fold_passes(into: dict, payload: dict | None) -> None:
-    if not payload:
-        return
-    for span in payload.get("spans", ()):
-        if span.get("cat") != "pass":
-            continue
-        entry = into.setdefault(span["name"], {"count": 0, "wall_us": 0.0})
-        entry["count"] += 1
-        entry["wall_us"] += span.get("dur", 0.0)
+#: a report loop row's counters, as the ``simulate`` span's ``loops`` name them
+LOOP_FIELDS = ("buffer", "memory", "record", "hit", "evict")
 
 
-def _fold_loops(into: dict, payload: dict | None) -> None:
-    if not payload:
-        return
-    fetch = payload.get("metrics", {}).get("sim_fetch_ops", {})
-    for sample in fetch.get("samples", ()):
-        loop = sample["labels"].get("loop", "?")
-        source = sample["labels"].get("source", "?")
-        entry = into.setdefault(loop, {"buffer": 0, "memory": 0})
-        if source in entry:
-            entry[source] += sample["value"]
-    lifecycle = payload.get("metrics", {}).get("sim_buffer_events", {})
-    for sample in lifecycle.get("samples", ()):
-        loop = sample["labels"].get("loop", "?")
-        event = sample["labels"].get("event", "?")
-        entry = into.setdefault(loop, {"buffer": 0, "memory": 0})
-        entry[event] = entry.get(event, 0) + sample["value"]
-
-
-def flat_report(cells: list[dict]) -> dict:
-    """Aggregate cell traces into a flat JSON report (passes + loops)."""
+def trace_report(doc: dict) -> dict:
+    """Fold a Chrome trace document into a report: per cell, its pass
+    spans' counts and wall µs; over all cells, the pass totals; and one
+    loop row per ``"<cell label>:<loop>"`` from the cell's ``simulate``
+    span ``loops`` (:func:`repro.pipeline.run_compiled`)."""
+    labels: dict = {}
+    cells: dict[str, dict] = {}
     passes: dict[str, dict] = {}
     loops: dict[str, dict] = {}
-    per_cell = []
-    for cell in cells:
-        cell_passes: dict[str, dict] = {}
-        cell_loops: dict[str, dict] = {}
-        for phase in ("compile", "run"):
-            _fold_passes(cell_passes, cell.get(phase))
-            _fold_passes(passes, cell.get(phase))
-            _fold_loops(cell_loops, cell.get(phase))
-            _fold_loops(loops, cell.get(phase))
-        per_cell.append({
-            "cell": cell_label(cell),
-            "replayed": bool(cell.get("replayed")),
-            "passes": cell_passes,
-            "loops": cell_loops,
-        })
-    for table in (passes, loops):
-        for entry in table.values():
-            if "wall_us" in entry:
-                entry["wall_us"] = round(entry["wall_us"], 3)
-    return {"cells": per_cell, "passes": passes, "loops": loops}
-
-
-def report_from_chrome_trace(doc: dict) -> dict:
-    """Derive a pass-totals report from an exported Chrome trace."""
-    passes: dict[str, dict] = {}
     for event in doc.get("traceEvents", ()):
-        if event.get("ph") == "X" and event.get("cat") == "pass":
-            entry = passes.setdefault(event["name"],
-                                      {"count": 0, "wall_us": 0.0})
-            entry["count"] += 1
-            entry["wall_us"] += event.get("dur", 0.0)
-    for entry in passes.values():
-        entry["wall_us"] = round(entry["wall_us"], 3)
-    return {"cells": [], "passes": passes, "loops": {}}
+        if event.get("ph") == "M" and event.get("name") == "process_name":
+            labels[event.get("pid")] = event.get("args", {}).get("name", "?")
+    for event in doc.get("traceEvents", ()):
+        if event.get("ph") != "X":
+            continue
+        label = labels.get(event.get("pid"), "?")
+        cell = cells.setdefault(label, {"cell": label, "passes": {}})
+        if event.get("cat") == "pass":
+            for table in (cell["passes"], passes):
+                entry = table.setdefault(event["name"],
+                                         {"count": 0, "wall_us": 0.0})
+                entry["count"] += 1
+                entry["wall_us"] += event.get("dur", 0.0)
+        if event.get("name") == "simulate":
+            args = event.get("args", {})
+            for loop, counts in args.get("loops", {}).items():
+                row = loops.setdefault(f"{label}:{loop}",
+                                       dict.fromkeys(LOOP_FIELDS, 0))
+                for field in LOOP_FIELDS:
+                    row[field] += counts.get(field, 0)
+    for table in [passes] + [cell["passes"] for cell in cells.values()]:
+        for entry in table.values():
+            entry["wall_us"] = round(entry["wall_us"], 3)
+    return {"cells": list(cells.values()), "passes": passes, "loops": loops}
 
 
 def render_report(report: dict) -> str:
-    """Human table form of a flat report."""
+    """Human table form of a :func:`trace_report`."""
     parts = []
     passes = report.get("passes", {})
     if passes:
@@ -259,7 +231,8 @@ def render_report(report: dict) -> str:
                          entry.get("record", 0), entry.get("hit", 0),
                          entry.get("evict", 0)])
         parts.append(format_table(
-            ["loop", "buf ops", "mem ops", "buf%", "rec", "hit", "evict"],
+            ["cell:loop", "buf ops", "mem ops", "buf%", "rec", "hit",
+             "evict"],
             rows, "loop-buffer activity",
             align=["l", "r", "r", "r", "r", "r", "r"]))
     if not parts:

@@ -14,6 +14,7 @@ Subcommands::
     python -m repro.obs perf compare perf-results.jsonl
 
     # the trajectory: every stored series, with cumulative-drift alarms
+    # on the live ones (those the newest recording carries)
     python -m repro.obs perf trend
 
 ``compare`` never writes to the history, so running it twice on one SHA
@@ -32,8 +33,9 @@ from repro.obs.perf.history import (
     env_fingerprint,
     fingerprint_key,
     git_sha,
+    utc_stamp,
 )
-from repro.obs.perf.regress import Verdict, check_bound, gate, trend
+from repro.obs.perf.regress import RETIRED, Verdict, check_bound, gate, trend
 from repro.obs.perf.results import (
     ResultsError,
     collect,
@@ -66,7 +68,8 @@ def add_perf_parser(sub) -> None:
         "tagged perfbench result lines to gate")
 
     trend_p = perf_sub.add_parser(
-        "trend", help="render stored trajectories; exit 1 on drift")
+        "trend", help="render stored trajectories; exit 1 on a live "
+                      "series' drift")
     trend_p.add_argument("--bench", action="append", metavar="NAME[,NAME]",
                          help="restrict to these series names")
     trend_p.add_argument("--history", type=Path,
@@ -107,8 +110,11 @@ def cmd_record(args) -> int:
     env = env_fingerprint()
     env_key, sha = fingerprint_key(env), git_sha()
     history = History(args.history)
+    # one stamp per recording: trend tells live series by it
+    stamp = utc_stamp()
     for s in series.values():
-        history.append(s.as_record(env, env_key, sha))
+        history.append({**s.as_record(env, env_key, sha),
+                        "recorded_at": stamp})
     print(f"appended {len(series)} record(s) to {args.history}")
     bounds = [msg for s in series.values() if (msg := check_bound(s))]
     for msg in bounds:
@@ -145,10 +151,16 @@ def cmd_trend(args) -> int:
     if not series:
         print(f"no matching series in {args.history}", file=sys.stderr)
         return 2
+    newest = max(r.get("recorded_at", "") for r in history.records())
     verdicts = []
     for bench, mode, config_hash in series:
         records = history.records(bench=bench, config_hash=config_hash)
-        verdicts.append(trend(records, budget=args.budget))
+        verdict = trend(records, budget=args.budget)
+        if all(r.get("recorded_at") != newest for r in records):
+            verdict.status = RETIRED
+            verdict.detail = (f"not in the newest recording ({newest}); "
+                              "not drift-checked")
+        verdicts.append(verdict)
     rows = []
     for v in verdicts:
         rows.append([

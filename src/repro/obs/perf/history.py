@@ -62,6 +62,11 @@ def git_sha() -> str | None:
     return sha if out.returncode == 0 and sha else None
 
 
+def utc_stamp() -> str:
+    """A ``recorded_at`` value: UTC now, to the second."""
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+
+
 class History:
     """An append-only JSONL time series of benchmark records."""
 
@@ -73,9 +78,7 @@ class History:
     def append(self, record: dict) -> dict:
         """Append one record and return the dict actually written."""
         record = dict(record)
-        record.setdefault(
-            "recorded_at",
-            datetime.now(timezone.utc).isoformat(timespec="seconds"))
+        record.setdefault("recorded_at", utc_stamp())
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -1,21 +1,15 @@
 """Phase-level profiling: span accumulation, attribution, flamegraphs.
 
-A :class:`PhaseProfile` folds the two instrumentation sources the repo
-already records into one attribution report:
+A :class:`PhaseProfile` folds the spans of an exported Chrome trace
+(the runner's ``trace.json``), nested per track by ``ts``/``dur``
+containment, into per-name wall and *self* time (wall minus children).
 
-* **pass spans** — the ``_PassChecker`` / pipeline spans in tracer
-  payloads (or an exported Chrome trace), nested by depth, accumulated
-  into per-name wall and *self* time (wall minus children);
-* **simulator lifecycle instants** — the cycle-stamped loop-buffer
-  events (record/hit/evict...), counted per name.
-
-Two exports: :meth:`render` (the per-phase attribution tables a flagged
-regression points at) and :meth:`collapsed_lines` — the classic
-semicolon-joined collapsed-stack format every flamegraph tool
-(``flamegraph.pl``, speedscope, inferno) accepts, one
-``root;child;leaf <self_us>`` line per distinct stack.  The ``--flame``
-and ``--top`` flags of ``python -m repro.obs report`` are thin wrappers
-over this module.
+Two exports: :meth:`render` (the per-phase attribution table) and
+:meth:`collapsed_lines` — the classic semicolon-joined collapsed-stack
+format every flamegraph tool (``flamegraph.pl``, speedscope, inferno)
+accepts, one ``root;child;leaf <self_us>`` line per distinct stack.  The
+``--flame`` and ``--top`` flags of ``python -m repro.obs report`` are
+thin wrappers over this module.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ class SpanRecord:
 
 
 class PhaseProfile:
-    """Accumulates spans and simulator event counts."""
+    """Accumulates spans."""
 
     def __init__(self) -> None:
         #: phase name -> {"count", "wall_us", "self_us"}
@@ -48,8 +42,6 @@ class PhaseProfile:
         self.stacks: dict[tuple[str, ...], float] = {}
         #: every individual span, for top-N reporting
         self.spans: list[SpanRecord] = []
-        #: simulator lifecycle event name -> count
-        self.sim_events: dict[str, int] = {}
 
     # -- folding -------------------------------------------------------------
 
@@ -62,64 +54,6 @@ class PhaseProfile:
         entry["self_us"] += self_us
         self.stacks[path] = self.stacks.get(path, 0.0) + self_us
         self.spans.append(SpanRecord(path, wall_us, self_us))
-
-    def add_payload(self, payload: dict | None,
-                    root: str | None = None) -> None:
-        """Fold one tracer payload (``Tracer.to_payload`` shape).
-
-        Spans are stored in open order with their nesting ``depth``, so
-        the stack reconstructs exactly; self time is each span's duration
-        minus its direct children's.  ``root`` prefixes every stack
-        (e.g. a cell label), keeping flamegraphs per-cell.
-        """
-        if not payload:
-            return
-        spans = payload.get("spans", ())
-        prefix = (root,) if root else ()
-        # (depth, name, dur, children_dur) open stack
-        stack: list[list] = []
-        closed: list[tuple[tuple[str, ...], float, float]] = []
-
-        def _close(entry) -> None:
-            depth, name, dur, child_dur = entry
-            path = prefix + tuple(s[1] for s in stack[:depth]) + (name,)
-            closed.append((path, dur, max(dur - child_dur, 0.0)))
-
-        for span in spans:
-            depth = span.get("depth", 0)
-            while len(stack) > depth:
-                _close(stack.pop())
-            dur = max(span.get("dur", 0.0), 0.0)
-            if stack:
-                stack[-1][3] += dur
-            stack.append([depth, span.get("name", "?"), dur, 0.0])
-        while stack:
-            _close(stack.pop())
-        for path, dur, self_us in closed:
-            self._add_span(path, dur, self_us)
-        self.add_instants(payload)
-
-    def add_instants(self, payload: dict | None) -> None:
-        """Count the simulator's cycle-clock lifecycle instants."""
-        if not payload:
-            return
-        for event in payload.get("events", ()):
-            if event.get("clock") != "cycles":
-                continue
-            name = event.get("name", "?")
-            self.sim_events[name] = self.sim_events.get(name, 0) + 1
-
-    def add_cell(self, cell: dict) -> None:
-        """Fold one runner cell trace (compile + run payloads)."""
-        from repro.obs.export import cell_label
-
-        label = cell_label(cell)
-        self.add_payload(cell.get("compile"), root=label)
-        self.add_payload(cell.get("run"), root=label)
-
-    def add_cells(self, cells: list[dict]) -> None:
-        for cell in cells:
-            self.add_cell(cell)
 
     def add_chrome_trace(self, doc: dict) -> None:
         """Fold an exported Chrome trace: nesting is re-derived from
@@ -199,24 +133,14 @@ class PhaseProfile:
         return lines
 
     def render(self) -> str:
-        """The per-phase attribution report (tables, printable)."""
-        parts = []
+        """The per-phase attribution table, printable."""
         rows = self.attribution()
-        if rows:
-            parts.append(format_table(
-                ["phase", "spans", "wall s", "self s", "self%"],
-                rows, "per-phase attribution (self time)",
-                align=["l", "r", "r", "r", "r"]))
-        if self.sim_events:
-            parts.append(format_table(
-                ["sim lifecycle event", "count"],
-                [[name, count] for name, count in
-                 sorted(self.sim_events.items())],
-                "simulator loop-buffer lifecycle",
-                align=["l", "r"]))
-        if not parts:
-            parts.append("(empty profile: no spans or events)")
-        return "\n\n".join(parts)
+        if not rows:
+            return "(empty profile: no spans)"
+        return format_table(
+            ["phase", "spans", "wall s", "self s", "self%"],
+            rows, "per-phase attribution (self time)",
+            align=["l", "r", "r", "r", "r"])
 
     # -- constructors --------------------------------------------------------
 

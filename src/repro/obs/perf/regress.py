@@ -94,6 +94,8 @@ IMPROVEMENT = "improvement"
 NO_BASELINE = "no-baseline"
 ENV_MISMATCH = "env-mismatch"
 BUDGET_FAIL = "budget-fail"
+#: a stored series the newest recording no longer carries
+RETIRED = "retired"
 
 #: statuses that fail the gate
 FAILING = (REGRESSION, BUDGET_FAIL)

@@ -1,15 +1,16 @@
 """Span-based tracing for compiler passes and the simulator.
 
-A :class:`Tracer` collects three kinds of observations:
+A :class:`Tracer` collects two kinds of observations:
 
 * **spans** — nested, wall-clock timed intervals (one per compiler pass,
   one per pipeline, one per simulation), each carrying a structured
   attribute dict (IR deltas, achieved II vs. MinII, buffer footprints...);
 * **instant events** — point observations with an explicit timestamp
   domain (the simulator stamps loop-buffer lifecycle events with its
-  *cycle* count, so traces of cached runs replay deterministically);
-* **metrics** — a :class:`~repro.obs.metrics.MetricsRegistry` of labeled
-  counters/gauges/histograms folded into runner cell records.
+  *cycle* count, so a rerun of the same cell stamps the same times).
+
+Counts live on the spans: the ``simulate`` span carries the run's
+per-loop loop-buffer counters (:func:`repro.pipeline.run_compiled`).
 
 The disabled path is :data:`NULL_TRACER`, a singleton whose ``span`` hands
 back one shared no-op context manager: call sites guard on
@@ -21,8 +22,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-
-from repro.obs.metrics import MetricsRegistry
 
 
 @dataclass
@@ -76,9 +75,9 @@ class _OpenSpan:
 
     __slots__ = ("_tracer", "_name", "_category", "_attrs", "span")
 
-    def __init__(self, tracer: "Tracer", name: str, category: str,
+    def __init__(self, owner: "Tracer", name: str, category: str,
                  attrs: dict) -> None:
-        self._tracer = tracer
+        self._tracer = owner
         self._name = name
         self._category = category
         self._attrs = attrs
@@ -130,7 +129,6 @@ class NullTracer:
     __slots__ = ()
 
     enabled = False
-    metrics = MetricsRegistry()  # shared, deliberately never populated
 
     def span(self, name: str, category: str = "pass", **attrs) -> _NullSpan:
         return _NULL_SPAN
@@ -144,14 +142,14 @@ class NullTracer:
         pass
 
     def to_payload(self) -> dict:
-        return {"spans": [], "events": [], "metrics": {}}
+        return {"spans": [], "events": []}
 
 
 NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """Collects spans, instants and metrics for one traced activity.
+    """Collects spans and instants for one traced activity.
 
     ``clock`` is injectable for deterministic tests; timestamps are µs
     relative to the tracer's construction (its *epoch*), so serialized
@@ -165,7 +163,6 @@ class Tracer:
         self._epoch = clock()
         self.spans: list[Span] = []
         self.events: list[Instant] = []
-        self.metrics = MetricsRegistry()
         self._stack: list[Span] = []
 
     # -- time ----------------------------------------------------------------
@@ -211,5 +208,4 @@ class Tracer:
         return {
             "spans": [span.as_dict() for span in self.spans],
             "events": [event.as_dict() for event in self.events],
-            "metrics": self.metrics.snapshot(),
         }

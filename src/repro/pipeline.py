@@ -335,11 +335,11 @@ class _PassChecker:
     """
 
     def __init__(self, module: Module, machine: MachineDescription,
-                 settings: RunConfig, tracer=None):
+                 settings: RunConfig):
         self.module = module
         self.machine = machine
         self.enabled = settings.checked
-        self.tracer = tracer if tracer is not None else get_tracer()
+        self.tracer = get_tracer()
         self._ir_rules = _per_pass_rules()
 
     def run(self, name: str, fn, *args, scope: str | None = None, **kwargs):
@@ -473,7 +473,7 @@ def _frontend_key(module: Module, entry: str, args: list[int],
 
 def _frontend(module: Module, entry: str, args: list[int],
               inline_budget: float, machine: MachineDescription,
-              settings: RunConfig, tracer) -> tuple[Module, Profile]:
+              settings: RunConfig) -> tuple[Module, Profile]:
     """The frontend both pipelines share: cleanup, profile, inline,
     cleanup, profile.
 
@@ -485,6 +485,7 @@ def _frontend(module: Module, entry: str, args: list[int],
     """
     key = _frontend_key(module, entry, args, inline_budget, machine,
                         settings)
+    tracer = get_tracer()
     with (tracer.span("frontend", category="pipeline") if tracer.enabled
           else nullcontext()) as span:
         stored = frontend_get(key)
@@ -492,7 +493,7 @@ def _frontend(module: Module, entry: str, args: list[int],
             span.annotate(memo="miss" if stored is None else "hit")
         if stored is None:
             work = copy.deepcopy(module)
-            checker = _PassChecker(work, machine, settings, tracer)
+            checker = _PassChecker(work, machine, settings)
             stored = (work, _common_frontend(work, entry, args, inline_budget,
                                              checker, settings))
             frontend_put(key, stored)
@@ -546,7 +547,7 @@ def _backend(
                     continue
                 block = func.block(loop.header)
                 try:
-                    sched = modulo_schedule(block, machine, tracer=tracer)
+                    sched = modulo_schedule(block, machine)
                 except ModuloSchedulingFailed as exc:
                     if tracer.enabled:
                         tracer.instant("modulo_failed", category="sched",
@@ -562,7 +563,7 @@ def _backend(
 
     with tracer.span("list_schedule"):
         schedules = {
-            func.name: schedule_function(func, machine, tracer=tracer)
+            func.name: schedule_function(func, machine)
             for func in module.functions.values()
         }
     checker.check_target(
@@ -584,20 +585,18 @@ def compile_traditional(
     inline_budget: float = 0.5,
     max_steps: int = 200_000_000,
     checked: bool | None = None,
-    tracer=None,
 ) -> Compiled:
     """The baseline pipeline: no predication, no loop restructuring."""
     args = list(args or [])
     settings = RunConfig.resolve(checked, max_steps)
-    tracer = tracer if tracer is not None else get_tracer()
     stats: dict[str, object] = {"pipeline": "traditional"}
     if settings.checked:
         stats["checked"] = True
-    with tracer.span("compile_traditional", category="pipeline",
-                     entry=entry):
+    with get_tracer().span("compile_traditional", category="pipeline",
+                           entry=entry):
         module, _profile = _frontend(module, entry, args, inline_budget,
-                                     machine, settings, tracer)
-        checker = _PassChecker(module, machine, settings, tracer)
+                                     machine, settings)
+        checker = _PassChecker(module, machine, settings)
         stats["cloops"] = checker.run("convert_counted_loops",
                                       convert_counted_loops_all, module)
         _scalar_cleanup(module, checker)
@@ -605,7 +604,7 @@ def compile_traditional(
                         settings)
         if buffer_capacity is None:
             return base
-        return with_buffer(base, buffer_capacity, tracer=tracer)
+        return with_buffer(base, buffer_capacity)
 
 
 def compile_aggressive(
@@ -622,26 +621,24 @@ def compile_aggressive(
     promote: bool = True,
     combine: bool = True,
     checked: bool | None = None,
-    tracer=None,
 ) -> Compiled:
     """The paper's aggressive pipeline (hyperblock + loop transforms)."""
     args = list(args or [])
     settings = RunConfig.resolve(checked, max_steps)
-    tracer = tracer if tracer is not None else get_tracer()
     stats: dict[str, object] = {"pipeline": "aggressive"}
     if settings.checked:
         stats["checked"] = True
-    with tracer.span("compile_aggressive", category="pipeline",
-                     entry=entry):
+    with get_tracer().span("compile_aggressive", category="pipeline",
+                           entry=entry):
         module, profile = _frontend(module, entry, args, inline_budget,
-                                    machine, settings, tracer)
-        checker = _PassChecker(module, machine, settings, tracer)
+                                    machine, settings)
+        checker = _PassChecker(module, machine, settings)
         base = _compile_aggressive_body(
             module, profile, entry, args, machine, hammocks, collapse,
             peel, promote, combine, stats, checker, settings)
         if buffer_capacity is None:
             return base
-        return with_buffer(base, buffer_capacity, tracer=tracer)
+        return with_buffer(base, buffer_capacity)
 
 
 def _compile_aggressive_body(
@@ -743,8 +740,7 @@ def convert_counted_loops_all(module: Module):
 
 
 def with_buffer(compiled: Compiled, capacity: int | None,
-                overhead_aware: bool = True,
-                tracer=None) -> Compiled:
+                overhead_aware: bool = True) -> Compiled:
     """Buffer a compiled base at ``capacity``: the one way a capacity
     reaches the IR (``compile_*(buffer_capacity=N)`` ends here too).
 
@@ -770,12 +766,11 @@ def with_buffer(compiled: Compiled, capacity: int | None,
     before it is returned (:func:`check_buffered`).
     """
     check_retarget(compiled, capacity)
-    tracer = tracer if tracer is not None else get_tracer()
-    with tracer.span("with_buffer", category="pipeline",
-                     capacity=capacity):
+    with get_tracer().span("with_buffer", category="pipeline",
+                           capacity=capacity):
         module, assignment, schedules, overlay = retarget_overlay(
             compiled, capacity, overhead_aware=overhead_aware,
-            tracer=tracer, assign=assign_buffer)
+            assign=assign_buffer)
         result = Compiled(module, compiled.profile, schedules,
                           dict(compiled.modulo), assignment,
                           compiled.machine, compiled.entry,
@@ -833,7 +828,6 @@ def _check_replay(result, counters, buffer, full) -> None:
 def run_compiled(
     compiled: Compiled,
     max_steps: int = 200_000_000,
-    tracer=None,
 ) -> SimulationOutcome:
     """Simulate a compiled program on the VLIW at the capacity it was
     buffered for (buffer assignment bakes offsets in).
@@ -842,30 +836,41 @@ def run_compiled(
     re-executed (:mod:`repro.sim.replay`).  A checked artifact
     (``stats["checked"]``) is then simulated in full as well, and any
     difference raises :class:`CheckedModeError` for pass ``"replay"``.
+    Under an enabled tracer the ``simulate`` span carries the run's
+    counters and, as ``loops``, each recorded loop's
+    :class:`~repro.sim.vliw.LoopFetchStats` as ``{buffer, memory,
+    record, hit, evict}``.
     """
     buffer_capacity = compiled.buffer_capacity
     settings = RunConfig.resolve(max_steps=max_steps)
-    tracer = tracer if tracer is not None else get_tracer()
+    tracer = get_tracer()
     sim_args = (compiled.module, compiled.schedules, compiled.modulo,
                 compiled.machine, buffer_capacity, compiled.entry,
                 compiled.args)
     with tracer.span("simulate", category="sim",
                      capacity=buffer_capacity) as span:
         result, counters, buffer = simulate(
-            *sim_args, max_steps=settings.max_steps, tracer=tracer,
+            *sim_args, max_steps=settings.max_steps,
             trace=compiled.pass_trace)
         if compiled.stats.get("checked") and compiled.pass_trace is not None:
             from repro.sim.replay import ReplayedRun
 
             if isinstance(result, ReplayedRun):
                 _check_replay(result, counters, buffer, simulate(
-                    *sim_args, max_steps=settings.max_steps, tracer=tracer))
-        span.annotate(
-            cycles=counters.cycles,
-            ops_issued=counters.ops_issued,
-            ops_from_buffer=counters.ops_from_buffer,
-            ops_from_memory=counters.ops_from_memory,
-        )
+                    *sim_args, max_steps=settings.max_steps))
+        if tracer.enabled:
+            span.annotate(
+                cycles=counters.cycles,
+                ops_issued=counters.ops_issued,
+                ops_from_buffer=counters.ops_from_buffer,
+                ops_from_memory=counters.ops_from_memory,
+                loops={key: {"buffer": stats.ops_from_buffer,
+                             "memory": stats.ops_from_memory,
+                             "record": stats.records,
+                             "hit": stats.residency_hits,
+                             "evict": stats.evictions}
+                       for key, stats in sorted(counters.per_loop.items())},
+            )
     energy = FetchEnergy(
         ops_from_memory=counters.ops_from_memory,
         ops_from_buffer=counters.ops_from_buffer,

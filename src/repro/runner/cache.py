@@ -84,9 +84,11 @@ class ArtifactCache:
 
     ``kind`` namespaces the artifact classes sharing one key space:
     ``"base"`` (a capacity-independent :class:`~repro.pipeline.Compiled`),
-    ``"run"`` (a :class:`~repro.runner.summary.RunSummary`) and
-    ``"trace"`` (a tracer payload dict recorded beside either, so warm
-    cells replay their traces).  ``max_bytes`` bounds the whole cache:
+    ``"run"`` (a :class:`~repro.runner.summary.RunSummary`), ``"serve"``
+    (an inline source's verdict, :mod:`repro.serve`) and ``"fuzz"`` (a
+    program's differential report, :mod:`repro.fuzz`).  Traces are
+    never stored: a traced run reads and writes no cache.  ``max_bytes``
+    bounds the whole cache:
     every :data:`GC_EVERY_STORES` stores, :func:`gc_lru` evicts the least
     recently used entries past it (``None``: unbounded).
     """

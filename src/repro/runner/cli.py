@@ -37,8 +37,8 @@ from repro.obs import DEFAULT_TRACE_DIR, trace_dir_from_env
 from repro.obs.export import (
     REPORT_FILENAME,
     TRACE_FILENAME,
-    flat_report,
     to_chrome_trace,
+    trace_report,
     write_json,
 )
 from repro.pipeline import CheckedModeError
@@ -264,14 +264,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.trace_dir:
         cell_traces = [c.trace for c in metrics.cells if c.trace is not None]
-        trace_path = write_json(Path(args.trace_dir) / TRACE_FILENAME,
-                                to_chrome_trace(cell_traces))
+        doc = to_chrome_trace(cell_traces)
+        trace_path = write_json(Path(args.trace_dir) / TRACE_FILENAME, doc)
         report_path = write_json(Path(args.trace_dir) / REPORT_FILENAME,
-                                 flat_report(cell_traces))
+                                 trace_report(doc))
         if not args.quiet:
-            replayed = sum(1 for t in cell_traces if t.get("replayed"))
-            print(f"\ntrace: {trace_path} ({len(cell_traces)} cells, "
-                  f"{replayed} replayed from cache)\nreport: {report_path}")
+            print(f"\ntrace: {trace_path} ({len(cell_traces)} cells)"
+                  f"\nreport: {report_path}")
 
     if args.json_path:
         payload = metrics.to_json()

@@ -10,10 +10,10 @@ merges them — the recorder itself never crosses a process boundary.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
-from repro.obs.metrics import Histogram
 from repro.runner.cache import CacheStats
 from repro.runner.summary import format_table
 
@@ -43,8 +43,6 @@ class CellMetrics:
     #: its summary came back fine
     retries: int = 0
     worker: str = "serial"
-    #: folded :class:`repro.obs.MetricsRegistry` snapshot (tracing only)
-    obs: dict | None = None
     #: the cell's trace payload (tracing only; never serialized whole)
     trace: dict | None = None
 
@@ -66,11 +64,8 @@ class CellMetrics:
             "retries": self.retries,
             "worker": self.worker,
         }
-        if self.obs is not None:
-            payload["obs"] = self.obs
         if self.trace is not None:
             payload["traced"] = True
-            payload["trace_replayed"] = bool(self.trace.get("replayed"))
         return payload
 
 
@@ -83,34 +78,33 @@ class MetricsRecorder:
         self._t0 = time.perf_counter()
         self.wall_time_s = 0.0
         self.workers = 1
-        #: per-stage wall-time distribution over cells that did work
-        #: (cache-served cells contribute nothing); stages: "compile"
-        #: (base compiles only) and "run" (retarget + simulate)
-        self.latency = Histogram(
-            "runner_cell_latency_s",
-            "per-cell stage wall time distribution (seconds)")
 
     def add_cell(self, cell: CellMetrics) -> None:
         self.cells.append(cell)
-        if "compile" in cell.stages:
-            self.latency.observe(cell.stages["compile"], stage="compile")
-        if "retarget" in cell.stages or "simulate" in cell.stages:
-            self.latency.observe(
-                cell.stages.get("retarget", 0.0)
-                + cell.stages.get("simulate", 0.0), stage="run")
 
     def latency_quantiles(self) -> dict[str, dict[str, float]]:
         """{"compile"/"run": {"count", "p50", "p95", "p99"}} for every
-        stage with at least one observation."""
+        stage some cell did work in (cache-served cells contribute
+        nothing): "compile" over base compiles, "run" over retarget +
+        simulate.  Quantiles are nearest-rank: the smallest time with
+        rank >= q * count."""
+        times: dict[str, list[float]] = {"compile": [], "run": []}
+        for cell in self.cells:
+            stages = cell.stages
+            if "compile" in stages:
+                times["compile"].append(stages["compile"])
+            if "retarget" in stages or "simulate" in stages:
+                times["run"].append(stages.get("retarget", 0.0)
+                                    + stages.get("simulate", 0.0))
         out: dict[str, dict[str, float]] = {}
-        for stage in ("compile", "run"):
-            count = self.latency.count(stage=stage)
-            if not count:
+        for stage, values in times.items():
+            if not values:
                 continue
-            entry = {"count": count}
+            values.sort()
+            entry = {"count": len(values)}
             for q in LATENCY_QUANTILES:
-                entry[f"p{int(q * 100)}"] = round(
-                    self.latency.quantile(q, stage=stage), 6)
+                rank = max(math.ceil(q * len(values)), 1)
+                entry[f"p{int(q * 100)}"] = round(values[rank - 1], 6)
             out[stage] = entry
         return out
 

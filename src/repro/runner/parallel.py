@@ -32,7 +32,7 @@ from repro.bench import Benchmark, benchmark
 from repro.loopbuffer.assign import AssignmentResult, place_loops, scan_loops
 from repro.loopbuffer.overlay import check_retarget, loop_footprints
 from repro.memo import Memo
-from repro.obs import MetricsRegistry, Tracer, use as obs_use
+from repro.obs import Tracer, use as obs_use
 from repro.pipeline import (
     COMPILERS as _COMPILERS,
     Compiled,
@@ -177,61 +177,45 @@ def compile_base(name: str, pipeline: str,
                  cache: ArtifactCache | None = None,
                  checked: bool | None = None) -> Compiled:
     """Compiled-but-unassigned base for a (benchmark, pipeline) group."""
-    compiled, _seconds, _how, _trace = _compile_base_timed(
+    compiled, _seconds, _how = _compile_base_timed(
         name, pipeline, cache, RunConfig.resolve(checked))
     return compiled
 
 
-#: :func:`base_key` -> ``(compiled, trace_payload)``, the payload ``None``
-#: unless the compile that stored it was traced; a Figure 7 sweep, the
-#: facade's figures and the service all share it
+#: :func:`base_key` -> compiled base; a Figure 7 sweep, the facade's
+#: figures and the service all share it
 BASE_MEMO = Memo(32)
 
 
 def _compile_base_timed(
     program: Program, pipeline: str, cache: ArtifactCache | None,
     settings: RunConfig = RunConfig(),
-) -> tuple[Compiled, float, str, dict | None]:
-    """Returns ``(compiled, seconds, how, trace_payload)``, ``how``
-    naming where the base came from: ``"memo"`` (:data:`BASE_MEMO`),
-    ``"cache"`` (the disk cache) or ``"compiled"``.
-
-    With ``settings.trace`` on, a hit replays the trace stored with the
-    base: a memo entry without one falls through to the disk cache, and
-    a disk hit without one recompiles (deterministic, so the base is
-    unchanged) to record one.
-    """
+) -> tuple[Compiled, float, str]:
+    """Returns ``(compiled, seconds, how)``, ``how`` naming where the
+    base came from: ``"memo"`` (:data:`BASE_MEMO`), ``"cache"`` (the
+    disk cache) or ``"compiled"``.  Only a compile records into the
+    installed tracer."""
     if pipeline not in _COMPILERS:
         raise ValueError(f"unknown pipeline {pipeline!r}")
     program = _program(program)
     key = base_key(program, pipeline, settings)
-    memoized = BASE_MEMO.get(key)
-    if memoized is not None and (memoized[1] is not None
-                                 or not settings.trace):
-        compiled, payload = memoized
-        return compiled, 0.0, "memo", payload if settings.trace else None
+    compiled = BASE_MEMO.get(key)
+    if compiled is not None:
+        return compiled, 0.0, "memo"
     if cache is not None:
-        cached = cache.load(key, "base")
-        if cached is not None:
-            payload = cache.load(key, "trace") if settings.trace else None
-            if not settings.trace or payload is not None:
-                BASE_MEMO.put(key, (cached, payload))
-                return cached, 0.0, "cache", payload
-    tracer = Tracer() if settings.trace else None
+        compiled = cache.load(key, "base")
+        if compiled is not None:
+            BASE_MEMO.put(key, compiled)
+            return compiled, 0.0, "cache"
     t0 = time.perf_counter()
-    with obs_use(tracer) if settings.trace else nullcontext():
-        compiled = _COMPILERS[pipeline](
-            program.build(), entry=program.entry, args=list(program.args),
-            buffer_capacity=None, checked=settings.checked,
-            **settings.budget())
+    compiled = _COMPILERS[pipeline](
+        program.build(), entry=program.entry, args=list(program.args),
+        buffer_capacity=None, checked=settings.checked, **settings.budget())
     seconds = time.perf_counter() - t0
-    payload = tracer.to_payload() if settings.trace else None
     if cache is not None:
         cache.store(key, "base", compiled)
-        if settings.trace:
-            cache.store(key, "trace", payload)
-    BASE_MEMO.put(key, (compiled, payload))
-    return compiled, seconds, "compiled", payload
+    BASE_MEMO.put(key, compiled)
+    return compiled, seconds, "compiled"
 
 
 #: :func:`base_key` -> the base's loop scan
@@ -366,70 +350,45 @@ def _execute_cell(
     """Run one cell end to end; raises AssertionError on checksum mismatch.
 
     The cell takes its group's base from :func:`_compile_base_timed`.
-    With ``settings.trace`` on, the cell's trace payload rides on
-    ``CellMetrics.trace``; a warm cell replays the trace stored beside
-    its run summary, and a warm cell without one falls through to
-    re-simulate (summaries are deterministic, so the stored one stays
-    valid).
+    With ``settings.trace`` on, the cell records what it computes — the
+    base compile, unless :data:`BASE_MEMO` serves it, then the retarget
+    and the simulation — onto ``CellMetrics.trace``, and reads and
+    writes no disk cache.
     """
     cm = CellMetrics(cell.name, cell.pipeline, cell.capacity)
     program = benchmark(cell.name)
+    if settings.trace:
+        cache = None
     key = run_key(program, cell.pipeline, cell.capacity, settings)
     if cache is not None:
         cached = cache.load(key, "run")
         if isinstance(cached, RunSummary):
-            if not settings.trace:
-                cm.run_cache_hit = True
-                return cached, cm
-            stored = cache.load(key, "trace")
-            if stored is not None:
-                cm.run_cache_hit = True
-                cm.trace = _cell_trace(cell, None, stored, replayed=True)
-                cm.obs = _fold_obs(None, stored)
-                return cached, cm
+            cm.run_cache_hit = True
+            return cached, cm
 
-    base, seconds, how, compile_payload = _compile_base_timed(
-        program, cell.pipeline, cache, settings)
+    compile_tracer = Tracer() if settings.trace else None
+    with obs_use(compile_tracer) if settings.trace else nullcontext():
+        base, seconds, how = _compile_base_timed(
+            program, cell.pipeline, cache, settings)
     if how != "memo":
         cm.stages["compile"] = seconds
     cm.base_cache_hit = how != "compiled"
 
-    tracer = Tracer() if settings.trace else None
-    with obs_use(tracer) if settings.trace else nullcontext():
+    run_tracer = Tracer() if settings.trace else None
+    with obs_use(run_tracer) if settings.trace else nullcontext():
         summary, _value = run_base(program, cell.pipeline, base,
                                    cell.capacity, settings, cm)
     if settings.trace:
-        run_payload = tracer.to_payload()
-        cm.trace = _cell_trace(cell, compile_payload, run_payload,
-                               replayed=False)
-        cm.obs = _fold_obs(compile_payload, run_payload)
+        cm.trace = {
+            "name": cell.name,
+            "pipeline": cell.pipeline,
+            "capacity": cell.capacity,
+            "compile": compile_tracer.to_payload(),
+            "run": run_tracer.to_payload(),
+        }
     if cache is not None:
         cache.store(key, "run", summary)
-        if settings.trace:
-            cache.store(key, "trace", run_payload)
     return summary, cm
-
-
-def _cell_trace(cell: Cell, compile_payload: dict | None,
-                run_payload: dict | None, replayed: bool) -> dict:
-    return {
-        "name": cell.name,
-        "pipeline": cell.pipeline,
-        "capacity": cell.capacity,
-        "compile": compile_payload,
-        "run": run_payload,
-        "replayed": replayed,
-    }
-
-
-def _fold_obs(compile_payload: dict | None,
-              run_payload: dict | None) -> dict | None:
-    """Merge the tracer metrics snapshots of a cell's phases into one."""
-    registry = MetricsRegistry()
-    for payload in (compile_payload, run_payload):
-        if payload and payload.get("metrics"):
-            registry.merge_snapshot(payload["metrics"])
-    return registry.snapshot() if len(registry) else None
 
 
 def run_cell(
@@ -482,7 +441,8 @@ def run_grid(
     compile error would, so keep grids small when debugging with it).
     ``trace`` records a span/event trace per cell onto its
     :class:`~repro.runner.metrics.CellMetrics` (see
-    :mod:`repro.obs.export` for the exporters).
+    :mod:`repro.obs.export` for the exporters); a traced grid reads and
+    writes no disk cache, so every cell runs.
     """
     if cache == "default":
         cache = default_cache()
@@ -524,10 +484,7 @@ def _collect(cells: Sequence[Cell], outcomes: Iterable, execute,
              settings: RunConfig) -> list[RunSummary]:
     """Finish a grid in input-cell order, the serial loop and the pool
     alike: retry once, in this process, each cell whose outcome is
-    ``None`` (see :func:`_attempt`), and record every cell.  A group's
-    compile trace is kept once per grid, on the first traced cell that
-    carries it."""
-    traced: set[tuple[str, str]] = set()
+    ``None`` (see :func:`_attempt`), and record every cell."""
     results: list[RunSummary] = []
     for cell, outcome in zip(cells, outcomes):
         if outcome is None:
@@ -536,11 +493,6 @@ def _collect(cells: Sequence[Cell], outcomes: Iterable, execute,
             cm.retries = 1
         else:
             summary, cm = outcome
-        if cm.trace is not None and cm.trace["compile"] is not None:
-            if cell.group in traced:
-                cm.trace["compile"] = None
-                cm.obs = _fold_obs(None, cm.trace["run"])
-            traced.add(cell.group)
         metrics.add_cell(cm)
         results.append(summary)
     return results

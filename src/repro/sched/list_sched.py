@@ -22,6 +22,7 @@ from repro.analysis.dependence import (
 from repro.analysis.predrel import PredicateRelations
 from repro.ir.block import BasicBlock
 from repro.ir.opcodes import Opcode
+from repro.obs import get_tracer
 
 from . import cache as sched_cache
 from .bundle import Schedule
@@ -162,14 +163,11 @@ def schedule_function(
     func,
     machine: MachineDescription = DEFAULT_MACHINE,
     liveness_info=None,
-    tracer=None,
 ) -> dict[str, Schedule]:
     """List-schedule every block; returns label -> Schedule."""
     from repro.analysis.liveness import liveness
 
-    if tracer is None:
-        from repro.obs import get_tracer
-        tracer = get_tracer()
+    tracer = get_tracer()
     if liveness_info is None:
         liveness_info = liveness(func)
     schedules: dict[str, Schedule] = {}

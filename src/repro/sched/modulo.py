@@ -29,6 +29,7 @@ from repro.analysis.predrel import PredicateRelations
 from repro.ir.block import BasicBlock
 from repro.ir.opcodes import Opcode, Unit, unit_of
 from repro.ir.registers import VReg
+from repro.obs import get_tracer
 
 from . import cache as sched_cache
 from .machine import DEFAULT_MACHINE, MachineDescription
@@ -168,12 +169,9 @@ def modulo_schedule(
     machine: MachineDescription = DEFAULT_MACHINE,
     max_ii: int = 256,
     budget_factor: int = 8,
-    tracer=None,
 ) -> ModuloSchedule:
     """Iteratively modulo-schedule a simple loop body."""
-    if tracer is None:
-        from repro.obs import get_tracer
-        tracer = get_tracer()
+    tracer = get_tracer()
     if not tracer.enabled:
         return _modulo_schedule(block, machine, max_ii, budget_factor)
     with tracer.span(f"modulo:{block.label}", category="sched",

@@ -279,11 +279,9 @@ def oracle_schedule(
     max_ii: int = 64,
     node_budget: int = DEFAULT_NODE_BUDGET,
     max_ops: int = DEFAULT_MAX_OPS,
-    tracer=None,
 ) -> OracleResult:
     """Exact minimal-II search over ``II in [MinII, max_ii]`` for a loop."""
-    if tracer is None:
-        tracer = get_tracer()
+    tracer = get_tracer()
     ops = [op for op in block.ops if op.opcode != Opcode.NOP]
     relations = PredicateRelations(block)
     graph = dependence_graph(ops, relations=relations,

@@ -335,7 +335,7 @@ class Service:
         answered with it.
         """
         try:
-            base, _seconds, how, _trace = _compile_base_timed(
+            base, _seconds, how = _compile_base_timed(
                 self._program(request), request.pipeline, self.cache,
                 settings)
         except Exception as exc:

@@ -35,6 +35,7 @@ from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
 from repro.loopbuffer.model import LoopBuffer, LoopState
+from repro.obs import get_tracer
 from repro.sched.machine import DEFAULT_MACHINE, MachineDescription
 from repro.sim.interp import Interpreter
 
@@ -124,18 +125,14 @@ class VLIWSimulator(Interpreter):
         machine: MachineDescription = DEFAULT_MACHINE,
         buffer: LoopBuffer | None = None,
         max_steps: int = 200_000_000,
-        tracer=None,
     ) -> None:
         super().__init__(module, profile=None, max_steps=max_steps)
-        if tracer is None:
-            from repro.obs import get_tracer
-            tracer = get_tracer()
         self.schedules = schedules
         self.modulo = dict(modulo or {})
         self.machine = machine
         self.buffer = buffer
         self.counters = SimCounters()
-        self.tracer = tracer
+        self.tracer = get_tracer()
         self._last_key: tuple[str, str] | None = None
         if buffer is not None and buffer.listener is None:
             buffer.listener = self._on_buffer_event
@@ -311,7 +308,6 @@ def simulate(
     entry: str = "main",
     args: list[int] | None = None,
     max_steps: int = 200_000_000,
-    tracer=None,
     trace=None,
 ):
     """Run a scheduled module on the predecoded
@@ -330,32 +326,15 @@ def simulate(
     """
     from repro.sim.engine import FastVLIWSimulator
 
-    if trace is not None:
-        if tracer is None:
-            from repro.obs import get_tracer
-            tracer = get_tracer()
-        if not tracer.enabled:
-            from repro.sim.replay import replay
+    if trace is not None and not get_tracer().enabled:
+        from repro.sim.replay import replay
 
-            replayed = replay(trace, module, schedules, modulo, machine,
-                              buffer_capacity, entry, args, max_steps)
-            if replayed is not None:
-                return replayed
+        replayed = replay(trace, module, schedules, modulo, machine,
+                          buffer_capacity, entry, args, max_steps)
+        if replayed is not None:
+            return replayed
 
     buffer = LoopBuffer(buffer_capacity) if buffer_capacity else None
     sim = FastVLIWSimulator(module, schedules, modulo, machine, buffer,
-                            max_steps=max_steps, tracer=tracer)
-    result = sim.run(entry, args)
-    tracer = sim.tracer
-    if tracer.enabled:
-        fetch = tracer.metrics.counter(
-            "sim_fetch_ops", "operations fetched, by loop and source")
-        lifecycle = tracer.metrics.counter(
-            "sim_buffer_events", "loop-buffer lifecycle events")
-        for key, lstats in sorted(sim.counters.per_loop.items()):
-            fetch.inc(lstats.ops_from_buffer, loop=key, source="buffer")
-            fetch.inc(lstats.ops_from_memory, loop=key, source="memory")
-            lifecycle.inc(lstats.records, loop=key, event="record")
-            lifecycle.inc(lstats.residency_hits, loop=key, event="hit")
-            lifecycle.inc(lstats.evictions, loop=key, event="evict")
-    return result, sim.counters, buffer
+                            max_steps=max_steps)
+    return sim.run(entry, args), sim.counters, buffer

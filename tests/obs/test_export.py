@@ -1,4 +1,6 @@
-"""Exporters: Chrome trace assembly, schema validation, flat reports."""
+"""Exporters: Chrome trace assembly, schema validation, the trace report."""
+
+import json
 
 from repro.obs import Tracer
 from repro.obs.export import (
@@ -6,35 +8,31 @@ from repro.obs.export import (
     TID_RUN,
     TID_SIM,
     cell_label,
-    flat_report,
     render_report,
-    report_from_chrome_trace,
     to_chrome_trace,
+    trace_report,
     validate_chrome_trace,
 )
 
+LOOP = {"buffer": 90, "memory": 10, "record": 1, "hit": 2, "evict": 0}
 
-def _cell(name="b", pipeline="aggressive", capacity=64, replayed=False):
+
+def _cell(name="b", pipeline="aggressive", capacity=64, loops=None):
     clock = iter(range(0, 10_000)).__next__
     compile_tracer = Tracer(clock=lambda: clock() * 1e-6)
     with compile_tracer.span("compile", category="pipeline"):
         with compile_tracer.span("peel_short_loops", scope="main"):
             pass
     run_tracer = Tracer()
-    with run_tracer.span("simulate", category="sim"):
+    with run_tracer.span("simulate", category="sim",
+                         loops={"main/L1": LOOP} if loops is None
+                         else loops):
         run_tracer.instant("buffer_record", category="sim", ts=10,
                            clock="cycles", loop="main/L1")
-    fetch = run_tracer.metrics.counter("sim_fetch_ops")
-    fetch.inc(90, loop="main/L1", source="buffer")
-    fetch.inc(10, loop="main/L1", source="memory")
-    events = run_tracer.metrics.counter("sim_buffer_events")
-    events.inc(1, loop="main/L1", event="record")
-    events.inc(2, loop="main/L1", event="hit")
     return {
         "name": name, "pipeline": pipeline, "capacity": capacity,
         "compile": compile_tracer.to_payload(),
         "run": run_tracer.to_payload(),
-        "replayed": replayed,
     }
 
 
@@ -44,7 +42,7 @@ class TestChromeTrace:
         assert validate_chrome_trace(doc) == []
         events = doc["traceEvents"]
         compile_spans = [e for e in events
-                        if e["ph"] == "X" and e["tid"] == TID_COMPILE]
+                         if e["ph"] == "X" and e["tid"] == TID_COMPILE]
         assert {e["name"] for e in compile_spans} \
             == {"compile", "peel_short_loops"}
         run_spans = [e for e in events
@@ -92,27 +90,41 @@ class TestValidate:
 
 
 class TestFlatReport:
+    """The report the runner writes as ``report.json``: one fold over the
+    Chrome document (:func:`trace_report`)."""
+
     def test_folds_passes_and_loops(self):
-        report = flat_report([_cell(), _cell(replayed=True)])
+        report = trace_report(to_chrome_trace([_cell("a"), _cell("b")]))
         assert report["passes"]["peel_short_loops"]["count"] == 2
-        loop = report["loops"]["main/L1"]
-        assert loop["buffer"] == 180 and loop["memory"] == 20
-        assert loop["record"] == 2 and loop["hit"] == 4
-        assert [c["replayed"] for c in report["cells"]] == [False, True]
-        # per-cell folds sum to the aggregate
-        assert sum(c["loops"]["main/L1"]["buffer"]
-                   for c in report["cells"]) == loop["buffer"]
+        assert [c["cell"] for c in report["cells"]] \
+            == ["a/aggressive@64", "b/aggressive@64"]
+        for cell in report["cells"]:
+            assert cell["passes"]["peel_short_loops"]["count"] == 1
+        assert report["loops"]["a/aggressive@64:main/L1"] == LOOP
+
+    def test_cells_sharing_a_loop_name_keep_their_own_rows(self):
+        other = {"buffer": 5, "memory": 7, "record": 3, "hit": 0,
+                 "evict": 1}
+        report = trace_report(to_chrome_trace([
+            _cell("adpcm_enc"), _cell("adpcm_dec", loops={"main/L1": other}),
+        ]))
+        assert report["loops"] == {
+            "adpcm_enc/aggressive@64:main/L1": LOOP,
+            "adpcm_dec/aggressive@64:main/L1": other,
+        }
 
     def test_report_from_chrome_trace(self):
+        # the runner folds the document it writes; the CLI folds it
+        # back from disk: one report either way
         doc = to_chrome_trace([_cell()])
-        report = report_from_chrome_trace(doc)
-        assert report["passes"]["peel_short_loops"]["count"] == 1
+        assert trace_report(json.loads(json.dumps(doc))) == trace_report(doc)
 
     def test_render_report(self):
-        text = render_report(flat_report([_cell()]))
+        text = render_report(trace_report(to_chrome_trace([_cell()])))
         assert "peel_short_loops" in text
-        assert "main/L1" in text
+        assert "b/aggressive@64:main/L1" in text
         assert "90.0%" in text  # 90/100 buffered
 
     def test_render_empty(self):
-        assert "empty trace" in render_report(flat_report([]))
+        assert "empty trace" in render_report(trace_report(
+            to_chrome_trace([])))

@@ -174,3 +174,35 @@ class TestTrend:
         out = capsys.readouterr().out
         assert "benchmark trajectories" in out
         assert "paper-cold/sched.list_s" in out
+
+    @staticmethod
+    def _history(path, drifting, at_newest):
+        """``steady`` and ``drifting`` series over three recordings; only
+        the series in ``at_newest`` get a record in the newest one."""
+        history = History(path)
+        stamps = ("2026-01-01T00:00:00+00:00", "2026-01-02T00:00:00+00:00",
+                  "2026-01-03T00:00:00+00:00")
+        for step, stamp in enumerate(stamps):
+            for name in ("steady", drifting):
+                if stamp == stamps[-1] and name not in at_newest:
+                    continue
+                median = 1.0 * (2 ** step if name == drifting else 1)
+                history.append({
+                    "bench": f"paper-cold/{name}", "unit": "s",
+                    "direction": "lower", "median": median, "mad": 0.0,
+                    "config_hash": name, "recorded_at": stamp})
+        return path
+
+    def test_retired_series_is_not_drift_checked(self, tmp_path, capsys):
+        # "gone" drifts 1 -> 2 over two recordings, then stops being
+        # recorded: only "steady" is live
+        path = self._history(tmp_path / "h.jsonl", "gone", {"steady"})
+        assert main(["perf", "trend", "--history", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "retired" in out and "paper-cold/gone" in out
+
+    def test_live_series_drift_still_fails(self, tmp_path, capsys):
+        path = self._history(tmp_path / "h.jsonl", "slower",
+                             {"steady", "slower"})
+        assert main(["perf", "trend", "--history", str(path)]) == 1
+        assert "DRIFT: paper-cold/slower" in capsys.readouterr().err

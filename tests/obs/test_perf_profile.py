@@ -3,28 +3,27 @@
 from repro.obs.perf.profile import PhaseProfile
 
 
-def _payload():
-    # open order with depths:  a( b( c ) d )  — µs durations
-    return {
-        "spans": [
-            {"name": "a", "dur": 100.0, "depth": 0},
-            {"name": "b", "dur": 60.0, "depth": 1},
-            {"name": "c", "dur": 25.0, "depth": 2},
-            {"name": "d", "dur": 15.0, "depth": 1},
-        ],
-        "events": [
-            {"name": "loop_record", "clock": "cycles"},
-            {"name": "loop_hit", "clock": "cycles"},
-            {"name": "loop_hit", "clock": "cycles"},
-            {"name": "wall_event", "clock": "us"},
-        ],
-    }
+def _doc(root=None):
+    """``a( b( c ) d )`` on one track, durations in µs; ``root`` names the
+    track's process (a cell label in runner exports)."""
+    events = [
+        {"ph": "X", "pid": 1, "tid": 1, "name": "a", "ts": 0, "dur": 100.0},
+        {"ph": "X", "pid": 1, "tid": 1, "name": "b", "ts": 5, "dur": 60.0},
+        {"ph": "X", "pid": 1, "tid": 1, "name": "c", "ts": 10, "dur": 25.0},
+        {"ph": "X", "pid": 1, "tid": 1, "name": "d", "ts": 70, "dur": 15.0},
+    ]
+    if root is not None:
+        events.insert(0, {"ph": "M", "name": "process_name", "pid": 1,
+                          "args": {"name": root}})
+    return {"traceEvents": events}
 
 
 class TestPayloadFolding:
+    """The span folds once run on tracer payloads, on the equivalent
+    Chrome document (the only input ``PhaseProfile`` folds)."""
+
     def test_self_time_subtracts_direct_children(self):
-        profile = PhaseProfile()
-        profile.add_payload(_payload())
+        profile = PhaseProfile.from_chrome_trace(_doc())
         assert profile.phases["a"]["wall_us"] == 100.0
         assert profile.phases["a"]["self_us"] == 25.0  # 100 - (60 + 15)
         assert profile.phases["b"]["self_us"] == 35.0  # 60 - 25
@@ -32,19 +31,11 @@ class TestPayloadFolding:
         assert profile.phases["d"]["self_us"] == 15.0
 
     def test_root_prefixes_every_stack(self):
-        profile = PhaseProfile()
-        profile.add_payload(_payload(), root="cell0")
+        profile = PhaseProfile.from_chrome_trace(_doc(root="cell0"))
         assert ("cell0", "a", "b", "c") in profile.stacks
 
-    def test_cycle_instants_counted_wall_events_ignored(self):
-        profile = PhaseProfile()
-        profile.add_payload(_payload())
-        assert profile.sim_events == {"loop_record": 1, "loop_hit": 2}
-
     def test_collapsed_lines_carry_integer_self_weights(self):
-        profile = PhaseProfile()
-        profile.add_payload(_payload())
-        lines = profile.collapsed_lines()
+        lines = PhaseProfile.from_chrome_trace(_doc()).collapsed_lines()
         assert "a 25" in lines
         assert "a;b 35" in lines
         assert "a;b;c 25" in lines
@@ -54,18 +45,13 @@ class TestPayloadFolding:
         assert total == 100
 
     def test_top_spans_sorted_by_wall(self):
-        profile = PhaseProfile()
-        profile.add_payload(_payload())
-        top = profile.top_spans(2)
+        top = PhaseProfile.from_chrome_trace(_doc()).top_spans(2)
         assert [s.name for s in top] == ["a", "b"]
         assert top[0].path == ("a",)
 
     def test_render_mentions_each_section(self):
-        profile = PhaseProfile()
-        profile.add_payload(_payload())
-        text = profile.render()
+        text = PhaseProfile.from_chrome_trace(_doc()).render()
         assert "per-phase attribution" in text
-        assert "simulator loop-buffer lifecycle" in text
 
     def test_empty_profile_renders_placeholder(self):
         assert "empty profile" in PhaseProfile().render()

@@ -40,12 +40,12 @@ def ref_profile_module(module, entry="main", args=None,
 
 def ref_simulate(module, schedules, modulo=None, machine=DEFAULT_MACHINE,
                  buffer_capacity=256, entry="main", args=None,
-                 max_steps=200_000_000, tracer=None, trace=None):
+                 max_steps=200_000_000, trace=None):
     """``simulate`` on the reference VLIW simulator: always in full, so
     ``trace`` is ignored."""
     buffer = LoopBuffer(buffer_capacity) if buffer_capacity else None
     sim = VLIWSimulator(module, schedules, modulo, machine, buffer,
-                        max_steps=max_steps, tracer=tracer)
+                        max_steps=max_steps)
     return sim.run(entry, args), sim.counters, buffer
 
 

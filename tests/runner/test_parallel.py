@@ -85,14 +85,14 @@ int main() {
     def test_compile_and_run_through_the_runner(self, cache):
         parallel.BASE_MEMO.clear()
         parallel.CLASS_MEMO.clear()
-        base, _seconds, how, _trace = _compile_base_timed(
+        base, _seconds, how = _compile_base_timed(
             self.SOURCE, "aggressive", cache)
         assert how == "compiled"
-        again, _seconds, how, _trace = _compile_base_timed(
+        again, _seconds, how = _compile_base_timed(
             self.SOURCE, "aggressive", cache)
         assert how == "memo" and again is base
         parallel.BASE_MEMO.clear()
-        again, _seconds, how, _trace = _compile_base_timed(
+        again, _seconds, how = _compile_base_timed(
             self.SOURCE, "aggressive", cache)
         assert how == "cache" and again.static_ops == base.static_ops
         cm = CellMetrics("src:sum8", "aggressive", 16)

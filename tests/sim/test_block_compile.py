@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 import repro.pipeline as pipeline
 import repro.sim.engine as engine
+from repro import obs
 from repro.analysis.profile import IncompleteProfileError, Profile
 from repro.bench import benchmark
 from repro.frontend import compile_source
@@ -610,16 +611,20 @@ def test_record_repeat_equals_separate_records():
 
 def _vliw(cls, module, max_steps=200_000_000):
     """A reference or fast VLIW simulator of an unscheduled module, with
-    an enabled tracer."""
-    return cls(module, {}, max_steps=max_steps, tracer=Tracer())
+    an enabled tracer (a simulator keeps the tracer installed when it
+    was built)."""
+    with obs.use(Tracer()):
+        return cls(module, {}, max_steps=max_steps)
 
 
 def _vliw_cell(cls, compiled, max_steps=200_000_000):
     """The same for a compiled artifact at its own capacity."""
     capacity = compiled.buffer_capacity
-    return cls(compiled.module, compiled.schedules, compiled.modulo,
-               compiled.machine, LoopBuffer(capacity) if capacity else None,
-               max_steps=max_steps, tracer=Tracer())
+    with obs.use(Tracer()):
+        return cls(compiled.module, compiled.schedules, compiled.modulo,
+                   compiled.machine,
+                   LoopBuffer(capacity) if capacity else None,
+                   max_steps=max_steps)
 
 
 def _vliw_outcome(sim, entry="main", args=()) -> tuple:
