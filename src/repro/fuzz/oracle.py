@@ -445,7 +445,10 @@ def check_many(
     objects.  ``workers <= 1`` (or a single program) runs serially.  With a
     ``cache``, verdict reports are stored under kind ``"fuzz"`` keyed by
     source + configs, so replaying an unchanged corpus hits disk only.
-    ``progress`` is an optional ``callable(index, report)``.
+    ``progress`` is an optional ``callable(index, report)``.  Each
+    program is checked once: a worker's exception propagates from here,
+    and a worker that dies raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.
     """
     configs = tuple(configs) if configs is not None else default_configs()
     seeds = [getattr(p, "seed", None) for p in programs]
@@ -489,13 +492,8 @@ def check_many(
             for index in pending
         }
         for index, future in futures.items():
-            try:
-                report, checks, frontends = pickle.loads(future.result())
-                CHECK_STATS.add(checks)
-                FRONTEND_STATS.add(frontends)
-            except Exception:
-                # worker death / pickle hiccup: redo serially in the parent
-                report = check_program(sources[index], configs, max_steps,
-                                       fault)
+            report, checks, frontends = pickle.loads(future.result())
+            CHECK_STATS.add(checks)
+            FRONTEND_STATS.add(frontends)
             _finish(index, report)
     return results  # type: ignore[return-value]

@@ -72,6 +72,9 @@ class History:
 
     def __init__(self, path: str | Path = DEFAULT_HISTORY) -> None:
         self.path = Path(path)
+        #: every record of the file, parsed on first read (see
+        #: :meth:`_all`); an :meth:`append` drops it
+        self._parsed: list[dict] | None = None
 
     # -- writing -------------------------------------------------------------
 
@@ -82,40 +85,44 @@ class History:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._parsed = None
         return record
 
     # -- reading -------------------------------------------------------------
 
-    def records(self, bench: str | None = None,
-                config_hash: str | None = None,
-                mode: str | None = None) -> list[dict]:
-        """Every stored record matching the filters, in file (time) order.
+    def _all(self) -> list[dict]:
+        """Every stored record, in file (time) order, parsed once per
+        instance.
 
         Unparseable lines are skipped — an append-only log must survive a
         torn write without poisoning every future comparison.
         """
-        if not self.path.exists():
-            return []
-        out = []
-        for line in self.path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            if bench is not None and record.get("bench") != bench:
-                continue
-            if config_hash is not None and \
-                    record.get("config_hash") != config_hash:
-                continue
-            if mode is not None and record.get("mode") != mode:
-                continue
-            out.append(record)
-        return out
+        if self._parsed is None:
+            self._parsed = []
+            if self.path.exists():
+                for line in self.path.read_text().splitlines():
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        record = json.loads(line)
+                    except ValueError:
+                        continue
+                    if isinstance(record, dict):
+                        self._parsed.append(record)
+        return self._parsed
+
+    def records(self, bench: str | None = None,
+                config_hash: str | None = None,
+                mode: str | None = None) -> list[dict]:
+        """Every stored record matching the filters, in file (time) order."""
+        return [
+            record for record in self._all()
+            if (bench is None or record.get("bench") == bench)
+            and (config_hash is None
+                 or record.get("config_hash") == config_hash)
+            and (mode is None or record.get("mode") == mode)
+        ]
 
     def benches(self) -> list[tuple[str, str, str]]:
         """Distinct (bench, mode, config_hash) series present, sorted."""

@@ -10,8 +10,8 @@ package makes cells cheap and repeatable:
   Compiled bases and run summaries persist across processes, so a sweep
   only ever compiles/simulates a configuration once per source change.
 - :mod:`repro.runner.parallel` — cell execution and process-pool fan-out
-  over a (benchmark × pipeline × capacity) grid with per-cell timeout,
-  retry-once on transient failure and deterministic result ordering.
+  over a (benchmark × pipeline × capacity) grid: each cell runs once,
+  the first failure fails the grid, results come back in input order.
 - :mod:`repro.runner.metrics` — wall-time / cache-traffic / per-stage
   timing accounting, emitted as JSON or a human table.
 - :mod:`repro.runner.cli` — ``python -m repro.runner`` front end.
@@ -25,9 +25,6 @@ Environment knobs (all optional):
     ``off``, empty) disables the on-disk cache entirely
 ``REPRO_WORKERS``
     default process-pool width (``0``/``1`` → serial in-process)
-``REPRO_TRACE``
-    ``1`` records per-cell traces into ``.repro_trace``; any other
-    non-falsey value is used as the trace directory (see :mod:`repro.obs`)
 """
 
 from repro.runner.cache import ArtifactCache, CacheStats, cache_key, default_cache

@@ -33,7 +33,7 @@ import sys
 from pathlib import Path
 
 from repro.bench import benchmark_names
-from repro.obs import DEFAULT_TRACE_DIR, trace_dir_from_env
+from repro.obs import DEFAULT_TRACE_DIR
 from repro.obs.export import (
     REPORT_FILENAME,
     TRACE_FILENAME,
@@ -94,9 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None,
                         help="process-pool width (default: REPRO_WORKERS or "
                              "the core count; 0/1 = serial)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="timeout in seconds per compile and per cell "
-                             "of a pool task (pool mode only)")
     parser.add_argument("--cache-dir", default=None,
                         help="artifact cache directory (default: "
                              "REPRO_CACHE_DIR or .repro_cache)")
@@ -107,13 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "sanitizer after every pass and fail on the "
                              "first violation (also: REPRO_CHECKED=1)")
     parser.add_argument("--trace", dest="trace_dir", nargs="?",
-                        const=DEFAULT_TRACE_DIR,
-                        default=trace_dir_from_env(), metavar="DIR",
+                        const=DEFAULT_TRACE_DIR, metavar="DIR",
                         help="record per-cell span/event traces and write "
                              f"{TRACE_FILENAME} (Chrome trace-event / "
                              f"Perfetto) plus {REPORT_FILENAME} into DIR "
-                             f"(default {DEFAULT_TRACE_DIR}; also: "
-                             "REPRO_TRACE=1 or REPRO_TRACE=DIR)")
+                             f"(default {DEFAULT_TRACE_DIR})")
     parser.add_argument("--json", dest="json_path", default=None,
                         metavar="FILE",
                         help="write runner metrics JSON here ('-' = stdout)")
@@ -237,8 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics = MetricsRecorder()
     cells = expand_grid(names, args.pipelines, args.capacities)
     try:
-        summaries = run_grid(cells, workers=args.workers,
-                             timeout=args.timeout, cache=cache,
+        summaries = run_grid(cells, workers=args.workers, cache=cache,
                              metrics=metrics,
                              checked=args.checked or None,
                              trace=bool(args.trace_dir))

@@ -37,11 +37,6 @@ class CellMetrics:
     #: a capacity class already computed in this process served the
     #: cell: no retarget, no simulation (DESIGN.md §5m)
     class_hit: bool = False
-    attempts: int = 1
-    #: parent-process re-executions after a worker timeout/death; a cell
-    #: that needed one is a service-level flakiness signal even though
-    #: its summary came back fine
-    retries: int = 0
     worker: str = "serial"
     #: the cell's trace payload (tracing only; never serialized whole)
     trace: dict | None = None
@@ -60,8 +55,6 @@ class CellMetrics:
             "base_cache_hit": self.base_cache_hit,
             "run_cache_hit": self.run_cache_hit,
             "class_hit": self.class_hit,
-            "attempts": self.attempts,
-            "retries": self.retries,
             "worker": self.worker,
         }
         if self.trace is not None:
@@ -152,7 +145,6 @@ class MetricsRecorder:
                 c.stages.get("retarget", 0.0) + c.stages.get("simulate", 0.0),
                 "hit" if c.run_cache_hit else
                 ("base-hit" if c.base_cache_hit else "miss"),
-                c.retries,
                 c.worker,
             ]
             for c in self.cells
@@ -166,14 +158,12 @@ class MetricsRecorder:
                 sum(c.stages.get("retarget", 0.0)
                     + c.stages.get("simulate", 0.0) for c in self.cells),
                 f"{self.run_cache_hits} hit",
-                sum(c.retries for c in self.cells),
                 "",
             ])
         table = format_table(
-            ["cell", "cap", "compile s", "run s", "cache", "retries",
-             "worker"], rows,
+            ["cell", "cap", "compile s", "run s", "cache", "worker"], rows,
             "per-cell runner metrics",
-            align=["l", "r", "r", "r", "l", "r", "l"],
+            align=["l", "r", "r", "r", "l", "l"],
         )
         summary = (
             f"{len(self.cells)} cells in {self.wall_time_s:.2f}s wall "

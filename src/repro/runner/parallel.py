@@ -14,9 +14,10 @@ benchmark (see :func:`_base_tasks`).  A task runs its cells in one
 worker just as the serial grid does, so each base is compiled once in
 the worker that uses it and each capacity class is served from that
 worker's memo.  Results always come back in input-cell order, whatever
-the completion order; a cell that times out or fails with anything
-other than a checksum mismatch is retried once in the parent process
-before the failure is allowed to propagate.
+the completion order.  Every cell is deterministic, so each runs once:
+the first failure propagates with its own exception, and a worker that
+dies fails the grid with
+:class:`~concurrent.futures.process.BrokenProcessPool`.
 """
 
 from __future__ import annotations
@@ -418,27 +419,23 @@ def run_cell(
 def run_grid(
     cells: Sequence[Cell],
     workers: int | None = None,
-    timeout: float | None = None,
     cache: ArtifactCache | None | str = "default",
     metrics: MetricsRecorder | None = None,
     checked: bool | None = None,
     trace: bool = False,
 ) -> list[RunSummary]:
-    """Execute every cell, returning summaries in input-cell order.
+    """Execute every cell once, returning summaries in input-cell order.
 
     ``workers`` ``<= 1`` (or a one-cell grid) runs serially in-process.
     Otherwise each pool task runs one benchmark's cells, or one
     (benchmark, pipeline) group's when there are fewer benchmarks than
     workers (see :func:`_base_tasks`), in one worker and in input order.
-    ``timeout`` is per compile and per cell: a task has ``timeout``
-    seconds for each of its groups and each of its cells to produce its
-    results once collection reaches it.
-    Timeouts and transient errors are retried once in the parent; checksum
-    mismatches (``AssertionError``) fail immediately — they are
-    deterministic.  ``checked`` turns on the pipeline's checked mode (a
-    :class:`~repro.pipeline.CheckedModeError` is deterministic and not
-    retried — it propagates from the first attempt's retry like any
-    compile error would, so keep grids small when debugging with it).
+    A cell's failure fails the grid with the cell's own exception: a
+    checksum mismatch (``AssertionError``), a
+    :class:`~repro.pipeline.CheckedModeError` under ``checked``, a trap
+    or a step limit.  A worker that dies raises
+    :class:`~concurrent.futures.process.BrokenProcessPool`.  Nothing is
+    retried: every cell is deterministic.
     ``trace`` records a span/event trace per cell onto its
     :class:`~repro.runner.metrics.CellMetrics` (see
     :mod:`repro.obs.export` for the exporters); a traced grid reads and
@@ -454,10 +451,9 @@ def run_grid(
 
     try:
         if workers <= 1 or len(cells) <= 1:
-            results = _run_serial(cells, cache, metrics, settings=settings)
+            results = _run_serial(cells, cache, metrics, settings)
         else:
-            results = _run_pool(cells, workers, timeout, cache, metrics,
-                                settings)
+            results = _run_pool(cells, workers, cache, metrics, settings)
     finally:
         metrics.finish()
         if cache is not None:
@@ -466,45 +462,15 @@ def run_grid(
     return results
 
 
-def _attempt(execute, cell: Cell, cache: ArtifactCache | None,
-             settings: RunConfig) -> tuple[RunSummary, CellMetrics] | None:
-    """One try at a cell: its result, or ``None`` when it failed with
-    anything but a checksum mismatch (which is deterministic, so it
-    propagates)."""
-    try:
-        return execute(cell, cache, settings)
-    except AssertionError:
-        raise
-    except Exception:
-        return None
-
-
-def _collect(cells: Sequence[Cell], outcomes: Iterable, execute,
-             cache: ArtifactCache | None, metrics: MetricsRecorder,
-             settings: RunConfig) -> list[RunSummary]:
-    """Finish a grid in input-cell order, the serial loop and the pool
-    alike: retry once, in this process, each cell whose outcome is
-    ``None`` (see :func:`_attempt`), and record every cell."""
+def _run_serial(cells: Sequence[Cell], cache: ArtifactCache | None,
+                metrics: MetricsRecorder,
+                settings: RunConfig = RunConfig()) -> list[RunSummary]:
     results: list[RunSummary] = []
-    for cell, outcome in zip(cells, outcomes):
-        if outcome is None:
-            summary, cm = execute(cell, cache, settings)
-            cm.attempts = 2
-            cm.retries = 1
-        else:
-            summary, cm = outcome
+    for cell in cells:
+        summary, cm = _execute_cell(cell, cache, settings)
         metrics.add_cell(cm)
         results.append(summary)
     return results
-
-
-def _run_serial(cells: Sequence[Cell], cache: ArtifactCache | None,
-                metrics: MetricsRecorder, _execute=None,
-                settings: RunConfig = RunConfig()) -> list[RunSummary]:
-    execute = _execute or _execute_cell
-    # a generator, so each cell's retry follows its own first try
-    outcomes = (_attempt(execute, cell, cache, settings) for cell in cells)
-    return _collect(cells, outcomes, execute, cache, metrics, settings)
 
 
 def _base_tasks(cells: Sequence[Cell],
@@ -527,50 +493,48 @@ def _base_tasks(cells: Sequence[Cell],
     return list(tasks.items())
 
 
-def _worker_task(cells: Sequence[Cell], cache_dir: str, cache_enabled: bool,
-                 settings: RunConfig = RunConfig()) -> tuple[list, CacheStats]:
+def _worker_task(
+    cells: Sequence[Cell], cache_dir: str, cache_enabled: bool,
+    settings: RunConfig = RunConfig(),
+) -> tuple[list[RunSummary], list[CellMetrics], CacheStats]:
     """Run one pool task's cells in order, in one worker (module-level,
-    so it pickles under every start method).  Returns each cell's
-    ``(summary, metrics)``, or ``None`` for a cell for the parent to
-    retry, and the worker's cache stats."""
+    so it pickles under every start method).  Returns the cells'
+    summaries and metrics, and the worker's cache stats; a cell's
+    exception propagates to the parent through the future."""
     cache = ArtifactCache(cache_dir, enabled=cache_enabled)
-    done = [_attempt(_execute_cell, cell, cache, settings) for cell in cells]
-    for outcome in done:
-        if outcome is not None:
-            outcome[1].worker = f"pid{os.getpid()}"
-    return done, cache.stats
+    metrics = MetricsRecorder()
+    summaries = _run_serial(cells, cache, metrics, settings)
+    for cm in metrics.cells:
+        cm.worker = f"pid{os.getpid()}"
+    return summaries, metrics.cells, cache.stats
 
 
-def _run_pool(cells: Sequence[Cell], workers: int, timeout: float | None,
+def _run_pool(cells: Sequence[Cell], workers: int,
               cache: ArtifactCache | None,
               metrics: MetricsRecorder,
               settings: RunConfig = RunConfig()) -> list[RunSummary]:
     cache_dir = str(cache.root) if cache is not None else ""
     cache_enabled = cache is not None and cache.enabled
-    done: list[tuple[RunSummary, CellMetrics] | None] = [None] * len(cells)
+    results: list = [None] * len(cells)
+    recorded: list = [None] * len(cells)
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         futures = []
         for name, pipelines in _base_tasks(cells, workers):
             indices = [index for index, cell in enumerate(cells)
                        if cell.name == name and cell.pipeline in pipelines]
-            budget = (None if timeout is None
-                      else timeout * (len(pipelines) + len(indices)))
-            futures.append((indices, budget, pool.submit(
+            futures.append((indices, pool.submit(
                 _worker_task, [cells[index] for index in indices],
                 cache_dir, cache_enabled, settings)))
-        for indices, budget, future in futures:
-            try:
-                outcomes, stats = future.result(timeout=budget)
-            except AssertionError:
-                raise
-            except Exception:
-                # timeout or worker death: nothing came back, so the
-                # parent retries every cell of the task
-                continue
+        for indices, future in futures:
+            summaries, cell_metrics, stats = future.result()
             metrics.merge_cache_stats(stats)
-            for index, outcome in zip(indices, outcomes):
-                done[index] = outcome
+            for index, summary, cm in zip(indices, summaries, cell_metrics):
+                results[index], recorded[index] = summary, cm
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return _collect(cells, done, _execute_cell, cache, metrics, settings)
+        # a failed task drops the tasks not yet started; the running
+        # ones finish before the failure reaches the caller
+        pool.shutdown(cancel_futures=True)
+    for cm in recorded:
+        metrics.add_cell(cm)
+    return results

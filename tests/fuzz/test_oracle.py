@@ -236,6 +236,27 @@ class TestCheckMany:
                    progress=lambda index, report: seen.append(index))
         assert seen == [0, 1]
 
+    def test_dead_worker_fails_the_batch(self, monkeypatch):
+        import multiprocessing
+        import os
+        from concurrent.futures.process import BrokenProcessPool
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched check reaches workers only under fork")
+        parent, real, parent_checks = os.getpid(), check_program, []
+
+        def check(source, *args):
+            if os.getpid() != parent:
+                os._exit(1)
+            parent_checks.append(source)
+            return real(source, *args)
+
+        # the patched module global reaches the forked workers
+        monkeypatch.setattr(oracle_mod, "check_program", check)
+        with pytest.raises(BrokenProcessPool):
+            check_many([generate(0), generate(1)], SMALL_GRID, workers=2)
+        assert parent_checks == []
+
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "fuzz_corpus"
 

@@ -206,3 +206,45 @@ class TestTrend:
                              {"steady", "slower"})
         assert main(["perf", "trend", "--history", str(path)]) == 1
         assert "DRIFT: paper-cold/slower" in capsys.readouterr().err
+
+
+class TestHistoryParsedOnce:
+    """``trend`` and ``compare`` parse each history line once, however
+    many series they look up in it."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        import types
+
+        import repro.obs.perf.history as history_module
+
+        calls = []
+
+        def counting(line):
+            calls.append(line)
+            return json.loads(line)
+
+        monkeypatch.setattr(history_module, "json", types.SimpleNamespace(
+            loads=counting, dumps=json.dumps))
+        return calls
+
+    def _recorded(self, tmp_path, times=3):
+        results = _write(tmp_path / "r.jsonl")
+        for _ in range(times):
+            assert main(_args("record", results, tmp_path)) == 0
+        lines = (tmp_path / "h.jsonl").read_text().splitlines()
+        assert len(lines) == 10 * times
+        return results, lines
+
+    def test_trend(self, tmp_path, capsys, loads):
+        _results, lines = self._recorded(tmp_path)
+        loads.clear()
+        assert main(["perf", "trend",
+                     "--history", str(tmp_path / "h.jsonl")]) == 0
+        assert sorted(loads) == sorted(lines)
+
+    def test_compare(self, tmp_path, capsys, loads):
+        results, lines = self._recorded(tmp_path)
+        loads.clear()
+        assert main(_args("compare", results, tmp_path)) == 0
+        assert sorted(loads) == sorted(lines)

@@ -143,15 +143,7 @@ class TestCli:
             assert {"compile_aggressive", "simulate"} <= span_names, run
         capsys.readouterr()
 
-    def test_env_var_enables_tracing(self, tmp_path, monkeypatch, capsys):
-        trace_dir = tmp_path / "env-traces"
-        monkeypatch.setenv("REPRO_TRACE", str(trace_dir))
-        assert self._run(tmp_path) == 0
-        assert (trace_dir / "trace.json").exists()
-        capsys.readouterr()
-
-    def test_no_trace_by_default(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
+    def test_no_trace_by_default(self, tmp_path, capsys):
         assert self._run(tmp_path) == 0
         assert not (tmp_path / ".repro_trace").exists()
         capsys.readouterr()

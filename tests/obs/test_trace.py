@@ -117,22 +117,3 @@ class TestGlobalTracer:
             with obs.use(Tracer()):
                 raise RuntimeError
         assert obs.get_tracer() is NULL_TRACER
-
-
-class TestTraceDirFromEnv:
-    @pytest.mark.parametrize("value", ["", "0", "false", "no", " "])
-    def test_falsey(self, value):
-        assert obs.trace_dir_from_env(value) is None
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on", "True"])
-    def test_flag(self, value):
-        assert obs.trace_dir_from_env(value) == obs.DEFAULT_TRACE_DIR
-
-    def test_path(self):
-        assert obs.trace_dir_from_env("/tmp/traces") == "/tmp/traces"
-
-    def test_reads_environment(self, monkeypatch):
-        monkeypatch.setenv(obs.ENV_TRACE, "somewhere")
-        assert obs.trace_dir_from_env() == "somewhere"
-        monkeypatch.delenv(obs.ENV_TRACE)
-        assert obs.trace_dir_from_env() is None

@@ -39,8 +39,7 @@ class TestToTable:
         metrics.add_cell(CellMetrics(
             "mpg123", "traditional", 2048,
             stages={"retarget": 0.125, "simulate": 0.375},
-            base_cache_hit=True, run_cache_hit=True, worker="pid7",
-            retries=1))
+            base_cache_hit=True, run_cache_hit=True, worker="pid7"))
         metrics.finish()
         return metrics
 
@@ -50,24 +49,18 @@ class TestToTable:
         table = self._recorder().to_table().split("\n\n")[0]
         assert table.splitlines() == [
             "per-cell runner metrics",
-            "cell                   cap  compile s  run s  cache  retries"
-            "  worker",
-            "--------------------  ----  ---------  -----  -----  -------"
-            "  ------",
-            "adpcm_enc/aggressive    64      1.500  0.500  miss         0"
-            "  serial",
-            "mpg123/traditional    2048      0.000  0.500  hit          1"
-            "  pid7  ",
-            "--------------------  ----  ---------  -----  -----  -------"
-            "  ------",
-            "total (2 cells)                 1.500  1.000  1 hit        1"
-            "        ",
+            "cell                   cap  compile s  run s  cache  worker",
+            "--------------------  ----  ---------  -----  -----  ------",
+            "adpcm_enc/aggressive    64      1.500  0.500  miss   serial",
+            "mpg123/traditional    2048      0.000  0.500  hit    pid7  ",
+            "--------------------  ----  ---------  -----  -----  ------",
+            "total (2 cells)                 1.500  1.000  1 hit        ",
         ]
 
-    def test_retries_in_payload(self):
+    def test_worker_in_payload(self):
         cells = self._recorder().as_dict()["cells"]
-        assert cells[0]["retries"] == 0
-        assert cells[1]["retries"] == 1
+        assert [c["worker"] for c in cells] == ["serial", "pid7"]
+        assert not {"retries", "attempts"} & set(cells[0])
 
     def test_empty_recorder_has_no_totals_row(self):
         metrics = MetricsRecorder()

@@ -1,13 +1,13 @@
 """Grid executor tests: determinism, serial/parallel equality, caching,
-retry semantics.
+failure propagation.
 
 The equality tests run real cells (adpcm — the fastest Table 1 programs)
-across both pipelines, serial vs. pooled, cold vs. warm cache; the retry
-tests inject failing executors instead of simulating real crashes.
+across both pipelines, serial vs. pooled, cold vs. warm cache; the
+failure tests inject failing executors and compiles instead of
+simulating real crashes.
 """
 
 import os
-import time
 
 import pytest
 
@@ -22,7 +22,6 @@ from repro.runner.parallel import (
     Source,
     _base_tasks,
     _compile_base_timed,
-    _run_serial,
     _worker_task,
     base_key,
     expand_grid,
@@ -194,76 +193,85 @@ class TestPoolAffinity:
         clear_caches()
         cells = expand_grid(["adpcm_enc"], ("traditional", "aggressive"),
                             (64, 256))
-        done, stats = _worker_task(cells, str(cache.root), True)
+        summaries, cell_metrics, stats = _worker_task(
+            cells, str(cache.root), True)
         assert FRONTEND_STATS.counts() == (1, 1, 0)
         # each pipeline's base compiles once, on its group's first cell
-        assert [("compile" in cm.stages) for _summary, cm in done] \
+        assert [("compile" in cm.stages) for cm in cell_metrics] \
             == [True, False, True, False]
         assert stats.stores == 2 + len(cells)   # two bases, every run
-        assert [summary for summary, _cm in done] \
-            == run_grid(cells, workers=1, cache=None)
+        assert summaries == run_grid(cells, workers=1, cache=None)
         clear_caches()
 
 
-class TestPoolTaskFailures:
-    """A pool task running several groups keeps the per-compile timeout,
-    and the parent retries only what the worker did not return: the
-    failed cells, or every cell of a task whose worker died.  The
-    patched compile reaches the pool workers because they fork after
-    the patch."""
+class TestFailures:
+    """Every cell is deterministic, so each runs once: the first failure
+    reaches the caller as its own exception, and a dead worker fails
+    the grid.  The patched functions reach pool workers because they
+    fork after the patch."""
 
     @pytest.fixture
-    def compile_calls(self, monkeypatch):
+    def forked(self):
         import multiprocessing
 
         if multiprocessing.get_start_method() != "fork":
-            pytest.skip("patched compiles reach workers only under fork")
+            pytest.skip("patched functions reach workers only under fork")
+
+    def test_serial_failure_runs_once_and_propagates(self, monkeypatch):
+        calls = []
+
+        def execute(cell, cache, settings):
+            calls.append(cell)
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(parallel, "_execute_cell", execute)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_grid(GRID, workers=1, cache=None)
+        assert calls == GRID[:1]
+
+    def _patch_compile(self, monkeypatch, in_worker):
+        """Patch the base compile: ``in_worker(name, pipeline)`` runs in
+        pool workers, the parent's calls are only recorded."""
         ready = {cell.group: _compile_base_timed(*cell.group, None)
                  for cell in GRID}
-        parent = os.getpid()
-        calls = {"parent": [], "delay": 0.0, "fail": None, "exit": None}
+        parent, parent_calls = os.getpid(), []
 
         def fake(program, pipeline, *_args, **_kwargs):
             name = getattr(program, "name", program)
             if os.getpid() == parent:
-                calls["parent"].append((name, pipeline))
-            elif (name, pipeline) == calls["fail"]:
-                raise RuntimeError("worker compile failed")
-            elif (name, pipeline) == calls["exit"]:
-                os._exit(1)
-            time.sleep(calls["delay"])
+                parent_calls.append((name, pipeline))
+            else:
+                in_worker(name, pipeline)
             return ready[name, pipeline]
 
         monkeypatch.setattr(parallel, "_compile_base_timed", fake)
-        calls["serial"] = run_grid(GRID, workers=1, cache=None)
-        calls["parent"].clear()
-        return calls
+        return parent_calls
 
-    def test_timeout_is_per_compile(self, compile_calls):
-        # each compile fits the timeout; a benchmark's two do not
-        compile_calls["delay"] = 1.5
-        results = run_grid(GRID, workers=2, timeout=2.0, cache=None)
-        assert compile_calls["parent"] == []
-        assert results == compile_calls["serial"]
+    def test_worker_checked_mode_error_reaches_the_caller(
+            self, forked, monkeypatch):
+        from repro.pipeline import CheckedModeError
 
-    def test_parent_retries_only_the_failed_compile(self, compile_calls):
-        compile_calls["fail"] = ("adpcm_dec", "aggressive")
-        results = run_grid(GRID, workers=2, cache=None)
-        assert compile_calls["parent"] == [("adpcm_dec", "aggressive")]
-        assert results == compile_calls["serial"]
+        def in_worker(name, pipeline):
+            if (name, pipeline) == ("adpcm_dec", "aggressive"):
+                raise CheckedModeError("hyperblock", [])
 
-    def test_dead_worker_task_is_retried_in_the_parent(self, compile_calls):
-        compile_calls["exit"] = ("adpcm_dec", "aggressive")
-        metrics = MetricsRecorder()
-        results = run_grid(GRID, workers=2, cache=None, metrics=metrics)
-        assert results == compile_calls["serial"]
-        assert ("adpcm_dec", "aggressive") in compile_calls["parent"]
-        for cm in metrics.cells:
-            # the dead worker's task held both adpcm_dec cells; the
-            # other task may have died with the pool, or finished
-            if cm.name == "adpcm_dec":
-                assert (cm.retries, cm.attempts) == (1, 2), cm
-            assert cm.retries <= 1, cm
+        parent_calls = self._patch_compile(monkeypatch, in_worker)
+        with pytest.raises(CheckedModeError) as excinfo:
+            run_grid(GRID, workers=2, cache=None)
+        assert excinfo.value.pass_name == "hyperblock"
+        assert parent_calls == []
+
+    def test_dead_worker_fails_the_grid(self, forked, monkeypatch):
+        from concurrent.futures.process import BrokenProcessPool
+
+        def in_worker(name, pipeline):
+            if (name, pipeline) == ("adpcm_dec", "aggressive"):
+                os._exit(1)
+
+        parent_calls = self._patch_compile(monkeypatch, in_worker)
+        with pytest.raises(BrokenProcessPool):
+            run_grid(GRID, workers=2, cache=None)
+        assert parent_calls == []
 
 
 class TestRunCell:
@@ -283,46 +291,3 @@ class TestRunCell:
     def test_unknown_pipeline(self):
         with pytest.raises(ValueError):
             run_cell("adpcm_enc", "mystery", 64)
-
-
-class TestRetry:
-    def _flaky(self, fail_times, exc=RuntimeError):
-        calls = {"n": 0}
-
-        def execute(cell, cache, settings):
-            calls["n"] += 1
-            if calls["n"] <= fail_times:
-                raise exc("transient")
-            from repro.runner.metrics import CellMetrics
-            from repro.runner.summary import RunSummary
-
-            summary = RunSummary(cell.name, cell.pipeline, cell.capacity,
-                                 1, 1, 1, 1, 0, 1, 0)
-            return summary, CellMetrics(cell.name, cell.pipeline,
-                                        cell.capacity)
-
-        return execute, calls
-
-    def test_transient_failure_retried_once(self):
-        execute, calls = self._flaky(1)
-        metrics = MetricsRecorder()
-        cells = [Cell("a", "traditional", 64)]
-        results = _run_serial(cells, None, metrics, _execute=execute)
-        assert len(results) == 1
-        assert calls["n"] == 2
-        assert metrics.cells[0].attempts == 2
-        assert metrics.cells[0].retries == 1
-
-    def test_second_failure_propagates(self):
-        execute, calls = self._flaky(2)
-        with pytest.raises(RuntimeError):
-            _run_serial([Cell("a", "traditional", 64)], None,
-                        MetricsRecorder(), _execute=execute)
-        assert calls["n"] == 2
-
-    def test_checksum_mismatch_not_retried(self):
-        execute, calls = self._flaky(1, exc=AssertionError)
-        with pytest.raises(AssertionError):
-            _run_serial([Cell("a", "traditional", 64)], None,
-                        MetricsRecorder(), _execute=execute)
-        assert calls["n"] == 1

@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.obs import trace_dir_from_env
 from repro.pipeline import RunConfig
 from repro.runner.cache import default_cache
 
 #: flag name -> reads whether the flag is on under the current environment
 FLAGS = {
     "REPRO_CHECKED": lambda tmp: RunConfig.resolve().checked,
-    "REPRO_TRACE": lambda tmp: trace_dir_from_env() is not None,
     "REPRO_NO_CACHE": lambda tmp: not default_cache(tmp).enabled,
 }
 
