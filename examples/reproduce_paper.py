@@ -12,7 +12,6 @@ allows.
 """
 
 import argparse
-import os
 
 from repro.bench import benchmark_names
 from repro.experiments import common, fig3, fig5, fig7, fig8
@@ -32,12 +31,11 @@ def main() -> None:
                              "REPRO_CACHE_DIR or .repro_cache)")
     parser.add_argument("--checked", action="store_true",
                         help="run the semantic sanitizer after every "
-                             "compiler pass (also: REPRO_CHECKED=1)")
+                             "compiler pass")
     args = parser.parse_args()
-    if args.checked:
-        os.environ["REPRO_CHECKED"] = "1"
 
-    common.reset(default_cache(args.cache_dir, enabled=not args.no_cache))
+    common.reset(default_cache(args.cache_dir, enabled=not args.no_cache),
+                 checked=args.checked)
     names = benchmark_names()
     sizes = (16, 64, 256, 1024) if args.quick else (16, 32, 64, 128, 256,
                                                     512, 1024, 2048)

@@ -13,8 +13,9 @@ or from the shell (sweeps the bench corpus through both pipelines)::
     python -m repro.analysis.lint --json -
 
 See DESIGN.md for the rule catalog.  Checked mode
-(``compile_*(..., checked=True)`` or ``REPRO_CHECKED=1``) runs these rules
-after every pass and attributes the first violation to the offending pass.
+(``compile_*(..., checked=True)``, or ``--checked`` on the runner, lint
+and figure CLIs) runs these rules after every pass and attributes the
+first violation to the offending pass.
 """
 
 from . import (  # noqa: F401  (register rules)

@@ -141,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
             label = f"{name}/{pipeline}"
             try:
                 base = compile_base(name, pipeline, cache=cache,
-                                    checked=True if args.checked else None)
+                                    checked=args.checked)
                 compiled = with_buffer(base, capacity)
             except CheckedModeError as exc:
                 failed = True

@@ -181,9 +181,6 @@ class PredicateWeb:
                     self.sites.append(site)
                     self._site_of[(op.uid, dest_idx)] = site.sid
 
-    def site(self, sid: int) -> Site:
-        return self.sites[sid]
-
     # -- transfer -----------------------------------------------------------------
 
     def _transfer_block(self, label: str, state: _State) -> _State:
@@ -373,12 +370,6 @@ class WebPoint:
         """Site ids whose value may be current for ``reg`` (may include
         :data:`UNDEF`)."""
         return self._env.get(reg, _UNDEF_SITES)
-
-    def web_of(self, reg: VReg) -> list[Site]:
-        """The reaching definition sites of ``reg``, in site order
-        (:data:`UNDEF` is reported via :meth:`possibly_undefined`)."""
-        return [self._web.site(sid)
-                for sid in sorted(self.sites(reg)) if sid != UNDEF]
 
     def possibly_undefined(self, reg: VReg) -> bool:
         """Some path reaches this point without any write to ``reg``."""

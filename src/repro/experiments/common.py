@@ -8,13 +8,15 @@ grid-shaped experiments can prewarm many cells at once through the
 process-pool executor via :func:`prewarm`.  The historical entry
 points — ``compiled_base(name, pipeline)`` and
 ``run_at_capacity(name, pipeline, capacity)`` — keep their signatures and
-semantics, so callers and tests are unaffected.
+semantics, so callers and tests are unaffected.  Every compile and run
+under the facade uses one :class:`~repro.pipeline.RunConfig`, unchecked
+unless :func:`reset` (or ``--checked`` through :func:`experiment_args`)
+sets checked mode.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 
 from repro.pipeline import Compiled, RunConfig
 from repro.runner import metrics as _metrics_mod
@@ -47,31 +49,32 @@ FIG7_SIZES = (16, 32, 64, 128, 256, 512, 1024, 2048)
 #: the headline configuration (Sections 1 and 7)
 HEADLINE_CAPACITY = 256
 
-#: process-wide runner state shared by every experiment module; the run
-#: table (the figures' results, unbounded) keys on the run settings too,
-#: so flipping ``REPRO_CHECKED`` mid-process never serves an unchecked
-#: result
+#: process-wide runner state shared by every experiment module: the run
+#: settings, the disk cache, the accounting and the run table (the
+#: figures' results, unbounded).  Only :func:`reset` changes the
+#: settings, and it clears the table, so the table never mixes modes.
+_SETTINGS = RunConfig()
 _CACHE: ArtifactCache | None = None
 _METRICS = _metrics_mod.MetricsRecorder()
-_RUN_MEMO: dict[tuple[str, str, int | None, RunConfig], RunSummary] = {}
+_RUN_MEMO: dict[tuple[str, str, int | None], RunSummary] = {}
 
 
 def experiment_args(description: str | None = None,
                     argv: list[str] | None = None) -> argparse.Namespace:
     """Shared CLI for the figure-script ``main``s.
 
-    ``--checked`` exports ``REPRO_CHECKED=1`` so every compile under the
-    facade (and in pool workers) runs the per-pass semantic sanitizer;
-    see :mod:`repro.analysis.lint`.  Note checked compiles use distinct
-    cache keys, so the first such run recompiles everything.
+    ``--checked`` puts the facade in checked mode (:func:`reset`), so
+    every compile under it (and in pool workers) runs the per-pass
+    semantic sanitizer; see :mod:`repro.analysis.lint`.  Note checked
+    compiles use distinct cache keys, so the first such run recompiles
+    everything.
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--checked", action="store_true",
                         help="run the semantic sanitizer after every "
-                             "compiler pass (also: REPRO_CHECKED=1)")
+                             "compiler pass")
     args = parser.parse_args(argv)
-    if args.checked:
-        os.environ["REPRO_CHECKED"] = "1"
+    reset(_CACHE, checked=args.checked)
     return args
 
 
@@ -87,10 +90,12 @@ def runner_metrics() -> _metrics_mod.MetricsRecorder:
     return _METRICS
 
 
-def reset(cache: ArtifactCache | None = None) -> None:
-    """Drop the run table and the runner's base memo (and optionally
-    swap the disk cache)."""
-    global _CACHE, _METRICS
+def reset(cache: ArtifactCache | None = None, checked: bool = False) -> None:
+    """Drop the run table and the runner's base memo, swap the disk cache
+    (``None``: the default one) and set checked mode for every later
+    compile and run under the facade."""
+    global _CACHE, _METRICS, _SETTINGS
+    _SETTINGS = RunConfig(checked)
     BASE_MEMO.clear()
     _RUN_MEMO.clear()
     _METRICS = _metrics_mod.MetricsRecorder()
@@ -100,20 +105,19 @@ def reset(cache: ArtifactCache | None = None) -> None:
 def compiled_base(name: str, pipeline: str) -> Compiled:
     """Compile a benchmark once per pipeline, without buffer assignment
     (``with_buffer`` retargets it per capacity)."""
-    return compile_base(name, pipeline, _cache())
+    return compile_base(name, pipeline, _cache(), _SETTINGS.checked)
 
 
 def run_at_capacity(name: str, pipeline: str,
                     capacity: int | None) -> RunSummary:
     """Compile (cached), retarget at ``capacity``, simulate, summarize."""
-    settings = RunConfig.resolve()
-    key = (name, pipeline, capacity, settings)
+    key = (name, pipeline, capacity)
     if key not in _RUN_MEMO:
         _RUN_MEMO[key] = run_cell(
             name, pipeline, capacity,
             cache=_cache(),
             metrics=_METRICS,
-            checked=settings.checked,
+            checked=_SETTINGS.checked,
         )
     return _RUN_MEMO[key]
 
@@ -131,17 +135,14 @@ def prewarm(
     for free — from the pool when cold, from disk when warm.  Cells
     already memoized are skipped.
     """
-    settings = RunConfig.resolve()
     cells = [
         cell for cell in expand_grid(names, pipelines, capacities)
-        if (cell.name, cell.pipeline, cell.capacity, settings)
-        not in _RUN_MEMO
+        if (cell.name, cell.pipeline, cell.capacity) not in _RUN_MEMO
     ]
     if not cells:
         return []
     summaries = run_grid(cells, workers=workers, cache=_cache(),
-                         metrics=_METRICS, checked=settings.checked)
+                         metrics=_METRICS, checked=_SETTINGS.checked)
     for cell, summary in zip(cells, summaries):
-        _RUN_MEMO[(cell.name, cell.pipeline, cell.capacity,
-                   settings)] = summary
+        _RUN_MEMO[(cell.name, cell.pipeline, cell.capacity)] = summary
     return summaries

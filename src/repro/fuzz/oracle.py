@@ -72,7 +72,7 @@ class Config:
 
     def run(self, max_steps: int) -> RunConfig:
         """The run settings this config compiles and simulates under."""
-        return RunConfig.resolve(self.checked, max_steps)
+        return RunConfig(self.checked, max_steps)
 
     @property
     def label(self) -> str:

@@ -24,22 +24,20 @@ assignment (which rewrites ``cloop_set`` into ``rec_cloop`` / inserts
 ``rec_wloop``) on a copy-on-write overlay of the base, which is also what
 ``compile_*(buffer_capacity=N)`` returns.
 
-**Checked mode** (``checked=True``, or the ``REPRO_CHECKED`` environment
-variable) runs the :mod:`repro.analysis.lint` sanitizer after every pass
-and raises :class:`CheckedModeError` naming the first pass that left the
-IR — or a schedule, or the buffer assignment — in an illegal state.
+**Checked mode** (``checked=True``) runs the :mod:`repro.analysis.lint`
+sanitizer after every pass and raises :class:`CheckedModeError` naming
+the first pass that left the IR — or a schedule, or the buffer
+assignment — in an illegal state.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro import falsey
 from repro.analysis.cfgview import CFGView
 from repro.analysis.lint import (
     Diagnostic,
@@ -162,8 +160,6 @@ class SimulationOutcome:
         return self.counters.cycles
 
 
-ENV_CHECKED = "REPRO_CHECKED"
-
 #: transforms legitimately strand remnant blocks between passes (peeling,
 #: hyperblock formation); a later ``simplify_cfg`` sweeps them, so the
 #: per-pass sanitizer must not flag them.
@@ -174,29 +170,23 @@ _PER_PASS_SKIP = frozenset({"unreachable-block"})
 class RunConfig:
     """How a compile or run executes: checked mode, step budget
     (``None``: each layer's default) and whether the runner records a
-    trace.  Entry points :meth:`resolve` it once and pass it down;
-    ``RunConfig()`` is unchecked, default budget, untraced.
+    trace.  Entry points build it once from their arguments and pass it
+    down; ``RunConfig()`` is unchecked, default budget, untraced.
+    Construction raises :class:`ValueError` on a bad checked flag or
+    budget.
     """
 
     checked: bool = False
     max_steps: int | None = None
     trace: bool = False
 
-    @classmethod
-    def resolve(cls, checked: bool | None = None,
-                max_steps: int | None = None,
-                trace: bool = False) -> "RunConfig":
-        """Arguments win over ``REPRO_CHECKED``; :class:`ValueError` on a
-        bad checked flag or budget."""
-        if checked is None:
-            checked = not falsey(os.environ.get(ENV_CHECKED))
-        elif type(checked) is not bool:
-            raise ValueError(f"checked must be a bool, got {checked!r}")
-        if max_steps is not None and (type(max_steps) is not int
-                                      or max_steps < 1):
+    def __post_init__(self) -> None:
+        if type(self.checked) is not bool:
+            raise ValueError(f"checked must be a bool, got {self.checked!r}")
+        if self.max_steps is not None and (type(self.max_steps) is not int
+                                           or self.max_steps < 1):
             raise ValueError(
-                f"max_steps must be a positive int, got {max_steps!r}")
-        return cls(checked, max_steps, bool(trace))
+                f"max_steps must be a positive int, got {self.max_steps!r}")
 
     def key_flags(self) -> dict:
         """The cache-key fragment; ``trace`` only observes, so it is not
@@ -584,11 +574,11 @@ def compile_traditional(
     buffer_capacity: int | None = 256,
     inline_budget: float = 0.5,
     max_steps: int = 200_000_000,
-    checked: bool | None = None,
+    checked: bool = False,
 ) -> Compiled:
     """The baseline pipeline: no predication, no loop restructuring."""
     args = list(args or [])
-    settings = RunConfig.resolve(checked, max_steps)
+    settings = RunConfig(checked, max_steps)
     stats: dict[str, object] = {"pipeline": "traditional"}
     if settings.checked:
         stats["checked"] = True
@@ -620,11 +610,11 @@ def compile_aggressive(
     peel: bool = True,
     promote: bool = True,
     combine: bool = True,
-    checked: bool | None = None,
+    checked: bool = False,
 ) -> Compiled:
     """The paper's aggressive pipeline (hyperblock + loop transforms)."""
     args = list(args or [])
-    settings = RunConfig.resolve(checked, max_steps)
+    settings = RunConfig(checked, max_steps)
     stats: dict[str, object] = {"pipeline": "aggressive"}
     if settings.checked:
         stats["checked"] = True
@@ -842,7 +832,7 @@ def run_compiled(
     record, hit, evict}``.
     """
     buffer_capacity = compiled.buffer_capacity
-    settings = RunConfig.resolve(max_steps=max_steps)
+    settings = RunConfig(max_steps=max_steps)
     tracer = get_tracer()
     sim_args = (compiled.module, compiled.schedules, compiled.modulo,
                 compiled.machine, buffer_capacity, compiled.entry,

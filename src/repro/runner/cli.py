@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--checked", action="store_true",
                         help="compile in checked mode: run the semantic "
                              "sanitizer after every pass and fail on the "
-                             "first violation (also: REPRO_CHECKED=1)")
+                             "first violation")
     parser.add_argument("--trace", dest="trace_dir", nargs="?",
                         const=DEFAULT_TRACE_DIR, metavar="DIR",
                         help="record per-cell span/event traces and write "
@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         summaries = run_grid(cells, workers=args.workers, cache=cache,
                              metrics=metrics,
-                             checked=args.checked or None,
+                             checked=args.checked,
                              trace=bool(args.trace_dir))
     except AssertionError as exc:
         print(f"CHECKSUM MISMATCH: {exc}", file=sys.stderr)

@@ -176,10 +176,10 @@ def run_key(program: Program, pipeline: str, capacity: int | None,
 
 def compile_base(name: str, pipeline: str,
                  cache: ArtifactCache | None = None,
-                 checked: bool | None = None) -> Compiled:
+                 checked: bool = False) -> Compiled:
     """Compiled-but-unassigned base for a (benchmark, pipeline) group."""
     compiled, _seconds, _how = _compile_base_timed(
-        name, pipeline, cache, RunConfig.resolve(checked))
+        name, pipeline, cache, RunConfig(checked))
     return compiled
 
 
@@ -398,12 +398,12 @@ def run_cell(
     capacity: int | None,
     cache: ArtifactCache | None = None,
     metrics: MetricsRecorder | None = None,
-    checked: bool | None = None,
+    checked: bool = False,
     trace: bool = False,
 ) -> RunSummary:
     """The single-cell entry point the experiments facade builds on."""
     summary, cm = _execute_cell(Cell(name, pipeline, capacity), cache,
-                                RunConfig.resolve(checked, trace=trace))
+                                RunConfig(checked, trace=trace))
     if metrics is not None:
         metrics.add_cell(cm)
         if cache is not None:
@@ -421,7 +421,7 @@ def run_grid(
     workers: int | None = None,
     cache: ArtifactCache | None | str = "default",
     metrics: MetricsRecorder | None = None,
-    checked: bool | None = None,
+    checked: bool = False,
     trace: bool = False,
 ) -> list[RunSummary]:
     """Execute every cell once, returning summaries in input-cell order.
@@ -447,7 +447,7 @@ def run_grid(
     workers = resolve_workers(workers)
     metrics.workers = max(1, workers)
     cells = list(cells)
-    settings = RunConfig.resolve(checked, trace=trace)
+    settings = RunConfig(checked, trace=trace)
 
     try:
         if workers <= 1 or len(cells) <= 1:

@@ -77,8 +77,9 @@ class Request:
     id: str | None = None
 
     def validate(self) -> RunConfig:
-        """Check the request and return its run settings, resolved
-        against the environment.  ``capacity`` must be ``None`` or a
+        """Check the request and return its run settings.  ``checked``
+        must be a bool (a ``null`` is a bad request), ``max_steps``
+        ``None`` or a positive int, and ``capacity`` ``None`` or a
         non-bool ``int >= 0``."""
         if self.kind not in REQUEST_KINDS:
             raise ProtocolError(f"unknown request kind {self.kind!r}")
@@ -89,7 +90,7 @@ class Request:
                     "benchmark/source")
         try:
             check_capacity(self.capacity)
-            return RunConfig.resolve(self.checked, self.max_steps)
+            return RunConfig(self.checked, self.max_steps)
         except ValueError as exc:
             raise ProtocolError(str(exc)) from None
 

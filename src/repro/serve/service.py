@@ -40,7 +40,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.bench import benchmark
@@ -168,10 +168,8 @@ class Service:
             self._finish(out, request, t0, hit)
             return out
 
-        # 2. coalesce with an identical in-flight computation, keyed on
-        # the resolved settings: a default left unset equals one spelled out
-        resolved = replace(request, checked=settings.checked)
-        key = resolved.coalesce_key()
+        # 2. coalesce with an identical in-flight computation
+        key = request.coalesce_key()
         deadline = request.deadline_s
         if deadline is None:
             deadline = self.config.deadline_s
@@ -180,7 +178,7 @@ class Service:
             coalesced = comp is not None
             if comp is None:
                 comp = Computation(
-                    key=key, request=resolved, settings=settings,
+                    key=key, request=request, settings=settings,
                     deadline_at=(time.perf_counter() + deadline
                                  if deadline is not None else None))
                 # register before dispatch so a concurrent identical

@@ -1,4 +1,4 @@
-"""Fast-path execution engine: predecoded blocks + a loop-body trace cache.
+"""Fast-path execution engine: pre-decoded blocks + a loop-body trace cache.
 
 The reference :class:`~repro.sim.interp.Interpreter` re-dispatches every
 operation on every pass — an isinstance chain per operand, a dict of
@@ -31,10 +31,9 @@ This module mirrors the loop-buffer idea at the host level:
   slot assignment (:class:`FunctionProgram`), replacing the ``VReg``-keyed
   dict of the reference frame.
 * Decoded :class:`BlockProgram` objects live in a :class:`TraceCache`
-  private to one simulator, keyed by ``(function, block label)``, with
-  explicit invalidation hooks (:meth:`TraceCache.invalidate`) plus a
-  cheap per-pass staleness check (``len(block.ops)``) that catches op
-  insertion/removal between passes.
+  private to one simulator, keyed by ``(function, block label)``.  Each
+  simulator runs over a fixed module, so a block is decoded at most once
+  per simulator.
 * Profile counts (block passes, op fetches, edge traversals, taken
   branches) are accumulated in flat per-block arrays and folded into the
   :class:`~repro.analysis.profile.Profile` once at the end of the run —
@@ -47,18 +46,11 @@ This module mirrors the loop-buffer idea at the host level:
 Architectural behaviour is bit-identical to the reference engine: same
 values, same traps (including the exact op at which ``StepLimitExceeded``
 fires), same ``SimCounters``/``LoopFetchStats`` and obs instants for the
-VLIW.  Two exceptions, both enforced:
-
-* after a *trap*, ``steps`` and the profile are unspecified (the
-  reference records op by op, the fast engine per pass or per fused run
-  of self-passes, so a trap can drop several completed passes); both
-  engines mark the profile ``incomplete`` and its query methods raise;
-* in-run IR mutation must not introduce new virtual registers: on both
-  engines a function's slot layout is built by one scan in
-  :class:`FunctionProgram` and frozen, and a redecode that meets a
-  register the scan did not see raises :class:`SimError` naming it (use
-  :meth:`TraceCache.invalidate` and a fresh run for structural edits).
-  A fused loop sees an edit to its own block only at its next entry.
+VLIW.  One exception, enforced: after a *trap*, ``steps`` and the
+profile are unspecified (the reference records op by op, the fast engine
+per pass or per fused run of self-passes, so a trap can drop several
+completed passes); both engines mark the profile ``incomplete`` and its
+query methods raise.
 
 These are the only engines the program runs: ``run_module``,
 ``profile_module`` and ``simulate`` construct them directly.  The
@@ -172,7 +164,7 @@ _TERNARY = {
     Opcode.SELECT: lambda a, b, c: b if a else c,
 }
 
-#: predecoded comparison tests (same semantics as ``values.compare``; the
+#: pre-decoded comparison tests (same semantics as ``values.compare``; the
 #: test string is validated at ``Operation`` construction time)
 _CMP = {
     "eq": lambda a, b: int(a == b),
@@ -283,13 +275,7 @@ class FunctionProgram:
         self.entry_label = func.entry.label
 
     def slot(self, reg: VReg) -> int:
-        index = self._slots.get(reg)
-        if index is None:
-            raise SimError(
-                f"{self.name}: register {reg!r} was not in the function "
-                "when it was first decoded; in-run IR edits must not "
-                "add registers (invalidate the cache and run afresh)")
-        return index
+        return self._slots[reg]
 
     def block_program(self, label: str) -> BlockProgram:
         prog = self.progs.get(label)
@@ -300,20 +286,13 @@ class FunctionProgram:
             self.progs[label] = prog
         return prog
 
-    def redecode(self, label: str) -> BlockProgram:
-        """Staleness hook: re-decode one block whose op list changed."""
-        self.progs.pop(label, None)
-        return self.block_program(label)
-
 
 class TraceCache:
     """Host-level decode-once cache keyed by ``(function, block label)``.
 
     Owned by one simulator instance; ``decoded_blocks``/``decoded_ops``
     count decode work (a steady-state loop decodes exactly once however
-    many iterations run).  :meth:`invalidate` drops decoded programs so
-    mutated IR is re-decoded; independently, the frame loop re-decodes any
-    block whose ``len(block.ops)`` changed since decode.
+    many iterations run).
     """
 
     def __init__(self, sim: Interpreter, vliw: bool) -> None:
@@ -325,24 +304,10 @@ class TraceCache:
 
     def function_program(self, func) -> FunctionProgram:
         fprog = self.functions.get(func.name)
-        if fprog is None or fprog.func is not func:
+        if fprog is None:
             fprog = FunctionProgram(self, func)
             self.functions[func.name] = fprog
         return fprog
-
-    def invalidate(self, func: str | None = None,
-                   label: str | None = None) -> None:
-        """Drop decoded programs: everything, one function, or one block."""
-        if func is None:
-            self.functions.clear()
-            return
-        fprog = self.functions.get(func)
-        if fprog is None:
-            return
-        if label is None:
-            del self.functions[func]
-        else:
-            fprog.progs.pop(label, None)
 
     # -- profile finalization ------------------------------------------------
 
@@ -1194,21 +1159,17 @@ class _FastCallMixin:
     cache: TraceCache
     observer: object
 
-    def _val(self, frame, src):
-        # reference-engine helper, usable on fast frames too: methods
-        # inherited from the reference classes (``_do_rec``, including any
-        # monkeypatched instrumentation wrapping them) call it with
-        # whatever frame the engine runs
-        if isinstance(frame, _FastFrame):
-            if isinstance(src, VReg):
-                index = frame.fprog._slots.get(src)
-                return frame.regs[index] if index is not None else 0
-            if isinstance(src, (Imm, FImm)):
-                return src.value
-            if isinstance(src, GlobalRef):
-                return self.loader.global_addr(src.name)
-            raise SimError(f"cannot evaluate operand {src!r}")
-        return super()._val(frame, src)
+    def _val(self, frame: _FastFrame, src):
+        # the reference-engine helper on a fast frame: methods inherited
+        # from the reference classes (``_do_rec``, including any
+        # monkeypatched instrumentation wrapping them) call it
+        if isinstance(src, VReg):
+            return frame.regs[frame.fprog.slot(src)]
+        if isinstance(src, (Imm, FImm)):
+            return src.value
+        if isinstance(src, GlobalRef):
+            return self.loader.global_addr(src.name)
+        raise SimError(f"cannot evaluate operand {src!r}")
 
     def _call(self, func, args):
         if len(args) != len(func.params):
@@ -1240,8 +1201,6 @@ class _FastCallMixin:
         observer = self.observer
         max_steps = self.max_steps
         while True:
-            if len(prog.block.ops) != prog.n:
-                prog = fprog.redecode(prog.label)
             if profiling:
                 prog.passes += 1
             if observer is not None:
@@ -1327,7 +1286,7 @@ def _fold_self_passes(prog: BlockProgram, reps: int) -> None:
 
 
 class FastInterpreter(_FastCallMixin, Interpreter):
-    """Predecoded functional interpreter; bit-identical to the reference
+    """Pre-decoded functional interpreter; bit-identical to the reference
     (values, traps, profile counts).
 
     With ``record`` set, its pass observer is a
@@ -1447,7 +1406,7 @@ class _PassAccounting:
 
 
 class FastVLIWSimulator(_FastCallMixin, VLIWSimulator):
-    """Predecoded cycle-level VLIW; ``SimCounters``/``LoopFetchStats`` and
+    """Pre-decoded cycle-level VLIW; ``SimCounters``/``LoopFetchStats`` and
     obs instants are bit-identical to the reference simulator."""
 
     def __init__(self, *args, **kwargs) -> None:

@@ -15,16 +15,10 @@ from repro.pipeline import (
 from tests.helpers import build_counting_loop, build_nested_loop
 
 
-def test_checked_enabled_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKED", raising=False)
-    assert RunConfig.resolve(checked=None).checked is False
-    assert RunConfig.resolve(checked=True).checked is True
-    monkeypatch.setenv("REPRO_CHECKED", "1")
-    assert RunConfig.resolve(checked=None).checked is True
-    # explicit argument wins
-    assert RunConfig.resolve(checked=False).checked is False
-    monkeypatch.setenv("REPRO_CHECKED", "0")
-    assert RunConfig.resolve(checked=None).checked is False
+def test_checked_enabled_resolution():
+    assert RunConfig().checked is False
+    assert RunConfig(checked=True).checked is True
+    assert RunConfig(checked=False).checked is False
 
 
 def test_clean_compiles_pass_checked_mode():
@@ -34,8 +28,15 @@ def test_clean_compiles_pass_checked_mode():
     assert aggressive.stats["checked"] is True
 
 
-def test_unchecked_compile_has_no_checked_stat(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKED", raising=False)
+def test_unchecked_compile_has_no_checked_stat():
+    compiled = compile_traditional(build_counting_loop(16))
+    assert "checked" not in compiled.stats
+
+
+def test_checked_environment_is_not_read(monkeypatch):
+    # ``REPRO_CHECKED`` is no longer read: a leftover ``1`` compiles
+    # unchecked, like the default
+    monkeypatch.setenv("REPRO_CHECKED", "1")
     compiled = compile_traditional(build_counting_loop(16))
     assert "checked" not in compiled.stats
 

@@ -81,26 +81,28 @@ class TestRunnerFacade:
         assert b == a
         assert common.runner_metrics().run_cache_hits == 1
 
-    def test_memos_key_on_run_settings(self, monkeypatch):
+    def test_memos_key_on_run_settings(self):
         from repro.pipeline import RunConfig
         from repro.runner.parallel import base_key
 
-        monkeypatch.delenv("REPRO_CHECKED", raising=False)
+        cache = common._cache()
         plain = common.run_at_capacity("adpcm_enc", "traditional", 64)
-        monkeypatch.setenv("REPRO_CHECKED", "1")
+        common.reset(cache, checked=True)
         checked = common.run_at_capacity("adpcm_enc", "traditional", 64)
-        # a checked compile ran instead of the unchecked memo answering
+        # a checked compile ran: its base is stored under the checked key
         assert checked is not plain
         assert checked == plain
-        stored = common._cache().load(
+        stored = cache.load(
             base_key("adpcm_enc", "traditional", RunConfig(checked=True)),
             "base")
         assert stored is not None and stored.stats["checked"] is True
         assert common.compiled_base("adpcm_enc",
                                     "traditional").stats["checked"] is True
-        monkeypatch.delenv("REPRO_CHECKED")
+        # back to unchecked: the unchecked entries answer again
+        common.reset(cache)
         assert common.run_at_capacity("adpcm_enc", "traditional", 64) \
-            is plain
+            == plain
+        assert common.runner_metrics().run_cache_hits == 1
         assert "checked" not in common.compiled_base(
             "adpcm_enc", "traditional").stats
 

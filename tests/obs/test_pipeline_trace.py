@@ -31,7 +31,7 @@ class CountingNullTracer(NullTracer):
         self.instant_calls += 1
 
 
-def _compile_and_run(tracer=None, checked=None, pipeline=compile_aggressive):
+def _compile_and_run(tracer=None, checked=False, pipeline=compile_aggressive):
     """Compile and run adpcm_enc with ``tracer`` installed (``None``:
     the null tracer)."""
     bench = benchmark("adpcm_enc")

@@ -1,14 +1,21 @@
-"""One ``RunConfig``: resolution from arguments and the environment, and
-the cache keys it feeds."""
+"""One ``RunConfig``: built and validated from arguments only, and the
+cache keys it feeds."""
 
 import pickle
 
 import pytest
 
 from repro.pipeline import RunConfig
-from repro.runner.parallel import base_key, run_key
+from repro.runner.cache import ArtifactCache
+from repro.runner.parallel import (
+    BASE_MEMO,
+    base_key,
+    compile_base,
+    run_cell,
+    run_key,
+)
 
-#: ``(RunConfig.resolve kwargs, base_key, run_key)`` of
+#: ``(RunConfig kwargs, base_key, run_key)`` of
 #: adpcm_dec/traditional at capacity 64, captured before the run settings
 #: became one value: matching them keeps existing on-disk caches warm and
 #: the runner and the service sharing entries
@@ -30,19 +37,13 @@ PINNED = {
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKED", raising=False)
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
 
 
 class TestResolve:
     def test_defaults(self):
-        assert RunConfig.resolve() == RunConfig() == RunConfig(
+        assert RunConfig() == RunConfig(
             checked=False, max_steps=None, trace=False)
-
-    def test_environment_then_argument(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHECKED", "1")
-        assert RunConfig.resolve() == RunConfig(checked=True)
-        assert RunConfig.resolve(checked=False) == RunConfig()
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"max_steps": "9"}, "max_steps"),
@@ -55,13 +56,20 @@ class TestResolve:
     ])
     def test_rejects_bad_settings(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            RunConfig.resolve(**kwargs)
+            RunConfig(**kwargs)
+
+    def test_checked_none_is_rejected_whatever_the_environment(
+            self, monkeypatch):
+        # there is no "unset": a stale ``REPRO_CHECKED`` fills in nothing
+        monkeypatch.setenv("REPRO_CHECKED", "1")
+        with pytest.raises(ValueError, match="checked"):
+            RunConfig(checked=None)
 
     def test_frozen_hashable_picklable(self):
-        settings = RunConfig.resolve(checked=True, max_steps=7, trace=True)
+        settings = RunConfig(checked=True, max_steps=7, trace=True)
         assert pickle.loads(pickle.dumps(settings)) == settings
-        assert len({settings, RunConfig.resolve(checked=True, max_steps=7,
-                                                trace=True)}) == 1
+        assert len({settings, RunConfig(checked=True, max_steps=7,
+                                        trace=True)}) == 1
         with pytest.raises(AttributeError):
             settings.checked = False
 
@@ -76,13 +84,13 @@ class TestPinnedKeys:
     @pytest.mark.parametrize("label", sorted(PINNED))
     def test_keys_match_pinned_digests(self, label):
         kwargs, base, run = PINNED[label]
-        settings = RunConfig.resolve(**kwargs)
+        settings = RunConfig(**kwargs)
         assert base_key("adpcm_dec", "traditional", settings) == base
         assert run_key("adpcm_dec", "traditional", 64, settings) == run
 
     def test_trace_is_never_keyed(self):
         _kwargs, base, run = PINNED["default"]
-        traced = RunConfig.resolve(trace=True)
+        traced = RunConfig(trace=True)
         assert base_key("adpcm_dec", "traditional", traced) == base
         assert run_key("adpcm_dec", "traditional", 64, traced) == run
 
@@ -92,7 +100,32 @@ class TestPinnedKeys:
         # default entries, never the ones a ``ref`` run once stored
         monkeypatch.setenv("REPRO_ENGINE", "ref")
         _kwargs, base, run = PINNED["default"]
-        settings = RunConfig.resolve()
-        assert settings == RunConfig()
+        settings = RunConfig()
         assert base_key("adpcm_dec", "traditional", settings) == base
         assert run_key("adpcm_dec", "traditional", 64, settings) == run
+
+    def test_stale_checked_environment_keys_like_the_default(
+            self, monkeypatch, tmp_path):
+        # ``REPRO_CHECKED`` is no longer read: a leftover ``1`` keys the
+        # default entries, never the checked ones
+        monkeypatch.setenv("REPRO_CHECKED", "1")
+        _kwargs, base, run = PINNED["default"]
+        _kwargs, checked_base, _run = PINNED["checked"]
+        assert base_key("adpcm_dec", "traditional", RunConfig()) == base
+        assert run_key("adpcm_dec", "traditional", 64, RunConfig()) == run
+        cache = ArtifactCache(tmp_path / "cache")
+        BASE_MEMO.clear()  # the base must be compiled and stored here
+        compiled = compile_base("adpcm_dec", "traditional", cache)
+        assert "checked" not in compiled.stats
+        assert cache.load(base, "base") is not None
+        assert cache.load(checked_base, "base") is None
+
+    def test_default_run_cell_stores_under_the_unchecked_key(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CHECKED", "1")
+        cache = ArtifactCache(tmp_path / "cache")
+        run_cell("adpcm_dec", "traditional", 64, cache=cache)
+        _kwargs, _base, run = PINNED["default"]
+        _kwargs, _base, checked_run = PINNED["checked"]
+        assert cache.load(run, "run") is not None
+        assert cache.load(checked_run, "run") is None

@@ -74,6 +74,14 @@ class TestValidation:
     def test_ping_needs_nothing(self):
         Request(kind="ping").validate()
 
+    def test_null_checked_is_a_bad_request(self, monkeypatch):
+        # the flag is a bool on the wire: a ``null`` must not fall back
+        # to the server's environment
+        monkeypatch.setenv("REPRO_CHECKED", "1")
+        with pytest.raises(ProtocolError, match="checked"):
+            decode_request(
+                '{"kind":"run","benchmark":"adpcm_enc","checked":null}')
+
     def test_step_budget_must_be_a_positive_int(self):
         # the value arrives from the socket as arbitrary JSON
         for bad in (0, -5, 1.5, True, "100"):

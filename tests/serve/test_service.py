@@ -451,11 +451,7 @@ class TestControlRequests:
 
 
 class TestRunSettings:
-    """Requests are validated and keyed on their resolved run settings."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHECKED", raising=False)
+    """Requests are validated and keyed on their run settings."""
 
     def test_bad_settings_are_bad_requests_with_a_cache(self, tmp_path):
         # the front-door cache probe once raised out of submit instead

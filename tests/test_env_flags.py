@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.pipeline import RunConfig
 from repro.runner.cache import default_cache
 
 #: flag name -> reads whether the flag is on under the current environment
 FLAGS = {
-    "REPRO_CHECKED": lambda tmp: RunConfig.resolve().checked,
     "REPRO_NO_CACHE": lambda tmp: not default_cache(tmp).enabled,
 }
 

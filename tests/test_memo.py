@@ -213,8 +213,7 @@ class CountingCache(ArtifactCache):
         return super().store(key, kind, value)
 
 
-def test_cold_figures_share_each_base(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_CHECKED", raising=False)
+def test_cold_figures_share_each_base(tmp_path):
     cache = CountingCache(tmp_path / "cache")
     common.reset(cache)
     try:
