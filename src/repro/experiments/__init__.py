@@ -11,7 +11,7 @@
 
 Each module has ``run()`` returning structured results and ``report()``
 rendering the paper-style rows; ``python -m repro.experiments.figN``
-prints them.
+prints them.  The package imports none of them itself, so ``-m`` runs a
+figure module once (``from repro.experiments import fig7`` still
+works).
 """
-
-from . import common, fig3, fig5, fig7, fig8  # noqa: F401

@@ -103,10 +103,41 @@ def _dce_drop_store():
         yield
 
 
+@contextmanager
+def _rec_num_short():
+    """Buffer assignment records every loop one op short.
+
+    A buffer-phase bug planted through the capacity overlay: each
+    ``rec_cloop``/``rec_wloop`` installed in a copied preheader records
+    one op fewer than the loop's footprint, which the assignment table
+    still holds.  Checked mode's buffer rules must reject the retarget.
+    """
+    from repro.loopbuffer import assign
+
+    real = assign._rewrite_ir
+
+    def wrapped(module, result, candidates, get_block=None):
+        if get_block is None:
+            def get_block(fname, label):
+                return module.function(fname).block(label)
+        real(module, result, candidates, get_block)
+        preheaders = {(c.func, c.header): c.preheader for c in candidates}
+        for a in result.assigned:
+            block = get_block(a.func, preheaders[(a.func, a.header)])
+            for op in block.ops:
+                if (op.opcode in (Opcode.REC_CLOOP, Opcode.REC_WLOOP)
+                        and op.attrs["loop"] == a.header):
+                    op.attrs["num"] = a.length - 1
+
+    with _patched(assign, "_rewrite_ir", wrapped):
+        yield
+
+
 FAULTS = {
     "ifconvert-guard-drop": _ifconvert_guard_drop,
     "cloop-reload-off-by-one": _cloop_reload_off_by_one,
     "dce-drop-store": _dce_drop_store,
+    "rec-num-short": _rec_num_short,
 }
 
 

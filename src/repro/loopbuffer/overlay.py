@@ -25,6 +25,12 @@ liveness: ``rec_cloop`` keeps its ``cloop_set``'s sources and
 ``rec_wloop`` has none).  ``tests/golden/retarget_grid.json`` pins the
 result per benchmark cell; it was generated with that deep-copy
 reschedule asserted identical.
+
+Checked mode leans on the same sharing: it lints only what an overlay
+materialized, after :func:`shared_departures` has confirmed that
+everything else is the base's own object and :func:`is_rec_rewrite`
+that each copy differs from its base block by ``rec`` edits alone
+(DESIGN.md §5k).
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from dataclasses import dataclass
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.ir.opcodes import Opcode
 from repro.loopbuffer.assign import assign_buffer
 
 
@@ -113,6 +120,91 @@ def overlay_module(
         for fname, func in base.functions.items()
     }
     return view
+
+
+def is_rec_rewrite(base_block: BasicBlock, block: BasicBlock) -> bool:
+    """Whether ``block`` differs from ``base_block`` by the buffer
+    rewrite alone: the same label, hyperblock flag and operation objects
+    in order, except that a ``cloop_set`` may have become a
+    ``rec_cloop`` with its sources, guard and (empty) destinations, and
+    an operand-free, unguarded ``rec_wloop`` may have been inserted.
+    Neither ``rec`` op is a branch, so such a block reads, writes and
+    branches to exactly what its base does (DESIGN.md §5k)."""
+    if (block.label != base_block.label
+            or block.hyperblock != base_block.hyperblock):
+        return False
+    base_ops = base_block.ops
+    j = 0
+    for op in block.ops:
+        base = base_ops[j] if j < len(base_ops) else None
+        if op is base:
+            j += 1
+        elif op.opcode is Opcode.REC_WLOOP:
+            if op.dests or op.srcs or op.guard is not None:
+                return False
+        elif (op.opcode is Opcode.REC_CLOOP and base is not None
+              and base.opcode is Opcode.CLOOP_SET
+              and op.srcs == base.srcs and op.guard == base.guard
+              and op.dests == base.dests):
+            j += 1
+        else:
+            return False
+    return j == len(base_ops)
+
+
+def shared_departures(compiled, base) -> list[tuple[str | None, str | None,
+                                                    str]]:
+    """Where ``compiled``, a retarget of ``base``, is not the overlay its
+    ``overlay`` record describes, as ``(function, block, message)``.
+
+    Every block and list schedule outside ``overlay.materialized`` must
+    be ``base``'s own object, and so must every modulo schedule, the
+    machine, the function list and each function's block labels and
+    parameters.  Checked mode relies on this to lint only what the
+    overlay materialized (:func:`repro.pipeline.check_buffered`).
+    """
+    materialized = set(compiled.overlay.materialized)
+    found = []
+    if compiled.machine != base.machine:
+        found.append((None, None, "the machine is not the base's"))
+    module, base_module = compiled.module, base.module
+    if list(module.functions) != list(base_module.functions):
+        found.append((None, None, "the functions are not the base's"))
+        return found
+    for fname, label in sorted(materialized):
+        if (fname not in base_module.functions
+                or not base_module.functions[fname].has_block(label)):
+            found.append((fname, label,
+                          "a materialized block the base does not have"))
+    for fname, func in module.functions.items():
+        base_func = base_module.functions[fname]
+        if func is base_func:
+            continue
+        if ([b.label for b in func.blocks]
+                != [b.label for b in base_func.blocks]
+                or func.params != base_func.params):
+            found.append((fname, None,
+                          "the blocks or parameters are not the base's"))
+            continue
+        for block, base_block in zip(func.blocks, base_func.blocks):
+            if (block is not base_block
+                    and (fname, block.label) not in materialized):
+                found.append((fname, block.label,
+                              "a shared block is not the base's own"))
+    for fname in sorted(compiled.schedules.keys() | base.schedules.keys()):
+        per = compiled.schedules.get(fname, {})
+        base_per = base.schedules.get(fname, {})
+        if per is base_per:
+            continue
+        for label in sorted(per.keys() | base_per.keys()):
+            if ((fname, label) not in materialized
+                    and per.get(label) is not base_per.get(label)):
+                found.append((fname, label, "a shared block's list "
+                              "schedule is not the base's own"))
+    for key in sorted(compiled.modulo.keys() | base.modulo.keys()):
+        if compiled.modulo.get(key) is not base.modulo.get(key):
+            found.append((*key, "the modulo schedule is not the base's own"))
+    return found
 
 
 def loop_footprints(compiled) -> dict[tuple[str, str], int]:

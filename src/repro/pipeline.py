@@ -40,13 +40,13 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.cfgview import CFGView
 from repro.analysis.lint import (
+    PHASES,
     Diagnostic,
     LintTarget,
     Severity,
     all_rules,
     errors_only,
     get_rule,
-    lint_compiled,
     lint_module,
     run_rules,
 )
@@ -59,7 +59,9 @@ from repro.loopbuffer.assign import AssignmentResult, assign_buffer
 from repro.loopbuffer.overlay import (
     CapacityOverlay,
     check_retarget,
+    is_rec_rewrite,
     retarget_overlay,
+    shared_departures,
 )
 from repro.looptrans.cloop import convert_counted_loops
 from repro.looptrans.collapse import collapse_nested_loops
@@ -752,7 +754,7 @@ def with_buffer(compiled: Compiled, capacity: int | None,
     else, including ``capacity=None`` (which returns a pure view),
     shares the base artifact's objects, its pass trace included.
     A checked base (``stats["checked"]``, as :func:`run_compiled`
-    decides) has the re-targeted artifact linted across all phases
+    decides) has the re-targeted artifact checked in every lint phase
     before it is returned (:func:`check_buffered`).
     """
     check_retarget(compiled, capacity)
@@ -768,21 +770,90 @@ def with_buffer(compiled: Compiled, capacity: int | None,
                           buffer_capacity=capacity, overlay=overlay,
                           pass_trace=compiled.pass_trace)
         if compiled.stats.get("checked"):
-            check_buffered(result)
+            check_buffered(result, compiled)
         return result
 
 
-def check_buffered(compiled: Compiled,
-                   phases: tuple[str, ...] | None = None) -> None:
+#: the function-wide dataflow rules a ``rec`` rewrite cannot change
+#: (DESIGN.md §5k): an overlay's check runs them only on a function
+#: whose copied preheaders differ from their base blocks by more
+_REC_NEUTRAL = frozenset({"use-before-def", "undef-guard"})
+
+
+def check_buffered(compiled: Compiled, base: Compiled,
+                   phases: tuple[str, ...] = PHASES) -> None:
     """Checked mode's gate on a buffered artifact: raise
-    :class:`CheckedModeError` for pass ``"with_buffer"`` on any error
-    :func:`~repro.analysis.lint.lint_compiled` finds in ``phases`` (all
-    of them by default)."""
-    errors = errors_only(lint_compiled(compiled, phases=phases))
+    :class:`CheckedModeError` for pass ``"with_buffer"`` on the error
+    diagnostics :func:`~repro.analysis.lint.lint_compiled` finds in
+    ``phases``, found by checking only what the overlay changed
+    (DESIGN.md §5k).  ``base`` is the artifact ``compiled`` was
+    retargeted from; only the ``ir`` and ``sched`` phases read it.
+
+    1. Every block and schedule outside ``compiled.overlay.materialized``
+       must be ``base``'s own object; a departure raises, naming the
+       block (:func:`~repro.loopbuffer.overlay.shared_departures`).
+    2. The ``ir`` and ``sched`` error rules then run with the schedules
+       narrowed to the materialized preheaders; the function-wide
+       dataflow rules (:data:`_REC_NEUTRAL`) run only on a function
+       whose copies are more than a ``rec`` rewrite of their base blocks.
+    3. The ``buffer`` rules run over the whole assignment.
+    """
+    selected = [r for r in all_rules()
+                if r.severity is Severity.ERROR and r.phase in phases]
+    rules = [r.rule_id for r in selected if r.phase != "buffer"]
+    buffer_rules = [r.rule_id for r in selected if r.phase == "buffer"]
+    errors = _overlay_errors(compiled, base, rules) if rules else []
+    if buffer_rules:
+        errors += run_rules(LintTarget(
+            module=compiled.module, machine=compiled.machine,
+            modulo=compiled.modulo, assignment=compiled.assignment,
+            buffer_capacity=compiled.buffer_capacity), rule_ids=buffer_rules)
+    errors = errors_only(errors)
     if errors:
         raise CheckedModeError(
             "with_buffer",
             [replace(d, passname="with_buffer") for d in errors])
+
+
+def _overlay_errors(compiled: Compiled, base: Compiled,
+                    rule_ids: list[str]) -> list[Diagnostic]:
+    """The ``ir`` and ``sched`` part of :func:`check_buffered`:
+    ``rule_ids``' diagnostics in rule order, the :data:`_REC_NEUTRAL`
+    ones from the functions a non-``rec`` edit reached."""
+    departures = shared_departures(compiled, base)
+    if departures:
+        raise CheckedModeError("with_buffer", [
+            Diagnostic("overlay-shared", Severity.ERROR, message, function,
+                       block, passname="with_buffer")
+            for function, block, message in departures])
+    materialized = set(compiled.overlay.materialized)
+    module = compiled.module
+    rewritten = {fname for fname, label in materialized
+                 if not is_rec_rewrite(
+                     base.module.function(fname).block(label),
+                     module.function(fname).block(label))}
+    touched = {fname for fname, _ in materialized}
+    # a rewritten function's liveness, and so every block's exit-live
+    # sets, may have changed: its sched rules see all its blocks
+    schedules = {
+        fname: (per if fname in rewritten else
+                {label: sched for label, sched in per.items()
+                 if (fname, label) in materialized})
+        for fname, per in compiled.schedules.items() if fname in touched}
+    modulo = {key: sched for key, sched in compiled.modulo.items()
+              if key in materialized}
+    found = run_rules(LintTarget(module=module, machine=compiled.machine,
+                                 schedules=schedules, modulo=modulo),
+                      rule_ids=[r for r in rule_ids if r not in _REC_NEUTRAL])
+    neutral = [r for r in rule_ids if r in _REC_NEUTRAL]
+    if rewritten and neutral:
+        rank = {r.rule_id: i for i, r in enumerate(all_rules())}
+        found += run_rules(LintTarget(module=module,
+                                      machine=compiled.machine,
+                                      functions=sorted(rewritten)),
+                           rule_ids=neutral)
+        found.sort(key=lambda d: rank[d.rule])
+    return found
 
 
 #: the scalar ``SimCounters`` fields checked mode compares

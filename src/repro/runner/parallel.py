@@ -306,7 +306,7 @@ def run_base(
             metrics.class_hit = True
         if settings.checked:
             check_buffered(replace(run.compiled, buffer_capacity=capacity),
-                           phases=("buffer",))
+                           base, phases=("buffer",))
     else:
         t0 = time.perf_counter()
         compiled = with_buffer(base, capacity)

@@ -142,3 +142,21 @@ class TestFig8Result:
         r = Fig8Result(rows=[self._row("a", 4.0, 1, 1),
                              self._row("b", 1.0, 1, 1)])
         assert r.average_speedup(exclude=("b",)) == pytest.approx(4.0)
+
+
+def test_figure_module_runs_once_under_dash_m():
+    # the package imports no figure module itself, so ``-m`` does not
+    # find fig5 in sys.modules already and run it a second time
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.experiments.fig5", "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

@@ -35,7 +35,7 @@ CLEAN_SEED = 3
 #: these seeds are known to diverge under the named injected fault (see
 #: tests/fuzz/test_reduce.py, which minimizes them)
 FAULTY = {"cloop-reload-off-by-one": 4, "dce-drop-store": 1,
-          "ifconvert-guard-drop": 19}
+          "ifconvert-guard-drop": 19, "rec-num-short": 6}
 
 SMALL_GRID = default_configs(capacities=(None, 16), checked=False)
 
@@ -158,6 +158,17 @@ class TestCheckProgram:
         kinds = {v.kind for v in report.divergences}
         assert kinds <= {"value-mismatch", "trap-mismatch",
                          "checked-failure", "compile-crash", "sim-crash"}
+
+    def test_buffer_fault_is_a_checked_failure(self):
+        # every buffering config of the program records a loop; each is
+        # rejected by the checked retarget's buffer rules, never run
+        report = check_program(generate(FAULTY["rec-num-short"]),
+                               fault="rec-num-short")
+        buffered = [v for v in report.verdicts if v.config.capacity]
+        assert buffered and all(v.kind == "checked-failure"
+                                for v in buffered)
+        assert all(v.ok for v in report.verdicts if not v.config.capacity)
+        assert all("buffer-residency" in v.observed[1] for v in buffered)
 
     def test_fault_does_not_leak(self):
         check_program(generate(FAULTY["cloop-reload-off-by-one"]),
