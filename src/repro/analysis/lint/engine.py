@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro.analysis.reachdef import undefined_reads
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.sched.machine import DEFAULT_MACHINE, MachineDescription
@@ -52,11 +53,23 @@ class LintTarget:
     assignment: object | None = None
     buffer_capacity: int | None = None
     functions: Sequence[str] | None = None
+    #: :meth:`undefined_reads` results by function name
+    _undefined: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def selected_functions(self) -> Iterator[Function]:
         for func in self.module.functions.values():
             if self.functions is None or func.name in self.functions:
                 yield func
+
+    def undefined_reads(self, func: Function) -> list:
+        """:func:`~repro.analysis.reachdef.undefined_reads` of ``func``,
+        computed once per target: ``use-before-def`` and ``undef-guard``
+        both read it, and rules must not mutate the IR."""
+        found = self._undefined.get(func.name)
+        if found is None:
+            found = self._undefined[func.name] = undefined_reads(func)
+        return found
 
 
 @dataclass(frozen=True)

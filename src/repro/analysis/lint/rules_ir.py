@@ -7,7 +7,6 @@ numbering) and therefore run after *every* pass in checked mode.
 from __future__ import annotations
 
 from repro.analysis.cfgview import CFGView
-from repro.analysis.reachdef import undefined_reads
 from repro.ir.opcodes import Opcode
 from repro.predication.slots import SLOTS_PER_DEFINE
 
@@ -19,7 +18,7 @@ from .engine import LintTarget, rule
 def check_use_before_def(target: LintTarget, make) -> None:
     """A register is read without a write on every path from the entry."""
     for func in target.selected_functions():
-        for label, index, op, reg in undefined_reads(func):
+        for label, index, op, reg in target.undefined_reads(func):
             if reg == op.guard:
                 continue  # undef-guard owns guard reads
             make(f"{op!r} reads {reg!r} which is not defined on all paths",
@@ -30,7 +29,7 @@ def check_use_before_def(target: LintTarget, make) -> None:
 def check_undef_guard(target: LintTarget, make) -> None:
     """An operation's guard predicate may be uninitialized."""
     for func in target.selected_functions():
-        for label, index, op, reg in undefined_reads(func):
+        for label, index, op, reg in target.undefined_reads(func):
             if reg != op.guard:
                 continue
             make(f"{op!r} is guarded by {reg!r} which is not defined on "

@@ -43,6 +43,7 @@ from repro.analysis.lint import (
     PHASES,
     Diagnostic,
     LintTarget,
+    Rule,
     Severity,
     all_rules,
     errors_only,
@@ -305,10 +306,19 @@ def _module_digest(module: Module, uids: bool = False) -> bytes:
     return digest.digest()
 
 
+def _error_rules(phases: tuple[str, ...]) -> list[Rule]:
+    """The error-severity rules of ``phases``, in rule order: the rules
+    checked mode runs.  Every diagnostic carries its rule's severity, so
+    a warning rule finds only what :class:`CheckedModeError` would
+    drop."""
+    return [r for r in all_rules()
+            if r.severity is Severity.ERROR and r.phase in phases]
+
+
 def _per_pass_rules() -> tuple[str, ...]:
     """Rule ids checked mode runs after every pass."""
-    return tuple(r.rule_id for r in all_rules()
-                 if r.phase == "ir" and r.rule_id not in _PER_PASS_SKIP)
+    return tuple(r.rule_id for r in _error_rules(("ir",))
+                 if r.rule_id not in _PER_PASS_SKIP)
 
 
 def _ir_check_context(machine: MachineDescription,
@@ -429,7 +439,9 @@ class _PassChecker:
                      phases: tuple[str, ...]) -> None:
         if self.enabled:
             with self._check_span(name):
-                self._raise_errors(name, run_rules(target, phases=phases))
+                self._raise_errors(name, run_rules(
+                    target, rule_ids=[r.rule_id
+                                      for r in _error_rules(phases)]))
 
     def _raise_errors(self, name: str, diags: list[Diagnostic]) -> None:
         errors = errors_only(diags)
@@ -798,8 +810,7 @@ def check_buffered(compiled: Compiled, base: Compiled,
        whose copies are more than a ``rec`` rewrite of their base blocks.
     3. The ``buffer`` rules run over the whole assignment.
     """
-    selected = [r for r in all_rules()
-                if r.severity is Severity.ERROR and r.phase in phases]
+    selected = _error_rules(phases)
     rules = [r.rule_id for r in selected if r.phase != "buffer"]
     buffer_rules = [r.rule_id for r in selected if r.phase == "buffer"]
     errors = _overlay_errors(compiled, base, rules) if rules else []

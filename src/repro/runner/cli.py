@@ -123,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _size(value: str) -> int:
     """Byte count with an optional k/m/g suffix (binary multiples); the
-    type of every cache-size option, here and in ``repro.serve``.  A
-    negative bound would make the LRU gc evict everything."""
+    type of every cache-size option.  A negative bound would make the
+    LRU gc evict everything."""
     text = value.strip().lower()
     scale = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}.get(text[-1:], 1)
     size = int(float(text[:-1] if scale != 1 else text) * scale)

@@ -1,10 +1,12 @@
-"""Request/response schema and the JSON-lines wire form.
+"""Request/response schema of the in-process service.
 
-One request per line, one response per line, both UTF-8 JSON objects
-with a ``v`` protocol-version field.  The same dataclasses travel
-in-process (the test/benchmark :class:`~repro.serve.client.Client`
-hands them straight to the service) and over a socket, so everything on
-them must stay JSON-able.
+A caller builds a :class:`Request`, hands it to
+:meth:`Service.submit <repro.serve.service.Service.submit>` (directly or
+through :class:`~repro.serve.client.Client`) and gets a :class:`Response`
+back.  Field values may come from outside the program (the fuzz oracle's
+inline source, a caller's settings), so :meth:`Request.validate` checks
+every one and the service answers a bad request with an ``error``
+response.
 
 Request kinds:
 
@@ -18,8 +20,9 @@ Request kinds:
 ``compile``
     just ensure the base exists (compile on miss, store in the cache);
     the response reports whether it was already warm.
-``stats`` / ``ping``
-    service introspection and liveness, used by clients and CI.
+``stats``
+    the service's counters (:meth:`Service.snapshot
+    <repro.serve.service.Service.snapshot>`).
 
 Responses carry ``status``: ``ok``, ``trap`` (the program trapped — a
 *result*, not a failure), ``checked-failure`` (checked-mode sanitizer
@@ -34,17 +37,13 @@ the wall latency.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from repro.loopbuffer.overlay import check_capacity
 from repro.pipeline import RunConfig
 from repro.runner.summary import RunSummary, summary_from_dict, summary_to_dict  # noqa: F401
 
-#: bump on incompatible wire changes; both sides check it
-PROTOCOL_VERSION = 1
-
-REQUEST_KINDS = ("run", "compile", "stats", "ping")
+REQUEST_KINDS = ("run", "compile", "stats")
 
 #: statuses a request can come back with
 STATUSES = ("ok", "trap", "checked-failure", "overloaded", "timeout",
@@ -52,7 +51,8 @@ STATUSES = ("ok", "trap", "checked-failure", "overloaded", "timeout",
 
 
 class ProtocolError(ValueError):
-    """A malformed request/response line or an unsupported version."""
+    """A malformed request: an unknown kind, a missing or doubled
+    program, or a bad run setting."""
 
 
 @dataclass
@@ -78,7 +78,7 @@ class Request:
 
     def validate(self) -> RunConfig:
         """Check the request and return its run settings.  ``checked``
-        must be a bool (a ``null`` is a bad request), ``max_steps``
+        must be a bool (``None`` is a bad request), ``max_steps``
         ``None`` or a positive int, and ``capacity`` ``None`` or a
         non-bool ``int >= 0``."""
         if self.kind not in REQUEST_KINDS:
@@ -114,14 +114,6 @@ class Request:
         return (self.kind, self.program_id, self.pipeline, self.checked,
                 self.max_steps, self.capacity)
 
-    # -- wire form ---------------------------------------------------------
-
-    def as_dict(self) -> dict:
-        data = {k: v for k, v in asdict(self).items() if v is not None}
-        data.setdefault("kind", self.kind)
-        data["v"] = PROTOCOL_VERSION
-        return data
-
 
 @dataclass
 class Response:
@@ -144,62 +136,3 @@ class Response:
         if not self.ok or not self.payload or "summary" not in self.payload:
             raise ProtocolError(f"response has no summary: {self}")
         return summary_from_dict(self.payload["summary"])
-
-    def as_dict(self) -> dict:
-        data: dict = {"v": PROTOCOL_VERSION, "status": self.status}
-        if self.id is not None:
-            data["id"] = self.id
-        if self.payload is not None:
-            data["payload"] = self.payload
-        if self.error is not None:
-            data["error"] = self.error
-        if self.meta:
-            data["meta"] = self.meta
-        return data
-
-
-# ---------------------------------------------------------------------------
-# JSON-lines encoding
-
-
-def encode(obj: Request | Response) -> bytes:
-    """One wire line (newline-terminated UTF-8 JSON) for a message."""
-    return (json.dumps(obj.as_dict(), sort_keys=True,
-                       separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def _decode_line(line: bytes | str) -> dict:
-    if isinstance(line, bytes):
-        line = line.decode("utf-8", errors="replace")
-    try:
-        data = json.loads(line)
-    except ValueError as exc:
-        raise ProtocolError(f"bad JSON line: {exc}") from None
-    if not isinstance(data, dict):
-        raise ProtocolError("wire message must be a JSON object")
-    version = data.pop("v", PROTOCOL_VERSION)
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"protocol version {version!r} != {PROTOCOL_VERSION}")
-    return data
-
-
-def decode_request(line: bytes | str) -> Request:
-    data = _decode_line(line)
-    known = {f for f in Request.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise ProtocolError(f"unknown request fields {sorted(unknown)}")
-    request = Request(**data)
-    request.validate()
-    return request
-
-
-def decode_response(line: bytes | str) -> Response:
-    data = _decode_line(line)
-    known = {f for f in Response.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise ProtocolError(f"unknown response fields {sorted(unknown)}")
-    data.setdefault("meta", {})
-    return Response(**data)

@@ -1,4 +1,4 @@
-"""The compile/simulate service: coalescing, deadlines, asyncio front end.
+"""The compile/simulate service: coalescing, backpressure, deadlines.
 
 Request lifecycle (``submit`` returns a ``concurrent.futures.Future``
 resolving to a :class:`~repro.serve.protocol.Response`):
@@ -27,16 +27,13 @@ resolving to a :class:`~repro.serve.protocol.Response`):
 
 Each response's ``meta`` records its wall latency, and execution opens
 tracer spans, so a traced service emits the same Chrome-trace/Perfetto
-artifacts as the runner.
-
-The asyncio front end (:func:`serve_forever`, ``python -m repro.serve
-serve``) speaks the JSON-lines protocol over a unix or TCP socket; each
-connection is sequential, concurrency comes from connections.
+artifacts as the runner.  ``submit`` is the only way in: callers hold
+the service in-process (:class:`~repro.serve.client.Client`, the fuzz
+oracle's service route, perfbench's serve-mixed workload).
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from concurrent.futures import Future
@@ -73,8 +70,6 @@ class ServiceConfig:
     cache_dir: str | None = DEFAULT_CACHE_DIR
     #: total cache size bound (bytes) enforced by the cache's LRU gc
     max_cache_bytes: int | None = None
-    #: default per-request deadline when the request doesn't carry one
-    deadline_s: float | None = None
     #: inert: the service runs one executor thread whatever this says
     #: (DESIGN.md §5h).  Still accepted, and must be >= 1, only because
     #: the perf harness's serve-mixed workload passes ``workers=2``; it
@@ -152,10 +147,6 @@ class Service:
                 status="error", error=f"bad request: {exc}"))
             return out
 
-        if request.kind == "ping":
-            self._finish(out, request, t0,
-                         Response(status="ok", payload={"pong": True}))
-            return out
         if request.kind == "stats":
             self._finish(out, request, t0,
                          Response(status="ok", payload=self.snapshot()))
@@ -171,8 +162,6 @@ class Service:
         # 2. coalesce with an identical in-flight computation
         key = request.coalesce_key()
         deadline = request.deadline_s
-        if deadline is None:
-            deadline = self.config.deadline_s
         with self._lock:
             comp = self._pending.get(key)
             coalesced = comp is not None
@@ -414,63 +403,3 @@ def _failure(exc: Exception, stage: str) -> tuple[str, str]:
     if isinstance(exc, SimError):
         return "trap", type(exc).__name__
     return "error", f"{stage}: {type(exc).__name__}: {exc}"
-
-
-# ---------------------------------------------------------------------------
-# asyncio front end
-
-
-async def _handle_connection(service: Service, reader, writer) -> None:
-    from repro.serve.protocol import ProtocolError, decode_request, encode
-
-    try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                return
-            if not line.strip():
-                continue
-            try:
-                request = decode_request(line)
-            except ProtocolError as exc:
-                writer.write(encode(Response(status="error",
-                                             error=f"protocol: {exc}")))
-                await writer.drain()
-                continue
-            response = await asyncio.wrap_future(service.submit(request))
-            writer.write(encode(response))
-            await writer.drain()
-    except (ConnectionResetError, BrokenPipeError):
-        pass
-    finally:
-        try:
-            writer.close()
-        except Exception:
-            pass
-
-
-async def serve_forever(service: Service, unix_path: str | None = None,
-                        host: str | None = None, port: int | None = None,
-                        ready=None) -> None:
-    """Run the JSON-lines server until cancelled.
-
-    Exactly one of ``unix_path`` or ``host``/``port`` selects the
-    transport; ``ready`` (an optional callable) fires with the bound
-    server once listening — tests and the CLI use it to signal
-    readiness.
-    """
-
-    async def handler(reader, writer):
-        await _handle_connection(service, reader, writer)
-
-    if unix_path is not None:
-        Path(unix_path).parent.mkdir(parents=True, exist_ok=True)
-        server = await asyncio.start_unix_server(handler, path=unix_path)
-    elif host is not None and port is not None:
-        server = await asyncio.start_server(handler, host=host, port=port)
-    else:
-        raise ValueError("need unix_path or host+port")
-    async with server:
-        if ready is not None:
-            ready(server)
-        await server.serve_forever()

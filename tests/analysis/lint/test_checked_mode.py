@@ -41,6 +41,29 @@ def test_checked_environment_is_not_read(monkeypatch):
     assert "checked" not in compiled.stats
 
 
+def test_checked_mode_runs_no_warning_rule(monkeypatch):
+    """Checked mode raises on error diagnostics only, so it runs only
+    error rules: after every pass, over the schedules and over a
+    buffered artifact."""
+    from dataclasses import replace
+
+    from repro.analysis.lint import Severity, all_rules, engine, get_rule
+
+    def never(target, make):
+        raise AssertionError("checked mode ran a warning rule")
+
+    warnings = [r for r in all_rules() if r.severity is Severity.WARNING]
+    assert {r.phase for r in warnings} == {"ir", "sched", "buffer"}
+    for r in warnings:
+        monkeypatch.setitem(engine._REGISTRY, r.rule_id, replace(r, fn=never))
+    per_pass = [get_rule(r) for r in pipeline_mod._per_pass_rules()]
+    assert per_pass
+    assert all(r.severity is Severity.ERROR for r in per_pass)
+    base = compile_aggressive(build_nested_loop(4, 4), buffer_capacity=None,
+                              checked=True)
+    assert with_buffer(base, 64).assignment.assigned
+
+
 def _inject_undefined_read(real_pass):
     """Wrap a per-function pass so it plants a read of a never-written
     register — the kind of breakage the sanitizer must pin on the pass."""

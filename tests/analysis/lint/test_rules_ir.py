@@ -52,6 +52,30 @@ def test_undef_guard_owns_guard_reads():
     assert _rules_fired(module, "use-before-def") == []
 
 
+def test_undefined_reads_computed_once_per_function(monkeypatch):
+    """``use-before-def`` and ``undef-guard`` share one must-defined
+    analysis per function per lint run."""
+    from repro.analysis.lint import engine
+
+    func = Function("f")
+    b = IRBuilder(func, func.add_block("entry"))
+    b.add(ireg(7), Imm(1))
+    b.movi(1, guard=preg(3))
+    b.ret()
+    module = _module_of(func)
+    real = engine.undefined_reads
+    calls = []
+
+    def counted(fn):
+        calls.append(fn.name)
+        return real(fn)
+
+    monkeypatch.setattr(engine, "undefined_reads", counted)
+    diags = lint_module(module, rule_ids=["use-before-def", "undef-guard"])
+    assert [d.rule for d in diags] == ["use-before-def", "undef-guard"]
+    assert calls == ["f"]
+
+
 def test_dead_pred_def():
     func = Function("f", [ireg(0)])
     b = IRBuilder(func, func.add_block("entry"))

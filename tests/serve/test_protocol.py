@@ -1,16 +1,14 @@
-"""Wire-form and identity-key tests for the service protocol."""
+"""Request validation, identity keys and response unwrapping."""
 
 import pytest
 
+from repro.pipeline import RunConfig
 from repro.runner.summary import RunSummary
+from repro.serve import Service, ServiceConfig
 from repro.serve.protocol import (
-    PROTOCOL_VERSION,
     ProtocolError,
     Request,
     Response,
-    decode_request,
-    decode_response,
-    encode,
     summary_from_dict,
     summary_to_dict,
 )
@@ -26,41 +24,33 @@ def _summary(**overrides):
 
 
 class TestRequestRoundTrip:
-    def test_encode_decode(self):
-        request = Request(kind="run", benchmark="adpcm_enc",
-                          pipeline="traditional", capacity=64,
-                          checked=True, id="r1")
-        line = encode(request)
-        assert line.endswith(b"\n")
-        assert decode_request(line) == request
+    """A request goes to ``Service.submit`` as the object the caller
+    built; its dataclass fields are the whole schema."""
+
+    def test_id_is_echoed(self):
+        with Service(ServiceConfig(cache_dir=None)) as service:
+            response = service.submit(
+                Request(kind="stats", id="r1")).result(timeout=30)
+        assert response.ok
+        assert response.id == "r1"
 
     def test_defaults_survive(self):
         request = Request(kind="run", benchmark="x")
-        again = decode_request(encode(request))
-        assert again.pipeline == "aggressive"
-        assert again.capacity is None
-        assert not again.checked
+        assert request.pipeline == "aggressive"
+        assert request.capacity is None
+        assert not request.checked
+        assert request.validate() == RunConfig()
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown request fields"):
-            decode_request(b'{"kind": "ping", "surprise": 1, "v": 1}\n')
-
-    def test_version_mismatch_rejected(self):
-        bad = f'{{"kind": "ping", "v": {PROTOCOL_VERSION + 1}}}\n'
-        with pytest.raises(ProtocolError, match="protocol version"):
-            decode_request(bad)
-
-    def test_bad_json_rejected(self):
-        with pytest.raises(ProtocolError, match="bad JSON"):
-            decode_request(b"not json\n")
-        with pytest.raises(ProtocolError, match="JSON object"):
-            decode_request(b"[1, 2]\n")
+        with pytest.raises(TypeError, match="surprise"):
+            Request(kind="stats", surprise=1)
 
 
 class TestValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ProtocolError, match="unknown request kind"):
-            Request(kind="explode").validate()
+        for kind in ("explode", "ping"):
+            with pytest.raises(ProtocolError, match="unknown request kind"):
+                Request(kind=kind).validate()
 
     def test_run_needs_exactly_one_program(self):
         with pytest.raises(ProtocolError, match="exactly one"):
@@ -71,26 +61,30 @@ class TestValidation:
         Request(kind="run", benchmark="a").validate()
         Request(kind="compile", source="int main() {}").validate()
 
-    def test_ping_needs_nothing(self):
-        Request(kind="ping").validate()
+    def test_stats_needs_nothing(self):
+        Request(kind="stats").validate()
 
-    def test_null_checked_is_a_bad_request(self, monkeypatch):
-        # the flag is a bool on the wire: a ``null`` must not fall back
-        # to the server's environment
-        monkeypatch.setenv("REPRO_CHECKED", "1")
+    def test_null_checked_is_a_bad_request(self):
+        # the flag is a bool: ``None`` is not "unset", and the service
+        # answers it without computing anything
+        request = Request(kind="run", benchmark="adpcm_enc", checked=None)
         with pytest.raises(ProtocolError, match="checked"):
-            decode_request(
-                '{"kind":"run","benchmark":"adpcm_enc","checked":null}')
+            request.validate()
+        with Service(ServiceConfig(cache_dir=None)) as service:
+            response = service.submit(request).result(timeout=30)
+        assert response.status == "error"
+        assert response.error.startswith("bad request: ")
+        assert "checked" in response.error
+        assert service.stats.computations == 0
 
     def test_step_budget_must_be_a_positive_int(self):
-        # the value arrives from the socket as arbitrary JSON
+        # the value may come from outside the program as any type
         for bad in (0, -5, 1.5, True, "100"):
             with pytest.raises(ProtocolError, match="max_steps"):
                 Request(kind="run", benchmark="a",
                         max_steps=bad).validate()
         Request(kind="run", benchmark="a", max_steps=1).validate()
         Request(kind="run", benchmark="a", max_steps=None).validate()
-
 
     def test_capacity_must_be_none_or_a_non_negative_int(self):
         for bad in (-1, 1.5, True, "64"):
@@ -127,19 +121,13 @@ class TestIdentityKeys:
                                            capacity=64).coalesce_key()
 
     def test_retarget_field_is_rejected(self):
-        # with_buffer has one implementation: the field left the protocol
-        with pytest.raises(ProtocolError,
-                           match=r"unknown request fields \['retarget'\]"):
-            decode_request(b'{"kind": "run", "benchmark": "a", '
-                           b'"retarget": "legacy", "v": 1}\n')
+        # with_buffer has one implementation: the field left the schema
+        with pytest.raises(TypeError, match="retarget"):
+            Request(kind="run", benchmark="a", retarget="legacy")
 
     @pytest.mark.parametrize("engine", ["ref", "fast"])
     def test_engine_field_is_rejected(self, engine):
-        # the fast engine is the only one: the field left the protocol
-        with pytest.raises(ProtocolError,
-                           match=r"unknown request fields \['engine'\]"):
-            decode_request(b'{"kind": "run", "benchmark": "a", '
-                           b'"engine": "%s", "v": 1}\n' % engine.encode())
+        # the fast engine is the only one: the field left the schema
         with pytest.raises(TypeError, match="engine"):
             Request(kind="run", benchmark="a", engine=engine)
 
@@ -163,12 +151,9 @@ class TestResponse:
         response = Response(status="ok", id="r1",
                             payload={"summary": summary_to_dict(summary),
                                      "value": 42},
-                            meta={"worker": 1, "latency_s": 0.5})
-        again = decode_response(encode(response))
-        assert again.ok
-        assert again.id == "r1"
-        assert again.summary() == summary
-        assert again.meta["worker"] == 1
+                            meta={"latency_s": 0.5})
+        assert response.ok
+        assert response.summary() == summary
 
     def test_summary_raises_on_failure(self):
         response = Response(status="trap", error="StepLimitExceeded")
@@ -181,5 +166,5 @@ class TestResponse:
         assert summary_from_dict(summary_to_dict(summary)) == summary
 
     def test_unknown_fields_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown response fields"):
-            decode_response(b'{"status": "ok", "shrug": true, "v": 1}\n')
+        with pytest.raises(TypeError, match="shrug"):
+            Response(status="ok", shrug=True)

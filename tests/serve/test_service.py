@@ -1,20 +1,18 @@
 """Service behaviour: identity with the runner, coalescing, arrival-order
 execution, backpressure, deadlines, the one executor thread, lossless
-counters and the socket front end."""
+counters and a repeated mixed workload."""
 
-import asyncio
 import sys
 import threading
 import time
 
 import pytest
 
-from repro.runner.cache import ArtifactCache
+from repro.runner.cache import ArtifactCache, iter_entries
 from repro.runner.parallel import BASE_MEMO, Cell, run_grid
 from repro.serve import Client, Request, Service, ServiceConfig
-from repro.serve.client import ServiceError, SocketClient, drive
+from repro.serve.client import ServiceError, drive
 from repro.serve.pool import Computation, Executor, QueueFull
-from repro.serve.service import serve_forever
 
 #: the quick Figure 7 grid (matches the perf harness's QUICK_SIM)
 GRID_BENCHMARKS = ("adpcm_enc", "mpeg2_dec")
@@ -90,7 +88,6 @@ class TestRunnerIdentity:
         from dataclasses import replace
 
         from repro.bench import benchmark
-        from repro.runner.cache import iter_entries
         from repro.serve import service as service_mod
 
         monkeypatch.setattr(service_mod, "benchmark", lambda name: replace(
@@ -325,8 +322,9 @@ class TestExecutor:
 
 class TestStats:
     @staticmethod
-    def _ping_storm():
-        """8 client threads x 400 pings, started together; the stats."""
+    def _stats_storm():
+        """8 client threads x 400 ``stats`` requests, started together;
+        the stats."""
         with Service(ServiceConfig(cache_dir=None)) as service:
             barrier = threading.Barrier(8, timeout=30)
 
@@ -334,7 +332,7 @@ class TestStats:
                 client = Client(service)
                 barrier.wait()
                 for _ in range(400):
-                    client.ping()
+                    client.stats()
 
             threads = [threading.Thread(target=hammer) for _ in range(8)]
             for thread in threads:
@@ -353,7 +351,7 @@ class TestStats:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                stats = self._ping_storm()
+                stats = self._stats_storm()
                 assert stats.requests == (
                     stats.ok + stats.traps + stats.errors
                     + stats.overloaded + stats.timeouts) == 3200
@@ -411,7 +409,6 @@ class TestInlineSource:
 
     def test_cache_bound_is_enforced(self, tmp_path, monkeypatch):
         from repro.runner import cache as cache_mod
-        from repro.runner.cache import iter_entries
 
         monkeypatch.setattr(cache_mod, "GC_EVERY_STORES", 1)
         with Service(ServiceConfig(workers=1, cache_dir=str(tmp_path),
@@ -428,17 +425,16 @@ class TestInlineSource:
 
 
 class TestControlRequests:
-    def test_ping_stats_and_compile(self, tmp_path):
+    def test_stats_and_compile(self, tmp_path):
         with Service(ServiceConfig(
                 workers=1, cache_dir=str(tmp_path))) as service:
             client = Client(service)
-            assert client.ping().ok
             cold = client.compile("adpcm_enc")
             assert cold.ok and cold.payload["warm"] is False
             warm = client.compile("adpcm_enc")
             assert warm.ok and warm.payload["warm"] is True
             stats = client.stats()
-            assert stats["stats"]["requests"] >= 3
+            assert stats["stats"]["requests"] == 2
             assert stats["queue_depth"] == 0
             assert stats["executor"]["computations"] == 2
             assert "cache" in stats
@@ -461,7 +457,7 @@ class TestRunSettings:
             checked = client.request(Request(kind="run",
                                              benchmark="adpcm_enc",
                                              capacity=64, checked="yes"))
-            assert client.ping().ok
+            assert client.stats()["stats"]["errors"] == 1
         assert checked.status == "error"
         assert checked.error.startswith("bad request: ")
         assert "checked" in checked.error
@@ -481,119 +477,85 @@ class TestRunSettings:
         assert service.stats.computations == 0
 
 
-class TestSocketFrontEnd:
-    @pytest.fixture
-    def server(self, tmp_path):
-        path = str(tmp_path / "serve.sock")
-        service = Service(ServiceConfig(
-            workers=2, cache_dir=str(tmp_path / "cache")))
-        ready = threading.Event()
-        loops = {}
+class TestClient:
+    """A client keeps serving after a bad request, and concurrent
+    clients share one service."""
 
-        def run():
-            loop = asyncio.new_event_loop()
-            loops["loop"] = loop
-            asyncio.set_event_loop(loop)
-            task = loop.create_task(serve_forever(
-                service, unix_path=path, ready=lambda s: ready.set()))
-            try:
-                loop.run_until_complete(task)
-            except asyncio.CancelledError:
-                pass
-            finally:
-                loop.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        assert ready.wait(10), "server never came up"
-        yield path, service
-        loop = loops["loop"]
-        loop.call_soon_threadsafe(
-            lambda: [t.cancel() for t in asyncio.all_tasks(loop)])
-        thread.join(timeout=10)
-        service.close()
-
-    def test_round_trip_and_warm_path(self, server):
-        path, _service = server
-        with SocketClient(unix_path=path) as client:
-            assert client.ping().ok
+    def test_round_trip_and_warm_path(self, tmp_path):
+        with Service(ServiceConfig(
+                workers=2, cache_dir=str(tmp_path))) as service:
+            client = Client(service)
             cold = client.run("adpcm_enc", capacity=64)
             assert cold.ok and cold.meta["served"] == "computed"
             warm = client.run("adpcm_enc", capacity=64)
             assert warm.ok and warm.meta["served"] == "run-cache"
             assert warm.summary() == cold.summary()
 
-    def test_protocol_error_keeps_connection_alive(self, server):
-        from repro.serve.protocol import decode_response
-
-        path, _service = server
-        with SocketClient(unix_path=path) as client:
-            client._file.write(b'{"kind": "nonsense", "v": 1}\n')
-            client._file.flush()
-            response = decode_response(client._file.readline())
+    def test_bad_request_keeps_client_usable(self):
+        with Service(ServiceConfig(workers=1, cache_dir=None)) as service:
+            client = Client(service)
+            response = client.request(Request(kind="nonsense"))
             assert response.status == "error"
-            assert "protocol" in response.error
-            assert client.ping().ok
+            assert "unknown request kind" in response.error
+            assert client.run("adpcm_enc", capacity=64).ok
 
-    def test_bad_engine_keeps_connection_alive(self, server):
-        # ``engine`` is no longer a request field: a client that still
-        # sends one is refused by the unknown-field check, nothing runs
-        from repro.serve.protocol import decode_response
-
-        path, service = server
-        with SocketClient(unix_path=path) as client:
-            client._file.write(b'{"kind": "run", "benchmark": "adpcm_enc", '
-                               b'"capacity": 64, "engine": "ref", "v": 1}\n')
-            client._file.flush()
-            response = decode_response(client._file.readline())
-            assert response.status == "error"
-            assert "unknown request fields ['engine']" in response.error
-            assert client.ping().ok
-        assert service.stats.computations == 0
-
-    def test_concurrent_socket_clients(self, server):
-        path, service = server
+    def test_concurrent_clients(self, tmp_path):
         requests = [Request(kind="run", benchmark="adpcm_enc",
                             pipeline=pipeline, capacity=capacity)
                     for pipeline in GRID_PIPELINES
                     for capacity in (16, 64)] * 2
-        responses = drive(lambda: SocketClient(unix_path=path), requests,
-                          concurrency=4)
+        with Service(ServiceConfig(
+                workers=2, cache_dir=str(tmp_path))) as service:
+            responses = drive(lambda: Client(service), requests,
+                              concurrency=4)
         assert all(r.ok for r in responses)
         assert service.stats.run_cache_hits > 0
 
 
-class _FakeClient:
-    """A ``drive`` client that answers pings, fails on ``stats`` and
-    records whether it was closed."""
+class TestMixedWorkload:
+    """A mixed run workload driven twice by concurrent clients: every
+    request is answered once and served exactly one way, the repeat
+    pass comes from the run cache, and the cache holds the runner's
+    entries within its bound."""
 
-    def __init__(self, made: list) -> None:
-        self.closed = False
-        made.append(self)
+    MAX_CACHE_BYTES = 256 << 20
 
-    def request(self, request: Request):
-        if request.kind == "stats":
-            raise ConnectionError("service went away")
-        return request.kind
+    @staticmethod
+    def _requests() -> list[Request]:
+        combos = [(name, pipeline, capacity)
+                  for name in ("adpcm_enc", "adpcm_dec", "mpeg2_dec")
+                  for pipeline in GRID_PIPELINES
+                  for capacity in (None, 16, 64, 256)]
+        return [Request(kind="run", benchmark=name, pipeline=pipeline,
+                        capacity=capacity, id=f"w{i}")
+                for i, (name, pipeline, capacity)
+                in enumerate(combos * 2)]
 
-    def close(self) -> None:
-        self.closed = True
+    @staticmethod
+    def _assert_accounted(stats, runs: int) -> None:
+        assert stats.requests == (stats.ok + stats.traps + stats.errors
+                                  + stats.overloaded + stats.timeouts)
+        # from the run cache, coalesced, or by its own computation
+        assert stats.run_cache_hits + stats.coalesced \
+            + stats.computations == runs
 
-
-class TestDrive:
-    def test_closes_every_client_it_made(self):
-        made: list = []
-        responses = drive(lambda: _FakeClient(made),
-                          [Request(kind="ping")] * 40, concurrency=4)
-        assert responses == ["ping"] * 40
-        assert made and all(client.closed for client in made)
-
-    def test_closes_every_client_when_a_request_raises(self):
-        made: list = []
-        requests = [Request(kind="ping")] * 20 + [Request(kind="stats")]
-        with pytest.raises(ConnectionError):
-            drive(lambda: _FakeClient(made), requests, concurrency=4)
-        assert made and all(client.closed for client in made)
+    def test_repeat_pass_is_served_from_a_bounded_cache(self, tmp_path):
+        requests = self._requests()
+        with Service(ServiceConfig(
+                cache_dir=str(tmp_path),
+                max_cache_bytes=self.MAX_CACHE_BYTES)) as service:
+            cold = drive(lambda: Client(service), requests, concurrency=8)
+            assert all(r.ok for r in cold)
+            self._assert_accounted(service.stats, len(requests))
+            before = service.stats.run_cache_hits
+            warm = drive(lambda: Client(service), requests, concurrency=8)
+            assert all(r.ok for r in warm)
+            self._assert_accounted(service.stats, 2 * len(requests))
+            hits = service.stats.run_cache_hits - before
+        assert hits / len(requests) >= 0.9
+        entries = iter_entries(tmp_path)
+        assert any(entry.kind == "run" for entry in entries)
+        assert sum(entry.bytes for entry in entries) <= self.MAX_CACHE_BYTES
 
 
 class TestFuzzOracleRoute:
