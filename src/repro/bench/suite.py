@@ -24,6 +24,7 @@ from typing import Callable
 
 from repro.frontend import compile_source
 from repro.ir.module import Module
+from repro.memo import Memo
 
 
 @dataclass
@@ -38,7 +39,7 @@ class Benchmark:
     args: list[int] = field(default_factory=list)
 
     def build(self) -> Module:
-        return compile_source(self.source, name=self.name)
+        return parsed_module(self.source, self.name)
 
     def expected(self) -> int:
         """The reference checksum, computed once per ``reference``
@@ -48,6 +49,24 @@ class Benchmark:
         if value is None:
             value = _EXPECTED[reference] = reference()
         return value
+
+
+#: ``(source, name)`` -> the module ``compile_source`` lowered from it,
+#: which is never handed out (DESIGN.md §5e, §5j)
+PARSED = Memo(32)
+
+
+def parsed_module(source: str, name: str) -> Module:
+    """``compile_source(source, name)``, parsed once per process.
+
+    Returns a private clone of the memoised module, so the caller may
+    mutate it.  Every clone keeps the memoised module's op uids."""
+    key = (source, name)
+    module = PARSED.get(key)
+    if module is None:
+        module = compile_source(source, name=name)
+        PARSED.put(key, module)
+    return module.clone()
 
 
 _REGISTRY: dict[str, Callable[[], Benchmark]] = {}

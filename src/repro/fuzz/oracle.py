@@ -261,7 +261,7 @@ def compiled_outcome(source: str, config: Config,
     ``compile_*(buffer_capacity=...)`` does.  ``module`` is ``source``'s
     parse (:func:`_parse`) and ``bases`` a dict of bases already built
     from it, keyed by (pipeline, :class:`RunConfig`); this call adds
-    the base it builds.  Neither is mutated: the frontend deep-copies
+    the base it builds.  Neither is mutated: the frontend clones
     its input and every later step only reads the base.
     """
     settings = config.run(max_steps)

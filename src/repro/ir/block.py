@@ -27,6 +27,15 @@ class BasicBlock:
         #: set by if-conversion: this block was formed as a hyperblock.
         self.hyperblock = False
 
+    def clone(self) -> "BasicBlock":
+        """A private copy: the same label and flag, and a clone of each
+        op (uids kept)."""
+        block = object.__new__(BasicBlock)
+        block.label = self.label
+        block.ops = [op.clone() for op in self.ops]
+        block.hyperblock = self.hyperblock
+        return block
+
     def append(self, op: Operation) -> Operation:
         self.ops.append(op)
         return op

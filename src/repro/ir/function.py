@@ -33,6 +33,39 @@ class Function:
         for param in self.params:
             self._note_reg(param)
 
+    # -- copies -------------------------------------------------------------------
+
+    def with_blocks(self, blocks: list[BasicBlock]) -> "Function":
+        """A new function laid out as ``blocks``, which it takes as given,
+        with this one's name, frame and a copy of its parameters and
+        register and label counters."""
+        func = object.__new__(Function)
+        func.name = self.name
+        func.params = self.params.copy()
+        func.blocks = blocks
+        func._by_label = {block.label: block for block in blocks}
+        func._next_reg = self._next_reg.copy()
+        func._next_label = self._next_label
+        func.frame_words = self.frame_words
+        func.frame_base = self.frame_base
+        return func
+
+    def clone(self) -> "Function":
+        """A private copy: a clone of every block, op uids kept.  A
+        capacity overlay's clone keeps the overlay's origin
+        (``_decode_origin``, :mod:`repro.loopbuffer.overlay`), which is
+        the immutable base function and stays shared."""
+        # the label index keeps its own (insertion) order, as a deep copy
+        # would
+        by_label = {label: block.clone()
+                    for label, block in self._by_label.items()}
+        func = self.with_blocks([by_label[block.label]
+                                 for block in self.blocks])
+        func._by_label = by_label
+        if "_decode_origin" in self.__dict__:
+            func._decode_origin = self._decode_origin
+        return func
+
     # -- registers and labels -------------------------------------------------
 
     def _note_reg(self, reg: VReg) -> None:

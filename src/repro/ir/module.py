@@ -26,6 +26,10 @@ class GlobalData:
         if len(self.init) > self.size:
             raise ValueError(f"global {self.name!r} initializer exceeds size")
 
+    def clone(self) -> "GlobalData":
+        """A copy with its own ``init`` list."""
+        return GlobalData(self.name, self.size, self.init.copy())
+
     def words(self) -> list[int]:
         """Initial contents, zero-padded to ``size``."""
         return self.init + [0] * (self.size - len(self.init))
@@ -38,6 +42,18 @@ class Module:
         self.name = name
         self.functions: dict[str, Function] = {}
         self.globals: dict[str, GlobalData] = {}
+
+    def clone(self) -> "Module":
+        """A private copy that shares nothing mutable with this module:
+        every function and global is cloned.  Op uids are kept, so a
+        :class:`~repro.analysis.profile.Profile` of this module (keyed by
+        function and uid) holds for the clone.  DESIGN.md §5e."""
+        module = Module(self.name)
+        module.functions = {name: func.clone()
+                            for name, func in self.functions.items()}
+        module.globals = {name: data.clone()
+                          for name, data in self.globals.items()}
+        return module
 
     def add_function(self, func: Function) -> Function:
         if func.name in self.functions:

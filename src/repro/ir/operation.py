@@ -28,6 +28,17 @@ from .registers import Operand, VReg
 _op_ids = itertools.count()
 
 
+def _copy_value(value):
+    """``value`` with every list and dict in it copied: the mutable types
+    an attribute value may have (``ptypes`` is a list, ``slot_route`` a
+    dict of lists)."""
+    if type(value) is list:
+        return [_copy_value(item) for item in value]
+    if type(value) is dict:
+        return {key: _copy_value(item) for key, item in value.items()}
+    return value
+
+
 class Operation:
     """One IR instruction.
 
@@ -99,6 +110,21 @@ class Operation:
             self.guard,
             dict(self.attrs),
         )
+
+    def clone(self) -> "Operation":
+        """A private copy that keeps this op's uid, so a profile keyed by
+        uid holds for it.  Its ``dests``, ``srcs`` and ``attrs`` are new
+        containers, and so is every list or dict inside ``attrs``;
+        operands and scalars are immutable and shared."""
+        op = object.__new__(Operation)
+        op.opcode = self.opcode
+        op.dests = self.dests.copy()
+        op.srcs = self.srcs.copy()
+        op.guard = self.guard
+        op.attrs = {key: _copy_value(value)
+                    for key, value in self.attrs.items()}
+        op.uid = self.uid
+        return op
 
     # -- structural queries ----------------------------------------------------
 

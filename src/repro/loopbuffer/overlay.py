@@ -91,15 +91,8 @@ def _clone_function(func: Function, replacements: dict[str, BasicBlock]) -> Func
     The clone records its origin (``_decode_origin``) only so pass-trace
     replay can find the base blocks its copies came from.
     """
-    clone = Function.__new__(Function)
-    clone.name = func.name
-    clone.params = list(func.params)
-    clone.blocks = [replacements.get(b.label, b) for b in func.blocks]
-    clone._by_label = {b.label: b for b in clone.blocks}
-    clone._next_reg = dict(func._next_reg)
-    clone._next_label = func._next_label
-    clone.frame_words = func.frame_words
-    clone.frame_base = func.frame_base
+    clone = func.with_blocks([replacements.get(b.label, b)
+                              for b in func.blocks])
     clone._decode_origin = getattr(func, "_decode_origin", func)
     return clone
 

@@ -1,9 +1,9 @@
 """One bounded LRU type for every in-process memo, and one way to drop them.
 
 Each layer memoizes deterministic work by content: schedule placements,
-dependence graphs, per-function check results, the pipelines' frontend,
-compiled interpreter blocks and compiled bases (DESIGN.md §5j lists each
-memo with its key and bound).  Every one of them is a :class:`Memo`: a
+dependence graphs, per-function check results, parsed programs, the
+pipelines' frontend, compiled interpreter blocks and compiled bases
+(DESIGN.md §5j lists each memo with its key and bound).  Every one of them is a :class:`Memo`: a
 bounded LRU behind one lock that counts its hits, misses and evictions
 in a :class:`MemoStats`.  :func:`clear_caches` empties them all and
 zeroes their counters, as a new process would start.

@@ -32,7 +32,6 @@ assignment — in an illegal state.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -481,11 +480,12 @@ def _frontend(module: Module, entry: str, args: list[int],
     """The frontend both pipelines share: cleanup, profile, inline,
     cleanup, profile.
 
-    Returns a private deep copy of the cleaned, inlined module (deepcopy
-    keeps op uids, so the profile's keys hold) and the profile, which is
-    shared and must only be read.  One run per program and settings per
-    process is memoised; a run that raises stores nothing.  ``module``
-    itself is never mutated.
+    Returns a private copy of the cleaned, inlined module
+    (:meth:`Module.clone` keeps op uids, so the profile's keys hold) and
+    the profile, which is shared and must only be read.  One run per
+    program and settings per process is memoised; a run that raises
+    stores nothing.  ``module`` itself is never mutated: a miss runs the
+    passes on a clone of it.
     """
     key = _frontend_key(module, entry, args, inline_budget, machine,
                         settings)
@@ -496,13 +496,13 @@ def _frontend(module: Module, entry: str, args: list[int],
         if span is not None:
             span.annotate(memo="miss" if stored is None else "hit")
         if stored is None:
-            work = copy.deepcopy(module)
+            work = module.clone()
             checker = _PassChecker(work, machine, settings)
             stored = (work, _common_frontend(work, entry, args, inline_budget,
                                              checker, settings))
             frontend_put(key, stored)
     work, profile = stored
-    return copy.deepcopy(work), profile
+    return work.clone(), profile
 
 
 def _common_frontend(module: Module, entry: str, args: list[int],

@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from repro.bench import Benchmark, benchmark
+from repro.bench.suite import parsed_module
 from repro.loopbuffer.assign import AssignmentResult, place_loops, scan_loops
 from repro.loopbuffer.overlay import check_retarget, loop_footprints
 from repro.memo import Memo
@@ -82,9 +83,7 @@ class Source:
     args: tuple[int, ...] = ()
 
     def build(self):
-        from repro.frontend import compile_source
-
-        return compile_source(self.source)
+        return parsed_module(self.source, "module")
 
     def expected(self) -> None:
         return None

@@ -115,7 +115,7 @@ def check_entry(digest: bytes) -> CheckEntry:
 def frontend_get(key: tuple):
     """The stored ``(module, profile)`` frontend for ``key``, or ``None``.
 
-    Callers must not mutate either: they deep-copy the module and only
+    Callers must not mutate either: they clone the module and only
     read the profile."""
     return _frontend_memo.get(key)
 

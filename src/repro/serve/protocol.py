@@ -45,9 +45,11 @@ from repro.runner.summary import RunSummary, summary_from_dict, summary_to_dict 
 
 REQUEST_KINDS = ("run", "compile", "stats")
 
-#: statuses a request can come back with
-STATUSES = ("ok", "trap", "checked-failure", "overloaded", "timeout",
-            "error")
+#: every status a request can come back with -> the
+#: :class:`~repro.serve.service.ServiceStats` counter it bumps
+STATUS_COUNTERS = {"ok": "ok", "trap": "traps", "checked-failure": "errors",
+                   "overloaded": "overloaded", "timeout": "timeouts",
+                   "error": "errors"}
 
 
 class ProtocolError(ValueError):

@@ -57,7 +57,7 @@ from repro.serve.pool import (
     Executor,
     QueueFull,
 )
-from repro.serve.protocol import Request, Response
+from repro.serve.protocol import STATUS_COUNTERS, Request, Response
 from repro.sim.interp import SimError
 
 
@@ -211,9 +211,7 @@ class Service:
         response.id = request.id
         response.meta.setdefault("temperature", "cold")
         response.meta["latency_s"] = round(latency, 6)
-        bucket = {"ok": "ok", "trap": "traps", "checked-failure": "errors",
-                  "overloaded": "overloaded", "timeout": "timeouts",
-                  "error": "errors"}[response.status]
+        bucket = STATUS_COUNTERS[response.status]
         # client threads and the executor thread both answer requests
         with self._lock:
             self.stats.requests += 1

@@ -397,21 +397,25 @@ class TestCloseOncePerWrite:
 
         checked = []
 
-        class CheckedWeb(PredicateWeb):
-            def __init__(self, func, cfg=None):
-                super().__init__(func, cfg)
-                assert web_snapshot(self) == web_snapshot(
-                    ReferenceWeb(func, self.cfg)), func.name
-                checked.append(func.name)
+        def checked_web(builder: str):
+            class CheckedWeb(PredicateWeb):
+                def __init__(self, func, cfg=None):
+                    super().__init__(func, cfg)
+                    assert web_snapshot(self) == web_snapshot(
+                        ReferenceWeb(func, self.cfg)), func.name
+                    checked.append((builder, func.name))
+            return CheckedWeb
 
         for module in (rules_pred, dce, promotion):
-            monkeypatch.setattr(module, "PredicateWeb", CheckedWeb)
+            monkeypatch.setattr(module, "PredicateWeb",
+                                checked_web(module.__name__))
         clear_caches()
         try:
             compile_all()
         finally:
             clear_caches()
         assert checked, "no predicate web was built"
+        return {builder for builder, _func in checked}
 
     def test_fuzz_corpus_webs_match_reference(self, monkeypatch):
         from repro import pipeline
@@ -430,6 +434,27 @@ class TestCloseOncePerWrite:
                 assert check_program(entry.source).ok, entry.id
 
         self._assert_pipeline_webs_match_reference(monkeypatch, compile_all)
+
+    #: fuzz generator seeds whose checked aggressive compile builds a web
+    #: in both ``sink_partially_dead`` and ``promote_function``: of seeds
+    #: 0-199, 99 build one in promotion and only these three in both
+    WEB_SEEDS = (140, 162, 184)
+
+    def test_generated_program_webs_match_reference(self, monkeypatch):
+        """The passes' own webs on generated programs, with no warning
+        lint rule enabled: the regression corpus builds none there."""
+        from repro.frontend import compile_source
+        from repro.fuzz.gen import generate_source
+        from repro.pipeline import compile_aggressive
+
+        def compile_all():
+            for seed in self.WEB_SEEDS:
+                compile_aggressive(compile_source(generate_source(seed)),
+                                   buffer_capacity=64, checked=True)
+
+        builders = self._assert_pipeline_webs_match_reference(
+            monkeypatch, compile_all)
+        assert builders == {"repro.opt.dce", "repro.predication.promotion"}
 
     @pytest.mark.parametrize("name", ["adpcm_enc", "g724_dec"])
     def test_benchmark_webs_match_reference(self, monkeypatch, name):

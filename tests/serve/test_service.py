@@ -5,6 +5,7 @@ counters and a repeated mixed workload."""
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.runner.parallel import BASE_MEMO, Cell, run_grid
 from repro.serve import Client, Request, Service, ServiceConfig
 from repro.serve.client import ServiceError, drive
 from repro.serve.pool import Computation, Executor, QueueFull
+from repro.serve.protocol import STATUS_COUNTERS, Response
 
 #: the quick Figure 7 grid (matches the perf harness's QUICK_SIM)
 GRID_BENCHMARKS = ("adpcm_enc", "mpeg2_dec")
@@ -341,6 +343,26 @@ class TestStats:
                 thread.join(timeout=60)
                 assert not thread.is_alive()
         return service.stats
+
+    def test_each_status_bumps_exactly_one_counter(self):
+        """``_finish`` reads the protocol's one status table: each status
+        adds one request and one status counter, so the counters always
+        sum to the requests."""
+        buckets = {"ok", "traps", "errors", "overloaded", "timeouts"}
+        assert set(STATUS_COUNTERS.values()) == buckets
+        with Service(ServiceConfig(cache_dir=None)) as service:
+            for status, counter in STATUS_COUNTERS.items():
+                before = service.stats.as_dict()
+                service._finish(Future(), Request(kind="stats"),
+                                time.perf_counter(), Response(status=status))
+                after = service.stats.as_dict()
+                assert {name for name in after
+                        if after[name] != before[name]} \
+                    == {"requests", counter}, status
+                assert after[counter] == before[counter] + 1
+            stats = service.stats
+            assert stats.requests == len(STATUS_COUNTERS) == sum(
+                getattr(stats, name) for name in buckets)
 
     def test_counters_lose_no_updates_across_threads(self):
         """Client threads and the executor thread all bump the status

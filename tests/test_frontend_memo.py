@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.bench.suite as suite
 import repro.pipeline as pipeline_mod
 import repro.sched.cache as cache
 from repro.bench import benchmark
@@ -34,7 +35,7 @@ from repro.pipeline import (
     run_compiled,
     with_buffer,
 )
-from repro.runner.parallel import CLASS_MEMO, run_base
+from repro.runner.parallel import CLASS_MEMO, Source, run_base
 from repro.sched.cache import FRONTEND_STATS, clear_caches
 from repro.sim.interp import StepLimitExceeded
 
@@ -326,6 +327,61 @@ def test_checked_replay_on_artifacts_from_one_frontend():
             # checked: the replayed run is simulated in full and compared
             outcome = run_compiled(with_buffer(base, capacity))
             assert outcome.result.value == program.expected()
+
+
+# -- one parse per program --------------------------------------------------------
+
+
+def _count_parses(monkeypatch) -> list[str]:
+    """The name of every real ``compile_source`` the parse memo runs."""
+    calls: list[str] = []
+    real = suite.compile_source
+
+    def counted(source, name="module"):
+        calls.append(name)
+        return real(source, name)
+
+    monkeypatch.setattr(suite, "compile_source", counted)
+    return calls
+
+
+def test_benchmark_parses_once_per_process(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    program = benchmark("adpcm_enc")
+    first, second = program.build(), program.build()
+    assert calls == ["adpcm_enc"]
+    assert suite.PARSED.stats.counts() == (1, 1, 0)
+    # one parse: the same ops, uids included, in independent modules
+    digest = pipeline_mod._module_digest(second, uids=True)
+    assert pipeline_mod._module_digest(first, uids=True) == digest
+    first.add_global("mine", 1)
+    for op in first.functions["main"].ops():
+        op.srcs.append(ireg(99))
+    assert pipeline_mod._module_digest(second, uids=True) == digest
+    assert pipeline_mod._module_digest(program.build(), uids=True) == digest
+    # both pipelines compile from that parse
+    for pipeline in PIPELINES:
+        _compile(pipeline, program)
+    assert calls == ["adpcm_enc"]
+
+
+def test_clear_caches_drops_the_parses(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    benchmark("adpcm_enc").build()
+    clear_caches()
+    assert len(suite.PARSED) == 0
+    assert suite.PARSED.stats.counts() == (0, 0, 0)
+    benchmark("adpcm_enc").build()
+    assert calls == ["adpcm_enc", "adpcm_enc"]
+
+
+def test_inline_sources_share_the_parse_memo(monkeypatch):
+    calls = _count_parses(monkeypatch)
+    one, two = Source("a", LOOP_SOURCE), Source("b", LOOP_SOURCE)
+    # the runner's label is not the module's name: one parse serves both
+    assert one.build().name == two.build().name == "module"
+    assert calls == ["module"]
+    assert len(suite.PARSED) == 1
 
 
 # -- threads --------------------------------------------------------------------

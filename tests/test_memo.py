@@ -23,6 +23,7 @@ PROCESS_MEMOS = {
     "dependence": ("repro.analysis.dependence", "_graph_cache", 4096),
     "check": ("repro.sched.cache", "_check_memo", 4096),
     "frontend": ("repro.sched.cache", "_frontend_memo", 32),
+    "parse": ("repro.bench.suite", "PARSED", 32),
     "block-code": ("repro.sim.engine", "_block_code", 512),
     "bases": ("repro.runner.parallel", "BASE_MEMO", 32),
     "loop-scans": ("repro.runner.parallel", "LOOP_SCANS", 32),
