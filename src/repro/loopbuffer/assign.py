@@ -30,7 +30,9 @@ Only step 1's size filter and steps 3 and 4 depend on the capacity.  So
 the pass is split: :func:`scan_loops` finds the loops, their weights
 and their preheaders once per compiled program, and :func:`place_loops`
 places them at one capacity without touching IR.  :func:`assign_buffer`
-runs scan, placement and rewrite in one call.
+runs scan, placement and rewrite in one call, or placement and rewrite
+of a scan the caller kept (a capacity overlay places every capacity
+from its base's one scan, :func:`repro.loopbuffer.overlay.loop_scan`).
 """
 
 from __future__ import annotations
@@ -147,6 +149,7 @@ def assign_buffer(
     footprint: dict[tuple[str, str], int] | None = None,
     overhead_aware: bool = True,
     get_block=None,
+    candidates: list[LoopCandidate] | None = None,
 ) -> AssignmentResult:
     """Choose buffer offsets for the module's loops and rewrite the IR.
 
@@ -155,15 +158,17 @@ def assign_buffer(
     default edits ``module`` in place; a capacity-symbolic overlay
     (:mod:`repro.loopbuffer.overlay`) passes a copy-on-write getter so
     the shared base module is analyzed but never mutated.
+    ``candidates``, when given, is :func:`scan_loops` of ``module``,
+    ``profile`` and ``footprint``, placed instead of scanning again.
     """
     tracer = get_tracer()
     if not tracer.enabled:
         return _assign_buffer(module, profile, capacity, footprint,
-                              overhead_aware, get_block)
+                              overhead_aware, get_block, candidates)
     with tracer.span("assign_buffer", category="pass",
                      capacity=capacity) as span:
         result = _assign_buffer(module, profile, capacity, footprint,
-                                overhead_aware, get_block)
+                                overhead_aware, get_block, candidates)
         span.annotate(
             assigned=len(result.assigned),
             unassigned=len(result.unassigned),
@@ -173,8 +178,9 @@ def assign_buffer(
 
 
 def _assign_buffer(module, profile, capacity, footprint, overhead_aware,
-                   get_block=None):
-    candidates = scan_loops(module, profile, footprint)
+                   get_block=None, candidates=None):
+    if candidates is None:
+        candidates = scan_loops(module, profile, footprint)
     result = place_loops(candidates, capacity, overhead_aware)
     _rewrite_ir(module, result, candidates, get_block)
     return result

@@ -21,8 +21,12 @@ List schedules are recomputed only for the copied blocks; every shared
 block reuses the base artifact's ``Schedule`` object, which is what a
 full reschedule of a deep copy would produce anyway (``schedule_block``
 is content-deterministic, and the ``rec`` rewrite never changes
-liveness: ``rec_cloop`` keeps its ``cloop_set``'s sources and
-``rec_wloop`` has none).  ``tests/golden/retarget_grid.json`` pins the
+liveness: ``rec_cloop`` keeps its ``cloop_set``'s sources and guard,
+``rec_wloop`` reads and writes no register, and neither is a branch).
+So the copies are rescheduled from the *base* function's live-in sets,
+computed once per base function (:func:`base_live_in`), and buffer
+assignment places every capacity from the base's one loop scan
+(:func:`loop_scan`).  ``tests/golden/retarget_grid.json`` pins the
 result per benchmark cell; it was generated with that deep-copy
 reschedule asserted identical.
 
@@ -35,13 +39,15 @@ that each copy differs from its base block by ``rec`` edits alone
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.opcodes import Opcode
-from repro.loopbuffer.assign import assign_buffer
+from repro.loopbuffer.assign import LoopCandidate, assign_buffer, scan_loops
+from repro.memo import Memo
 
 
 class RetargetError(ValueError):
@@ -208,6 +214,47 @@ def loop_footprints(compiled) -> dict[tuple[str, str], int]:
             for key, sched in compiled.modulo.items()}
 
 
+#: ``id`` of an unbuffered base ``Compiled`` -> ``(weak reference to
+#: it, its loop scan)``: every capacity places the same scanned loops
+LOOP_SCANS = Memo(32)
+
+#: ``id`` of a base ``Function`` -> ``(weak reference to it, its
+#: blocks' live-in sets)``: a ``rec`` edit changes no register's liveness
+BASE_LIVE_IN = Memo(128)
+
+
+def _per_object(memo: Memo, obj, make):
+    """``make(obj)``, computed once while ``obj`` lives.  The entry is
+    keyed by identity and holds only a weak reference to ``obj``: it
+    keeps no base alive, and an id reused by a later object is a miss."""
+    entry = memo.get(id(obj))
+    if entry is None or entry[0]() is not obj:
+        entry = (weakref.ref(obj), make(obj))
+        memo.put(id(obj), entry)
+    return entry[1]
+
+
+def loop_scan(compiled) -> list[LoopCandidate]:
+    """The loop scan (:func:`~repro.loopbuffer.assign.scan_loops`) of
+    the unbuffered base ``compiled``, made once per base: buffer
+    assignment places every capacity from it, and so does the runner's
+    capacity-class planner."""
+    return _per_object(LOOP_SCANS, compiled, lambda base: scan_loops(
+        base.module, base.profile, loop_footprints(base)))
+
+
+def base_live_in(func: Function) -> dict:
+    """Each block's live-in set in base function ``func``, computed once
+    per function.  They are every overlay's live-in sets too:
+    ``rec_cloop`` keeps its ``cloop_set``'s sources and guard,
+    ``rec_wloop`` reads and writes no register, and neither is a
+    branch.  Rescheduling a copied preheader reads only these (its
+    branch targets' live-in sets), so the live-out sets are not kept."""
+    from repro.analysis.liveness import liveness
+
+    return _per_object(BASE_LIVE_IN, func, lambda f: liveness(f).live_in)
+
+
 def retarget_overlay(compiled, capacity: int | None,
                      overhead_aware: bool = True, assign=None):
     """Retarget ``compiled`` to ``capacity`` without copying the module.
@@ -238,15 +285,15 @@ def retarget_overlay(compiled, capacity: int | None,
     if capacity:
         assignment = assign(
             base_module, compiled.profile, capacity,
-            footprint=loop_footprints(compiled),
             overhead_aware=overhead_aware, get_block=cow_block,
+            candidates=loop_scan(compiled),
         )
 
     module = (overlay_module(base_module, materialized)
               if materialized else base_module)
     schedules = {fname: scheds for fname, scheds in compiled.schedules.items()}
     if materialized:
-        from repro.analysis.liveness import liveness
+        from repro.analysis.liveness import LivenessInfo
         from repro.sched.list_sched import exit_live_map, schedule_block
 
         by_func: dict[str, list[str]] = {}
@@ -254,7 +301,7 @@ def retarget_overlay(compiled, capacity: int | None,
             by_func.setdefault(fname, []).append(label)
         for fname, labels in by_func.items():
             func = module.function(fname)
-            live = liveness(func)
+            live = LivenessInfo(base_live_in(base_module.function(fname)))
             fsched = dict(schedules.get(fname, {}))
             for label in labels:
                 block = func.block(label)

@@ -35,7 +35,14 @@ from repro.obs.perf.history import (
     git_sha,
     utc_stamp,
 )
-from repro.obs.perf.regress import RETIRED, Verdict, check_bound, gate, trend
+from repro.obs.perf.regress import (
+    RETIRED,
+    WALL_METRIC,
+    Verdict,
+    check_bound,
+    gate,
+    trend,
+)
 from repro.obs.perf.results import (
     ResultsError,
     collect,
@@ -152,10 +159,19 @@ def cmd_trend(args) -> int:
         print(f"no matching series in {args.history}", file=sys.stderr)
         return 2
     newest = max(r.get("recorded_at", "") for r in history.records())
+    # each workload's traced wall time per recording: a layer share
+    # drifts only if the layer's implied seconds rose too
+    walls: dict[str, dict[str, float]] = {}
+    for record in history.records():
+        workload, _, metric = record.get("bench", "").partition("/")
+        if metric == WALL_METRIC and "recorded_at" in record:
+            walls.setdefault(workload, {})[record["recorded_at"]] = float(
+                record.get("median", 0.0))
     verdicts = []
     for bench, mode, config_hash in series:
         records = history.records(bench=bench, config_hash=config_hash)
-        verdict = trend(records, budget=args.budget)
+        verdict = trend(records, budget=args.budget,
+                        walls=walls.get(bench.partition("/")[0]))
         if all(r.get("recorded_at") != newest for r in records):
             verdict.status = RETIRED
             verdict.detail = (f"not in the newest recording ({newest}); "

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 #: the unit of a layer's seconds over the traced pass's wall time
 SHARE = "share"
+#: the per-workload metric a share divides by (``<workload>/trace.wall_s``)
+WALL_METRIC = "trace.wall_s"
 
 #: default relative movement allowed before the gate fires on a
 #: dimensionless series (run-to-run machine noise mostly divides out)
@@ -246,7 +248,8 @@ class TrendVerdict:
 
 
 def trend(records: list[dict], budget: float | None = None,
-          mad_k: float = DEFAULT_MAD_K, window: int = 3) -> TrendVerdict:
+          mad_k: float = DEFAULT_MAD_K, window: int = 3,
+          walls: dict[str, float] | None = None) -> TrendVerdict:
     """Detect slow drift across one series' stored records (time order).
 
     The oldest and newest ``window`` medians are themselves medianed, so
@@ -254,6 +257,12 @@ def trend(records: list[dict], budget: float | None = None,
     the alarm uses the same budget-or-noise allowance as the step gate
     (per-unit default, like :func:`compare_result`), applied to the
     cumulative movement.
+
+    A layer's share of the traced wall time also rises when *other*
+    layers shrink.  So a drifted share series alarms only if the layer's
+    implied seconds (each record's share times its recording's traced
+    wall time, ``walls[recorded_at]``) rose beyond the budget too; a
+    share whose recordings have no wall time alarms as before.
     """
     if not records:
         return TrendVerdict("?", "?", "?", NO_BASELINE, 0,
@@ -294,7 +303,14 @@ def trend(records: list[dict], budget: float | None = None,
     verdict.first_median = first
     verdict.last_median = last
     verdict.drift = (last - first) / first if first else None
-    if delta > allowed:
+    implied = (_implied_seconds(records, walls, window)
+               if head.get("unit") == SHARE and delta > allowed else None)
+    if implied is not None and implied[1] - implied[0] <= budget * implied[0]:
+        verdict.detail = (
+            f"share drift {first:.3f} -> {last:.3f}, but the layer's "
+            f"implied seconds went {implied[0]:.3f} -> {implied[1]:.3f} "
+            f"(within budget {budget:.0%}): other layers shrank")
+    elif delta > allowed:
         verdict.status = REGRESSION
         verdict.detail = (
             f"cumulative drift {first:.3f} -> {last:.3f} over "
@@ -308,3 +324,20 @@ def trend(records: list[dict], budget: float | None = None,
         verdict.detail = (f"drift {first:.3f} -> {last:.3f} within "
                           f"allowance {allowed:.3f}")
     return verdict
+
+
+def _implied_seconds(records: list[dict], walls: dict[str, float] | None,
+                     window: int) -> tuple[float, float] | None:
+    """The oldest and newest ``window`` medians of a share series'
+    implied seconds (share median times ``walls[recorded_at]``), or
+    ``None`` when some record's recording has no wall time."""
+    if not walls:
+        return None
+    seconds = []
+    for record in records:
+        wall = walls.get(record.get("recorded_at"))
+        if wall is None:
+            return None
+        seconds.append(float(record.get("median", 0.0)) * wall)
+    return (statistics.median(seconds[:window]),
+            statistics.median(seconds[-window:]))

@@ -31,8 +31,8 @@ from typing import Iterable, Sequence
 
 from repro.bench import Benchmark, benchmark
 from repro.bench.suite import parsed_module
-from repro.loopbuffer.assign import AssignmentResult, place_loops, scan_loops
-from repro.loopbuffer.overlay import check_retarget, loop_footprints
+from repro.loopbuffer.assign import AssignmentResult, place_loops
+from repro.loopbuffer.overlay import check_retarget, loop_scan
 from repro.memo import Memo
 from repro.obs import Tracer, use as obs_use
 from repro.pipeline import (
@@ -51,6 +51,7 @@ from repro.runner.cache import (
 )
 from repro.runner.metrics import CellMetrics, MetricsRecorder
 from repro.runner.summary import RunSummary
+from repro.sched.machine import DEFAULT_MACHINE
 
 ENV_WORKERS = "REPRO_WORKERS"
 
@@ -140,9 +141,12 @@ def _machine_fingerprint(machine) -> str:
             f"ob={machine.operation_bits}")
 
 
-def _base_flags(program: Benchmark | Source, settings: RunConfig) -> dict:
-    from repro.sched.machine import DEFAULT_MACHINE
+#: every base compiles for the default machine, and a
+#: ``MachineDescription`` is frozen: its fingerprint is built once
+_DEFAULT_MACHINE_FINGERPRINT = _machine_fingerprint(DEFAULT_MACHINE)
 
+
+def _base_flags(program: Benchmark | Source, settings: RunConfig) -> dict:
     # the run settings are part of the key: a checked compile carries
     # different stats (and may raise), so it must never be served from —
     # or poison — the unchecked entry; and a step budget decides where
@@ -150,7 +154,7 @@ def _base_flags(program: Benchmark | Source, settings: RunConfig) -> dict:
     return {
         "entry": program.entry,
         "args": list(program.args),
-        "machine": _machine_fingerprint(DEFAULT_MACHINE),
+        "machine": _DEFAULT_MACHINE_FINGERPRINT,
         "buffer_capacity": None,
         **settings.key_flags(),
     }
@@ -218,11 +222,6 @@ def _compile_base_timed(
     return compiled, seconds, "compiled"
 
 
-#: :func:`base_key` -> the base's loop scan
-#: (:func:`~repro.loopbuffer.assign.scan_loops`): each capacity places
-#: the same scanned loops
-LOOP_SCANS = Memo(32)
-
 #: ``(base key, planned assignment, buffered)`` -> :class:`ClassRun`,
 #: one entry per capacity class (see :func:`run_base`)
 CLASS_MEMO = Memo(256)
@@ -250,16 +249,14 @@ def assignment_key(assignment: AssignmentResult | None) -> tuple:
                  for a in assignment.assigned)
 
 
-def _planned(base: Compiled, key: str, capacity: int | None) -> tuple:
+def _planned(base: Compiled, capacity: int | None) -> tuple:
     """:func:`assignment_key` of what ``with_buffer(base, capacity)``
-    would install, placed from the base's scan without touching IR."""
+    would install, placed from the base's one loop scan
+    (:func:`~repro.loopbuffer.overlay.loop_scan`, which ``with_buffer``
+    places from too) without touching IR."""
     if not capacity:
         return ()
-    scan = LOOP_SCANS.get(key)
-    if scan is None:
-        scan = scan_loops(base.module, base.profile, loop_footprints(base))
-        LOOP_SCANS.put(key, scan)
-    return assignment_key(place_loops(scan, capacity))
+    return assignment_key(place_loops(loop_scan(base), capacity))
 
 
 def run_base(
@@ -298,7 +295,7 @@ def run_base(
     run = None
     if not settings.trace:
         bkey = base_key(program, pipeline, settings)
-        key = (bkey, _planned(base, bkey, capacity), bool(capacity))
+        key = (bkey, _planned(base, capacity), bool(capacity))
         run = CLASS_MEMO.get(key)
     if run is not None:
         if metrics is not None:

@@ -18,8 +18,19 @@ program per capacity:
   through that pass sequence against one capacity overlay's ``rec``
   sites and schedules, recomputing only what capacity changes, and
   produces the same ``SimCounters``, ``LoopFetchStats`` and buffer stats
-  a full :func:`repro.sim.vliw.simulate` would.  A run of identical
-  passes closes in O(1) once its loop's buffer state is stable.
+  a full :func:`repro.sim.vliw.simulate` would.
+
+Replay walks only the runs that can see the buffer.  The buffer changes
+state only at a ``rec`` (which may evict other loops) and when a loop
+it recorded finishes its first pass, so a block that issues no ``rec``
+in this overlay and is not the body of a loop some ``rec`` here can
+install is ``ABSENT`` for the whole run, and no ``LoopFetchStats``
+entry names it.  Each pass kind of such a *capacity-invariant* block
+costs the same every time it runs, so replay charges it once, as its
+total pass count (:class:`TraceIndex`) times its per-pass charges.  Only
+the runs of the other, *live* blocks are walked, in order; a run of
+identical passes closes in O(1) once its loop's buffer state is stable.
+With no buffer every block is invariant and replay is O(kinds).
 
 :func:`replay` declines (returns ``None``, and the caller simulates in
 full) whenever its assumptions are not certain to hold:
@@ -41,14 +52,15 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 
 from repro.ir.opcodes import Opcode
 from repro.loopbuffer.model import LoopBuffer, LoopState
 from repro.sim.interp import RunResult
 from repro.sim.vliw import BlockFetchStats, SimCounters, VLIWSimulator
 
-__all__ = ["PassRecorder", "PassTrace", "ReplayedRun", "replay"]
+__all__ = ["PassRecorder", "PassTrace", "ReplayedRun", "TraceIndex", "replay"]
 
 _REC_OPS = (Opcode.REC_CLOOP, Opcode.REC_WLOOP)
 
@@ -90,6 +102,51 @@ class PassTrace:
     @property
     def runs(self) -> int:
         return len(self.seq)
+
+    @cached_property
+    def index(self) -> TraceIndex:
+        """This trace's :class:`TraceIndex`, built on first use and kept
+        for the trace's lifetime (never pickled: see :meth:`__getstate__`)."""
+        return TraceIndex(self)
+
+    def __getstate__(self) -> dict:
+        # the index is derived data: a trace pickles to the same bytes
+        # whether or not it was ever replayed
+        state = dict(self.__dict__)
+        state.pop("index", None)
+        return state
+
+
+class TraceIndex:
+    """What replay reads of a :class:`PassTrace` besides its runs.
+
+    ``totals[k]`` is how many passes of kind ``k`` the run made;
+    ``block_runs[b]`` the positions of block ``b``'s runs in ``seq``, in
+    order; ``first_seen`` the block ids in the order their first pass
+    ran.
+    """
+
+    __slots__ = ("totals", "block_runs", "first_seen")
+
+    def __init__(self, trace: PassTrace) -> None:
+        block_of = [kind[0] for kind in trace.kinds]
+        totals = [0] * len(trace.kinds)
+        block_runs = [array("I") for _ in trace.blocks]
+        first_seen = []
+        for position, (kid, rep) in enumerate(zip(trace.seq, trace.reps)):
+            totals[kid] += rep
+            runs = block_runs[block_of[kid]]
+            if not runs:
+                first_seen.append(block_of[kid])
+            runs.append(position)
+        self.totals = totals
+        self.block_runs = block_runs
+        self.first_seen = first_seen
+
+    def live_runs(self, blocks: set[int]):
+        """The positions of ``blocks``' runs, in run order."""
+        return sorted(chain.from_iterable(self.block_runs[bid]
+                                          for bid in blocks))
 
 
 class PassRecorder:
@@ -369,32 +426,53 @@ def replay(trace: PassTrace, module, schedules, modulo, machine,
     absent_state = LoopState.ABSENT
     resident = LoopState.RESIDENT
     recording = LoopState.RECORDING
+    index = trace.index
+    # every block's stats exist from the start, in first-pass order as a
+    # full simulation creates them
+    for bid in index.first_seen:
+        plan = plans[bid]
+        plan.stats = per_block.setdefault(plan.key, BlockFetchStats())
+    live = _live_blocks(plans) if buffer is not None else set()
 
     cycles = bundles = issued = from_buffer = from_memory = bubbles = 0
     steps = 0
-    for kid, rep in zip(trace.seq, trace.reps):
-        (plan, cyc, executed, attempted, full_pass, bubble_absent,
-         bubble_buffered, call_bubbles, recs) = kinds[kid]
+    # capacity-invariant kinds: always absent, charged once by total
+    for (plan, cyc, executed, attempted, _full_pass, bubble_absent,
+         _bubble_buffered, call_bubbles, _recs), (bid, *_), total in zip(
+            kinds, trace.kinds, index.totals):
+        if bid in live:
+            continue
         stats = plan.stats
-        if stats is None:
-            stats = plan.stats = per_block.setdefault(plan.key,
-                                                      BlockFetchStats())
+        stats.passes += total
+        stats.ops_from_memory += executed * total
+        cycles += (cyc + call_bubbles + bubble_absent) * total
+        bundles += cyc * total
+        bubbles += (call_bubbles + bubble_absent) * total
+        issued += executed * total
+        steps += attempted * total
+        from_memory += executed * total
+
+    # live runs, in order, one pass or one run at a time
+    seq, reps = trace.seq, trace.reps
+    for position in index.live_runs(live):
+        (plan, cyc, executed, attempted, full_pass, bubble_absent,
+         bubble_buffered, call_bubbles, recs) = kinds[seq[position]]
+        rep = reps[position]
+        stats = plan.stats
         buffer_key = plan.buffer_key
         # a pass issuing recs changes the buffer itself: one at a time
         for count in (repeat(1, rep) if recs else (rep,)):
-            if recs and buffer is not None:
-                for op in recs:
-                    loop_key = f"{plan.key[0]}/{op.attrs['loop']}"
-                    state = buffer.rec(loop_key, op.attrs["buf_addr"],
-                                       op.attrs["num"],
-                                       op.opcode is Opcode.REC_CLOOP)
-                    lstats = counters.loop_stats(loop_key)
-                    if state is resident:
-                        lstats.residency_hits += 1
-                    else:
-                        lstats.records += 1
-            state = (state_of(buffer_key) if buffer is not None
-                     else absent_state)
+            for op in recs:
+                loop_key = f"{plan.key[0]}/{op.attrs['loop']}"
+                state = buffer.rec(loop_key, op.attrs["buf_addr"],
+                                   op.attrs["num"],
+                                   op.opcode is Opcode.REC_CLOOP)
+                lstats = counters.loop_stats(loop_key)
+                if state is resident:
+                    lstats.residency_hits += 1
+                else:
+                    lstats.records += 1
+            state = state_of(buffer_key)
             stats.passes += count
             cycles += (cyc + call_bubbles) * count
             bundles += cyc * count
@@ -426,7 +504,6 @@ def replay(trace: PassTrace, module, schedules, modulo, machine,
                 bubble_buffered
             cycles += bubble * count
             bubbles += bubble * count
-
     if steps > max_steps:
         return None
     counters.cycles = cycles
@@ -438,3 +515,14 @@ def replay(trace: PassTrace, module, schedules, modulo, machine,
     result = ReplayedRun(trace.value, steps, module, entry, args or [],
                          max_steps)
     return result, counters, buffer
+
+
+def _live_blocks(plans) -> set[int]:
+    """Ids of the blocks whose passes can see the buffer: each block
+    that holds a ``rec``, and each block whose buffer key names a loop
+    some ``rec`` here can install.  Every other block is ``ABSENT`` for
+    the whole run and never gets a ``LoopFetchStats`` entry."""
+    installable = {f"{plan.key[0]}/{op.attrs['loop']}"
+                   for plan in plans for _pos, op in plan.recs}
+    return {bid for bid, plan in enumerate(plans)
+            if plan.recs or plan.buffer_key in installable}

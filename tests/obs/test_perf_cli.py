@@ -207,6 +207,33 @@ class TestTrend:
         assert main(["perf", "trend", "--history", str(path)]) == 1
         assert "DRIFT: paper-cold/slower" in capsys.readouterr().err
 
+    @staticmethod
+    def _share_history(path, wall_medians):
+        """A layer share rising 0.10 -> 0.16 over two recordings whose
+        ``paper-cold/trace.wall_s`` medians are ``wall_medians``."""
+        history = History(path)
+        stamps = ("2026-01-01T00:00:00+00:00", "2026-01-02T00:00:00+00:00")
+        for stamp, share, wall in zip(stamps, (0.10, 0.16), wall_medians):
+            history.append({
+                "bench": "paper-cold/sched.list_s", "unit": "share",
+                "direction": "lower", "median": share, "mad": 0.0,
+                "config_hash": "list", "recorded_at": stamp})
+            history.append({
+                "bench": "paper-cold/trace.wall_s", "unit": "s",
+                "direction": "lower", "median": wall, "mad": 0.0,
+                "config_hash": "wall", "recorded_at": stamp})
+        return path
+
+    def test_share_of_a_faster_pass_is_not_drift(self, tmp_path, capsys):
+        path = self._share_history(tmp_path / "h.jsonl", (4.0, 2.0))
+        assert main(["perf", "trend", "--history", str(path)]) == 0
+        assert "DRIFT" not in capsys.readouterr().err
+
+    def test_share_of_a_slower_layer_still_drifts(self, tmp_path, capsys):
+        path = self._share_history(tmp_path / "h.jsonl", (4.0, 4.0))
+        assert main(["perf", "trend", "--history", str(path)]) == 1
+        assert "DRIFT: paper-cold/sched.list_s" in capsys.readouterr().err
+
 
 class TestHistoryParsedOnce:
     """``trend`` and ``compare`` parse each history line once, however

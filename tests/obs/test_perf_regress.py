@@ -150,6 +150,26 @@ class TestTrend:
         verdict = trend(self._series([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0]))
         assert verdict.status == OK
 
+    def test_share_drift_needs_its_implied_seconds_to_rise(self):
+        # the layer's share climbs 0.10 -> 0.16 (+60%): past the share
+        # budget on its own
+        shares = self._series([0.10, 0.10, 0.16, 0.16], unit="share")
+        assert trend(shares).status == REGRESSION
+        # the pass got twice as fast, so the layer's own seconds fell
+        # (0.4s -> 0.32s): other layers shrank
+        faster = {"T0": 4.0, "T1": 4.0, "T2": 2.0, "T3": 2.0}
+        verdict = trend(shares, walls=faster)
+        assert verdict.status == OK and "implied seconds" in verdict.detail
+        # the same wall time: the layer itself got slower
+        assert trend(shares, walls={f"T{i}": 4.0 for i in range(4)}
+                     ).status == REGRESSION
+        # a recording without a wall time proves nothing
+        assert trend(shares, walls={"T0": 4.0, "T1": 4.0, "T2": 2.0}
+                     ).status == REGRESSION
+        # seconds series never read the wall times
+        seconds = self._series([0.10, 0.10, 0.16, 0.16], unit="x")
+        assert trend(seconds, walls=faster).status == REGRESSION
+
     def test_improving_series_reports_improvement(self):
         verdict = trend(self._series([2.0, 1.8, 1.5, 1.2, 1.0, 0.9]))
         assert verdict.status == IMPROVEMENT and not verdict.failed

@@ -41,8 +41,7 @@ def _fresh_summary(cell) -> RunSummary:
     The class key's plan must be exactly what the retarget installs."""
     base, *_ = _compile_base_timed(cell.name, cell.pipeline, None)
     compiled = with_buffer(base, cell.capacity)
-    key = base_key(cell.name, cell.pipeline, RunConfig())
-    assert parallel._planned(base, key, cell.capacity) \
+    assert parallel._planned(base, cell.capacity) \
         == parallel.assignment_key(compiled.assignment), cell
     counters = run_compiled(compiled).counters
     return RunSummary(cell.name, cell.pipeline, cell.capacity,
@@ -88,8 +87,8 @@ def test_checked_class_hit_reruns_the_buffer_rules():
     run_base("g724_dec", "traditional", base, 2048, settings)
     # g724_dec traditional places the same loops at 64 ops as at 2048
     key = base_key("g724_dec", "traditional", settings)
-    plan = parallel._planned(base, key, 64)
-    assert plan == parallel._planned(base, key, 2048)
+    plan = parallel._planned(base, 64)
+    assert plan == parallel._planned(base, 2048)
     run = parallel.CLASS_MEMO.get((key, plan, True))
     assert run is not None and run.compiled is not None
     # plant an assignment that fits 2048 ops but not 64
@@ -128,3 +127,34 @@ def test_traced_grid_bypasses_the_classes():
     for cm in metrics.cells:
         names = {span["name"] for span in cm.trace["run"]["spans"]}
         assert {"with_buffer", "simulate"} <= names, cm
+
+
+def test_figure7_sweep_scans_each_base_once(monkeypatch):
+    """The runner's class planner and every retarget place loops from
+    one loop scan per base (:func:`repro.loopbuffer.overlay.loop_scan`)."""
+    import repro.loopbuffer.assign as assign_mod
+    import repro.loopbuffer.overlay as overlay_mod
+    from repro.bench import benchmark_names
+    from repro.experiments.common import FIG7_SIZES
+
+    from tests.helpers import compiled_base
+
+    scanned = []
+    real = assign_mod.scan_loops
+
+    def counting(module, *args, **kwargs):
+        scanned.append(id(module))
+        return real(module, *args, **kwargs)
+
+    for mod in (assign_mod, overlay_mod):
+        monkeypatch.setattr(mod, "scan_loops", counting)
+    cells = expand_grid(benchmark_names(), ("traditional", "aggressive"),
+                        FIG7_SIZES)
+    # the bases come compiled: only the sweep's own scans are counted
+    for name, pipeline in dict.fromkeys(cell.group for cell in cells):
+        parallel.BASE_MEMO.put(base_key(name, pipeline),
+                               compiled_base(name, pipeline))
+    metrics = MetricsRecorder()
+    run_grid(cells, workers=1, cache=None, metrics=metrics)
+    assert len(cells) == 176 and metrics.class_hits == 96
+    assert len(scanned) == len(set(scanned)) == 22

@@ -122,6 +122,47 @@ def test_trace_is_compact_and_carried_by_retargets():
     check_cell(restored, 64)
 
 
+@pytest.mark.parametrize("name,pipeline", PAIRS, ids=PAIR_IDS)
+def test_trace_index_partitions_the_runs(name, pipeline):
+    base = compiled_base(name, pipeline)
+    trace = base.pass_trace
+    index = trace.index
+    assert trace.index is index  # built once per trace
+    assert len(index.totals) == len(trace.kinds)
+    assert sum(index.totals) == trace.passes
+    for kid, total in enumerate(index.totals):
+        assert total == sum(rep for k, rep in zip(trace.seq, trace.reps)
+                            if k == kid)
+    assert len(index.block_runs) == len(trace.blocks)
+    assert sorted(pos for runs in index.block_runs for pos in runs) \
+        == list(range(trace.runs))
+    for bid, runs in enumerate(index.block_runs):
+        assert list(runs) == sorted(runs)
+        assert all(trace.kinds[trace.seq[pos]][0] == bid for pos in runs)
+    first_seen = list(dict.fromkeys(trace.kinds[kid][0]
+                                    for kid in trace.seq))
+    assert index.first_seen == first_seen
+    live = set(first_seen[::2])
+    assert list(index.live_runs(live)) == [
+        pos for pos, kid in enumerate(trace.seq)
+        if trace.kinds[kid][0] in live]
+
+
+def test_trace_index_is_never_pickled():
+    # a fresh copy: no earlier replay has built its trace's index
+    compiled = pickle.loads(pickle.dumps(compiled_base("g724_dec",
+                                                       "traditional")))
+    before = pickle.dumps(compiled)
+    assert "index" not in vars(compiled.pass_trace)
+    for capacity in (None, 64):
+        run_compiled(with_buffer(compiled, capacity))
+    assert "index" in vars(compiled.pass_trace)
+    assert pickle.dumps(compiled) == before
+    restored = pickle.loads(before).pass_trace
+    assert "index" not in vars(restored)
+    assert restored.index.totals == compiled.pass_trace.index.totals
+
+
 def test_only_fast_unbuffered_bases_record():
     # a buffered compile is its base's overlay and carries the base's
     # trace; the reference interpreter records none

@@ -26,7 +26,8 @@ PROCESS_MEMOS = {
     "parse": ("repro.bench.suite", "PARSED", 32),
     "block-code": ("repro.sim.engine", "_block_code", 512),
     "bases": ("repro.runner.parallel", "BASE_MEMO", 32),
-    "loop-scans": ("repro.runner.parallel", "LOOP_SCANS", 32),
+    "loop-scans": ("repro.loopbuffer.overlay", "LOOP_SCANS", 32),
+    "base-live-in": ("repro.loopbuffer.overlay", "BASE_LIVE_IN", 128),
     "classes": ("repro.runner.parallel", "CLASS_MEMO", 256),
 }
 

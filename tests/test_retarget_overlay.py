@@ -33,8 +33,9 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis.lint import errors_only, lint_compiled
+from repro.analysis.liveness import liveness
 from repro.bench import all_benchmarks, benchmark_names
-from repro.loopbuffer.overlay import RetargetError
+from repro.loopbuffer.overlay import RetargetError, base_live_in
 from repro.pipeline import (
     compile_aggressive,
     compile_traditional,
@@ -240,6 +241,47 @@ def test_overlay_materializes_only_recd_preheaders():
                 assert block is not base_block
             else:
                 assert block is base_block
+
+
+@pytest.mark.parametrize("name,pipeline", PAIRS,
+                         ids=[f"{n}-{p}" for n, p in PAIRS])
+def test_overlay_liveness_is_the_base_liveness(name, pipeline):
+    """A ``rec`` edit changes no register's liveness, so retarget may
+    reschedule every copied preheader from its base function's live-in
+    sets: each function an overlay materialized has exactly its base
+    function's liveness, at every Figure 7 capacity."""
+    base = base_for(name, pipeline)
+    base_live = {}
+    for capacity in GRID_CAPACITIES:
+        compiled = with_buffer(base, capacity)
+        for fname in {fname for fname, _ in compiled.overlay.materialized}:
+            if fname not in base_live:
+                base_live[fname] = liveness(base.module.function(fname))
+            live = liveness(compiled.module.function(fname))
+            assert live.live_in == base_live[fname].live_in, (fname,
+                                                              capacity)
+            assert live.live_out == base_live[fname].live_out, (fname,
+                                                                capacity)
+
+
+def test_base_live_in_belongs_to_its_own_function():
+    """Both pipelines' bases of a benchmark hold same-named functions
+    with different liveness; each function gets its own live-in sets,
+    however the lookups interleave."""
+    bases = [base_for(name, pipeline)
+             for name in benchmark_names() for pipeline in PIPELINES]
+    differ = 0
+    for _round in range(2):
+        for base in bases:
+            for func in base.module.functions.values():
+                assert base_live_in(func) == liveness(func).live_in, \
+                    func.name
+    for traditional, aggressive in zip(bases[::2], bases[1::2]):
+        for fname, func in traditional.module.functions.items():
+            other = aggressive.module.functions.get(fname)
+            if other is not None and base_live_in(func) != base_live_in(other):
+                differ += 1
+    assert differ, "expected same-named functions with different liveness"
 
 
 @pytest.mark.parametrize("capacity", [-1, 1.5, True, "64"])
